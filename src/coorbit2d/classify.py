@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import CertificateError, DegenerateInputError
 from .groups import (
     DEFAULT_TOL,
     DIAGONAL,
@@ -194,9 +194,10 @@ def canonical_shearlet(phi, c):
 def lines_to_phi_s(lines, tol=DEFAULT_TOL):
     """Unique (phi, s) with R_phi S_s (axes) = the given pair of lines.
 
-    For a perpendicular pair (s = 0) both phi and phi + pi/2 solve the set
-    equation; the smaller verified phi is returned.  The two choices describe
-    the same diagonal-family group.
+    A pair within `tol` of perpendicular is snapped to s = 0.  Then both phi
+    and phi + pi/2 solve the set equation and describe the same
+    diagonal-family group, so phi is reported in [0, pi/2), with a value
+    within `tol` of pi/2 mapped to 0.
     """
     if len(lines) != 2:
         raise DegenerateInputError("need exactly two distinct lines")
@@ -206,7 +207,10 @@ def lines_to_phi_s(lines, tol=DEFAULT_TOL):
     if theta <= tol:
         raise DegenerateInputError("lines coincide within tolerance")
     # cot(theta) via the complementary angle: exact 0 for perpendicular pairs
-    s = np.tan(_PI / 2 - theta)
+    s = float(np.tan(_PI / 2 - theta))
+    if s <= tol:
+        phi = mod_pi(-a1) % (_PI / 2)
+        return (0.0 if _PI / 2 - phi <= tol else phi), 0.0
     beta = np.arctan2(1.0, s)  # angle of the sheared y-axis image
     verified = []
     for alpha in (a1, a2):
@@ -216,7 +220,7 @@ def lines_to_phi_s(lines, tol=DEFAULT_TOL):
             verified.append(phi)
     if not verified:
         raise DegenerateInputError("no rotation-shear cross-section matches")
-    return min(verified), float(s)
+    return min(verified), s
 
 
 def canonicalize(spec, tol=DEFAULT_TOL):
@@ -318,10 +322,11 @@ def coorbit_equivalent(s1, s2, tol=DEFAULT_TOL):
         eq = True
         reason = (f"complements coincide and orbit has {c1} component(s)")
 
-    if eq:
-        # necessity (equal orbits) and representative agreement, by construction
-        assert lines_match
-        assert canonical_equal(cf1, cf2, tol)
+    # equal orbits force equal canonical forms; a disagreement is a defect
+    if eq and not (lines_match and canonical_equal(cf1, cf2, tol)):
+        raise CertificateError(
+            f"verdict 'equivalent' but canonical forms differ: {cf1!r} vs {cf2!r}"
+        )
     return EquivalenceVerdict(eq, (c1, c2), (l1, l2), (cf1, cf2), reason)
 
 

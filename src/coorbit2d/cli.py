@@ -4,7 +4,8 @@ Every subcommand reads its inputs from files (or generates them from flags),
 runs the requested computation once, and emits a deterministic report to
 stdout or --out.  Exit codes: 0 success, 1 usage error, 2 I/O or parse error,
 3 negative equivalence verdict, 4 numeric failure (requested tolerance
-breached, or a degenerate numeric result).
+breached, or a degenerate numeric result), 5 internal error (any other
+exception, reported as one line on stderr without a traceback).
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ from .sampling import (
     similitude_sampling,
 )
 from .signals import gen_test_signal
-from .transform import (
+# coorbit_norm and invert are not called here; they stay importable from this
+# module because bench/spans.py traces CLI requests through these names
+from .transform import (  # noqa: F401
     analyze,
     calderon_constant,
     coorbit_norm,
@@ -51,6 +54,8 @@ from .transform import (
     default_orbit_samples,
     invert,
     norm_ratio_profile,
+    reconstruct,
+    signal_coorbit_norm,
 )
 from .wavelets import default_wavelet
 
@@ -59,6 +64,7 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NEGATIVE = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 
 class _UsageError(Exception):
@@ -139,6 +145,17 @@ def _parse_matrix_flag(text):
     except ValueError:
         raise _UsageError("--matrix entries must be numbers") from None
     return np.array([[a, b], [c, d]])
+
+
+def _parse_exponent(text):
+    """--p value: a positive number or 'inf'."""
+    try:
+        p = float(text)
+    except ValueError:
+        raise _UsageError(f"--p expects a number or 'inf', got {text!r}") from None
+    if not p > 0:
+        raise _UsageError(f"--p must be positive, got {text!r}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +257,9 @@ def _cmd_norm(args):
     _fill_sampling_defaults(spec, args)
     sampling = _sampling_from_args(spec, args)
     psi = default_wavelet(spec)
+    p = _parse_exponent(args.p)
     t0 = time.perf_counter()
-    p = float("inf") if args.p == "inf" else float(args.p)
-    slab = analyze(sig, spec, sampling, psi)
-    value = coorbit_norm(slab, p)
+    value = signal_coorbit_norm(sig, spec, sampling, psi, p)
     report = make_report(
         "norm",
         {"group": group_spec_to_dict(spec), "signal": str(args.signal),
@@ -263,8 +279,7 @@ def _cmd_invert(args):
     psi = default_wavelet(spec)
     t0 = time.perf_counter()
     cal = calderon_constant(spec, psi, default_orbit_samples(spec), sampling)
-    slab = analyze(sig, spec, sampling, psi)
-    rec = invert(slab, spec, sampling, psi, cal.mean)
+    rec = reconstruct(sig, spec, sampling, psi, cal.mean)
     denom = sig.norm_l2()
     if denom == 0.0:
         rel_err = 0.0
@@ -375,8 +390,8 @@ def _cmd_covariance(args):
 def _cmd_compare(args):
     s1 = parse_group_spec(args.group1)
     s2 = parse_group_spec(args.group2)
+    p = _parse_exponent(args.p)
     t0 = time.perf_counter()
-    p = float("inf") if args.p == "inf" else float(args.p)
     n, length = args.N, args.L
     rng = np.random.default_rng(args.seed)
     signals = []
@@ -575,6 +590,9 @@ def main(argv=None):
     except CoorbitError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception as exc:  # the last boundary: one line, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

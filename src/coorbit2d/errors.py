@@ -29,6 +29,10 @@ class WaveletSupportError(CoorbitError, ValueError):
     """Wavelet frequency support is not contained in the dual orbit."""
 
 
+class CertificateError(CoorbitError):
+    """A decision's certificate contradicts its verdict (an internal invariant)."""
+
+
 class FormatError(CoorbitError, ValueError):
     """Malformed on-disk document (group spec, signal file, or report)."""
 

@@ -18,6 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CoverageWarning
+from .wavelets import bump
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,15 +114,6 @@ class TestSignal:
     label: str = ""
 
 
-def _bump(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    m = np.abs(t) < 1.0
-    tm = t[m]
-    out[m] = np.exp(1.0 - 1.0 / (1.0 - tm * tm))
-    return out
-
-
 def _check_band(center, extent, n, length, what):
     nyq = (n / 2 - 1) / length
     reach = max(abs(center[0]), abs(center[1])) + extent
@@ -154,7 +146,7 @@ def freq_bump(n, length, center, sigma, amplitude=1.0, shape="gaussian",
         if shape == "gaussian":
             prof = np.exp(-d2 / (2.0 * sigma * sigma))
         else:
-            prof = _bump(np.sqrt(d2) / sigma)
+            prof = bump(np.sqrt(d2) / sigma)
         phase = np.exp(-2j * np.pi * (x0[0] * xi1 + x0[1] * xi2))
         return amplitude * prof * phase
 

@@ -11,6 +11,20 @@ quasi-norm integrates |W|^p over space (cell (L/N)^2) and over the chart with
 the g-weights of the sampling; no triangle inequality is assumed anywhere, so
 p < 1 uses the same formula.
 
+Because g_w(h) * |det h| = haar_w(h), every quadratic quantity of the sampled
+transform collapses onto the Calderon multiplier
+
+    C(xi) = sum_h haar_w(h) |psihat(h^T xi)|^2      (calderon_multiplier)
+
+exactly on the grid:  ||W f||_{L^2(G)}^2 = sum_xi |fhat|^2 C / L^2  (grid
+Plancherel) and  invert(analyze(f)) = inverse FT of fhat C / C_psi.  The
+p = 2 norm of a signal (signal_coorbit_norm) and the reconstruction of a
+signal (reconstruct) are computed that way, with two FFTs at most and no
+M x N x N coefficient slab; the admissibility constant is the same kernel at
+a few orbit samples.  `analyze`, `coorbit_norm` and `invert` remain the
+coefficient-domain path: norms with p != 2 and per-plane energies need every
+coefficient, and the tests use them as the reference for the multiplier.
+
 Planes are independent across chart points; the plane map may run on a thread
 pool (COORBIT2D_THREADS caps the width) and is deterministic regardless of
 schedule.  Reductions across planes run in index order.
@@ -101,7 +115,7 @@ def _det_and_eta(h, xi1, xi2):
     return det, eta1, eta2
 
 
-def _warn_uncovered(spec, sampling, psi, n, length):
+def _warn_uncovered(spec, sampling, psi, n, length, stacklevel=3):
     """Warn when some sampled h pushes the wavelet support out of the band."""
     nyq = (n / 2 - 1) / length
     m1, m2 = psi.support_box()
@@ -117,8 +131,65 @@ def _warn_uncovered(spec, sampling, psi, n, length):
             f"wavelet support reaches |xi| ~ {worst:.3g} for some sampled h, "
             f"beyond the representable band {nyq:.3g}",
             CoverageWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
+
+
+# chart points per multiplier chunk times frequencies.  On a 128 x 128 grid
+# (2-core Xeon) 2^16 ran at the speed of a per-plane loop and larger budgets
+# ran slower; a few Calderon samples take the whole sampling in one chunk.
+_CHUNK_ELEMENTS = 2 ** 16
+
+
+def calderon_multiplier(spec, psi, sampling, xi1, xi2):
+    """C(xi) = sum_h haar_w(h) |psihat(h^T xi)|^2 at broadcastable frequencies.
+
+    The sum runs over the sampled chart in index order, a chunk of planes at
+    a time; the result has the broadcast shape of (xi1, xi2).
+    """
+    xi1, xi2 = np.broadcast_arrays(np.asarray(xi1, dtype=float),
+                                   np.asarray(xi2, dtype=float))
+    shape = xi1.shape
+    x1, x2 = xi1.reshape(1, -1), xi2.reshape(1, -1)
+    mats = np.array([element_from_chart(spec, p) for p in sampling.points])
+    step = max(1, _CHUNK_ELEMENTS // max(x1.size, 1))
+    total = np.zeros(x1.size)
+    for lo in range(0, len(mats), step):
+        h = mats[lo:lo + step]
+        vals = psi.evaluate(h[:, 0, 0, None] * x1 + h[:, 1, 0, None] * x2,
+                            h[:, 0, 1, None] * x1 + h[:, 1, 1, None] * x2)
+        total += sampling.haar_w[lo:lo + step] @ (vals * vals)
+    return total.reshape(shape)
+
+
+def _grid_multiplier(f, spec, sampling, psi):
+    """Spectrum of a grid signal and the Calderon multiplier on its lattice."""
+    if not isinstance(f, GridSignal):
+        raise TypeError("f must be a GridSignal")
+    _warn_uncovered(spec, sampling, psi, f.N, f.L, stacklevel=4)
+    xi1, xi2 = freq_grids(f.N, f.L)
+    return spectrum_from_signal(f), calderon_multiplier(spec, psi, sampling, xi1, xi2)
+
+
+def signal_coorbit_norm(f, spec, sampling, psi, p, threads=None):
+    """Coorbit quasi-norm ||W f||_{L^p(G)} of a grid signal.
+
+    p = 2 is computed from the Calderon multiplier as
+    sqrt(sum |fhat|^2 C / L^2), which equals coorbit_norm(analyze(f), 2) to
+    roundoff; every other p analyzes the signal and reduces the slab.
+    """
+    if p == 2:
+        fhat, c = _grid_multiplier(f, spec, sampling, psi)
+        return float(np.sqrt(np.sum(np.abs(fhat) ** 2 * c)) / f.L)
+    return coorbit_norm(analyze(f, spec, sampling, psi, threads), p)
+
+
+def reconstruct(f, spec, sampling, psi, c_psi):
+    """invert(analyze(f), ...) computed as the inverse FT of fhat C / C_psi."""
+    if not (c_psi > 0):
+        raise ValueError("C_psi must be positive")
+    fhat, c = _grid_multiplier(f, spec, sampling, psi)
+    return GridSignal(f.N, f.L, signal_from_spectrum(fhat * c / c_psi, f.N, f.L))
 
 
 def analyze(f, spec, sampling, psi, threads=None):
@@ -222,14 +293,8 @@ def calderon_constant(spec, psi, xi_samples, sampling, margin=1e-6):
             raise OrbitSampleError(
                 f"frequency sample {x.tolist()} is not inside the dual orbit"
             )
-    mats = [element_from_chart(spec, p) for p in sampling.points]
-    values = []
-    for x in xi_samples:
-        eta1 = np.array([h[0, 0] * x[0] + h[1, 0] * x[1] for h in mats])
-        eta2 = np.array([h[0, 1] * x[0] + h[1, 1] * x[1] for h in mats])
-        vals = psi.evaluate(eta1, eta2)
-        values.append(float(np.sum(sampling.haar_w * vals * vals)))
-    values = np.array(values)
+    pts = np.array(xi_samples)
+    values = calderon_multiplier(spec, psi, sampling, pts[:, 0], pts[:, 1])
     mean = float(values.mean())
     if mean <= 0.0:
         raise OrbitSampleError("admissibility integral vanished on all samples")
@@ -379,8 +444,8 @@ def norm_ratio_profile(s1, s2, p, signals, sampling1, sampling2,
         psi2 = default_wavelet(s2)
     rows = []
     for f in signals:
-        n1 = coorbit_norm(analyze(f.signal, s1, sampling1, psi1, threads), p)
-        n2 = coorbit_norm(analyze(f.signal, s2, sampling2, psi2, threads), p)
+        n1 = signal_coorbit_norm(f.signal, s1, sampling1, psi1, p, threads)
+        n2 = signal_coorbit_norm(f.signal, s2, sampling2, psi2, p, threads)
         scale = max(f.signal.norm_l2(), 1.0)
         degenerate = n2 <= 1e-14 * scale or n1 <= 1e-14 * scale
         ratio = None if degenerate else n1 / n2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coorbit2d import (
+    CertificateError,
     DegenerateInputError,
     GroupSpec,
     LineSet,
@@ -26,7 +27,7 @@ from coorbit2d import (
     shearlet,
     similitude,
 )
-from coorbit2d.classify import angle_distance, mod_pi
+from coorbit2d.classify import angle_distance, canonical_equal, mod_pi
 from conftest import random_invertible
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -221,6 +222,53 @@ class TestCoorbitEquivalent:
         assert np.array_equal(e, e.T)        # symmetric
         reach = (e.astype(int) @ e.astype(int)) > 0
         assert np.all(e[reach])              # transitive
+
+
+# ROADMAP reproducer: s = 7.4e-10 sits inside tol = 1e-9 of the perpendicular
+# pair, and the two canonical phi values used to differ by pi/2
+NEAR_PERP_PHI, NEAR_PERP_GAP = 2.6455835135848735, 7.4e-10
+
+
+class TestNearPerpendicular:
+    def test_reproducer_equivalent_with_equal_canonicals(self):
+        a = rep_group(canonical_diagonal(NEAR_PERP_PHI, 0.0))
+        b = rep_group(canonical_diagonal(NEAR_PERP_PHI, NEAR_PERP_GAP))
+        verdict = coorbit_equivalent(a, b)
+        assert verdict.equivalent
+        cf1, cf2 = verdict.canonicals
+        assert cf1.s == 0.0 and cf2.s == 0.0
+        assert angle_distance(cf1.phi, cf2.phi) <= 1e-9
+        assert cf1.phi == pytest.approx(NEAR_PERP_PHI - PI / 2, abs=1e-9)
+
+    def test_snapped_phi_lies_in_quarter_turn(self):
+        phi, s = lines_to_phi_s(LineSet((0.4, 0.4 + PI / 2 - 5e-10)))
+        assert s == 0.0
+        assert 0.0 <= phi < PI / 2
+        assert angle_distance(phi, PI / 2 - 0.4) <= 1e-9
+
+    def test_phi_within_tol_of_quarter_turn_maps_to_zero(self):
+        phi, s = lines_to_phi_s(LineSet((1e-10, PI / 2 + 1e-10)))
+        assert (phi, s) == (0.0, 0.0)
+
+    def test_fuzz_pairs_inside_tolerance(self):
+        rng = np.random.default_rng(20251017)
+        for _ in range(1000):
+            phi, gap = rng.uniform(0.0, PI), rng.uniform(1e-10, 1e-9)
+            a = rep_group(canonical_diagonal(phi, 0.0))
+            b = rep_group(canonical_diagonal(phi, gap))
+            verdict = coorbit_equivalent(a, b)
+            assert verdict.equivalent, (phi, gap)
+            cf1, cf2 = verdict.canonicals
+            assert canonical_equal(cf1, cf2), (phi, gap)
+            assert angle_distance(cf1.phi, cf2.phi) <= 1e-9, (phi, gap)
+
+    def test_contradicting_certificate_raises(self, monkeypatch):
+        import coorbit2d.classify as classify
+
+        monkeypatch.setattr(classify, "canonical_equal", lambda *a, **k: False)
+        spec = GroupSpec(diagonal())
+        with pytest.raises(CertificateError):
+            classify.coorbit_equivalent(spec, spec)
 
 
 def _spec_pool(rng, n):

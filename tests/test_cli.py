@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,17 +11,33 @@ import pytest
 from coorbit2d import (
     GridSignal,
     GroupSpec,
+    analyze,
+    calderon_constant,
+    canonical_diagonal,
+    coorbit_norm,
+    default_orbit_samples,
+    default_wavelet,
     diagonal,
+    diagonal_sampling,
     freq_bump,
+    invert,
     parse_report,
+    read_signal,
+    rep_group,
     rotation,
     shearlet,
+    shearlet_sampling,
     similitude,
+    similitude_sampling,
     write_group_spec,
     write_signal,
 )
+from coorbit2d import cli
+from coorbit2d.classify import angle_distance
 from coorbit2d.cli import main
 from conftest import random_invertible
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +107,38 @@ class TestEquiv:
         assert len(report["certificates"]["complements"]) == 2
 
 
+    def test_near_perpendicular_pair_exit_zero(self, tmp_path, capsys):
+        p1, p2 = _near_perpendicular_pair(tmp_path)
+        code, report = run_cli(capsys, "equiv", p1, p2)
+        assert code == 0
+        _assert_same_canonical_phi(report)
+
+    def test_near_perpendicular_pair_under_optimize(self, tmp_path):
+        # the verdict's consistency check must not be an assert stripped by -O
+        p1, p2 = _near_perpendicular_pair(tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-O", "-m", "coorbit2d", "equiv", p1, p2],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        _assert_same_canonical_phi(parse_report(proc.stdout))
+
+
+def _near_perpendicular_pair(tmp_path):
+    """The ROADMAP reproducer: s = 0 against s = 7.4e-10, inside tol = 1e-9."""
+    paths = []
+    for name, s in (("perp.json", 0.0), ("near.json", 7.4e-10)):
+        p = tmp_path / name
+        write_group_spec(p, rep_group(canonical_diagonal(2.6455835135848735, s)))
+        paths.append(str(p))
+    return paths
+
+
+def _assert_same_canonical_phi(report):
+    assert report["values"]["equivalent"] is True
+    cf1, cf2 = report["certificates"]["canonical_forms"]
+    assert angle_distance(cf1["phi"], cf2["phi"]) <= 1e-9
+
+
 class TestSymmetry:
     def test_swap_triple_all_yes(self, capsys, diag_path):
         code, report = run_cli(capsys, "symmetry", diag_path, "--matrix", "0,1,1,0")
@@ -122,6 +175,21 @@ class TestExitCodes:
 
     def test_missing_file(self, tmp_path):
         assert main(["classify", str(tmp_path / "none.json")]) == 2
+
+    def test_bad_exponent_is_usage_error(self, capsys, diag_path, bump_signal):
+        for p in ("abc", "0", "-1", "nan"):
+            assert main(["norm", diag_path, bump_signal, "--p", p]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_unexpected_exception_exit_five(self, capsys, monkeypatch, diag_path):
+        def boom(args):
+            raise RuntimeError("something broke")
+
+        monkeypatch.setattr(cli, "_cmd_classify", boom)
+        assert main(["classify", diag_path]) == 5
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: something broke\n"
+        assert "Traceback" not in err
 
     def test_numeric_failure_exit_four(self, capsys, tmp_path, diag_path,
                                        bump_signal):
@@ -212,3 +280,53 @@ class TestPipeline:
         )
         assert code == 0
         assert len(rep["values"]["rows"]) == 2
+
+
+# small samplings in CLI flag form and as library calls, one per family
+MULTIPLIER_CASES = {
+    "similitude": (GroupSpec(similitude(), rotation(0.4)),
+                   ["--n-scale", "8", "--n-angle", "8"],
+                   lambda s: similitude_sampling(s, (-2.0, 2.0), 8, 8)),
+    "diagonal": (GroupSpec(diagonal(), rotation(0.3)),
+                 ["--n-scale", "6"],
+                 lambda s: diagonal_sampling(s, (-2.0, 2.0), 6)),
+    "shearlet": (GroupSpec(shearlet(0.7), rotation(-0.5)),
+                 ["--n-scale", "6", "--n-shear", "8"],
+                 lambda s: shearlet_sampling(s, (-2.0, 2.0), 6, (-5.0, 5.0), 8)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MULTIPLIER_CASES))
+class TestMultiplierCommands:
+    """norm --p 2 and invert take the multiplier path; the slab path is the reference."""
+
+    def _setup(self, tmp_path, family):
+        spec, flags, make_sampling = MULTIPLIER_CASES[family]
+        gpath, spath = tmp_path / "g.json", tmp_path / "f.sig"
+        write_group_spec(gpath, spec)
+        center = np.linalg.inv(spec.conjugator).T @ np.array([1.0, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            write_signal(spath, freq_bump(32, 8.0, center=center, sigma=0.2).signal)
+        return spec, str(gpath), str(spath), flags, make_sampling(spec)
+
+    def test_norm2_matches_slab_path(self, tmp_path, capsys, family):
+        spec, gpath, spath, flags, sampling = self._setup(tmp_path, family)
+        code, rep = run_cli(capsys, "norm", gpath, spath, "--p", "2", *flags)
+        assert code == 0
+        sig = read_signal(spath)
+        ref = coorbit_norm(analyze(sig, spec, sampling, default_wavelet(spec)), 2)
+        assert abs(rep["values"]["coorbit_norm"] - ref) <= 1e-12 * ref
+
+    def test_invert_matches_library_invert(self, tmp_path, capsys, family):
+        spec, gpath, spath, flags, sampling = self._setup(tmp_path, family)
+        out = tmp_path / "rec.sig"
+        code, rep = run_cli(capsys, "invert", gpath, spath, "--out-signal", str(out),
+                            *flags)
+        assert code == 0
+        psi, sig = default_wavelet(spec), read_signal(spath)
+        c_psi = calderon_constant(spec, psi, default_orbit_samples(spec), sampling).mean
+        assert rep["values"]["calderon_constant"] == c_psi
+        ref = invert(analyze(sig, spec, sampling, psi), spec, sampling, psi, c_psi).data
+        gap = np.linalg.norm(read_signal(out).data - ref) / np.linalg.norm(ref)
+        assert gap <= 1e-12

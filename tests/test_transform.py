@@ -5,6 +5,8 @@ import pytest
 
 from coorbit2d import (
     CoeffSlab,
+    CoverageWarning,
+    GridSignal,
     GroupSpec,
     NotInGroupError,
     OrbitSampleError,
@@ -13,6 +15,7 @@ from coorbit2d import (
     analyze,
     build_sampling,
     calderon_constant,
+    calderon_multiplier,
     coorbit_norm,
     covariance_residual,
     default_orbit_samples,
@@ -25,14 +28,22 @@ from coorbit2d import (
     invert,
     norm_ratio_profile,
     psi_atom,
+    reconstruct,
     rotation,
     shearlet,
+    signal_coorbit_norm,
+    signal_from_spectrum,
     similitude,
     similitude_sampling,
     spectral_norm_l2,
+    spectrum_from_signal,
 )
 from coorbit2d.groups import DiagonalChart
-from coorbit2d.sampling import default_sampling
+from coorbit2d.sampling import (
+    default_sampling,
+    diagonal_sampling,
+    shearlet_sampling,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -357,3 +368,104 @@ class TestNormRatioProfile:
         assert table.rows[0].degenerate
         assert table.rows[0].ratio is None
         assert table.summary()["spread"] is None
+
+
+# ---------------------------------------------------------------------------
+# the Calderon multiplier: identities that hold on the grid to roundoff
+
+ROUNDOFF = 1e-13
+
+SMALL_CASES = {
+    "similitude": (GroupSpec(similitude(), rotation(0.4) @ np.diag([1.3, 0.8])),
+                   lambda s: similitude_sampling(s, n_lam=8, n_theta=8)),
+    "diagonal": (GroupSpec(diagonal(), rotation(0.3) @ np.diag([1.0, 1.5])),
+                 lambda s: diagonal_sampling(s, n_lam=6)),
+    "shearlet": (GroupSpec(shearlet(0.7), rotation(-0.5)),
+                 lambda s: shearlet_sampling(s, n_lam=6, n_shear=8)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SMALL_CASES))
+def small_case(request):
+    spec, make_sampling = SMALL_CASES[request.param]
+    psi = default_wavelet(spec)
+    sampling = make_sampling(spec)
+    rng = np.random.default_rng(7)
+    n, length = 32, 8.0
+    # an arbitrary signal: the identities hold for every f, not just covered ones
+    f = GridSignal(n, length, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        slab = analyze(f, spec, sampling, psi)
+    xi1, xi2 = freq_grids(n, length)
+    c = calderon_multiplier(spec, psi, sampling, xi1, xi2)
+    return spec, psi, sampling, f, slab, c
+
+
+def _per_point_multiplier(spec, psi, sampling, xi1, xi2):
+    """Reference: sum_h haar_w psihat(h^T xi)^2, one chart point at a time."""
+    total = 0.0
+    for p, w in zip(sampling.points, sampling.haar_w):
+        h = element_from_chart(spec, p)
+        v = psi.evaluate(h[0, 0] * xi1 + h[1, 0] * xi2, h[0, 1] * xi1 + h[1, 1] * xi2)
+        total = total + w * v * v
+    return total
+
+
+def _rel(a, b):
+    return np.linalg.norm(np.ravel(a - b)) / np.linalg.norm(np.ravel(b))
+
+
+class TestCalderonMultiplier:
+    def test_kernel_matches_per_point_loop(self, small_case):
+        spec, psi, sampling, f, _, c = small_case
+        xi1, xi2 = freq_grids(f.N, f.L)
+        ref = _per_point_multiplier(spec, psi, sampling, xi1, xi2)
+        assert c.shape == (f.N, f.N)
+        assert _rel(c, ref) <= ROUNDOFF
+
+    def test_scalar_frequency(self, small_case):
+        spec, psi, sampling, *_ = small_case
+        x = default_orbit_samples(spec)[0]
+        value = calderon_multiplier(spec, psi, sampling, x[0], x[1])
+        assert np.shape(value) == ()
+        ref = _per_point_multiplier(spec, psi, sampling, x[0], x[1])
+        assert abs(value - ref) <= ROUNDOFF * ref
+
+    def test_norm2_is_multiplier_energy(self, small_case):
+        spec, psi, sampling, f, slab, c = small_case
+        energy = np.sum(np.abs(spectrum_from_signal(f)) ** 2 * c) / f.L ** 2
+        assert abs(coorbit_norm(slab, 2) ** 2 - energy) <= ROUNDOFF * energy
+        norm = signal_coorbit_norm(f, spec, sampling, psi, 2)
+        assert abs(norm ** 2 - energy) <= ROUNDOFF * energy
+
+    def test_other_exponents_take_the_slab_path(self, small_case):
+        spec, psi, sampling, f, slab, _ = small_case
+        for p in (0.5, 1, np.inf):
+            assert signal_coorbit_norm(f, spec, sampling, psi, p) == coorbit_norm(slab, p)
+
+    def test_invert_is_multiplier_image(self, small_case):
+        spec, psi, sampling, f, slab, c = small_case
+        c_psi = 1.7
+        ref = signal_from_spectrum(spectrum_from_signal(f) * c / c_psi, f.N, f.L)
+        assert _rel(invert(slab, spec, sampling, psi, c_psi).data, ref) <= ROUNDOFF
+        assert _rel(reconstruct(f, spec, sampling, psi, c_psi).data, ref) <= ROUNDOFF
+
+    def test_calderon_values_match_per_point_sums(self, small_case):
+        spec, psi, sampling, *_ = small_case
+        samples = default_orbit_samples(spec)
+        cal = calderon_constant(spec, psi, samples, sampling)
+        ref = np.array([_per_point_multiplier(spec, psi, sampling, x[0], x[1])
+                        for x in samples])
+        assert np.max(np.abs(np.array(cal.values) - ref) / ref) <= ROUNDOFF
+        assert cal.mean == pytest.approx(float(ref.mean()), rel=ROUNDOFF)
+
+    def test_reconstruct_rejects_bad_constant(self, small_case):
+        spec, psi, sampling, f, *_ = small_case
+        with pytest.raises(ValueError):
+            reconstruct(f, spec, sampling, psi, 0.0)
+
+    def test_multiplier_path_warns_like_analyze(self, small_case):
+        spec, psi, sampling, f, *_ = small_case
+        with pytest.warns(CoverageWarning):
+            signal_coorbit_norm(f, spec, sampling, psi, 2)
