@@ -37,14 +37,14 @@ class GroupSampling:
     g_w: np.ndarray
 
     def __post_init__(self):
-        vol = np.asarray(self.volumes, dtype=float)
         if len(self.points) == 0:
             raise ValueError("sampling must contain at least one chart point")
-        if vol.shape != (len(self.points),):
-            raise ValueError("one volume per chart point required")
-        if not (np.all(vol > 0) and np.all(self.haar_w > 0)
-                and np.all(self.g_w > 0)):
-            raise ValueError("cell volumes and weights must be positive")
+        for name in ("volumes", "haar_w", "g_w"):
+            w = np.asarray(getattr(self, name), dtype=float)
+            if w.shape != (len(self.points),):
+                raise ValueError(f"{name}: one value per chart point required")
+            if not np.all(np.isfinite(w) & (w > 0)):
+                raise ValueError(f"{name}: values must be finite and positive")
 
     def __len__(self):
         return len(self.points)

@@ -6,10 +6,15 @@ group element h the analysis plane is
 
     W(., h) = inverse FT of [ fhat(xi) * |det h|^(1/2) * conj(psihat(h^T xi)) ]
 
-with psihat always evaluated in closed form at h^T xi.  The coorbit
-quasi-norm integrates |W|^p over space (cell (L/N)^2) and over the chart with
-the g-weights of the sampling; no triangle inequality is assumed anywhere, so
-p < 1 uses the same formula.
+with psihat always evaluated in closed form at h^T xi.  Each public call
+stacks the (M, 2, 2) elements of its sampling once; one kernel yields
+|det h|^(1/2) and psihat(h^T xi) over that stack, a chunk at a time, and
+backs the multiplier, the `analyze` planes, the `invert` sum and both sides
+of `covariance_residual`.  Reductions across elements run in index order.
+
+The coorbit quasi-norm integrates |W|^p over space (cell (L/N)^2) and over
+the chart with the g-weights of the sampling; no triangle inequality is
+assumed anywhere, so p < 1 uses the same formula.
 
 Because g_w(h) * |det h| = haar_w(h), every quadratic quantity of the sampled
 transform collapses onto the Calderon multiplier
@@ -20,23 +25,17 @@ exactly on the grid:  ||W f||_{L^2(G)}^2 = sum_xi |fhat|^2 C / L^2  (grid
 Plancherel) and  invert(analyze(f)) = inverse FT of fhat C / C_psi.  The
 p = 2 norm of a signal (signal_coorbit_norm) and the reconstruction of a
 signal (reconstruct) are computed that way, with two FFTs at most and no
-M x N x N coefficient slab; the admissibility constant is the same kernel at
-a few orbit samples.  `analyze`, `coorbit_norm` and `invert` remain the
+M x N x N coefficient slab; the admissibility constant is the same sum at a
+few orbit samples.  `analyze`, `coorbit_norm` and `invert` remain the
 coefficient-domain path: norms with p != 2 and per-plane energies need every
 coefficient, and the tests use them as the reference for the multiplier.
-
-Planes are independent across chart points; the plane map may run on a thread
-pool (COORBIT2D_THREADS caps the width) and is deterministic regardless of
-schedule.  Reductions across planes run in index order.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -60,30 +59,6 @@ from .signals import (
     signal_from_spectrum,
     spectrum_from_signal,
 )
-from .wavelets import WaveletSpec
-
-
-def _resolve_threads(threads):
-    if threads is None:
-        try:
-            threads = int(os.environ.get("COORBIT2D_THREADS", "1"))
-        except ValueError:
-            threads = 1
-    return max(1, int(threads))
-
-
-def _map_indexed(fn, n_items, threads):
-    """Apply fn(i) for i in range(n_items), optionally on a thread pool.
-
-    Results land in index order; each item is computed independently, so the
-    output does not depend on the schedule.
-    """
-    if threads <= 1 or n_items <= 1:
-        for i in range(n_items):
-            fn(i)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fn, range(n_items)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,24 +83,19 @@ class CoeffSlab:
         return np.sum(np.abs(self.planes) ** 2, axis=(1, 2)) * cell
 
 
-def _det_and_eta(h, xi1, xi2):
-    det = abs(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0])
-    eta1 = h[0, 0] * xi1 + h[1, 0] * xi2
-    eta2 = h[0, 1] * xi1 + h[1, 1] * xi2
-    return det, eta1, eta2
+def _element_stack(spec, sampling):
+    """The (M, 2, 2) group elements at the chart points of a sampling."""
+    return np.array([element_from_chart(spec, p) for p in sampling.points])
 
 
-def _warn_uncovered(spec, sampling, psi, n, length, stacklevel=3):
+def _warn_uncovered(mats, psi, n, length, stacklevel=3):
     """Warn when some sampled h pushes the wavelet support out of the band."""
     nyq = (n / 2 - 1) / length
     m1, m2 = psi.support_box()
     corners = np.array([[m1, m2], [m1, -m2], [-m1, m2], [-m1, -m2]]).T
-    worst = 0.0
-    for p in sampling.points:
-        h = element_from_chart(spec, p)
-        # support of xi -> psihat(h^T xi) is (h B)^-T applied to the eta box
-        mapped = np.linalg.inv((h @ psi.conjugator).T) @ corners
-        worst = max(worst, float(np.max(np.abs(mapped))))
+    # support of xi -> psihat(h^T xi) is (h B)^-T applied to the eta box
+    mapped = np.linalg.inv(np.swapaxes(mats @ psi.conjugator, 1, 2)) @ corners
+    worst = float(np.max(np.abs(mapped)))
     if worst > nyq:
         warnings.warn(
             f"wavelet support reaches |xi| ~ {worst:.3g} for some sampled h, "
@@ -135,53 +105,91 @@ def _warn_uncovered(spec, sampling, psi, n, length, stacklevel=3):
         )
 
 
-# chart points per multiplier chunk times frequencies.  On a 128 x 128 grid
-# (2-core Xeon) 2^16 ran at the speed of a per-plane loop and larger budgets
-# ran slower; a few Calderon samples take the whole sampling in one chunk.
-_CHUNK_ELEMENTS = 2 ** 16
+# elements per chunk times frequencies: one 128 x 128 plane.  On a 2-core Xeon
+# at N = 128, 2^16 (4 planes) made `analyze` ~40% slower than a per-plane loop
+# (diagonal 1.35 -> 2.0 s); 2^14 is at parity (all families, 6 alternating
+# runs: 8.6-10.0 s CPU against 9.4-10.6 s) and its grid multiplier is no
+# slower than 2^16 (diagonal 0.77 vs 1.07 s, shearlet 1.25 vs 1.5 s).
+_CHUNK_ELEMENTS = 2 ** 14
 
 
-def calderon_multiplier(spec, psi, sampling, xi1, xi2):
-    """C(xi) = sum_h haar_w(h) |psihat(h^T xi)|^2 at broadcastable frequencies.
+def _wavelet_chunks(psi, mats, xi1, xi2):
+    """Yield (lo, |det h|^(1/2), psihat(h^T xi)) for h in mats[lo:lo + k].
 
-    The sum runs over the sampled chart in index order, a chunk of planes at
-    a time; the result has the broadcast shape of (xi1, xi2).
+    Chunks come in index order; vals has shape (k,) + broadcast shape of xi.
     """
     xi1, xi2 = np.broadcast_arrays(np.asarray(xi1, dtype=float),
                                    np.asarray(xi2, dtype=float))
     shape = xi1.shape
     x1, x2 = xi1.reshape(1, -1), xi2.reshape(1, -1)
-    mats = np.array([element_from_chart(spec, p) for p in sampling.points])
     step = max(1, _CHUNK_ELEMENTS // max(x1.size, 1))
-    total = np.zeros(x1.size)
     for lo in range(0, len(mats), step):
         h = mats[lo:lo + step]
-        vals = psi.evaluate(h[:, 0, 0, None] * x1 + h[:, 1, 0, None] * x2,
-                            h[:, 0, 1, None] * x1 + h[:, 1, 1, None] * x2)
-        total += sampling.haar_w[lo:lo + step] @ (vals * vals)
-    return total.reshape(shape)
+        det = np.abs(h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0])
+        # in-place sums: every fresh chunk-sized temporary is returned to the
+        # OS on free and page-faulted back in by the next chunk
+        eta1 = h[:, 0, 0, None] * x1
+        eta1 += h[:, 1, 0, None] * x2
+        eta2 = h[:, 0, 1, None] * x1
+        eta2 += h[:, 1, 1, None] * x2
+        vals = psi.evaluate(eta1, eta2)
+        del eta1, eta2
+        yield lo, np.sqrt(det), vals.reshape((len(h),) + shape)
+
+
+def _plane_factor(psi, h, xi1, xi2):
+    """|det h|^(1/2) conj(psihat(h^T xi)) for one element, as a 1-element stack."""
+    ((_, root, vals),) = _wavelet_chunks(psi, h[None], xi1, xi2)
+    return root[0] * np.conj(vals[0])
+
+
+def _multiplier(psi, mats, haar_w, xi1, xi2):
+    """calderon_multiplier over an element stack with its Haar weights."""
+    total = np.zeros(np.broadcast_shapes(np.shape(xi1), np.shape(xi2)))
+    for lo, _, vals in _wavelet_chunks(psi, mats, xi1, xi2):
+        k = len(vals)
+        sq = np.square(vals, out=vals).reshape(k, -1)
+        total += (haar_w[lo:lo + k] @ sq).reshape(total.shape)
+    return total
+
+
+def calderon_multiplier(spec, psi, sampling, xi1, xi2):
+    """C(xi) = sum_h haar_w(h) |psihat(h^T xi)|^2 at broadcastable frequencies.
+
+    The sum runs over the sampled chart in index order, a chunk of elements
+    at a time; the result has the broadcast shape of (xi1, xi2).
+    """
+    return _multiplier(psi, _element_stack(spec, sampling), sampling.haar_w,
+                       xi1, xi2)
 
 
 def _grid_multiplier(f, spec, sampling, psi):
     """Spectrum of a grid signal and the Calderon multiplier on its lattice."""
     if not isinstance(f, GridSignal):
         raise TypeError("f must be a GridSignal")
-    _warn_uncovered(spec, sampling, psi, f.N, f.L, stacklevel=4)
+    mats = _element_stack(spec, sampling)
+    _warn_uncovered(mats, psi, f.N, f.L, stacklevel=4)
     xi1, xi2 = freq_grids(f.N, f.L)
-    return spectrum_from_signal(f), calderon_multiplier(spec, psi, sampling, xi1, xi2)
+    return spectrum_from_signal(f), _multiplier(psi, mats, sampling.haar_w, xi1, xi2)
 
 
-def signal_coorbit_norm(f, spec, sampling, psi, p, threads=None):
+def _check_exponent(p):
+    if not np.isscalar(p) or not (p > 0):
+        raise ValueError("p must be a positive exponent or inf")
+
+
+def signal_coorbit_norm(f, spec, sampling, psi, p):
     """Coorbit quasi-norm ||W f||_{L^p(G)} of a grid signal.
 
     p = 2 is computed from the Calderon multiplier as
     sqrt(sum |fhat|^2 C / L^2), which equals coorbit_norm(analyze(f), 2) to
     roundoff; every other p analyzes the signal and reduces the slab.
     """
+    _check_exponent(p)
     if p == 2:
         fhat, c = _grid_multiplier(f, spec, sampling, psi)
         return float(np.sqrt(np.sum(np.abs(fhat) ** 2 * c)) / f.L)
-    return coorbit_norm(analyze(f, spec, sampling, psi, threads), p)
+    return coorbit_norm(analyze(f, spec, sampling, psi), p)
 
 
 def reconstruct(f, spec, sampling, psi, c_psi):
@@ -192,25 +200,20 @@ def reconstruct(f, spec, sampling, psi, c_psi):
     return GridSignal(f.N, f.L, signal_from_spectrum(fhat * c / c_psi, f.N, f.L))
 
 
-def analyze(f, spec, sampling, psi, threads=None):
+def analyze(f, spec, sampling, psi):
     """Continuous wavelet transform of a grid signal over the sampled chart."""
     if not isinstance(f, GridSignal):
         raise TypeError("f must be a GridSignal")
-    if len(sampling) == 0:
-        raise ValueError("empty sampling")
     n, length = f.N, f.L
-    _warn_uncovered(spec, sampling, psi, n, length)
+    mats = _element_stack(spec, sampling)
+    _warn_uncovered(mats, psi, n, length)
     fhat = spectrum_from_signal(f)
     xi1, xi2 = freq_grids(n, length)
-    mats = [element_from_chart(spec, p) for p in sampling.points]
     planes = np.empty((len(sampling), n, n), dtype=complex)
-
-    def one(i):
-        det, eta1, eta2 = _det_and_eta(mats[i], xi1, xi2)
-        what = fhat * (np.sqrt(det) * np.conj(psi.evaluate(eta1, eta2)))
-        planes[i] = signal_from_spectrum(what, n, length)
-
-    _map_indexed(one, len(sampling), _resolve_threads(threads))
+    for lo, root_det, vals in _wavelet_chunks(psi, mats, xi1, xi2):
+        for j in range(len(vals)):
+            what = fhat * (root_det[j] * np.conj(vals[j]))
+            planes[lo + j] = signal_from_spectrum(what, n, length)
     return CoeffSlab(planes, sampling, n, length)
 
 
@@ -220,8 +223,7 @@ def coorbit_norm(slab, p):
     p < inf:  ( sum_h g_w(h) * sum_x |W(x,h)|^p * (L/N)^2 )^(1/p);
     p = inf:  max over all samples.
     """
-    if not np.isscalar(p) or not (p > 0):
-        raise ValueError("p must be a positive exponent or inf")
+    _check_exponent(p)
     mags = np.abs(slab.planes)
     if np.isinf(p):
         return float(mags.max())
@@ -296,13 +298,13 @@ def calderon_constant(spec, psi, xi_samples, sampling, margin=1e-6):
     pts = np.array(xi_samples)
     values = calderon_multiplier(spec, psi, sampling, pts[:, 0], pts[:, 1])
     mean = float(values.mean())
-    if mean <= 0.0:
+    if not mean > 0.0:
         raise OrbitSampleError("admissibility integral vanished on all samples")
     dev = float(np.max(np.abs(values - mean)) / mean)
     return CalderonResult(mean, dev, tuple(values))
 
 
-def invert(slab, spec, sampling, psi, c_psi, threads=None):
+def invert(slab, spec, sampling, psi, c_psi):
     """Reconstruction from a coefficient slab via the inversion formula.
 
     Accumulates g_w(h) * FT(W(., h)) * |det h|^(1/2) * psihat(h^T xi) in the
@@ -312,21 +314,15 @@ def invert(slab, spec, sampling, psi, c_psi, threads=None):
         raise ValueError("C_psi must be positive")
     n, length = slab.N, slab.L
     xi1, xi2 = freq_grids(n, length)
-    acc = np.zeros((n, n), dtype=complex)
-    mats = [element_from_chart(spec, p) for p in sampling.points]
-    if len(mats) != len(slab):
+    if len(sampling) != len(slab):
         raise ValueError("sampling does not match slab")
-    contribs = np.empty((len(slab), n, n), dtype=complex)
-
-    def one(i):
-        det, eta1, eta2 = _det_and_eta(mats[i], xi1, xi2)
-        plane_sig = GridSignal(n, length, slab.planes[i])
-        what = spectrum_from_signal(plane_sig)
-        contribs[i] = (sampling.g_w[i] * np.sqrt(det)) * what * psi.evaluate(eta1, eta2)
-
-    _map_indexed(one, len(slab), _resolve_threads(threads))
-    for i in range(len(slab)):  # index order: reference reduction mode
-        acc += contribs[i]
+    acc = np.zeros((n, n), dtype=complex)
+    mats = _element_stack(spec, sampling)
+    for lo, root_det, vals in _wavelet_chunks(psi, mats, xi1, xi2):
+        for j in range(len(vals)):
+            i = lo + j
+            what = spectrum_from_signal(GridSignal(n, length, slab.planes[i]))
+            acc += (sampling.g_w[i] * root_det[j]) * what * vals[j]
     data = signal_from_spectrum(acc / c_psi, n, length)
     return GridSignal(n, length, data)
 
@@ -380,13 +376,11 @@ def covariance_residual(f, y, g, h_chart, spec, psi):
     moved = (np.sqrt(det_g)
              * np.exp(-2j * np.pi * (y[0] * xi1 + y[1] * xi2))
              * f.spectrum(gt1, gt2))
-    det_h, e1, e2 = _det_and_eta(h, xi1, xi2)
-    lhs_hat = moved * (np.sqrt(det_h) * np.conj(psi.evaluate(e1, e2)))
+    lhs_hat = moved * _plane_factor(psi, h, xi1, xi2)
     lhs = signal_from_spectrum(lhs_hat, n, length)
 
     # right side: plane at chart(g^-1 h), evaluated at x' = g^-1 (x - y)
-    det_hp, p1, p2 = _det_and_eta(hp, xi1, xi2)
-    rhs_hat = f.spectrum(xi1, xi2) * (np.sqrt(det_hp) * np.conj(psi.evaluate(p1, p2)))
+    rhs_hat = f.spectrum(xi1, xi2) * _plane_factor(psi, hp, xi1, xi2)
     shift = _is_grid_shift(y, n, length) if np.array_equal(g, np.eye(2)) else None
     if shift is not None:
         plane = signal_from_spectrum(rhs_hat, n, length)
@@ -434,7 +428,7 @@ class RatioTable:
 
 
 def norm_ratio_profile(s1, s2, p, signals, sampling1, sampling2,
-                       psi1=None, psi2=None, threads=None):
+                       psi1=None, psi2=None):
     """Coorbit-norm ratios ||f||_{s1} / ||f||_{s2} over a family of signals."""
     from .wavelets import default_wavelet
 
@@ -444,8 +438,8 @@ def norm_ratio_profile(s1, s2, p, signals, sampling1, sampling2,
         psi2 = default_wavelet(s2)
     rows = []
     for f in signals:
-        n1 = signal_coorbit_norm(f.signal, s1, sampling1, psi1, p, threads)
-        n2 = signal_coorbit_norm(f.signal, s2, sampling2, psi2, p, threads)
+        n1 = signal_coorbit_norm(f.signal, s1, sampling1, psi1, p)
+        n2 = signal_coorbit_norm(f.signal, s2, sampling2, psi2, p)
         scale = max(f.signal.norm_l2(), 1.0)
         degenerate = n2 <= 1e-14 * scale or n1 <= 1e-14 * scale
         ratio = None if degenerate else n1 / n2

@@ -38,8 +38,10 @@ from coorbit2d import (
     spectral_norm_l2,
     spectrum_from_signal,
 )
+from coorbit2d import transform
 from coorbit2d.groups import DiagonalChart
 from coorbit2d.sampling import (
+    GroupSampling,
     default_sampling,
     diagonal_sampling,
     shearlet_sampling,
@@ -106,22 +108,6 @@ class TestAnalyze:
         with pytest.raises(TypeError):
             analyze(f.signal.data, spec, sampling, psi)
 
-    def test_threads_do_not_change_result(self, sim_setup):
-        spec, psi, _, f, _ = sim_setup
-        small = similitude_sampling(spec, n_lam=6, n_theta=8)
-        s1 = analyze(f.signal, spec, small, psi, threads=1)
-        s4 = analyze(f.signal, spec, small, psi, threads=4)
-        ref = np.abs(s1.planes).max()
-        assert np.max(np.abs(s1.planes - s4.planes)) <= 1e-12 * ref
-
-    def test_env_thread_cap(self, sim_setup, monkeypatch):
-        spec, psi, _, f, _ = sim_setup
-        small = similitude_sampling(spec, n_lam=4, n_theta=4)
-        monkeypatch.setenv("COORBIT2D_THREADS", "3")
-        s_env = analyze(f.signal, spec, small, psi)
-        s_ref = analyze(f.signal, spec, small, psi, threads=1)
-        assert np.array_equal(s_env.planes, s_ref.planes)
-
 
 class TestCoorbitNorm:
     def test_zero_slab(self, sim_setup):
@@ -159,6 +145,21 @@ class TestCoorbitNorm:
     def test_infinity_norm_is_max(self, sim_setup):
         *_, slab = sim_setup
         assert coorbit_norm(slab, np.inf) == np.max(np.abs(slab.planes))
+
+    @pytest.mark.parametrize("p", [-1, 0, np.nan])
+    def test_exponent_checked_before_any_transform_work(self, p, monkeypatch):
+        def no_analyze(*args, **kwargs):
+            raise AssertionError("analyze ran before the exponent check")
+
+        monkeypatch.setattr(transform, "analyze", no_analyze)
+        spec = GroupSpec(similitude())
+        psi = default_wavelet(spec)
+        sampling = similitude_sampling(spec, n_lam=4, n_theta=4)
+        f = freq_bump(32, 16.0, center=(1.0, 0.0), sigma=0.2)
+        with pytest.raises(ValueError, match="exponent"):
+            signal_coorbit_norm(f.signal, spec, sampling, psi, p)
+        with pytest.raises(ValueError, match="exponent"):
+            norm_ratio_profile(spec, spec, p, [f], sampling, sampling)
 
 
 class TestCalderon:
@@ -199,6 +200,16 @@ class TestCalderon:
         sampling = default_sampling(spec)
         with pytest.raises(OrbitSampleError):
             calderon_constant(spec, psi, [np.array([0.0, 1.0])], sampling)
+
+    def test_nan_integral_rejected(self, monkeypatch):
+        spec = GroupSpec(similitude())
+        psi = default_wavelet(spec)
+        sampling = similitude_sampling(spec, n_lam=4, n_theta=4)
+        samples = default_orbit_samples(spec)
+        monkeypatch.setattr(transform, "calderon_multiplier",
+                            lambda *args: np.full(len(samples), np.nan))
+        with pytest.raises(OrbitSampleError):
+            calderon_constant(spec, psi, samples, sampling)
 
     def test_unpacks_as_pair(self):
         spec = GroupSpec(similitude())
@@ -370,6 +381,75 @@ class TestNormRatioProfile:
         assert table.summary()["spread"] is None
 
 
+class TestSamplingWeights:
+    def _parts(self):
+        spec = GroupSpec(similitude())
+        sampling = build_sampling(
+            spec, [SimilitudeChart(0.0, 0.0), SimilitudeChart(0.1, 1.0)], [0.3, 0.4])
+        return sampling.points, sampling.volumes, sampling.haar_w, sampling.g_w
+
+    def test_infinite_volume_rejected(self):
+        spec = GroupSpec(similitude())
+        pts = [SimilitudeChart(0.0, 0.0), SimilitudeChart(0.1, 1.0)]
+        with pytest.raises(ValueError, match="finite"):
+            build_sampling(spec, pts, [1.0, np.inf])
+
+    @pytest.mark.parametrize("field", [1, 2, 3])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "zero", "negative"])
+    def test_non_finite_or_non_positive_weight_rejected(self, field, bad):
+        parts = list(self._parts())
+        w = parts[field].copy()
+        w[1] = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -1.0}[bad]
+        parts[field] = w
+        with pytest.raises(ValueError, match="finite and positive"):
+            GroupSampling(*parts)
+
+    @pytest.mark.parametrize("field", [1, 2, 3])
+    def test_wrong_length_rejected(self, field):
+        parts = list(self._parts())
+        parts[field] = np.append(parts[field], 1.0)
+        with pytest.raises(ValueError, match="one value per chart point"):
+            GroupSampling(*parts)
+
+    @pytest.mark.parametrize("field", [1, 2, 3])
+    def test_two_dimensional_rejected(self, field):
+        parts = list(self._parts())
+        parts[field] = parts[field].reshape(1, -1)
+        with pytest.raises(ValueError, match="one value per chart point"):
+            GroupSampling(*parts)
+
+
+class TestCoverageWarning:
+    def test_reported_reach_matches_per_point_reference(self):
+        spec = GroupSpec(shearlet(0.7), rotation(-0.5))
+        psi = default_wavelet(spec)
+        sampling = shearlet_sampling(spec, n_lam=6, n_shear=8)
+        m1, m2 = psi.support_box()
+        corners = np.array([[m1, m2], [m1, -m2], [-m1, m2], [-m1, -m2]]).T
+        worst = max(
+            float(np.max(np.abs(np.linalg.inv(
+                (element_from_chart(spec, p) @ psi.conjugator).T) @ corners)))
+            for p in sampling.points
+        )
+        f = freq_bump(32, 8.0, center=(1.0, 0.1), sigma=0.2)
+        with pytest.warns(CoverageWarning) as record:
+            analyze(f.signal, spec, sampling, psi)
+        assert worst > (32 / 2 - 1) / 8.0
+        assert f"|xi| ~ {worst:.3g} " in str(record[0].message)
+
+    def test_silent_on_covered_sampling(self):
+        spec = GroupSpec(similitude())
+        psi = default_wavelet(spec)
+        sampling = similitude_sampling(spec, lam_range=(-0.3, 0.3), n_lam=4,
+                                       n_theta=8)
+        f = freq_bump(128, 16.0, center=(1.0, 0.3), sigma=0.15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CoverageWarning)
+            analyze(f.signal, spec, sampling, psi)
+            signal_coorbit_norm(f.signal, spec, sampling, psi, 2)
+            reconstruct(f.signal, spec, sampling, psi, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # the Calderon multiplier: identities that hold on the grid to roundoff
 
@@ -459,6 +539,23 @@ class TestCalderonMultiplier:
                         for x in samples])
         assert np.max(np.abs(np.array(cal.values) - ref) / ref) <= ROUNDOFF
         assert cal.mean == pytest.approx(float(ref.mean()), rel=ROUNDOFF)
+
+    def test_planes_in_sampling_order(self, small_case):
+        spec, psi, sampling, f, slab, _ = small_case
+        fhat = spectrum_from_signal(f)
+        xi1, xi2 = freq_grids(f.N, f.L)
+        scale = np.max(np.abs(slab.planes))
+        acc = 0.0
+        for i, p in enumerate(sampling.points):
+            h = element_from_chart(spec, p)
+            factor = np.sqrt(abs(np.linalg.det(h))) * psi.evaluate(
+                h[0, 0] * xi1 + h[1, 0] * xi2, h[0, 1] * xi1 + h[1, 1] * xi2)
+            ref = signal_from_spectrum(fhat * np.conj(factor), f.N, f.L)
+            assert np.max(np.abs(slab.planes[i] - ref)) <= ROUNDOFF * scale
+            acc = acc + sampling.g_w[i] * spectrum_from_signal(
+                GridSignal(f.N, f.L, slab.planes[i])) * factor
+        ref = signal_from_spectrum(acc / 1.7, f.N, f.L)
+        assert _rel(invert(slab, spec, sampling, psi, 1.7).data, ref) <= ROUNDOFF
 
     def test_reconstruct_rejects_bad_constant(self, small_case):
         spec, psi, sampling, f, *_ = small_case
