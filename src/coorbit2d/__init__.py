@@ -22,7 +22,6 @@ from .classify import (
     rep_group,
 )
 from .errors import (
-    CertificateError,
     ChartMismatchError,
     CoorbitError,
     CoverageWarning,

@@ -19,6 +19,7 @@ the left-invariance quadrature oracle in the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import hypot
 from typing import Optional, Union
 
 import numpy as np
@@ -104,9 +105,17 @@ class GroupSpec:
     conjugator: np.ndarray = field(default_factory=lambda: _I2.copy())
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "conjugator", as_matrix(self.conjugator, "conjugator")
-        )
+        b = as_matrix(self.conjugator, "conjugator")
+        # |det B| / (|b1| |b2|) is the sine of the angle between the lines
+        # B^-T maps the axes to; at DEFAULT_TOL they coincide for LineSet
+        (b11, b12), (b21, b22) = b.tolist()
+        det = b11 * b22 - b12 * b21
+        if abs(det) <= DEFAULT_TOL * hypot(b11, b21) * hypot(b12, b22):
+            raise SingularMatrixError(
+                "conjugator is numerically singular: B^-T maps the axes to lines "
+                "within tolerance of each other"
+            )
+        object.__setattr__(self, "conjugator", b)
 
     @property
     def is_standard(self):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from coorbit2d import GroupSpec, diagonal
+
 
 @pytest.fixture
 def rng():
@@ -15,3 +17,9 @@ def random_invertible(rng, n=1, min_det=0.1):
         if abs(np.linalg.det(m)) >= min_det:
             out.append(m)
     return out[0] if n == 1 else out
+
+
+def diagonal_spec_from_lines(a1, a2):
+    """Diagonal-family spec whose dual-orbit complement is the lines {a1, a2}."""
+    directions = np.array([[np.cos(a1), np.cos(a2)], [np.sin(a1), np.sin(a2)]])
+    return GroupSpec(diagonal(), np.linalg.inv(directions).T)

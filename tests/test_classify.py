@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from coorbit2d import (
-    CertificateError,
     DegenerateInputError,
     GroupSpec,
     LineSet,
@@ -27,8 +26,8 @@ from coorbit2d import (
     shearlet,
     similitude,
 )
-from coorbit2d.classify import angle_distance, canonical_equal, mod_pi
-from conftest import random_invertible
+from coorbit2d.classify import angle_distance, mod_pi
+from conftest import diagonal_spec_from_lines, random_invertible
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 PI = np.pi
@@ -99,18 +98,23 @@ class TestLinesToPhiS:
         assert phi == pytest.approx(PI / 3)
 
     def test_mapping_verifies(self, rng):
-        for _ in range(200):
+        # wide gaps; gaps just outside the s <= tol snap on both sides of
+        # pi/2; gaps just above the LineSet limit, where s = cot(delta) is huge
+        u = rng.uniform(1e-8, 1e-6, 100)
+        gaps = np.concatenate([rng.uniform(0.05, PI - 0.05, 200), PI / 2 - u,
+                               PI / 2 + u, rng.uniform(2e-9, 1e-6, 100)])
+        for delta in gaps:
             a1 = rng.uniform(0, PI)
-            a2 = mod_pi(a1 + rng.uniform(0.05, PI - 0.05))
-            lines = LineSet((a1, a2))
+            lines = LineSet((a1, mod_pi(a1 + delta)))
             phi, s = lines_to_phi_s(lines)
+            assert s > 1e-9, delta
             images = LineSet(
                 tuple(
                     np.arctan2(*(rotation(phi) @ shear(s) @ v)[::-1])
                     for v in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
                 )
             )
-            assert images.equals(lines, 1e-9)
+            assert images.equals(lines, 1e-9), delta
 
     def test_degenerate_rejected(self):
         with pytest.raises((DegenerateInputError, ValueError)):
@@ -207,6 +211,11 @@ class TestCoorbitEquivalent:
             v2 = coorbit_equivalent(conjugate_spec(s1, a), conjugate_spec(s2, a))
             assert v1.equivalent == v2.equivalent
 
+    def test_accepted_ill_conditioned_conjugator_self_equivalent(self):
+        # |det B| / (|b1| |b2|) ~ 5e-9, just above the GroupSpec bound
+        spec = GroupSpec(diagonal(), [[1.0, 1.0], [1.0, 1.0 + 1e-8]])
+        assert coorbit_equivalent(spec, spec).equivalent
+
     def test_equivalence_relation(self, rng):
         pool = _spec_pool(rng, 200)
         n = len(pool)
@@ -259,16 +268,30 @@ class TestNearPerpendicular:
             verdict = coorbit_equivalent(a, b)
             assert verdict.equivalent, (phi, gap)
             cf1, cf2 = verdict.canonicals
-            assert canonical_equal(cf1, cf2), (phi, gap)
+            assert cf1.s == cf2.s == 0.0, (phi, gap)
             assert angle_distance(cf1.phi, cf2.phi) <= 1e-9, (phi, gap)
 
-    def test_contradicting_certificate_raises(self, monkeypatch):
-        import coorbit2d.classify as classify
 
-        monkeypatch.setattr(classify, "canonical_equal", lambda *a, **k: False)
-        spec = GroupSpec(diagonal())
-        with pytest.raises(CertificateError):
-            classify.coorbit_equivalent(spec, spec)
+class TestNearEqualLines:
+    """Complements that differ by d <= 9e-10 < tol, away from perpendicular.
+
+    Through s = cot(theta), an angle gap d becomes an s gap of about
+    d / sin(theta)^2, which mostly exceeds tol; the verdict must still
+    follow the complements."""
+
+    def test_fuzz_pairs_equivalent(self):
+        rng = np.random.default_rng(20261018)
+        for theta in (0.5, 0.1, 0.01):
+            for _ in range(200):
+                a1, d = rng.uniform(0.0, PI), 1e-10 + 8e-10 * (1.0 - rng.random())
+                s1 = diagonal_spec_from_lines(a1, a1 + theta)
+                s2 = diagonal_spec_from_lines(a1, a1 + theta + d)
+                verdict = coorbit_equivalent(s1, s2)
+                assert verdict.equivalent, (a1, theta, d)
+                cf1, cf2 = verdict.canonicals
+                assert angle_distance(cf1.phi, cf2.phi) <= 1e-9, (a1, theta, d)
+                images = [orbit_complement(rep_group(cf)) for cf in (cf1, cf2)]
+                assert images[0].equals(images[1], 1e-9), (a1, theta, d)
 
 
 def _spec_pool(rng, n):

@@ -35,7 +35,7 @@ from coorbit2d import (
 from coorbit2d import cli
 from coorbit2d.classify import angle_distance
 from coorbit2d.cli import main
-from conftest import random_invertible
+from conftest import diagonal_spec_from_lines, random_invertible
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -122,6 +122,17 @@ class TestEquiv:
         assert proc.returncode == 0, proc.stderr
         _assert_same_canonical_phi(parse_report(proc.stdout))
 
+    def test_near_equal_lines_exit_zero(self, tmp_path, capsys):
+        # complements {0.3, 0.8} and {0.3, 0.8 + 5e-10}: an angle gap inside
+        # tol whose s = cot(theta) gap is not
+        paths = []
+        for name, a2 in (("a.json", 0.8), ("b.json", 0.8 + 5e-10)):
+            write_group_spec(tmp_path / name, diagonal_spec_from_lines(0.3, a2))
+            paths.append(str(tmp_path / name))
+        code, report = run_cli(capsys, "equiv", *paths)
+        assert code == 0
+        _assert_same_canonical_phi(report)
+
 
 def _near_perpendicular_pair(tmp_path):
     """The ROADMAP reproducer: s = 0 against s = 7.4e-10, inside tol = 1e-9."""
@@ -172,6 +183,13 @@ class TestExitCodes:
         p = tmp_path / "bad.json"
         p.write_text("{")
         assert main(["classify", str(p)]) == 2
+
+    def test_nearly_singular_conjugator_is_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "ill.json"
+        p.write_text(json.dumps(
+            {"family": "diagonal", "conjugator": [[1.0, 1.0], [1.0, 1.0 + 1e-10]]}))
+        assert main(["classify", str(p)]) == 2
+        assert "singular" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["classify", str(tmp_path / "none.json")]) == 2

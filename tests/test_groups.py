@@ -58,6 +58,14 @@ class TestDualAction:
             dual_action([[1.0, 0.0], [0.0, 0.0]], (1.0, 1.0))
 
 
+class TestGroupSpecConditioning:
+    # |det B| / (|b1| |b2|) is about eps / 2 for [[1, 1], [1, 1 + eps]]
+    def test_nearly_singular_conjugator_rejected(self):
+        for family in (similitude(), diagonal(), shearlet(1.0)):
+            with pytest.raises(SingularMatrixError):
+                GroupSpec(family, [[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+
+
 class TestElementFromChart:
     def test_diagonal_identity(self):
         spec = GroupSpec(diagonal())
