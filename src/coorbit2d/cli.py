@@ -28,7 +28,7 @@ from .classify import (
     rep_group,
 )
 from .errors import CoorbitError, FormatError
-from .groups import DIAGONAL, SHEARLET, SIMILITUDE
+from .groups import DEFAULT_TOL, DIAGONAL, SHEARLET, SIMILITUDE
 from .io_formats import (
     emit_report,
     group_spec_to_dict,
@@ -44,9 +44,10 @@ from .sampling import (
     similitude_sampling,
 )
 from .signals import gen_test_signal
-# coorbit_norm and invert are not called here; they stay importable from this
-# module because bench/spans.py traces CLI requests through these names
+# analyze, coorbit_norm and invert are not called here; they stay importable
+# from this module because bench/spans.py traces CLI requests through these names
 from .transform import (  # noqa: F401
+    _signal_stats,
     analyze,
     calderon_constant,
     coorbit_norm,
@@ -144,6 +145,10 @@ def _parse_matrix_flag(text):
         a, b, c, d = (float(v) for v in parts)
     except ValueError:
         raise _UsageError("--matrix entries must be numbers") from None
+    # GroupSpec's conditioning test: |det| <= tol |a1| |a2| (a1, a2 the
+    # columns) also rejects nan and inf entries, whose comparison fails
+    if not abs(a * d - b * c) > DEFAULT_TOL * np.hypot(a, c) * np.hypot(b, d):
+        raise _UsageError("--matrix must be finite and not numerically singular")
     return np.array([[a, b], [c, d]])
 
 
@@ -231,13 +236,14 @@ def _cmd_analyze(args):
     sampling = _sampling_from_args(spec, args)
     psi = default_wavelet(spec)
     t0 = time.perf_counter()
-    slab = analyze(sig, spec, sampling, psi)
-    energies = slab.plane_energies()
+    # the p = 2 plane sums are the plane energies; no slab is held
+    sums, peaks = _signal_stats([sig], spec, sampling, psi, 2)
+    energies = sums[:, 0]
     values = {
-        "planes": len(slab),
+        "planes": len(sampling),
         "grid": {"N": sig.N, "L": sig.L},
         "total_weighted_energy": float(np.sum(sampling.g_w * energies)),
-        "max_coefficient": float(np.max(np.abs(slab.planes))),
+        "max_coefficient": float(peaks.max()),
     }
     if args.energies:
         values["plane_energies"] = [float(e) for e in energies]

@@ -9,8 +9,18 @@ group element h the analysis plane is
 with psihat always evaluated in closed form at h^T xi.  Each public call
 stacks the (M, 2, 2) elements of its sampling once; one kernel yields
 |det h|^(1/2) and psihat(h^T xi) over that stack, a chunk at a time, and
-backs the multiplier, the `analyze` planes, the `invert` sum and both sides
+backs the multiplier, the analysis planes, the `invert` sum and both sides
 of `covariance_residual`.  Reductions across elements run in index order.
+
+The analysis planes come from one generator that takes the FFT of each
+signal once and yields, element by element, the planes of all its signals;
+where psihat(h^T xi) is exactly 0 on the lattice the plane is exactly 0 and
+its FFTs are skipped.  `analyze` is the only code that fills an M x N x N
+slab from it.  Norms with p != 2 (`signal_coorbit_norm`,
+`norm_ratio_profile`, which shares each psihat plane across its signals)
+and the CLI `analyze` report reduce each plane as it is computed, with the
+same per-plane formula and index-order sum as `coorbit_norm` of a slab, so
+the results agree bit for bit.
 
 The coorbit quasi-norm integrates |W|^p over space (cell (L/N)^2) and over
 the chart with the g-weights of the sampling; no triangle inequality is
@@ -27,8 +37,8 @@ p = 2 norm of a signal (signal_coorbit_norm) and the reconstruction of a
 signal (reconstruct) are computed that way, with two FFTs at most and no
 M x N x N coefficient slab; the admissibility constant is the same sum at a
 few orbit samples.  `analyze`, `coorbit_norm` and `invert` remain the
-coefficient-domain path: norms with p != 2 and per-plane energies need every
-coefficient, and the tests use them as the reference for the multiplier.
+coefficient-domain path on a slab, and the tests use them as the reference
+for the multiplier and for the streamed reductions.
 """
 
 from __future__ import annotations
@@ -79,8 +89,8 @@ class CoeffSlab:
 
     def plane_energies(self):
         """Per-plane spatial L^2 energies, cell-weighted."""
-        cell = (self.L / self.N) ** 2
-        return np.sum(np.abs(self.planes) ** 2, axis=(1, 2)) * cell
+        sums, _ = _plane_stats(self.planes, (len(self),), 2, (self.L / self.N) ** 2)
+        return sums
 
 
 def _element_stack(spec, sampling):
@@ -88,7 +98,7 @@ def _element_stack(spec, sampling):
     return np.array([element_from_chart(spec, p) for p in sampling.points])
 
 
-def _warn_uncovered(mats, psi, n, length, stacklevel=3):
+def _warn_uncovered(mats, psi, n, length, stacklevel):
     """Warn when some sampled h pushes the wavelet support out of the band."""
     nyq = (n / 2 - 1) / length
     m1, m2 = psi.support_box()
@@ -163,14 +173,105 @@ def calderon_multiplier(spec, psi, sampling, xi1, xi2):
                        xi1, xi2)
 
 
-def _grid_multiplier(f, spec, sampling, psi):
-    """Spectrum of a grid signal and the Calderon multiplier on its lattice."""
-    if not isinstance(f, GridSignal):
+def _grid(signals):
+    """The (N, L) lattice of a non-empty list of grid signals that share it."""
+    if not all(isinstance(f, GridSignal) for f in signals):
         raise TypeError("f must be a GridSignal")
+    return signals[0].N, signals[0].L
+
+
+def _lattice_multiplier(spec, sampling, psi, n, length, stacklevel):
+    """The Calderon multiplier on the n x n lattice of an L = length square."""
     mats = _element_stack(spec, sampling)
-    _warn_uncovered(mats, psi, f.N, f.L, stacklevel=4)
-    xi1, xi2 = freq_grids(f.N, f.L)
-    return spectrum_from_signal(f), _multiplier(psi, mats, sampling.haar_w, xi1, xi2)
+    _warn_uncovered(mats, psi, n, length, stacklevel + 1)
+    xi1, xi2 = freq_grids(n, length)
+    return _multiplier(psi, mats, sampling.haar_w, xi1, xi2)
+
+
+def _planes(signals, spec, sampling, psi, stacklevel):
+    """Analysis planes of grid signals that share one lattice, one element at a time.
+
+    The set-up (element stack, coverage warning, one FFT per signal) runs
+    before this returns; the generator then yields, for each element h_i in
+    index order, the (S, N, N) stack of planes W_s(., h_i), or None when
+    psihat(h_i^T xi) is exactly 0 on the lattice, where the plane is exactly 0
+    and its FFTs are skipped.
+    """
+    n, length = _grid(signals)
+    mats = _element_stack(spec, sampling)
+    _warn_uncovered(mats, psi, n, length, stacklevel + 1)
+    fhats = [spectrum_from_signal(f) for f in signals]
+    xi1, xi2 = freq_grids(n, length)
+
+    def stream():
+        for _, root_det, vals in _wavelet_chunks(psi, mats, xi1, xi2):
+            for j in range(len(vals)):
+                if not vals[j].any():
+                    yield None
+                    continue
+                factor = root_det[j] * np.conj(vals[j])
+                out = np.empty((len(fhats), n, n), dtype=complex)
+                for s, fhat in enumerate(fhats):
+                    out[s] = signal_from_spectrum(fhat * factor, n, length)
+                yield out
+
+    return stream()
+
+
+def _plane_stats(planes, shape, p, cell):
+    """Per-plane sum_x |W|^p * cell and max_x |W| over a sequence of planes.
+
+    Each item is an (..., N, N) plane stack whose leading shape is shape[1:],
+    or None for an exactly zero plane; both results have `shape`.  At p = inf
+    only the maxima are formed and the sums stay 0.
+    """
+    sums, peaks = np.zeros(shape), np.zeros(shape)
+    for i, w in enumerate(planes):
+        if w is None:
+            continue
+        mags = np.abs(w)
+        peaks[i] = mags.max(axis=(-2, -1))
+        if not np.isinf(p):
+            sums[i] = np.sum(mags ** p, axis=(-2, -1)) * cell
+    return sums, peaks
+
+
+def _coorbit_total(sums, peaks, g_w, p):
+    """( sum_h g_w(h) * sums(h) )^(1/p), or the largest peak at p = inf."""
+    if np.isinf(p):
+        return float(peaks.max())
+    total = 0.0
+    for i in range(len(g_w)):  # index order: reference reduction mode
+        total += g_w[i] * sums[i]
+    return float(total ** (1.0 / p))
+
+
+def _signal_stats(signals, spec, sampling, psi, p, stacklevel=2):
+    """(M, S) per-plane sums of |W_s|^p (L/N)^2 and maxima of |W_s|.
+
+    The planes of the same-grid signals are reduced as they are computed, so
+    no M x N x N slab is held.
+    """
+    planes = _planes(signals, spec, sampling, psi, stacklevel + 1)
+    n, length = signals[0].N, signals[0].L
+    return _plane_stats(planes, (len(sampling), len(signals)), p,
+                        (length / n) ** 2)
+
+
+def _signal_norms(signals, spec, sampling, psi, p, stacklevel):
+    """Coorbit quasi-norms of grid signals that share one lattice.
+
+    p = 2 builds the Calderon multiplier once; any other p streams the
+    planes of all signals in one pass over the sampling.
+    """
+    n, length = _grid(signals)
+    if p == 2:
+        c = _lattice_multiplier(spec, sampling, psi, n, length, stacklevel + 1)
+        return [float(np.sqrt(np.sum(np.abs(spectrum_from_signal(f)) ** 2 * c))
+                      / length) for f in signals]
+    sums, peaks = _signal_stats(signals, spec, sampling, psi, p, stacklevel + 1)
+    return [_coorbit_total(sums[:, k], peaks[:, k], sampling.g_w, p)
+            for k in range(len(signals))]
 
 
 def _check_exponent(p):
@@ -183,38 +284,32 @@ def signal_coorbit_norm(f, spec, sampling, psi, p):
 
     p = 2 is computed from the Calderon multiplier as
     sqrt(sum |fhat|^2 C / L^2), which equals coorbit_norm(analyze(f), 2) to
-    roundoff; every other p analyzes the signal and reduces the slab.
+    roundoff; every other p reduces the planes as they are computed and
+    equals coorbit_norm(analyze(f), p) bit for bit.
     """
     _check_exponent(p)
-    if p == 2:
-        fhat, c = _grid_multiplier(f, spec, sampling, psi)
-        return float(np.sqrt(np.sum(np.abs(fhat) ** 2 * c)) / f.L)
-    return coorbit_norm(analyze(f, spec, sampling, psi), p)
+    (value,) = _signal_norms([f], spec, sampling, psi, p, stacklevel=3)
+    return value
 
 
 def reconstruct(f, spec, sampling, psi, c_psi):
     """invert(analyze(f), ...) computed as the inverse FT of fhat C / C_psi."""
     if not (c_psi > 0):
         raise ValueError("C_psi must be positive")
-    fhat, c = _grid_multiplier(f, spec, sampling, psi)
-    return GridSignal(f.N, f.L, signal_from_spectrum(fhat * c / c_psi, f.N, f.L))
+    n, length = _grid([f])
+    c = _lattice_multiplier(spec, sampling, psi, n, length, stacklevel=3)
+    rec = signal_from_spectrum(spectrum_from_signal(f) * c / c_psi, n, length)
+    return GridSignal(n, length, rec)
 
 
 def analyze(f, spec, sampling, psi):
     """Continuous wavelet transform of a grid signal over the sampled chart."""
-    if not isinstance(f, GridSignal):
-        raise TypeError("f must be a GridSignal")
-    n, length = f.N, f.L
-    mats = _element_stack(spec, sampling)
-    _warn_uncovered(mats, psi, n, length)
-    fhat = spectrum_from_signal(f)
-    xi1, xi2 = freq_grids(n, length)
-    planes = np.empty((len(sampling), n, n), dtype=complex)
-    for lo, root_det, vals in _wavelet_chunks(psi, mats, xi1, xi2):
-        for j in range(len(vals)):
-            what = fhat * (root_det[j] * np.conj(vals[j]))
-            planes[lo + j] = signal_from_spectrum(what, n, length)
-    return CoeffSlab(planes, sampling, n, length)
+    stream = _planes([f], spec, sampling, psi, stacklevel=3)
+    planes = np.zeros((len(sampling), f.N, f.N), dtype=complex)
+    for i, w in enumerate(stream):
+        if w is not None:
+            planes[i] = w[0]
+    return CoeffSlab(planes, sampling, f.N, f.L)
 
 
 def coorbit_norm(slab, p):
@@ -222,17 +317,12 @@ def coorbit_norm(slab, p):
 
     p < inf:  ( sum_h g_w(h) * sum_x |W(x,h)|^p * (L/N)^2 )^(1/p);
     p = inf:  max over all samples.
+    The slab is reduced one plane at a time.
     """
     _check_exponent(p)
-    mags = np.abs(slab.planes)
-    if np.isinf(p):
-        return float(mags.max())
-    cell = (slab.L / slab.N) ** 2
-    per_plane = np.sum(mags ** p, axis=(1, 2)) * cell
-    total = 0.0
-    for i in range(len(slab)):  # index order: reference reduction mode
-        total += slab.sampling.g_w[i] * per_plane[i]
-    return float(total ** (1.0 / p))
+    sums, peaks = _plane_stats(slab.planes, (len(slab),), p,
+                               (slab.L / slab.N) ** 2)
+    return _coorbit_total(sums, peaks, slab.sampling.g_w, p)
 
 
 @dataclass(frozen=True)
@@ -429,17 +519,31 @@ class RatioTable:
 
 def norm_ratio_profile(s1, s2, p, signals, sampling1, sampling2,
                        psi1=None, psi2=None):
-    """Coorbit-norm ratios ||f||_{s1} / ||f||_{s2} over a family of signals."""
+    """Coorbit-norm ratios ||f||_{s1} / ||f||_{s2} over a family of signals.
+
+    The signals are grouped by grid; each group takes one pass per spec, so
+    its element stack and psihat (or, at p = 2, its Calderon multiplier) are
+    built once and shared by all signals of the group.
+    """
     from .wavelets import default_wavelet
 
+    _check_exponent(p)
     if psi1 is None:
         psi1 = default_wavelet(s1)
     if psi2 is None:
         psi2 = default_wavelet(s2)
+    by_grid = {}
+    for k, f in enumerate(signals):
+        by_grid.setdefault((f.signal.N, f.signal.L), []).append(k)
+    norms = [None] * len(signals)
+    for ks in by_grid.values():
+        grid = [signals[k].signal for k in ks]
+        pairs = zip(_signal_norms(grid, s1, sampling1, psi1, p, stacklevel=3),
+                    _signal_norms(grid, s2, sampling2, psi2, p, stacklevel=3))
+        for k, pair in zip(ks, pairs):
+            norms[k] = pair
     rows = []
-    for f in signals:
-        n1 = signal_coorbit_norm(f.signal, s1, sampling1, psi1, p)
-        n2 = signal_coorbit_norm(f.signal, s2, sampling2, psi2, p)
+    for f, (n1, n2) in zip(signals, norms):
         scale = max(f.signal.norm_l2(), 1.0)
         degenerate = n2 <= 1e-14 * scale or n1 <= 1e-14 * scale
         ratio = None if degenerate else n1 / n2

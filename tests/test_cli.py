@@ -170,6 +170,19 @@ class TestSymmetry:
         code, _ = run_cli(capsys, "symmetry", diag_path, "--matrix", "1,2,3")
         assert code == 1
 
+    @pytest.mark.parametrize("matrix", ["1,1,1,1.0000000001", "1,1,1,1", "nan,0,0,1"])
+    def test_singular_or_non_finite_matrix_is_usage_error(self, capsys, diag_path,
+                                                          matrix):
+        assert main(["symmetry", diag_path, "--matrix", matrix]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --matrix")
+
+    def test_well_conditioned_matrix_accepted(self, capsys, diag_path):
+        # |det| = 1e-8, above the 2e-9 that tol |a1| |a2| gives here
+        code, report = run_cli(capsys, "symmetry", diag_path, "--matrix",
+                               "1,1,1,1.00000001")
+        assert code == 0
+        assert all(isinstance(v, bool) for v in report["values"].values())
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -316,7 +329,8 @@ MULTIPLIER_CASES = {
 
 @pytest.mark.parametrize("family", sorted(MULTIPLIER_CASES))
 class TestMultiplierCommands:
-    """norm --p 2 and invert take the multiplier path; the slab path is the reference."""
+    """norm --p 2 and invert take the multiplier path, analyze and norm at
+    other p stream their planes; the slab path is the reference."""
 
     def _setup(self, tmp_path, family):
         spec, flags, make_sampling = MULTIPLIER_CASES[family]
@@ -335,6 +349,22 @@ class TestMultiplierCommands:
         sig = read_signal(spath)
         ref = coorbit_norm(analyze(sig, spec, sampling, default_wavelet(spec)), 2)
         assert abs(rep["values"]["coorbit_norm"] - ref) <= 1e-12 * ref
+
+    def test_streamed_commands_match_slab_path(self, tmp_path, capsys, family):
+        spec, gpath, spath, flags, sampling = self._setup(tmp_path, family)
+        slab = analyze(read_signal(spath), spec, sampling, default_wavelet(spec))
+        energies = slab.plane_energies()
+        code, rep = run_cli(capsys, "analyze", gpath, spath, "--energies", *flags)
+        assert code == 0
+        assert rep["values"]["planes"] == len(sampling)
+        assert rep["values"]["plane_energies"] == energies.tolist()
+        assert rep["values"]["total_weighted_energy"] == float(
+            np.sum(sampling.g_w * energies))
+        assert rep["values"]["max_coefficient"] == float(np.max(np.abs(slab.planes)))
+        for p in ("1", "inf"):
+            code, rep = run_cli(capsys, "norm", gpath, spath, "--p", p, *flags)
+            assert code == 0
+            assert rep["values"]["coorbit_norm"] == coorbit_norm(slab, float(p))
 
     def test_invert_matches_library_invert(self, tmp_path, capsys, family):
         spec, gpath, spath, flags, sampling = self._setup(tmp_path, family)

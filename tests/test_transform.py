@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -148,10 +149,12 @@ class TestCoorbitNorm:
 
     @pytest.mark.parametrize("p", [-1, 0, np.nan])
     def test_exponent_checked_before_any_transform_work(self, p, monkeypatch):
-        def no_analyze(*args, **kwargs):
-            raise AssertionError("analyze ran before the exponent check")
+        def no_work(*args, **kwargs):
+            raise AssertionError("transform work ran before the exponent check")
 
-        monkeypatch.setattr(transform, "analyze", no_analyze)
+        monkeypatch.setattr(transform, "analyze", no_work)
+        # every transform path starts by stacking the sampled elements
+        monkeypatch.setattr(transform, "_element_stack", no_work)
         spec = GroupSpec(similitude())
         psi = default_wavelet(spec)
         sampling = similitude_sampling(spec, n_lam=4, n_theta=4)
@@ -566,3 +569,170 @@ class TestCalderonMultiplier:
         spec, psi, sampling, f, *_ = small_case
         with pytest.warns(CoverageWarning):
             signal_coorbit_norm(f, spec, sampling, psi, 2)
+
+
+# ---------------------------------------------------------------------------
+# streamed coefficient-domain reductions: bit for bit against the slab path
+
+STREAM_SAMPLINGS = {
+    "similitude": lambda s, lam: similitude_sampling(s, lam, 8, 8),
+    "diagonal": lambda s, lam: diagonal_sampling(s, lam, 6),
+    "shearlet": lambda s, lam: shearlet_sampling(s, lam, 6, (-5.0, 5.0), 8),
+}
+# on the N = 64, L = 16 lattice, scales in (-4, 2) put psihat(h^T xi) off the
+# lattice for some planes, and scales in (8, 9) for every plane
+SOME_ZERO, ALL_ZERO = (-4.0, 2.0), (8.0, 9.0)
+EXPONENTS = (0.5, 1, 3, np.inf)
+
+
+@pytest.fixture(scope="module", params=sorted(STREAM_SAMPLINGS))
+def stream_case(request):
+    spec = SMALL_CASES[request.param][0]
+    psi = default_wavelet(spec)
+    sampling = STREAM_SAMPLINGS[request.param](spec, SOME_ZERO)
+    rng = np.random.default_rng(11)
+    n, length = 64, 16.0
+    f = GridSignal(n, length, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    slab = analyze(f, spec, sampling, psi)
+    return request.param, spec, psi, sampling, f, slab
+
+
+def _nonzero_planes(slab):
+    return int(np.count_nonzero(np.any(slab.planes.reshape(len(slab), -1), axis=1)))
+
+
+def _count_inverse_ffts(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return signal_from_spectrum(*args)
+
+    monkeypatch.setattr(transform, "signal_from_spectrum", counted)
+    return calls
+
+
+class TestStreamedReduction:
+    def test_norms_equal_slab_norms(self, stream_case):
+        _, spec, psi, sampling, f, slab = stream_case
+        assert 0 < _nonzero_planes(slab) < len(sampling)
+        mags = np.abs(slab.planes)
+        for p in EXPONENTS:
+            value = signal_coorbit_norm(f, spec, sampling, psi, p)
+            assert value == coorbit_norm(slab, p)
+            # reference: the whole-slab reduction, summed in index order
+            if np.isinf(p):
+                ref = float(mags.max())
+            else:
+                per_plane = np.sum(mags ** p, axis=(1, 2)) * (f.L / f.N) ** 2
+                total = 0.0
+                for w, e in zip(sampling.g_w, per_plane):
+                    total += w * e
+                ref = float(total ** (1.0 / p))
+            assert value == ref
+
+    def test_plane_sums_equal_whole_slab_reduction(self, stream_case):
+        _, spec, psi, sampling, f, slab = stream_case
+        mags = np.abs(slab.planes)
+        for p in (*EXPONENTS, 2):
+            sums, peaks = transform._signal_stats([f], spec, sampling, psi, p)
+            assert np.array_equal(peaks[:, 0], mags.max(axis=(1, 2)))
+            if np.isfinite(p):
+                ref = np.sum(mags ** p, axis=(1, 2)) * (f.L / f.N) ** 2
+                assert np.array_equal(sums[:, 0], ref)
+        assert np.array_equal(sums[:, 0], slab.plane_energies())
+
+    def test_zero_planes_skip_their_ffts(self, stream_case, monkeypatch):
+        _, spec, psi, sampling, f, slab = stream_case
+        calls = _count_inverse_ffts(monkeypatch)
+        signal_coorbit_norm(f, spec, sampling, psi, 1)
+        assert len(calls) == _nonzero_planes(slab)
+        calls.clear()
+        assert np.array_equal(analyze(f, spec, sampling, psi).planes, slab.planes)
+        assert len(calls) == _nonzero_planes(slab)
+
+    def test_sampling_off_the_lattice_gives_zero(self, stream_case, monkeypatch):
+        family, spec, psi, _, f, _ = stream_case
+        sampling = STREAM_SAMPLINGS[family](spec, ALL_ZERO)
+        calls = _count_inverse_ffts(monkeypatch)
+        slab = analyze(f, spec, sampling, psi)
+        assert np.all(slab.planes == 0.0)
+        for p in EXPONENTS:
+            assert signal_coorbit_norm(f, spec, sampling, psi, p) == 0.0
+            assert coorbit_norm(slab, p) == 0.0
+        assert calls == []
+
+    def test_coverage_warning_is_eager_and_points_at_caller(self, stream_case):
+        _, spec, psi, sampling, f, _ = stream_case
+        calls = [
+            lambda: transform._planes([f], spec, sampling, psi, stacklevel=2),
+            lambda: analyze(f, spec, sampling, psi),
+            lambda: signal_coorbit_norm(f, spec, sampling, psi, 1),
+            lambda: norm_ratio_profile(spec, spec, 1, [psi_atom(f.N, f.L, psi)],
+                                       sampling, sampling, psi, psi),
+        ]
+        for call in calls:
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                call()  # the generator is created, never advanced
+            coverage = [w for w in record if w.category is CoverageWarning
+                        and "sampled h" in str(w.message)]
+            assert coverage and all(w.filename == __file__ for w in coverage)
+
+
+def _profile_signals():
+    """Signals on two grids, interleaved."""
+    out = []
+    for k in range(5):
+        n, length = (64, 16.0) if k % 2 == 0 else (32, 8.0)
+        out.append(freq_bump(n, length, center=(0.9 + 0.1 * k, 0.2), sigma=0.15))
+    return out
+
+
+class TestBatchedProfile:
+    @pytest.mark.parametrize("p", [1, 2, np.inf])
+    def test_rows_equal_per_signal_norms(self, p):
+        s1 = SMALL_CASES["shearlet"][0]
+        s2 = GroupSpec(shearlet(0.7), rotation(0.3))
+        sm1 = STREAM_SAMPLINGS["shearlet"](s1, SOME_ZERO)
+        sm2 = STREAM_SAMPLINGS["shearlet"](s2, SOME_ZERO)
+        signals = _profile_signals()
+        table = norm_ratio_profile(s1, s2, p, signals, sm1, sm2)
+        psi1, psi2 = default_wavelet(s1), default_wavelet(s2)
+        for f, row in zip(signals, table.rows):
+            assert row.label == f.label
+            assert row.norm1 == signal_coorbit_norm(f.signal, s1, sm1, psi1, p)
+            assert row.norm2 == signal_coorbit_norm(f.signal, s2, sm2, psi2, p)
+            assert row.ratio == row.norm1 / row.norm2
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_one_element_stack_per_spec_and_grid(self, p, monkeypatch):
+        stacks = []
+
+        def counted(spec, sampling):
+            stacks.append(spec)
+            return _element_stack(spec, sampling)
+
+        _element_stack = transform._element_stack
+        monkeypatch.setattr(transform, "_element_stack", counted)
+        spec = GroupSpec(diagonal(), rotation(0.3))
+        sampling = diagonal_sampling(spec, n_lam=4)
+        norm_ratio_profile(spec, spec, p, _profile_signals(), sampling, sampling)
+        assert len(stacks) == 4  # 2 specs x 2 grids, not 2 x 5 signals
+
+
+def test_streamed_norm_holds_no_slab():
+    # the M x N x N slab of this case is 1536 x 128 x 128 complex: 403 MB
+    spec = GroupSpec(shearlet(0.7), rotation(-0.5))
+    psi = default_wavelet(spec)
+    sampling = default_sampling(spec)
+    center = np.linalg.inv(spec.conjugator).T @ np.array([1.0, 0.2])
+    f = freq_bump(128, 16.0, center=center, sigma=0.12).signal
+    tracemalloc.start()
+    try:
+        value = signal_coorbit_norm(f, spec, sampling, psi, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value > 0.0
+    assert peak < 32 * 2 ** 20
