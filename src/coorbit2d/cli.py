@@ -100,12 +100,16 @@ def _canonical_doc(cf):
 def _sampling_from_args(spec, args):
     kind = spec.family.kind
     lam = (args.lam_min, args.lam_max)
-    if kind == SIMILITUDE:
-        return similitude_sampling(spec, lam, args.n_scale, args.n_angle)
-    if kind == DIAGONAL:
-        return diagonal_sampling(spec, lam, args.n_scale)
-    return shearlet_sampling(spec, lam, args.n_scale,
-                             (args.shear_min, args.shear_max), args.n_shear)
+    # the builders reject counts below 1 and empty or non-finite ranges
+    try:
+        if kind == SIMILITUDE:
+            return similitude_sampling(spec, lam, args.n_scale, args.n_angle)
+        if kind == DIAGONAL:
+            return diagonal_sampling(spec, lam, args.n_scale)
+        return shearlet_sampling(spec, lam, args.n_scale,
+                                 (args.shear_min, args.shear_max), args.n_shear)
+    except ValueError as exc:
+        raise _UsageError(f"sampling flags: {exc}") from None
 
 
 def _add_sampling_flags(p):
@@ -150,6 +154,28 @@ def _parse_matrix_flag(text):
     if not abs(a * d - b * c) > DEFAULT_TOL * np.hypot(a, c) * np.hypot(b, d):
         raise _UsageError("--matrix must be finite and not numerically singular")
     return np.array([[a, b], [c, d]])
+
+
+def _flag_type(convert, check, expected):
+    """An argparse type: `convert` the text, then require `check` of the value."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not check(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_GRID_SIZE = _flag_type(int, lambda n: n >= 8 and n & (n - 1) == 0,
+                        "a power of two, at least 8")
+_POSITIVE = _flag_type(float, lambda x: 0.0 < x < np.inf, "a positive finite number")
+_COUNT = _flag_type(int, lambda n: n >= 1, "a positive integer")
+_CENTER = _flag_type(lambda text: tuple(float(v) for v in text.split(",")),
+                     lambda c: len(c) == 2 and bool(np.all(np.isfinite(c))),
+                     "'xi1,xi2' with finite numbers")
 
 
 def _parse_exponent(text):
@@ -433,12 +459,8 @@ def _cmd_compare(args):
 def _cmd_gen_signal(args):
     rng = np.random.default_rng(args.seed)
     n, length = args.N, args.L
-    if args.center is not None:
-        parts = args.center.split(",")
-        if len(parts) != 2:
-            raise _UsageError("--center expects 'xi1,xi2'")
-        center = (float(parts[0]), float(parts[1]))
-    else:
+    center = args.center
+    if center is None:
         ang = rng.uniform(0, 2 * np.pi)
         r = rng.uniform(0.7, 1.5)
         center = (r * np.cos(ang), r * np.sin(ang))
@@ -529,7 +551,7 @@ def build_parser():
 
     p = sub.add_parser("calderon", help="admissibility constant and its deviation")
     p.add_argument("group")
-    p.add_argument("--n-samples", type=int, default=16)
+    p.add_argument("--n-samples", type=_COUNT, default=16)
     p.add_argument("--max-deviation", type=float, default=None,
                    help="exit 4 if the relative deviation exceeds this")
     _add_sampling_flags(p)
@@ -538,8 +560,8 @@ def build_parser():
 
     p = sub.add_parser("covariance", help="representation-covariance residuals")
     p.add_argument("group")
-    p.add_argument("--N", type=int, default=128)
-    p.add_argument("--L", type=float, default=16.0)
+    p.add_argument("--N", type=_GRID_SIZE, default=128)
+    p.add_argument("--L", type=_POSITIVE, default=16.0)
     p.add_argument("--max-residual", type=float, default=None,
                    help="exit 4 if a gated residual exceeds this")
     common(p, tol=False)
@@ -549,8 +571,8 @@ def build_parser():
     p.add_argument("group1")
     p.add_argument("group2")
     p.add_argument("--p", default="1")
-    p.add_argument("--N", type=int, default=64)
-    p.add_argument("--L", type=float, default=16.0)
+    p.add_argument("--N", type=_GRID_SIZE, default=64)
+    p.add_argument("--L", type=_POSITIVE, default=16.0)
     p.add_argument("--n-signals", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     common(p, tol=False)
@@ -559,10 +581,11 @@ def build_parser():
     p = sub.add_parser("gen-signal", help="generate a test signal file")
     p.add_argument("kind", choices=["freq_bump", "wave_packet"])
     p.add_argument("out_signal")
-    p.add_argument("--N", type=int, default=128)
-    p.add_argument("--L", type=float, default=16.0)
-    p.add_argument("--center", default=None, help="frequency center 'xi1,xi2'")
-    p.add_argument("--sigma", type=float, default=0.15)
+    p.add_argument("--N", type=_GRID_SIZE, default=128)
+    p.add_argument("--L", type=_POSITIVE, default=16.0)
+    p.add_argument("--center", type=_CENTER, default=None,
+                   help="frequency center 'xi1,xi2'")
+    p.add_argument("--sigma", type=_POSITIVE, default=0.15)
     p.add_argument("--shape", choices=["gaussian", "bump"], default="gaussian")
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)

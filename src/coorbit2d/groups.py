@@ -4,11 +4,18 @@ families, arbitrary conjugates thereof, chart coordinates and Haar densities.
 A group is described by a :class:`GroupSpec`: one of the three standard
 families together with an invertible conjugator ``B``; the represented group
 is ``B @ H_std @ inv(B)``.  Chart coordinates use the natural logarithm for
-scales and radians for angles:
+scales and radians for angles.  A chart point is one row of its family's
+columns, of width 2, 4 and 3 in this column order:
 
 * similitude  ``(lam, theta)``      -> ``exp(lam) * [[cos t, sin t], [-sin t, cos t]]``
 * diagonal    ``(lam1, lam2, e1, e2)`` -> ``diag(e1 exp(lam1), e2 exp(lam2))``
 * shearlet c  ``(eps, lam, b)``     -> ``eps * [[exp(lam), b], [0, exp(c lam)]]``
+
+The signs ``e1``, ``e2`` and ``eps`` are +1 or -1.  One point is a
+:class:`SimilitudeChart`, :class:`DiagonalChart` or :class:`ShearletChart`
+(named tuples of those columns) or any length-k sequence; a stack of points is
+an ``(..., k)`` array of rows.  `element_from_chart`, `haar_weight` and
+`g_weight` take either and check the width, finiteness and signs.
 
 The left Haar density of the full group ``R^2 x| H`` in these coordinates is
 ``dx dh / |det h|`` where ``dh`` is the Haar measure of ``H`` itself; the
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import hypot
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -140,63 +147,47 @@ def conjugate_spec(spec, a):
 # chart points
 
 
-def _check_sign(e, name):
-    if e not in (1, -1):
-        raise ValueError(f"{name} must be +1 or -1, got {e}")
-    return int(e)
-
-
-@dataclass(frozen=True)
-class SimilitudeChart:
+class SimilitudeChart(NamedTuple):
     lam: float
     theta: float
 
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and np.isfinite(self.theta)):
-            raise ValueError("chart coordinates must be finite")
 
-
-@dataclass(frozen=True)
-class DiagonalChart:
+class DiagonalChart(NamedTuple):
     lam1: float
     lam2: float
     eps1: int = 1
     eps2: int = 1
 
-    def __post_init__(self):
-        if not (np.isfinite(self.lam1) and np.isfinite(self.lam2)):
-            raise ValueError("chart coordinates must be finite")
-        object.__setattr__(self, "eps1", _check_sign(self.eps1, "eps1"))
-        object.__setattr__(self, "eps2", _check_sign(self.eps2, "eps2"))
 
-
-@dataclass(frozen=True)
-class ShearletChart:
+class ShearletChart(NamedTuple):
     eps: int
     lam: float
     shear: float
 
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and np.isfinite(self.shear)):
-            raise ValueError("chart coordinates must be finite")
-        object.__setattr__(self, "eps", _check_sign(self.eps, "eps"))
-
 
 ChartPoint = Union[SimilitudeChart, DiagonalChart, ShearletChart]
 
-_CHART_FOR_KIND = {
-    SIMILITUDE: SimilitudeChart,
-    DIAGONAL: DiagonalChart,
-    SHEARLET: ShearletChart,
+# per family: the chart point type naming its columns, and its sign columns
+_CHARTS = {
+    SIMILITUDE: (SimilitudeChart, ()),
+    DIAGONAL: (DiagonalChart, (2, 3)),
+    SHEARLET: (ShearletChart, (0,)),
 }
 
 
-def _require_chart(spec, p):
-    expected = _CHART_FOR_KIND[spec.family.kind]
-    if not isinstance(p, expected):
-        raise ChartMismatchError(
-            f"chart point {type(p).__name__} does not match family {spec.family.kind}"
-        )
+def _chart_columns(spec, p):
+    """Chart point(s) of `spec` as a checked float array of shape (..., k)."""
+    chart, signs = _CHARTS[spec.family.kind]
+    cols = np.asarray(p, dtype=float)
+    if cols.shape[-1:] != (len(chart._fields),):
+        raise ChartMismatchError(f"chart points of shape {cols.shape} do not match "
+                                 f"family {spec.family.kind}, rows {chart._fields}")
+    if not np.all(np.isfinite(cols)):
+        raise ValueError("chart coordinates must be finite")
+    for j in signs:
+        if not np.all(np.abs(cols[..., j]) == 1.0):
+            raise ValueError(f"{chart._fields[j]} must be +1 or -1")
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +201,31 @@ def dual_action(h, zeta):
     return np.linalg.solve(h.T, zeta)
 
 
-def _standard_matrix(family, p):
+def _standard_matrix(family, cols):
+    """Standard-family matrices at checked chart columns (..., k): (..., 2, 2)."""
     if family.kind == SIMILITUDE:
-        r = np.exp(p.lam)
-        a, b = r * np.cos(p.theta), r * np.sin(p.theta)
-        return np.array([[a, b], [-b, a]])
-    if family.kind == DIAGONAL:
-        return np.array(
-            [[p.eps1 * np.exp(p.lam1), 0.0], [0.0, p.eps2 * np.exp(p.lam2)]]
-        )
-    a = np.exp(p.lam)
-    return p.eps * np.array([[a, p.shear], [0.0, a ** family.c]])
+        r = np.exp(cols[..., 0])
+        a, b = r * np.cos(cols[..., 1]), r * np.sin(cols[..., 1])
+        entries = (a, b, -b, a)
+    elif family.kind == DIAGONAL:
+        zero = np.zeros(cols.shape[:-1])
+        entries = (cols[..., 2] * np.exp(cols[..., 0]), zero,
+                   zero, cols[..., 3] * np.exp(cols[..., 1]))
+    else:
+        eps, a = cols[..., 0], np.exp(cols[..., 1])
+        # np.power, not **: on one point ** takes scalar pow, which can round
+        # differently from the array loop, and a point must equal its stack row
+        entries = (eps * a, eps * cols[..., 2], eps * 0.0,
+                   eps * np.power(a, family.c))
+    return np.stack(entries, axis=-1).reshape(cols.shape[:-1] + (2, 2))
 
 
 def element_from_chart(spec, p):
-    """Group element at chart point p, conjugated into the represented group."""
-    _require_chart(spec, p)
-    m = _standard_matrix(spec.family, p)
+    """Group element at chart point p, conjugated into the represented group.
+
+    p is one point, giving a 2x2 matrix, or an (..., k) stack of rows.
+    """
+    m = _standard_matrix(spec.family, _chart_columns(spec, p))
     b = spec.conjugator
     return b @ m @ np.linalg.inv(b)
 
@@ -252,28 +251,34 @@ def chart_from_element(spec, m, tol=DEFAULT_TOL):
     return ShearletChart(eps=eps, lam=np.log(a), shear=eps * ms[0, 1])
 
 
+def _weights(w):
+    """A float for one chart point, the array for a stack."""
+    return float(w) if w.ndim == 0 else w
+
+
 def haar_weight(spec, p):
     """Density of the left Haar measure of H at p, in chart coordinates.
 
     Conjugation rescales Haar measure by a positive constant only; the
     constant is fixed to 1 for every conjugate, so the density depends on the
-    family alone.
+    family alone.  p is one point (a float result) or a stack of rows.
     """
-    _require_chart(spec, p)
+    cols = _chart_columns(spec, p)
     if spec.family.kind == SHEARLET:
-        return float(np.exp(-p.lam))
-    return 1.0
+        return _weights(np.exp(-cols[..., 1]))
+    return _weights(np.ones(cols.shape[:-1]))
 
 
 def g_weight(spec, p):
     """h-marginal density of the Haar measure of R^2 x| H: haar / |det h|."""
-    _require_chart(spec, p)
+    cols = _chart_columns(spec, p)
     kind = spec.family.kind
     if kind == SIMILITUDE:
-        return float(np.exp(-2.0 * p.lam))
+        return _weights(np.exp(-2.0 * cols[..., 0]))
     if kind == DIAGONAL:
-        return float(np.exp(-(p.lam1 + p.lam2)))
-    return float(np.exp(-p.lam) * np.exp(-(1.0 + spec.family.c) * p.lam))
+        return _weights(np.exp(-(cols[..., 0] + cols[..., 1])))
+    lam = cols[..., 1]
+    return _weights(np.exp(-lam) * np.exp(-(1.0 + spec.family.c) * lam))
 
 
 def group_product(gx, g, hx, h):

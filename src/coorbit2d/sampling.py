@@ -2,99 +2,116 @@
 
 Charts are sampled on uniform grids (midpoint rule in the unbounded
 coordinates, uniform points on the periodic angle), one sheet per connected
-component carrying signs.  Each sampling stores the per-point chart cell
-volume together with the two derived weight vectors used everywhere
-downstream:  ``haar_w = haar density x volume`` (integration over H) and
-``g_w = haar_w / |det h|`` (h-marginal of the full group measure).
+component carrying signs.  A sampling stores its M chart points as a
+read-only (M, k) array of rows, in the column order of :mod:`coorbit2d.groups`,
+and the per-point chart cell volume together with the two derived weight
+vectors used everywhere downstream:  ``haar_w = haar density x volume``
+(integration over H) and ``g_w = haar_w / |det h|`` (h-marginal of the full
+group measure).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from .groups import (
-    DIAGONAL,
-    SHEARLET,
-    SIMILITUDE,
-    DiagonalChart,
-    ShearletChart,
-    SimilitudeChart,
-    g_weight,
-    haar_weight,
-)
+from .groups import DIAGONAL, SIMILITUDE, g_weight, haar_weight
 
 
 @dataclass(frozen=True, eq=False)
 class GroupSampling:
-    """Finite set of chart points with cell volumes and derived weights."""
+    """M chart points with cell volumes and derived weights.
 
-    points: Tuple
+    `points` is a read-only (M, k) float array, one chart point per row;
+    `volumes`, `haar_w` and `g_w` are read-only, with one value per row.
+    """
+
+    points: np.ndarray
     volumes: np.ndarray
     haar_w: np.ndarray
     g_w: np.ndarray
 
     def __post_init__(self):
-        if len(self.points) == 0:
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError(f"points must be an (M, k) array, got shape {pts.shape}")
+        if pts.size == 0:
             raise ValueError("sampling must contain at least one chart point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("chart coordinates must be finite")
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
         for name in ("volumes", "haar_w", "g_w"):
-            w = np.asarray(getattr(self, name), dtype=float)
-            if w.shape != (len(self.points),):
+            w = np.array(getattr(self, name), dtype=float)
+            if w.shape != (len(pts),):
                 raise ValueError(f"{name}: one value per chart point required")
             if not np.all(np.isfinite(w) & (w > 0)):
                 raise ValueError(f"{name}: values must be finite and positive")
+            w.flags.writeable = False
+            object.__setattr__(self, name, w)
 
     def __len__(self):
         return len(self.points)
 
 
 def build_sampling(spec, points, volumes):
-    """Attach Haar and group weights of `spec` to raw chart points."""
-    points = tuple(points)
+    """Attach Haar and group weights of `spec` to chart points.
+
+    `points` is an (M, k) array of chart rows or a sequence of M chart points.
+    """
+    pts = np.asarray(points, dtype=float)
     vol = np.asarray(volumes, dtype=float)
-    haar = np.array([haar_weight(spec, p) for p in points]) * vol
-    gw = np.array([g_weight(spec, p) for p in points]) * vol
-    return GroupSampling(points, vol, haar, gw)
+    return GroupSampling(pts, vol, haar_weight(spec, pts) * vol,
+                         g_weight(spec, pts) * vol)
 
 
-def _midpoints(lo, hi, n):
+def _check_count(n, name):
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+
+
+def _midpoints(bounds, n, axis):
+    """n cell midpoints of `bounds` = (lo, hi) and the cell width; errors name
+    the builder's arguments n_<axis> and <axis>_range."""
+    _check_count(n, f"n_{axis}")
+    lo, hi = bounds
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"{axis}_range must be finite and non-empty, got ({lo}, {hi})")
     step = (hi - lo) / n
     return lo + (np.arange(n) + 0.5) * step, step
 
 
+def _rows(*axes):
+    """The cartesian product of 1-D axes as rows, the last axis varying fastest."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
 def similitude_sampling(spec, lam_range=(-2.0, 2.0), n_lam=32, n_theta=32):
-    lams, dlam = _midpoints(*lam_range, n_lam)
+    lams, dlam = _midpoints(lam_range, n_lam, "lam")
+    _check_count(n_theta, "n_theta")
     dth = 2.0 * np.pi / n_theta
-    thetas = np.arange(n_theta) * dth
-    pts = [SimilitudeChart(lam, th) for lam in lams for th in thetas]
+    pts = _rows(lams, np.arange(n_theta) * dth)
     return build_sampling(spec, pts, np.full(len(pts), dlam * dth))
 
 
 def diagonal_sampling(spec, lam_range=(-2.0, 2.0), n_lam=16, signs=None):
     if signs is None:
         signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    lams, dlam = _midpoints(*lam_range, n_lam)
-    pts = [
-        DiagonalChart(l1, l2, e1, e2)
-        for (e1, e2) in signs
-        for l1 in lams
-        for l2 in lams
-    ]
+    lams, dlam = _midpoints(lam_range, n_lam, "lam")
+    signs = np.array(signs, dtype=float).reshape(-1, 2)
+    sheet = _rows(lams, lams)
+    pts = np.hstack([np.tile(sheet, (len(signs), 1)),
+                     np.repeat(signs, len(sheet), axis=0)])
     return build_sampling(spec, pts, np.full(len(pts), dlam * dlam))
 
 
 def shearlet_sampling(spec, lam_range=(-2.0, 2.0), n_lam=16,
                       shear_range=(-5.0, 5.0), n_shear=48, signs=(1, -1)):
-    lams, dlam = _midpoints(*lam_range, n_lam)
-    shears, dshear = _midpoints(*shear_range, n_shear)
-    pts = [
-        ShearletChart(eps, lam, b)
-        for eps in signs
-        for lam in lams
-        for b in shears
-    ]
+    lams, dlam = _midpoints(lam_range, n_lam, "lam")
+    shears, dshear = _midpoints(shear_range, n_shear, "shear")
+    pts = _rows(np.asarray(signs, dtype=float), lams, shears)
     return build_sampling(spec, pts, np.full(len(pts), dlam * dshear))
 
 

@@ -93,11 +93,6 @@ class CoeffSlab:
         return sums
 
 
-def _element_stack(spec, sampling):
-    """The (M, 2, 2) group elements at the chart points of a sampling."""
-    return np.array([element_from_chart(spec, p) for p in sampling.points])
-
-
 def _warn_uncovered(mats, psi, n, length, stacklevel):
     """Warn when some sampled h pushes the wavelet support out of the band."""
     nyq = (n / 2 - 1) / length
@@ -169,8 +164,8 @@ def calderon_multiplier(spec, psi, sampling, xi1, xi2):
     The sum runs over the sampled chart in index order, a chunk of elements
     at a time; the result has the broadcast shape of (xi1, xi2).
     """
-    return _multiplier(psi, _element_stack(spec, sampling), sampling.haar_w,
-                       xi1, xi2)
+    return _multiplier(psi, element_from_chart(spec, sampling.points),
+                       sampling.haar_w, xi1, xi2)
 
 
 def _grid(signals):
@@ -182,7 +177,7 @@ def _grid(signals):
 
 def _lattice_multiplier(spec, sampling, psi, n, length, stacklevel):
     """The Calderon multiplier on the n x n lattice of an L = length square."""
-    mats = _element_stack(spec, sampling)
+    mats = element_from_chart(spec, sampling.points)
     _warn_uncovered(mats, psi, n, length, stacklevel + 1)
     xi1, xi2 = freq_grids(n, length)
     return _multiplier(psi, mats, sampling.haar_w, xi1, xi2)
@@ -198,7 +193,7 @@ def _planes(signals, spec, sampling, psi, stacklevel):
     and its FFTs are skipped.
     """
     n, length = _grid(signals)
-    mats = _element_stack(spec, sampling)
+    mats = element_from_chart(spec, sampling.points)
     _warn_uncovered(mats, psi, n, length, stacklevel + 1)
     fhats = [spectrum_from_signal(f) for f in signals]
     xi1, xi2 = freq_grids(n, length)
@@ -407,7 +402,7 @@ def invert(slab, spec, sampling, psi, c_psi):
     if len(sampling) != len(slab):
         raise ValueError("sampling does not match slab")
     acc = np.zeros((n, n), dtype=complex)
-    mats = _element_stack(spec, sampling)
+    mats = element_from_chart(spec, sampling.points)
     for lo, root_det, vals in _wavelet_chunks(psi, mats, xi1, xi2):
         for j in range(len(vals)):
             i = lo + j

@@ -212,6 +212,26 @@ class TestExitCodes:
             assert main(["norm", diag_path, bump_signal, "--p", p]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        "norm {similitude} {signal} --n-scale 0",
+        "norm {similitude} {signal} --n-angle -2",
+        "norm {similitude} {signal} --lam-min nan",
+        "norm {shearlet} {signal} --shear-min inf",
+        "norm {similitude} {signal} --lam-min 2 --lam-max -2",
+        "gen-signal freq_bump {out} --center a,b",
+        "gen-signal freq_bump {out} --N 100",
+        "gen-signal freq_bump {out} --sigma -1",
+        "covariance {similitude} --N 12",
+        "calderon {similitude} --n-samples 0",
+    ])
+    def test_bad_flag_is_usage_error(self, capsys, tmp_path, bump_signal, command):
+        paths = {"signal": bump_signal, "out": str(tmp_path / "out.sig")}
+        for name, family in (("similitude", similitude()), ("shearlet", shearlet(0.5))):
+            paths[name] = str(tmp_path / f"{name}.json")
+            write_group_spec(paths[name], GroupSpec(family))
+        assert main(command.format(**paths).split()) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
     def test_unexpected_exception_exit_five(self, capsys, monkeypatch, diag_path):
         def boom(args):
             raise RuntimeError("something broke")

@@ -24,6 +24,7 @@ from coorbit2d import (
     shearlet,
     similitude,
 )
+from coorbit2d.sampling import default_sampling
 from conftest import random_invertible
 
 B_UNIT_SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -83,9 +84,22 @@ class TestElementFromChart:
         expected = B_UNIT_SHEAR @ np.array([[0.0, 1.0], [-1.0, 0.0]]) @ np.linalg.inv(B_UNIT_SHEAR)
         assert np.allclose(m, expected, atol=1e-14)
 
-    def test_chart_family_mismatch(self):
+    @pytest.mark.parametrize("kernel", [element_from_chart, haar_weight, g_weight],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("family, point", [
+        (diagonal(), SimilitudeChart(0.0, 0.0)),
+        (similitude(), DiagonalChart(0.0, 0.0)),
+        (shearlet(1.0), DiagonalChart(0.0, 0.0)),
+        (similitude(), ShearletChart(1, 0.0, 0.0)),
+        (diagonal(), np.zeros((5, 3))),
+        (shearlet(1.0), np.ones((2, 3, 2))),
+        (similitude(), 0.0),
+    ], ids=["similitude-on-diagonal", "diagonal-on-similitude", "diagonal-on-shearlet",
+            "shearlet-on-similitude", "stack-width-3-on-diagonal",
+            "stack-width-2-on-shearlet", "scalar-on-similitude"])
+    def test_chart_family_mismatch(self, family, point, kernel):
         with pytest.raises(ChartMismatchError):
-            element_from_chart(GroupSpec(diagonal()), SimilitudeChart(0.0, 0.0))
+            kernel(GroupSpec(family), point)
 
     def test_chart_round_trip(self, rng):
         specs = [
@@ -148,6 +162,62 @@ class TestWeights:
         assert haar_weight(GroupSpec(shearlet(2.0), b), p) == pytest.approx(
             haar_weight(GroupSpec(shearlet(2.0)), p)
         )
+
+
+class TestChartStacks:
+    """The kernels on an (M, k) stack of chart rows against one row at a time."""
+
+    CONJUGATED = [
+        GroupSpec(similitude(), [[1.3, 0.7], [-0.4, 0.9]]),
+        GroupSpec(diagonal(), [[1.3, 0.7], [-0.4, 0.9]]),
+        # c = 0.7: a scalar ** rounds differently from the array loop
+        GroupSpec(shearlet(0.7), [[1.3, 0.7], [-0.4, 0.9]]),
+    ]
+
+    @pytest.mark.parametrize("spec", CONJUGATED, ids=lambda s: s.family.kind)
+    def test_stack_equals_rows_bit_for_bit(self, spec):
+        points = default_sampling(spec).points
+        mats = element_from_chart(spec, points)
+        assert mats.shape == (len(points), 2, 2)
+        rows = np.array([element_from_chart(spec, p) for p in points])
+        assert np.array_equal(mats, rows)
+        assert np.array_equal(np.signbit(mats), np.signbit(rows))
+        for kernel in (haar_weight, g_weight):
+            one = [kernel(spec, p) for p in points]
+            assert all(type(w) is float for w in one)
+            assert np.array_equal(kernel(spec, points), np.array(one))
+
+    @pytest.mark.parametrize("spec", CONJUGATED, ids=lambda s: s.family.kind)
+    def test_chart_from_element_names_the_row(self, spec):
+        row = default_sampling(spec).points[7]
+        point = chart_from_element(spec, element_from_chart(spec, row))
+        assert element_from_chart(spec, point).shape == (2, 2)
+        assert np.allclose(point, row, rtol=1e-12, atol=1e-12)
+
+    # (family, a valid point, column, bad value): a non-finite value in every
+    # column, and 0 or 2 as well in every sign column
+    BAD_ENTRIES = [
+        (family, good, j, bad)
+        for family, good, signs in ((similitude(), (0.1, 0.2), ()),
+                                    (diagonal(), (0.1, 0.2, 1, -1), (2, 3)),
+                                    (shearlet(0.5), (-1, 0.1, 0.2), (0,)))
+        for j in range(len(good))
+        for bad in (np.nan, np.inf, -np.inf) + ((0, 2) if j in signs else ())
+    ]
+
+    @pytest.mark.parametrize("kernel", [element_from_chart, haar_weight, g_weight],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("family, good, column, bad", BAD_ENTRIES)
+    def test_bad_coordinate_or_sign_rejected(self, family, good, column, bad, kernel):
+        spec = GroupSpec(family)
+        point = list(good)
+        point[column] = bad
+        kernel(spec, good)
+        with pytest.raises(ValueError):
+            kernel(spec, point)
+        # one bad row spoils a stack
+        with pytest.raises(ValueError):
+            kernel(spec, [good, point, good])
 
 
 def _bump1d(t):

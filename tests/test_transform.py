@@ -154,7 +154,7 @@ class TestCoorbitNorm:
 
         monkeypatch.setattr(transform, "analyze", no_work)
         # every transform path starts by stacking the sampled elements
-        monkeypatch.setattr(transform, "_element_stack", no_work)
+        monkeypatch.setattr(transform, "element_from_chart", no_work)
         spec = GroupSpec(similitude())
         psi = default_wavelet(spec)
         sampling = similitude_sampling(spec, n_lam=4, n_theta=4)
@@ -420,6 +420,91 @@ class TestSamplingWeights:
         parts[field] = parts[field].reshape(1, -1)
         with pytest.raises(ValueError, match="one value per chart point"):
             GroupSampling(*parts)
+
+
+class TestSamplingArrays:
+    @staticmethod
+    def _midpoints(lo, hi, n):
+        step = (hi - lo) / n
+        return [lo + (i + 0.5) * step for i in range(n)]
+
+    def test_default_rows_in_nested_loop_order(self):
+        lams = self._midpoints(-2.0, 2.0, 32)
+        thetas = [i * (2.0 * np.pi / 32) for i in range(32)]
+        expected = [(lam, th) for lam in lams for th in thetas]
+        assert np.array_equal(default_sampling(GroupSpec(similitude())).points, expected)
+
+        lams = self._midpoints(-2.0, 2.0, 16)
+        expected = [(l1, l2, e1, e2)
+                    for e1, e2 in [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+                    for l1 in lams for l2 in lams]
+        assert np.array_equal(default_sampling(GroupSpec(diagonal())).points, expected)
+
+        shears = self._midpoints(-5.0, 5.0, 48)
+        expected = [(eps, lam, b) for eps in (1, -1) for lam in lams for b in shears]
+        assert np.array_equal(default_sampling(GroupSpec(shearlet(0.5))).points,
+                              expected)
+
+    def test_points_and_weights_are_read_only(self):
+        sampling = similitude_sampling(GroupSpec(similitude()), n_lam=2, n_theta=2)
+        assert sampling.points.shape == (4, 2)
+        with pytest.raises(ValueError):
+            sampling.points[0, 0] = 1.0
+        for w in (sampling.volumes, sampling.haar_w, sampling.g_w):
+            with pytest.raises(ValueError):
+                w[0] = -1.0
+
+    @pytest.mark.parametrize("points, message", [
+        (np.zeros(2), "an \\(M, k\\) array"),
+        (np.zeros((0, 2)), "at least one"),
+        (np.zeros((2, 0)), "at least one"),
+        ([[0.0, np.nan], [0.0, 0.0]], "finite"),
+        ([[0.0, 0.0], [np.inf, 0.0]], "finite"),
+    ], ids=["1-d", "no-rows", "no-columns", "nan", "inf"])
+    def test_bad_points_rejected(self, points, message):
+        w = np.ones(2)
+        with pytest.raises(ValueError, match=message):
+            GroupSampling(points, w, w, w)
+
+    @pytest.mark.parametrize("family, points", [
+        (similitude(), [(0.0, np.nan)]),
+        (diagonal(), [(0.0, 0.0, 1, 2)]),
+        (shearlet(0.5), [(0, 0.0, 0.0)]),
+        (shearlet(0.5), [(0.0, 0.0)]),
+    ], ids=["non-finite", "sign-2", "sign-0", "wrong-width"])
+    def test_build_sampling_checks_points(self, family, points):
+        with pytest.raises(ValueError):
+            build_sampling(GroupSpec(family), points, [1.0])
+
+    def test_bad_signs_rejected_by_builders(self):
+        with pytest.raises(ValueError, match="eps2"):
+            diagonal_sampling(GroupSpec(diagonal()), signs=[(1, 2)])
+        with pytest.raises(ValueError, match="eps"):
+            shearlet_sampling(GroupSpec(shearlet(0.5)), signs=(1, 0))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_lam": 0}, {"n_lam": -3}, {"n_lam": 2.5}, {"n_theta": 0},
+        {"lam_range": (1.0, 1.0)}, {"lam_range": (2.0, -2.0)},
+        {"lam_range": (np.nan, 2.0)}, {"lam_range": (-2.0, np.inf)},
+    ])
+    def test_similitude_builder_rejects_bad_grid(self, kwargs):
+        with pytest.raises(ValueError):
+            similitude_sampling(GroupSpec(similitude()), **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_shear": 0}, {"shear_range": (-np.inf, 5.0)}, {"shear_range": (5.0, -5.0)},
+        {"n_lam": 0}, {"lam_range": (0.0, np.nan)},
+    ])
+    def test_shearlet_builder_rejects_bad_grid(self, kwargs):
+        with pytest.raises(ValueError):
+            shearlet_sampling(GroupSpec(shearlet(0.5)), **kwargs)
+
+    def test_diagonal_builder_rejects_bad_grid(self):
+        spec = GroupSpec(diagonal())
+        with pytest.raises(ValueError):
+            diagonal_sampling(spec, n_lam=0)
+        with pytest.raises(ValueError):
+            diagonal_sampling(spec, lam_range=(1.0, -1.0))
 
 
 class TestCoverageWarning:
@@ -709,12 +794,12 @@ class TestBatchedProfile:
     def test_one_element_stack_per_spec_and_grid(self, p, monkeypatch):
         stacks = []
 
-        def counted(spec, sampling):
-            stacks.append(spec)
-            return _element_stack(spec, sampling)
+        def counted(spec, p):
+            if np.ndim(p) == 2:
+                stacks.append(spec)
+            return element_from_chart(spec, p)
 
-        _element_stack = transform._element_stack
-        monkeypatch.setattr(transform, "_element_stack", counted)
+        monkeypatch.setattr(transform, "element_from_chart", counted)
         spec = GroupSpec(diagonal(), rotation(0.3))
         sampling = diagonal_sampling(spec, n_lam=4)
         norm_ratio_profile(spec, spec, p, _profile_signals(), sampling, sampling)
