@@ -173,6 +173,10 @@ _GRID_SIZE = _flag_type(int, lambda n: n >= 8 and n & (n - 1) == 0,
                         "a power of two, at least 8")
 _POSITIVE = _flag_type(float, lambda x: 0.0 < x < np.inf, "a positive finite number")
 _COUNT = _flag_type(int, lambda n: n >= 1, "a positive integer")
+_SEED = _flag_type(int, lambda n: n >= 0, "a non-negative integer")
+_FINITE = _flag_type(float, np.isfinite, "a finite number")
+_TOLERANCE = _flag_type(float, lambda x: 0.0 <= x < np.inf,
+                        "a non-negative finite number")
 _CENTER = _flag_type(lambda text: tuple(float(v) for v in text.split(",")),
                      lambda c: len(c) == 2 and bool(np.all(np.isfinite(c))),
                      "'xi1,xi2' with finite numbers")
@@ -503,7 +507,7 @@ def build_parser():
     def common(p, tol=True):
         p.add_argument("--out", default=None, help="write report here instead of stdout")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-9,
+            p.add_argument("--tol", type=_TOLERANCE, default=1e-9,
                            help="comparison tolerance (default 1e-9)")
 
     p = sub.add_parser("classify", help="canonical form, components, complement")
@@ -574,7 +578,7 @@ def build_parser():
     p.add_argument("--N", type=_GRID_SIZE, default=64)
     p.add_argument("--L", type=_POSITIVE, default=16.0)
     p.add_argument("--n-signals", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     common(p, tol=False)
     p.set_defaults(fn=_cmd_compare)
 
@@ -587,8 +591,8 @@ def build_parser():
                    help="frequency center 'xi1,xi2'")
     p.add_argument("--sigma", type=_POSITIVE, default=0.15)
     p.add_argument("--shape", choices=["gaussian", "bump"], default="gaussian")
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--amplitude", type=_FINITE, default=1.0)
+    p.add_argument("--seed", type=_SEED, default=0)
     common(p, tol=False)
     p.set_defaults(fn=_cmd_gen_signal)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,9 +74,13 @@ def _half_shift(n):
     return s
 
 
+@lru_cache(maxsize=16)
 def _phase_grid(n):
+    """The read-only N x N alternating-sign phase, built once per N."""
     s = _half_shift(n)
-    return np.outer(s, s)
+    grid = np.outer(s, s)
+    grid.flags.writeable = False
+    return grid
 
 
 def spectrum_from_signal(sig):

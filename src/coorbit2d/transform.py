@@ -8,19 +8,35 @@ group element h the analysis plane is
 
 with psihat always evaluated in closed form at h^T xi.  Each public call
 stacks the (M, 2, 2) elements of its sampling once; one kernel yields
-|det h|^(1/2) and psihat(h^T xi) over that stack, a chunk at a time, and
-backs the multiplier, the analysis planes, the `invert` sum and both sides
-of `covariance_residual`.  Reductions across elements run in index order.
+|det h|^(1/2) and psihat(h^T xi) over a stack, a chunk at a time, and backs
+the multiplier, the analysis planes, the `invert` sum and both sides of
+`covariance_residual`.
+
+The wavelet factor |det h|^(1/2) psihat(h^T xi) is constant on the classes
+of H modulo the compact part K_psi of H that leaves the profile invariant.
+A `WaveletSpec` declares the chart columns its profile ignores in
+`WaveletSpec.ignored_columns`: theta for the radial similitude profile, the
+signs (e1, e2) for the diagonal one and eps for the shearlet one.  When psi
+has the family and conjugator of the group spec (as `default_wavelet`
+gives) the sampled rows are grouped by their remaining columns (`_classes`,
+one `np.unique` over the chart array) and the kernel runs on one
+representative row per class; on the default samplings that is 32 of 1024
+similitude, 256 of 1024 diagonal and 768 of 1536 shearlet rows.  Any other
+psi gets one class per row, and every result is then the per-element one
+bit for bit.
 
 The analysis planes come from one generator that takes the FFT of each
-signal once and yields, element by element, the planes of all its signals;
+signal once and yields, class by class, the planes of all its signals;
 where psihat(h^T xi) is exactly 0 on the lattice the plane is exactly 0 and
 its FFTs are skipped.  `analyze` is the only code that fills an M x N x N
-slab from it.  Norms with p != 2 (`signal_coorbit_norm`,
-`norm_ratio_profile`, which shares each psihat plane across its signals)
-and the CLI `analyze` report reduce each plane as it is computed, with the
-same per-plane formula and index-order sum as `coorbit_norm` of a slab, so
-the results agree bit for bit.
+slab from it, writing each class's plane into every row of the class.
+Norms with p != 2 (`signal_coorbit_norm`, `norm_ratio_profile`, which shares
+each psihat plane across its signals) and the CLI `analyze` report reduce
+each class's plane as it is computed, hand its sums to every row of the
+class, and total them over the M rows with the same per-plane formula and
+index-order sum as `coorbit_norm` of a slab, so the results agree bit for
+bit.  `invert` takes the FFT of every slab plane, since a slab may have been
+edited, and evaluates psihat once per class.
 
 The coorbit quasi-norm integrates |W|^p over space (cell (L/N)^2) and over
 the chart with the g-weights of the sampling; no triangle inequality is
@@ -36,9 +52,10 @@ Plancherel) and  invert(analyze(f)) = inverse FT of fhat C / C_psi.  The
 p = 2 norm of a signal (signal_coorbit_norm) and the reconstruction of a
 signal (reconstruct) are computed that way, with two FFTs at most and no
 M x N x N coefficient slab; the admissibility constant is the same sum at a
-few orbit samples.  `analyze`, `coorbit_norm` and `invert` remain the
-coefficient-domain path on a slab, and the tests use them as the reference
-for the multiplier and for the streamed reductions.
+few orbit samples.  C is summed once per class, which enters with the sum of
+the Haar weights of its rows.  `analyze`, `coorbit_norm` and `invert` remain
+the coefficient-domain path on a slab, and the tests use them as the
+reference for the multiplier and for the streamed reductions.
 """
 
 from __future__ import annotations
@@ -128,17 +145,20 @@ def _wavelet_chunks(psi, mats, xi1, xi2):
     shape = xi1.shape
     x1, x2 = xi1.reshape(1, -1), xi2.reshape(1, -1)
     step = max(1, _CHUNK_ELEMENTS // max(x1.size, 1))
+    # h^T xi of every chunk goes into one buffer: a fresh chunk-sized
+    # temporary is returned to the OS on free and page-faulted back in by
+    # the next chunk
+    buf = np.empty((3, min(step, len(mats)), x1.size))
     for lo in range(0, len(mats), step):
         h = mats[lo:lo + step]
+        k = len(h)
         det = np.abs(h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0])
-        # in-place sums: every fresh chunk-sized temporary is returned to the
-        # OS on free and page-faulted back in by the next chunk
-        eta1 = h[:, 0, 0, None] * x1
-        eta1 += h[:, 1, 0, None] * x2
-        eta2 = h[:, 0, 1, None] * x1
-        eta2 += h[:, 1, 1, None] * x2
+        eta1, eta2, tmp = buf[0, :k], buf[1, :k], buf[2, :k]
+        np.multiply(h[:, 0, 0, None], x1, out=eta1)
+        eta1 += np.multiply(h[:, 1, 0, None], x2, out=tmp)
+        np.multiply(h[:, 0, 1, None], x1, out=eta2)
+        eta2 += np.multiply(h[:, 1, 1, None], x2, out=tmp)
         vals = psi.evaluate(eta1, eta2)
-        del eta1, eta2
         yield lo, np.sqrt(det), vals.reshape((len(h),) + shape)
 
 
@@ -148,10 +168,34 @@ def _plane_factor(psi, h, xi1, xi2):
     return root[0] * np.conj(vals[0])
 
 
-def _multiplier(psi, mats, haar_w, xi1, xi2):
-    """calderon_multiplier over an element stack with its Haar weights."""
+def _classes(spec, sampling, psi):
+    """(first, inverse): the classes of the sampled elements modulo K_psi.
+
+    Rows that differ only in the chart columns `psi.ignored_columns` share a
+    class; first[k] is the lowest row of class k and inverse[i] the class of
+    row i.  Only a wavelet of the spec's own family and conjugator has that
+    invariance; any other pair gets one class per row, in index order.
+    """
+    rows = np.arange(len(sampling))
+    if psi.family != spec.family or not np.array_equal(psi.conjugator,
+                                                       spec.conjugator):
+        return rows, rows
+    key = np.delete(sampling.points, psi.ignored_columns, axis=1)
+    _, first, inverse = np.unique(key, axis=0, return_index=True,
+                                  return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+def _multiplier(spec, sampling, psi, mats, xi1, xi2):
+    """calderon_multiplier from the sampling's element stack `mats`.
+
+    psihat is evaluated once per class, which enters with the summed Haar
+    weight of its rows.
+    """
+    first, inverse = _classes(spec, sampling, psi)
+    haar_w = np.bincount(inverse, sampling.haar_w)
     total = np.zeros(np.broadcast_shapes(np.shape(xi1), np.shape(xi2)))
-    for lo, _, vals in _wavelet_chunks(psi, mats, xi1, xi2):
+    for lo, _, vals in _wavelet_chunks(psi, mats[first], xi1, xi2):
         k = len(vals)
         sq = np.square(vals, out=vals).reshape(k, -1)
         total += (haar_w[lo:lo + k] @ sq).reshape(total.shape)
@@ -161,11 +205,12 @@ def _multiplier(psi, mats, haar_w, xi1, xi2):
 def calderon_multiplier(spec, psi, sampling, xi1, xi2):
     """C(xi) = sum_h haar_w(h) |psihat(h^T xi)|^2 at broadcastable frequencies.
 
-    The sum runs over the sampled chart in index order, a chunk of elements
-    at a time; the result has the broadcast shape of (xi1, xi2).
+    The sum runs over the classes of the sampled chart modulo K_psi, a chunk
+    of class representatives at a time; the result has the broadcast shape of
+    (xi1, xi2).
     """
-    return _multiplier(psi, element_from_chart(spec, sampling.points),
-                       sampling.haar_w, xi1, xi2)
+    mats = element_from_chart(spec, sampling.points)
+    return _multiplier(spec, sampling, psi, mats, xi1, xi2)
 
 
 def _grid(signals):
@@ -180,26 +225,28 @@ def _lattice_multiplier(spec, sampling, psi, n, length, stacklevel):
     mats = element_from_chart(spec, sampling.points)
     _warn_uncovered(mats, psi, n, length, stacklevel + 1)
     xi1, xi2 = freq_grids(n, length)
-    return _multiplier(psi, mats, sampling.haar_w, xi1, xi2)
+    return _multiplier(spec, sampling, psi, mats, xi1, xi2)
 
 
 def _planes(signals, spec, sampling, psi, stacklevel):
-    """Analysis planes of grid signals that share one lattice, one element at a time.
+    """Analysis planes of grid signals that share one lattice, one class at a time.
 
-    The set-up (element stack, coverage warning, one FFT per signal) runs
-    before this returns; the generator then yields, for each element h_i in
-    index order, the (S, N, N) stack of planes W_s(., h_i), or None when
-    psihat(h_i^T xi) is exactly 0 on the lattice, where the plane is exactly 0
-    and its FFTs are skipped.
+    Returns (inverse, stream), with inverse[i] the class of row i (see
+    `_classes`).  The set-up (element stack, coverage warning, classes, one
+    FFT per signal) runs before this returns; the stream then yields, for
+    each class k in order, the (S, N, N) stack of planes W_s(., h) shared by
+    the rows h of the class, or None when psihat(h^T xi) is exactly 0 on the
+    lattice, where the plane is exactly 0 and its FFTs are skipped.
     """
     n, length = _grid(signals)
     mats = element_from_chart(spec, sampling.points)
     _warn_uncovered(mats, psi, n, length, stacklevel + 1)
+    first, inverse = _classes(spec, sampling, psi)
     fhats = [spectrum_from_signal(f) for f in signals]
     xi1, xi2 = freq_grids(n, length)
 
     def stream():
-        for _, root_det, vals in _wavelet_chunks(psi, mats, xi1, xi2):
+        for _, root_det, vals in _wavelet_chunks(psi, mats[first], xi1, xi2):
             for j in range(len(vals)):
                 if not vals[j].any():
                     yield None
@@ -210,7 +257,7 @@ def _planes(signals, spec, sampling, psi, stacklevel):
                     out[s] = signal_from_spectrum(fhat * factor, n, length)
                 yield out
 
-    return stream()
+    return inverse, stream()
 
 
 def _plane_stats(planes, shape, p, cell):
@@ -244,13 +291,15 @@ def _coorbit_total(sums, peaks, g_w, p):
 def _signal_stats(signals, spec, sampling, psi, p, stacklevel=2):
     """(M, S) per-plane sums of |W_s|^p (L/N)^2 and maxima of |W_s|.
 
-    The planes of the same-grid signals are reduced as they are computed, so
-    no M x N x N slab is held.
+    The planes of the same-grid signals are reduced as they are computed, one
+    class at a time, and each row takes the values of its class, so no
+    M x N x N slab is held.
     """
-    planes = _planes(signals, spec, sampling, psi, stacklevel + 1)
+    inverse, planes = _planes(signals, spec, sampling, psi, stacklevel + 1)
     n, length = signals[0].N, signals[0].L
-    return _plane_stats(planes, (len(sampling), len(signals)), p,
-                        (length / n) ** 2)
+    sums, peaks = _plane_stats(planes, (inverse.max() + 1, len(signals)), p,
+                               (length / n) ** 2)
+    return sums[inverse], peaks[inverse]
 
 
 def _signal_norms(signals, spec, sampling, psi, p, stacklevel):
@@ -299,11 +348,11 @@ def reconstruct(f, spec, sampling, psi, c_psi):
 
 def analyze(f, spec, sampling, psi):
     """Continuous wavelet transform of a grid signal over the sampled chart."""
-    stream = _planes([f], spec, sampling, psi, stacklevel=3)
+    inverse, stream = _planes([f], spec, sampling, psi, stacklevel=3)
     planes = np.zeros((len(sampling), f.N, f.N), dtype=complex)
-    for i, w in enumerate(stream):
+    for k, w in enumerate(stream):
         if w is not None:
-            planes[i] = w[0]
+            planes[inverse == k] = w[0]
     return CoeffSlab(planes, sampling, f.N, f.L)
 
 
@@ -393,7 +442,9 @@ def invert(slab, spec, sampling, psi, c_psi):
     """Reconstruction from a coefficient slab via the inversion formula.
 
     Accumulates g_w(h) * FT(W(., h)) * |det h|^(1/2) * psihat(h^T xi) in the
-    DFT domain and applies a single inverse transform, scaled by 1/C_psi.
+    DFT domain, class by class and within a class in index order, and
+    applies a single inverse transform, scaled by 1/C_psi.  Every plane of
+    the slab takes its own FFT; psihat is evaluated once per class.
     """
     if not (c_psi > 0):
         raise ValueError("C_psi must be positive")
@@ -403,11 +454,12 @@ def invert(slab, spec, sampling, psi, c_psi):
         raise ValueError("sampling does not match slab")
     acc = np.zeros((n, n), dtype=complex)
     mats = element_from_chart(spec, sampling.points)
-    for lo, root_det, vals in _wavelet_chunks(psi, mats, xi1, xi2):
+    first, inverse = _classes(spec, sampling, psi)
+    for lo, root_det, vals in _wavelet_chunks(psi, mats[first], xi1, xi2):
         for j in range(len(vals)):
-            i = lo + j
-            what = spectrum_from_signal(GridSignal(n, length, slab.planes[i]))
-            acc += (sampling.g_w[i] * root_det[j]) * what * vals[j]
+            for i in np.flatnonzero(inverse == lo + j):
+                what = spectrum_from_signal(GridSignal(n, length, slab.planes[i]))
+                acc += (sampling.g_w[i] * root_det[j]) * what * vals[j]
     data = signal_from_spectrum(acc / c_psi, n, length)
     return GridSignal(n, length, data)
 

@@ -35,6 +35,13 @@ def bump(t):
     return out
 
 
+# relative slack of the support masks in WaveletSpec.evaluate
+_SLACK = 1e-6
+
+# per family: the chart columns (see coorbit2d.groups) the profile ignores
+_IGNORED_COLUMNS = {SIMILITUDE: (1,), DIAGONAL: (2, 3), SHEARLET: (0,)}
+
+
 @dataclass(frozen=True, eq=False)
 class WaveletSpec:
     """Closed-form frequency profile tied to a group family and conjugator."""
@@ -51,32 +58,56 @@ class WaveletSpec:
         if self.center_scale <= 0 or self.bandwidth <= 0:
             raise ValueError("center scale and bandwidth must be positive")
 
+    @property
+    def ignored_columns(self):
+        """Chart columns of its own family on which psihat(h^T xi) does not depend.
+
+        For h = B m B^-1 with this wavelet's conjugator B, psihat(h^T xi) is the
+        profile at m^T B^T xi: the similitude profile is radial (theta drops
+        out), the diagonal profile is even in each coordinate (the signs drop
+        out), and the shearlet profile sees eps only through |eta1| and
+        eta2 / eta1.  |det h| ignores the same columns.
+        """
+        return _IGNORED_COLUMNS[self.family.kind]
+
     def evaluate(self, xi1, xi2):
         """psi-hat at arbitrary frequencies (broadcastable arrays or scalars)."""
         xi1 = np.asarray(xi1, dtype=float)
         xi2 = np.asarray(xi2, dtype=float)
         bt = self.conjugator.T
-        e1, e2 = np.broadcast_arrays(bt[0, 0] * xi1 + bt[0, 1] * xi2,
-                                     bt[1, 0] * xi1 + bt[1, 1] * xi2)
-        shape = e1.shape
-        e1 = np.atleast_1d(e1)
-        e2 = np.atleast_1d(e2)
+        shape = np.broadcast_shapes(xi1.shape, xi2.shape)
+        e1, e2, tmp = np.empty((3,) + (shape or (1,)))
+        np.multiply(bt[0, 0], xi1, out=e1)
+        e1 += np.multiply(bt[0, 1], xi2, out=tmp)
+        np.multiply(bt[1, 0], xi1, out=e2)
+        e2 += np.multiply(bt[1, 1], xi2, out=tmp)
         out = np.zeros(e1.shape)
         s0, w = self.center_scale, self.bandwidth
+        # bump(t) is 0 unless |t| < 1, i.e. unless each log-scale lies in
+        # (lo, hi); the masks keep a superset of those frequencies, with a
+        # slack far above the roundoff of log2(.) / w, and the closed form runs
+        # on the kept ones only: every other value is exactly 0 anyway
+        lo = s0 * 2.0 ** -w * (1.0 - _SLACK)
+        hi = s0 * 2.0 ** w * (1.0 + _SLACK)
         kind = self.family.kind
         if kind == SIMILITUDE:
-            r = np.hypot(e1, e2)
-            m = r > 0.0
-            out[m] = bump(np.log2(r[m] / s0) / w)
+            r2 = np.square(e1)
+            r2 += np.square(e2, out=tmp)
+            m = (r2 > lo * lo) & (r2 < hi * hi)
+            out[m] = bump(np.log2(np.hypot(e1[m], e2[m]) / s0) / w)
         elif kind == DIAGONAL:
-            m = (e1 != 0.0) & (e2 != 0.0)
-            out[m] = (bump(np.log2(np.abs(e1[m]) / s0) / w)
-                      * bump(np.log2(np.abs(e2[m]) / s0) / w))
+            a1, a2 = np.abs(e1), np.abs(e2, out=tmp)
+            m = (a1 > lo) & (a1 < hi) & (a2 > lo) & (a2 < hi)
+            out[m] = (bump(np.log2(a1[m] / s0) / w)
+                      * bump(np.log2(a2[m] / s0) / w))
         else:
-            m = e1 != 0.0
-            out[m] = (bump(np.log2(np.abs(e1[m]) / s0) / w)
+            a1 = np.abs(e1)
+            m = ((a1 > lo) & (a1 < hi)
+                 & (np.abs(e2, out=tmp) < w * (1.0 + _SLACK) * a1))
+            out[m] = (bump(np.log2(a1[m] / s0) / w)
                       * bump((e2[m] / e1[m]) / w))
-        return (self.amplitude * out).reshape(shape)
+        out *= self.amplitude
+        return out.reshape(shape)
 
     def scaled(self, factor):
         """Same profile with the amplitude multiplied by `factor`."""

@@ -223,6 +223,14 @@ class TestExitCodes:
         "gen-signal freq_bump {out} --sigma -1",
         "covariance {similitude} --N 12",
         "calderon {similitude} --n-samples 0",
+        "classify {similitude} --tol nan",
+        "classify {similitude} --tol inf",
+        "equiv {similitude} {similitude} --tol -1",
+        "symmetry {similitude} --matrix 1,0,0,1 --tol nan",
+        "gen-signal freq_bump {out} --amplitude nan",
+        "gen-signal freq_bump {out} --amplitude inf",
+        "gen-signal freq_bump {out} --seed -1",
+        "compare {similitude} {similitude} --seed -1",
     ])
     def test_bad_flag_is_usage_error(self, capsys, tmp_path, bump_signal, command):
         paths = {"signal": bump_signal, "out": str(tmp_path / "out.sig")}
@@ -231,6 +239,11 @@ class TestExitCodes:
             write_group_spec(paths[name], GroupSpec(family))
         assert main(command.format(**paths).split()) == 1
         assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_zero_tolerance_is_accepted(self, capsys, diag_path):
+        code, report = run_cli(capsys, "equiv", diag_path, diag_path, "--tol", "0")
+        assert code == 0
+        assert report["tolerances"] == {"tol": 0.0}
 
     def test_unexpected_exception_exit_five(self, capsys, monkeypatch, diag_path):
         def boom(args):

@@ -13,6 +13,7 @@ from coorbit2d import (
     OrbitSampleError,
     ShearletChart,
     SimilitudeChart,
+    WaveletSpec,
     analyze,
     build_sampling,
     calderon_constant,
@@ -731,10 +732,15 @@ class TestStreamedReduction:
         _, spec, psi, sampling, f, slab = stream_case
         calls = _count_inverse_ffts(monkeypatch)
         signal_coorbit_norm(f, spec, sampling, psi, 1)
-        assert len(calls) == _nonzero_planes(slab)
+        # one FFT per class of H/K_psi with a nonzero plane: the slab holds
+        # each class's plane in all of its rows
+        planes = slab.planes.reshape(len(slab), -1)
+        distinct = len(np.unique(planes[np.any(planes, axis=1)], axis=0))
+        assert distinct < _nonzero_planes(slab)
+        assert len(calls) == distinct
         calls.clear()
         assert np.array_equal(analyze(f, spec, sampling, psi).planes, slab.planes)
-        assert len(calls) == _nonzero_planes(slab)
+        assert len(calls) == distinct
 
     def test_sampling_off_the_lattice_gives_zero(self, stream_case, monkeypatch):
         family, spec, psi, _, f, _ = stream_case
@@ -804,6 +810,102 @@ class TestBatchedProfile:
         sampling = diagonal_sampling(spec, n_lam=4)
         norm_ratio_profile(spec, spec, p, _profile_signals(), sampling, sampling)
         assert len(stacks) == 4  # 2 specs x 2 grids, not 2 x 5 signals
+
+
+# ---------------------------------------------------------------------------
+# the transform factored through the stabilizer K_psi of the wavelet profile
+
+# default samplings: (classes, rows) for the similitude (key lam), diagonal
+# (key lam1, lam2) and shearlet (key lam, b) charts
+CLASS_COUNTS = {"similitude": (32, 1024), "diagonal": (256, 1024),
+                "shearlet": (768, 1536)}
+
+
+def _element_factor(spec, psi, point, xi1, xi2):
+    """Reference |det h|^(1/2) psihat(h^T xi) at one chart point."""
+    h = element_from_chart(spec, point)
+    return np.sqrt(abs(np.linalg.det(h))) * psi.evaluate(
+        h[0, 0] * xi1 + h[1, 0] * xi2, h[0, 1] * xi1 + h[1, 1] * xi2)
+
+
+class TestStabilizerQuotient:
+    @pytest.mark.parametrize("family", sorted(CLASS_COUNTS))
+    def test_planes_equal_their_class_representative(self, family):
+        spec = SMALL_CASES[family][0]
+        psi = default_wavelet(spec)
+        sampling = default_sampling(spec)
+        first, inverse = transform._classes(spec, sampling, psi)
+        assert (len(first), len(sampling)) == CLASS_COUNTS[family]
+        key = np.delete(sampling.points, psi.ignored_columns, axis=1)
+        assert np.array_equal(key[first][inverse], key)
+        xi1, xi2 = freq_grids(64, 16.0)
+        reps = [_element_factor(spec, psi, sampling.points[i], xi1, xi2)
+                for i in first]
+        # relative to the largest plane, as in test_planes_in_sampling_order:
+        # planes that hold only the far tail of the bump carry no digits of
+        # their own
+        scale = max(np.max(np.abs(r)) for r in reps)
+        assert scale > 0.0
+        for point, k in zip(sampling.points, inverse):
+            plane = _element_factor(spec, psi, point, xi1, xi2)
+            assert np.max(np.abs(plane - reps[k])) <= ROUNDOFF * scale
+
+    def test_any_profile_of_the_spec_family_and_conjugator_is_factored(self):
+        spec = SMALL_CASES["similitude"][0]
+        sampling = similitude_sampling(spec, n_lam=4, n_theta=8)
+        psi = WaveletSpec(spec.family, spec.conjugator, 1.2, 0.8, 3.0)
+        first, _ = transform._classes(spec, sampling, psi)
+        assert len(first) == 4
+
+    @pytest.mark.parametrize("family,psi", [
+        ("similitude", WaveletSpec(similitude(), np.eye(2))),
+        ("shearlet", WaveletSpec(shearlet(0.5), rotation(-0.5))),
+        ("diagonal", WaveletSpec(similitude(), rotation(0.3) @ np.diag([1.0, 1.5]))),
+    ], ids=["other-conjugator", "other-exponent", "other-family"])
+    def test_other_wavelet_gets_one_class_per_row(self, family, psi):
+        spec, make_sampling = SMALL_CASES[family]
+        sampling = make_sampling(spec)
+        f = GridSignal(32, 8.0, np.random.default_rng(6).normal(size=(32, 32)))
+        first, inverse = transform._classes(spec, sampling, psi)
+        assert np.array_equal(first, np.arange(len(sampling)))
+        assert np.array_equal(inverse, first)
+        # the per-element path: the kernel on one element at a time, in index order
+        slab = analyze(f, spec, sampling, psi)
+        fhat = spectrum_from_signal(f)
+        xi1, xi2 = freq_grids(f.N, f.L)
+        mats = element_from_chart(spec, sampling.points)
+        planes = np.zeros_like(slab.planes)
+        acc = 0.0
+        for i in range(len(sampling)):
+            ((_, root, vals),) = transform._wavelet_chunks(psi, mats[i:i + 1], xi1, xi2)
+            if vals[0].any():
+                planes[i] = signal_from_spectrum(fhat * (root[0] * np.conj(vals[0])),
+                                                 f.N, f.L)
+            what = spectrum_from_signal(GridSignal(f.N, f.L, slab.planes[i]))
+            acc = acc + (sampling.g_w[i] * root[0]) * what * vals[0]
+        assert np.array_equal(slab.planes, planes)
+        assert np.array_equal(invert(slab, spec, sampling, psi, 1.7).data,
+                              signal_from_spectrum(acc / 1.7, f.N, f.L))
+        sums, _ = transform._signal_stats([f], spec, sampling, psi, 2)
+        assert np.array_equal(sums[:, 0], slab.plane_energies())
+        for p in (0.5, 1, 3, np.inf):
+            assert signal_coorbit_norm(f, spec, sampling, psi, p) == coorbit_norm(slab, p)
+
+    @pytest.mark.parametrize("p", EXPONENTS)
+    def test_norms_and_profile_rows_equal_slab_norms(self, stream_case, p):
+        _, spec, psi, sampling, f, slab = stream_case
+        first, _ = transform._classes(spec, sampling, psi)
+        assert len(first) < len(sampling)
+        signals = [psi_atom(f.N, f.L, psi),
+                   freq_bump(f.N, f.L, center=(0.9, 0.3), sigma=0.2)]
+        other = GroupSpec(spec.family, rotation(0.7) @ spec.conjugator)
+        table = norm_ratio_profile(spec, other, p, signals, sampling,
+                                   sampling)
+        assert signal_coorbit_norm(f, spec, sampling, psi, p) == coorbit_norm(slab, p)
+        for g, row in zip(signals, table.rows):
+            assert row.norm1 == coorbit_norm(analyze(g.signal, spec, sampling, psi), p)
+            assert row.norm2 == coorbit_norm(
+                analyze(g.signal, other, sampling, default_wavelet(other)), p)
 
 
 def test_streamed_norm_holds_no_slab():

@@ -5,6 +5,7 @@ from coorbit2d import (
     CoverageWarning,
     GridSignal,
     GroupSpec,
+    WaveletSpec,
     diagonal,
     default_wavelet,
     freq_bump,
@@ -19,6 +20,7 @@ from coorbit2d import (
     spectrum_from_signal,
     wave_packet,
 )
+from coorbit2d.signals import _phase_grid
 from coorbit2d.wavelets import bump, verify_support_in_orbit
 
 
@@ -73,7 +75,61 @@ class TestWaveletProfiles:
         assert psi_d.evaluate(0.0, 0.7) == 0.0
 
 
+def _standard_points(kind, s0, w, rng, n):
+    """2n frequencies eta in standard coordinates, by log-scale t (|eta| = s0 2^(w t)):
+    n with t uniform in (-1.01, 1.01), n with |t| within 1e-3 of the support
+    edge |t| = 1, where bump is tiny but not yet 0."""
+    t = np.concatenate([rng.uniform(-1.01, 1.01, (n, 2)),
+                        rng.choice([-1.0, 1.0], (n, 2)) * rng.uniform(0.999, 1.001, (n, 2))])
+    mags = s0 * 2.0 ** (w * t)
+    signs = rng.choice([-1.0, 1.0], mags.shape)
+    if kind == "similitude":
+        ang = rng.uniform(0.0, 2.0 * np.pi, len(mags))
+        return mags[:, 0] * np.cos(ang), mags[:, 0] * np.sin(ang)
+    if kind == "diagonal":
+        return signs[:, 0] * mags[:, 0], signs[:, 1] * mags[:, 1]
+    eta1 = signs[:, 0] * mags[:, 0]
+    return eta1, eta1 * w * t[:, 1]
+
+
+class TestSupportMask:
+    @pytest.mark.parametrize("family", [similitude(), diagonal(), shearlet(0.7)],
+                             ids=lambda f: f.kind)
+    def test_masked_evaluate_equals_the_closed_form(self, family, rng):
+        b = rotation(0.4) @ np.diag([1.3, 0.8])
+        psi = WaveletSpec(family, b, 0.9, 1.3, -1.7)
+        s0, w = psi.center_scale, psi.bandwidth
+        eta1, eta2 = _standard_points(family.kind, s0, w, rng, 100_000)
+        binv_t = np.linalg.inv(b).T
+        xi1 = binv_t[0, 0] * eta1 + binv_t[0, 1] * eta2
+        xi2 = binv_t[1, 0] * eta1 + binv_t[1, 1] * eta2
+        # the closed form at every frequency, with no support mask
+        bt = b.T
+        e1 = bt[0, 0] * xi1 + bt[0, 1] * xi2
+        e2 = bt[1, 0] * xi1 + bt[1, 1] * xi2
+        if family.kind == "similitude":
+            ref = bump(np.log2(np.hypot(e1, e2) / s0) / w)
+        elif family.kind == "diagonal":
+            ref = (bump(np.log2(np.abs(e1) / s0) / w)
+                   * bump(np.log2(np.abs(e2) / s0) / w))
+        else:
+            ref = bump(np.log2(np.abs(e1) / s0) / w) * bump((e2 / e1) / w)
+        ref = psi.amplitude * ref
+        got = psi.evaluate(xi1, xi2)
+        # the points near the edge hold values that are tiny but not 0
+        tail = (ref != 0.0) & (np.abs(ref) < 1e-100)
+        assert np.count_nonzero(tail) >= 100
+        assert np.array_equal(got, ref)
+
+
 class TestGridSignal:
+    def test_phase_grid_built_once_per_size(self):
+        grid = _phase_grid(16)
+        assert _phase_grid(16) is grid
+        assert not grid.flags.writeable
+        s = (-1.0) ** np.arange(16)
+        assert np.array_equal(grid, np.outer(s, s))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSignal(6, 1.0, np.zeros((6, 6)))
