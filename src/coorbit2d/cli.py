@@ -470,20 +470,26 @@ def _cmd_gen_signal(args):
         center = (r * np.cos(ang), r * np.sin(ang))
     t0 = time.perf_counter()
     if args.kind == "wave_packet":
-        f = gen_test_signal("wave_packet", n, length, center=center,
-                            sigma_along=args.sigma, sigma_across=args.sigma / 2,
-                            direction=np.arctan2(center[1], center[0]),
-                            amplitude=args.amplitude)
+        params = dict(sigma_along=args.sigma, sigma_across=args.sigma / 2,
+                      direction=np.arctan2(center[1], center[0]))
     else:
-        f = gen_test_signal("freq_bump", n, length, center=center,
-                            sigma=args.sigma, shape=args.shape,
-                            amplitude=args.amplitude)
+        params = dict(sigma=args.sigma, shape=args.shape)
+    # the other flags are checked when parsed: a ValueError is an overflow
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = gen_test_signal(args.kind, n, length, center=center,
+                                amplitude=args.amplitude, **params)
+            l2_norm = f.signal.norm_l2()
+    except ValueError:
+        l2_norm = np.inf
+    if not np.isfinite(l2_norm):
+        raise _UsageError(f"--amplitude {args.amplitude:g} overflows the signal")
     write_signal(args.out_signal, f.signal)
     report = make_report(
         "gen-signal",
         {"kind": args.kind, "N": n, "L": length, "seed": args.seed},
         {"label": f.label, "center": list(center), "sigma": args.sigma,
-         "l2_norm": f.signal.norm_l2(), "written": str(args.out_signal)},
+         "l2_norm": l2_norm, "written": str(args.out_signal)},
         timing=time.perf_counter() - t0,
     )
     _emit(args, report)
@@ -547,7 +553,7 @@ def build_parser():
     p.add_argument("group")
     p.add_argument("signal")
     p.add_argument("--out-signal", default=None, help="write the reconstruction here")
-    p.add_argument("--max-error", type=float, default=None,
+    p.add_argument("--max-error", type=_TOLERANCE, default=None,
                    help="exit 4 if the relative L2 error exceeds this")
     _add_sampling_flags(p)
     common(p, tol=False)
@@ -556,7 +562,7 @@ def build_parser():
     p = sub.add_parser("calderon", help="admissibility constant and its deviation")
     p.add_argument("group")
     p.add_argument("--n-samples", type=_COUNT, default=16)
-    p.add_argument("--max-deviation", type=float, default=None,
+    p.add_argument("--max-deviation", type=_TOLERANCE, default=None,
                    help="exit 4 if the relative deviation exceeds this")
     _add_sampling_flags(p)
     common(p, tol=False)
@@ -566,7 +572,7 @@ def build_parser():
     p.add_argument("group")
     p.add_argument("--N", type=_GRID_SIZE, default=128)
     p.add_argument("--L", type=_POSITIVE, default=16.0)
-    p.add_argument("--max-residual", type=float, default=None,
+    p.add_argument("--max-residual", type=_TOLERANCE, default=None,
                    help="exit 4 if a gated residual exceeds this")
     common(p, tol=False)
     p.set_defaults(fn=_cmd_covariance)
@@ -577,7 +583,7 @@ def build_parser():
     p.add_argument("--p", default="1")
     p.add_argument("--N", type=_GRID_SIZE, default=64)
     p.add_argument("--L", type=_POSITIVE, default=16.0)
-    p.add_argument("--n-signals", type=int, default=5)
+    p.add_argument("--n-signals", type=_COUNT, default=5)
     p.add_argument("--seed", type=_SEED, default=0)
     common(p, tol=False)
     p.set_defaults(fn=_cmd_compare)

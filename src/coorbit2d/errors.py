@@ -34,4 +34,4 @@ class FormatError(CoorbitError, ValueError):
 
 
 class CoverageWarning(UserWarning):
-    """Frequency content falls outside the representable or sampled region."""
+    """A test signal's spectrum reaches beyond the band its grid represents."""

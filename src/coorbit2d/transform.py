@@ -7,10 +7,10 @@ group element h the analysis plane is
     W(., h) = inverse FT of [ fhat(xi) * |det h|^(1/2) * conj(psihat(h^T xi)) ]
 
 with psihat always evaluated in closed form at h^T xi.  Each public call
-stacks the (M, 2, 2) elements of its sampling once; one kernel yields
-|det h|^(1/2) and psihat(h^T xi) over a stack, a chunk at a time, and backs
-the multiplier, the analysis planes, the `invert` sum and both sides of
-`covariance_residual`.
+stacks the 2 x 2 elements of its class representatives (below) once; one
+kernel yields |det h|^(1/2) and psihat(h^T xi) over a stack, a chunk at a
+time, and backs the multiplier, the analysis planes, the `invert` sum and
+both sides of `covariance_residual`.
 
 The wavelet factor |det h|^(1/2) psihat(h^T xi) is constant on the classes
 of H modulo the compact part K_psi of H that leaves the profile invariant.
@@ -56,18 +56,20 @@ few orbit samples.  C is summed once per class, which enters with the sum of
 the Haar weights of its rows.  `analyze`, `coorbit_norm` and `invert` remain
 the coefficient-domain path on a slab, and the tests use them as the
 reference for the multiplier and for the streamed reductions.
+
+No coverage check runs here: an h that maps the wavelet off the lattice
+gives a zero plane.  Only the test signals of `signals` warn on coverage.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .classify import orbit_contains
-from .errors import CoverageWarning, NotInGroupError, OrbitSampleError
+from .errors import NotInGroupError, OrbitSampleError
 from .groups import (
     DIAGONAL,
     SHEARLET,
@@ -108,23 +110,6 @@ class CoeffSlab:
         """Per-plane spatial L^2 energies, cell-weighted."""
         sums, _ = _plane_stats(self.planes, (len(self),), 2, (self.L / self.N) ** 2)
         return sums
-
-
-def _warn_uncovered(mats, psi, n, length, stacklevel):
-    """Warn when some sampled h pushes the wavelet support out of the band."""
-    nyq = (n / 2 - 1) / length
-    m1, m2 = psi.support_box()
-    corners = np.array([[m1, m2], [m1, -m2], [-m1, m2], [-m1, -m2]]).T
-    # support of xi -> psihat(h^T xi) is (h B)^-T applied to the eta box
-    mapped = np.linalg.inv(np.swapaxes(mats @ psi.conjugator, 1, 2)) @ corners
-    worst = float(np.max(np.abs(mapped)))
-    if worst > nyq:
-        warnings.warn(
-            f"wavelet support reaches |xi| ~ {worst:.3g} for some sampled h, "
-            f"beyond the representable band {nyq:.3g}",
-            CoverageWarning,
-            stacklevel=stacklevel,
-        )
 
 
 # elements per chunk times frequencies: one 128 x 128 plane.  On a 2-core Xeon
@@ -186,22 +171,6 @@ def _classes(spec, sampling, psi):
     return first, inverse.reshape(-1)
 
 
-def _multiplier(spec, sampling, psi, mats, xi1, xi2):
-    """calderon_multiplier from the sampling's element stack `mats`.
-
-    psihat is evaluated once per class, which enters with the summed Haar
-    weight of its rows.
-    """
-    first, inverse = _classes(spec, sampling, psi)
-    haar_w = np.bincount(inverse, sampling.haar_w)
-    total = np.zeros(np.broadcast_shapes(np.shape(xi1), np.shape(xi2)))
-    for lo, _, vals in _wavelet_chunks(psi, mats[first], xi1, xi2):
-        k = len(vals)
-        sq = np.square(vals, out=vals).reshape(k, -1)
-        total += (haar_w[lo:lo + k] @ sq).reshape(total.shape)
-    return total
-
-
 def calderon_multiplier(spec, psi, sampling, xi1, xi2):
     """C(xi) = sum_h haar_w(h) |psihat(h^T xi)|^2 at broadcastable frequencies.
 
@@ -209,8 +178,15 @@ def calderon_multiplier(spec, psi, sampling, xi1, xi2):
     of class representatives at a time; the result has the broadcast shape of
     (xi1, xi2).
     """
-    mats = element_from_chart(spec, sampling.points)
-    return _multiplier(spec, sampling, psi, mats, xi1, xi2)
+    first, inverse = _classes(spec, sampling, psi)
+    haar_w = np.bincount(inverse, sampling.haar_w)
+    mats = element_from_chart(spec, sampling.points[first])
+    total = np.zeros(np.broadcast_shapes(np.shape(xi1), np.shape(xi2)))
+    for lo, _, vals in _wavelet_chunks(psi, mats, xi1, xi2):
+        k = len(vals)
+        sq = np.square(vals, out=vals).reshape(k, -1)
+        total += (haar_w[lo:lo + k] @ sq).reshape(total.shape)
+    return total
 
 
 def _grid(signals):
@@ -220,44 +196,25 @@ def _grid(signals):
     return signals[0].N, signals[0].L
 
 
-def _lattice_multiplier(spec, sampling, psi, n, length, stacklevel):
-    """The Calderon multiplier on the n x n lattice of an L = length square."""
-    mats = element_from_chart(spec, sampling.points)
-    _warn_uncovered(mats, psi, n, length, stacklevel + 1)
-    xi1, xi2 = freq_grids(n, length)
-    return _multiplier(spec, sampling, psi, mats, xi1, xi2)
+def _planes(signals, mats, psi):
+    """Analysis planes of grid signals that share one lattice, one element at a time.
 
-
-def _planes(signals, spec, sampling, psi, stacklevel):
-    """Analysis planes of grid signals that share one lattice, one class at a time.
-
-    Returns (inverse, stream), with inverse[i] the class of row i (see
-    `_classes`).  The set-up (element stack, coverage warning, classes, one
-    FFT per signal) runs before this returns; the stream then yields, for
-    each class k in order, the (S, N, N) stack of planes W_s(., h) shared by
-    the rows h of the class, or None when psihat(h^T xi) is exactly 0 on the
-    lattice, where the plane is exactly 0 and its FFTs are skipped.
+    Yields, for each element h of the stack `mats` in order, the (S, N, N)
+    stack of planes W_s(., h), or None when psihat(h^T xi) is exactly 0 on
+    the lattice, where the plane is exactly 0 and its FFTs are skipped.
     """
-    n, length = _grid(signals)
-    mats = element_from_chart(spec, sampling.points)
-    _warn_uncovered(mats, psi, n, length, stacklevel + 1)
-    first, inverse = _classes(spec, sampling, psi)
+    n, length = signals[0].N, signals[0].L
     fhats = [spectrum_from_signal(f) for f in signals]
-    xi1, xi2 = freq_grids(n, length)
-
-    def stream():
-        for _, root_det, vals in _wavelet_chunks(psi, mats[first], xi1, xi2):
-            for j in range(len(vals)):
-                if not vals[j].any():
-                    yield None
-                    continue
-                factor = root_det[j] * np.conj(vals[j])
-                out = np.empty((len(fhats), n, n), dtype=complex)
-                for s, fhat in enumerate(fhats):
-                    out[s] = signal_from_spectrum(fhat * factor, n, length)
-                yield out
-
-    return inverse, stream()
+    for _, root_det, vals in _wavelet_chunks(psi, mats, *freq_grids(n, length)):
+        for j in range(len(vals)):
+            if not vals[j].any():
+                yield None
+                continue
+            factor = root_det[j] * np.conj(vals[j])
+            out = np.empty((len(fhats), n, n), dtype=complex)
+            for s, fhat in enumerate(fhats):
+                out[s] = signal_from_spectrum(fhat * factor, n, length)
+            yield out
 
 
 def _plane_stats(planes, shape, p, cell):
@@ -288,21 +245,22 @@ def _coorbit_total(sums, peaks, g_w, p):
     return float(total ** (1.0 / p))
 
 
-def _signal_stats(signals, spec, sampling, psi, p, stacklevel=2):
+def _signal_stats(signals, spec, sampling, psi, p):
     """(M, S) per-plane sums of |W_s|^p (L/N)^2 and maxima of |W_s|.
 
     The planes of the same-grid signals are reduced as they are computed, one
     class at a time, and each row takes the values of its class, so no
     M x N x N slab is held.
     """
-    inverse, planes = _planes(signals, spec, sampling, psi, stacklevel + 1)
-    n, length = signals[0].N, signals[0].L
-    sums, peaks = _plane_stats(planes, (inverse.max() + 1, len(signals)), p,
-                               (length / n) ** 2)
+    n, length = _grid(signals)
+    first, inverse = _classes(spec, sampling, psi)
+    mats = element_from_chart(spec, sampling.points[first])
+    sums, peaks = _plane_stats(_planes(signals, mats, psi),
+                               (len(first), len(signals)), p, (length / n) ** 2)
     return sums[inverse], peaks[inverse]
 
 
-def _signal_norms(signals, spec, sampling, psi, p, stacklevel):
+def _signal_norms(signals, spec, sampling, psi, p):
     """Coorbit quasi-norms of grid signals that share one lattice.
 
     p = 2 builds the Calderon multiplier once; any other p streams the
@@ -310,10 +268,10 @@ def _signal_norms(signals, spec, sampling, psi, p, stacklevel):
     """
     n, length = _grid(signals)
     if p == 2:
-        c = _lattice_multiplier(spec, sampling, psi, n, length, stacklevel + 1)
+        c = calderon_multiplier(spec, psi, sampling, *freq_grids(n, length))
         return [float(np.sqrt(np.sum(np.abs(spectrum_from_signal(f)) ** 2 * c))
                       / length) for f in signals]
-    sums, peaks = _signal_stats(signals, spec, sampling, psi, p, stacklevel + 1)
+    sums, peaks = _signal_stats(signals, spec, sampling, psi, p)
     return [_coorbit_total(sums[:, k], peaks[:, k], sampling.g_w, p)
             for k in range(len(signals))]
 
@@ -332,7 +290,7 @@ def signal_coorbit_norm(f, spec, sampling, psi, p):
     equals coorbit_norm(analyze(f), p) bit for bit.
     """
     _check_exponent(p)
-    (value,) = _signal_norms([f], spec, sampling, psi, p, stacklevel=3)
+    (value,) = _signal_norms([f], spec, sampling, psi, p)
     return value
 
 
@@ -341,19 +299,21 @@ def reconstruct(f, spec, sampling, psi, c_psi):
     if not (c_psi > 0):
         raise ValueError("C_psi must be positive")
     n, length = _grid([f])
-    c = _lattice_multiplier(spec, sampling, psi, n, length, stacklevel=3)
+    c = calderon_multiplier(spec, psi, sampling, *freq_grids(n, length))
     rec = signal_from_spectrum(spectrum_from_signal(f) * c / c_psi, n, length)
     return GridSignal(n, length, rec)
 
 
 def analyze(f, spec, sampling, psi):
     """Continuous wavelet transform of a grid signal over the sampled chart."""
-    inverse, stream = _planes([f], spec, sampling, psi, stacklevel=3)
-    planes = np.zeros((len(sampling), f.N, f.N), dtype=complex)
-    for k, w in enumerate(stream):
+    n, length = _grid([f])
+    first, inverse = _classes(spec, sampling, psi)
+    mats = element_from_chart(spec, sampling.points[first])
+    planes = np.zeros((len(sampling), n, n), dtype=complex)
+    for k, w in enumerate(_planes([f], mats, psi)):
         if w is not None:
             planes[inverse == k] = w[0]
-    return CoeffSlab(planes, sampling, f.N, f.L)
+    return CoeffSlab(planes, sampling, n, length)
 
 
 def coorbit_norm(slab, p):
@@ -449,13 +409,12 @@ def invert(slab, spec, sampling, psi, c_psi):
     if not (c_psi > 0):
         raise ValueError("C_psi must be positive")
     n, length = slab.N, slab.L
-    xi1, xi2 = freq_grids(n, length)
     if len(sampling) != len(slab):
         raise ValueError("sampling does not match slab")
     acc = np.zeros((n, n), dtype=complex)
-    mats = element_from_chart(spec, sampling.points)
     first, inverse = _classes(spec, sampling, psi)
-    for lo, root_det, vals in _wavelet_chunks(psi, mats[first], xi1, xi2):
+    mats = element_from_chart(spec, sampling.points[first])
+    for lo, root_det, vals in _wavelet_chunks(psi, mats, *freq_grids(n, length)):
         for j in range(len(vals)):
             for i in np.flatnonzero(inverse == lo + j):
                 what = spectrum_from_signal(GridSignal(n, length, slab.planes[i]))
@@ -585,8 +544,8 @@ def norm_ratio_profile(s1, s2, p, signals, sampling1, sampling2,
     norms = [None] * len(signals)
     for ks in by_grid.values():
         grid = [signals[k].signal for k in ks]
-        pairs = zip(_signal_norms(grid, s1, sampling1, psi1, p, stacklevel=3),
-                    _signal_norms(grid, s2, sampling2, psi2, p, stacklevel=3))
+        pairs = zip(_signal_norms(grid, s1, sampling1, psi1, p),
+                    _signal_norms(grid, s2, sampling2, psi2, p))
         for k, pair in zip(ks, pairs):
             norms[k] = pair
     rows = []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from coorbit2d import (
+    CoverageWarning,
     GridSignal,
     GroupSpec,
     analyze,
@@ -55,11 +56,7 @@ def diag_path(tmp_path):
 
 @pytest.fixture
 def bump_signal(tmp_path):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        f = freq_bump(64, 16.0, center=(0.9, 0.9), sigma=0.12)
+    f = freq_bump(64, 16.0, center=(0.9, 0.9), sigma=0.12)
     p = tmp_path / "bump.sig"
     write_signal(p, f.signal)
     return str(p)
@@ -231,6 +228,12 @@ class TestExitCodes:
         "gen-signal freq_bump {out} --amplitude inf",
         "gen-signal freq_bump {out} --seed -1",
         "compare {similitude} {similitude} --seed -1",
+        "compare {similitude} {similitude} --n-signals 0",
+        "compare {similitude} {similitude} --n-signals -3",
+        "invert {similitude} {signal} --max-error nan",
+        "invert {similitude} {signal} --max-error -1",
+        "calderon {similitude} --max-deviation nan",
+        "covariance {similitude} --max-residual nan",
     ])
     def test_bad_flag_is_usage_error(self, capsys, tmp_path, bump_signal, command):
         paths = {"signal": bump_signal, "out": str(tmp_path / "out.sig")}
@@ -239,6 +242,19 @@ class TestExitCodes:
             write_group_spec(paths[name], GroupSpec(family))
         assert main(command.format(**paths).split()) == 1
         assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize("kind", ["freq_bump", "wave_packet"])
+    @pytest.mark.parametrize("amplitude", ["1e308", "1e200"])
+    def test_overflowing_amplitude_is_usage_error(self, capsys, tmp_path, kind,
+                                                  amplitude):
+        # finite amplitudes whose signal (1e308) or its L2 norm (1e200)
+        # overflows at N = 128
+        out = tmp_path / "out.sig"
+        assert main(["gen-signal", kind, str(out), "--amplitude", amplitude]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --amplitude ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_zero_tolerance_is_accepted(self, capsys, diag_path):
         code, report = run_cli(capsys, "equiv", diag_path, diag_path, "--tol", "0")
@@ -338,10 +354,12 @@ class TestPipeline:
         g1, g2 = tmp_path / "a.json", tmp_path / "b.json"
         write_group_spec(g1, GroupSpec(shearlet(1.0)))
         write_group_spec(g2, GroupSpec(shearlet(1.0), rotation(np.pi / 4)))
-        code, rep = run_cli(
-            capsys, "compare", str(g1), str(g2),
-            "--N", "32", "--n-signals", "2", "--p", "1",
-        )
+        # the higher-frequency packet reaches past the 32 x 32 band (0.94)
+        with pytest.warns(CoverageWarning, match="wave packet"):
+            code, rep = run_cli(
+                capsys, "compare", str(g1), str(g2),
+                "--N", "32", "--n-signals", "2", "--p", "1",
+            )
         assert code == 0
         assert len(rep["values"]["rows"]) == 2
 
@@ -370,9 +388,7 @@ class TestMultiplierCommands:
         gpath, spath = tmp_path / "g.json", tmp_path / "f.sig"
         write_group_spec(gpath, spec)
         center = np.linalg.inv(spec.conjugator).T @ np.array([1.0, 0.3])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            write_signal(spath, freq_bump(32, 8.0, center=center, sigma=0.2).signal)
+        write_signal(spath, freq_bump(32, 8.0, center=center, sigma=0.2).signal)
         return spec, str(gpath), str(spath), flags, make_sampling(spec)
 
     def test_norm2_matches_slab_path(self, tmp_path, capsys, family):
@@ -398,6 +414,19 @@ class TestMultiplierCommands:
             code, rep = run_cli(capsys, "norm", gpath, spath, "--p", p, *flags)
             assert code == 0
             assert rep["values"]["coorbit_norm"] == coorbit_norm(slab, float(p))
+
+    def test_default_sampling_writes_nothing_to_stderr(self, tmp_path, capsys,
+                                                       family):
+        # at fine scales the default samplings map the wavelet off the band
+        # on purpose: those planes are exactly 0 and nothing is wrong
+        spec, gpath, spath, *_ = self._setup(tmp_path, family)
+        for command, *flags in (["analyze"], ["norm"], ["norm", "--p", "1"],
+                                ["invert"]):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                assert main([command, gpath, spath, *flags]) == 0
+            assert capsys.readouterr().err == ""
+            assert record == []
 
     def test_invert_matches_library_invert(self, tmp_path, capsys, family):
         spec, gpath, spath, flags, sampling = self._setup(tmp_path, family)
