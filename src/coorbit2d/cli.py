@@ -97,17 +97,24 @@ def _canonical_doc(cf):
     return doc
 
 
+def _given(**counts):
+    """The count flags the user gave; the others take the builder's defaults."""
+    return {name: n for name, n in counts.items() if n is not None}
+
+
 def _sampling_from_args(spec, args):
     kind = spec.family.kind
     lam = (args.lam_min, args.lam_max)
     # the builders reject counts below 1 and empty or non-finite ranges
     try:
         if kind == SIMILITUDE:
-            return similitude_sampling(spec, lam, args.n_scale, args.n_angle)
+            return similitude_sampling(
+                spec, lam, **_given(n_lam=args.n_scale, n_theta=args.n_angle))
         if kind == DIAGONAL:
-            return diagonal_sampling(spec, lam, args.n_scale)
-        return shearlet_sampling(spec, lam, args.n_scale,
-                                 (args.shear_min, args.shear_max), args.n_shear)
+            return diagonal_sampling(spec, lam, **_given(n_lam=args.n_scale))
+        return shearlet_sampling(
+            spec, lam, shear_range=(args.shear_min, args.shear_max),
+            **_given(n_lam=args.n_scale, n_shear=args.n_shear))
     except ValueError as exc:
         raise _UsageError(f"sampling flags: {exc}") from None
 
@@ -119,17 +126,12 @@ def _add_sampling_flags(p):
                    help="upper log-scale bound (default 2)")
     p.add_argument("--n-scale", type=int, default=None,
                    help="points per log-scale axis (family default)")
-    p.add_argument("--n-angle", type=int, default=32,
-                   help="rotation points, similitude only (default 32)")
+    p.add_argument("--n-angle", type=int, default=None,
+                   help="rotation points, similitude only (family default)")
     p.add_argument("--shear-min", type=float, default=-5.0)
     p.add_argument("--shear-max", type=float, default=5.0)
-    p.add_argument("--n-shear", type=int, default=48,
-                   help="shear points, shearlet only (default 48)")
-
-
-def _fill_sampling_defaults(spec, args):
-    if args.n_scale is None:
-        args.n_scale = 32 if spec.family.kind == SIMILITUDE else 16
+    p.add_argument("--n-shear", type=int, default=None,
+                   help="shear points, shearlet only (family default)")
 
 
 def _emit(args, report):
@@ -262,7 +264,6 @@ def _cmd_symmetry(args):
 def _cmd_analyze(args):
     spec = parse_group_spec(args.group)
     sig = read_signal(args.signal)
-    _fill_sampling_defaults(spec, args)
     sampling = _sampling_from_args(spec, args)
     psi = default_wavelet(spec)
     t0 = time.perf_counter()
@@ -290,7 +291,6 @@ def _cmd_analyze(args):
 def _cmd_norm(args):
     spec = parse_group_spec(args.group)
     sig = read_signal(args.signal)
-    _fill_sampling_defaults(spec, args)
     sampling = _sampling_from_args(spec, args)
     psi = default_wavelet(spec)
     p = _parse_exponent(args.p)
@@ -310,7 +310,6 @@ def _cmd_norm(args):
 def _cmd_invert(args):
     spec = parse_group_spec(args.group)
     sig = read_signal(args.signal)
-    _fill_sampling_defaults(spec, args)
     sampling = _sampling_from_args(spec, args)
     psi = default_wavelet(spec)
     t0 = time.perf_counter()
@@ -341,7 +340,6 @@ def _cmd_invert(args):
 
 def _cmd_calderon(args):
     spec = parse_group_spec(args.group)
-    _fill_sampling_defaults(spec, args)
     sampling = _sampling_from_args(spec, args)
     psi = default_wavelet(spec)
     t0 = time.perf_counter()
@@ -428,6 +426,8 @@ def _cmd_compare(args):
     s2 = parse_group_spec(args.group2)
     p = _parse_exponent(args.p)
     t0 = time.perf_counter()
+    # samplings first: weights out of range fail before any signal is made
+    sampling1, sampling2 = default_sampling(s1), default_sampling(s2)
     n, length = args.N, args.L
     rng = np.random.default_rng(args.seed)
     signals = []
@@ -441,9 +441,7 @@ def _cmd_compare(args):
                 sigma_along=0.12 * r, sigma_across=0.06 * r, direction=ang,
             )
         )
-    table = norm_ratio_profile(
-        s1, s2, p, signals, default_sampling(s1), default_sampling(s2)
-    )
+    table = norm_ratio_profile(s1, s2, p, signals, sampling1, sampling2)
     rows = [
         {"label": r.label, "norm1": r.norm1, "norm2": r.norm2,
          "ratio": r.ratio, "degenerate": r.degenerate}

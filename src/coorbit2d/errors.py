@@ -29,6 +29,10 @@ class WaveletSupportError(CoorbitError, ValueError):
     """Wavelet frequency support is not contained in the dual orbit."""
 
 
+class WeightRangeError(CoorbitError, ArithmeticError):
+    """The chart weights of a group spec leave the floating-point range."""
+
+
 class FormatError(CoorbitError, ValueError):
     """Malformed on-disk document (group spec, signal file, or report)."""
 

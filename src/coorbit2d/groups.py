@@ -42,14 +42,14 @@ DEFAULT_TOL = 1e-9
 _I2 = np.eye(2)
 
 
-def as_matrix(m, name="matrix", require_invertible=True):
-    """Coerce to a read-only 2x2 float array, optionally requiring det != 0."""
+def as_matrix(m, name="matrix"):
+    """Coerce to a read-only 2x2 float array with det != 0."""
     a = np.array(m, dtype=float)
     if a.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise SingularMatrixError(f"{name} has non-finite entries")
-    if require_invertible and np.linalg.det(a) == 0.0:
+    if np.linalg.det(a) == 0.0:
         raise SingularMatrixError(f"{name} is singular")
     a.flags.writeable = False
     return a
@@ -230,9 +230,9 @@ def element_from_chart(spec, p):
     return b @ m @ np.linalg.inv(b)
 
 
-def chart_from_element(spec, m, tol=DEFAULT_TOL):
+def chart_from_element(spec, m):
     """Inverse of `element_from_chart`; raises NotInGroupError off the group."""
-    if not contains(spec, m, tol):
+    if not contains(spec, m):
         raise NotInGroupError("matrix is not in the represented group")
     b = spec.conjugator
     ms = np.linalg.solve(b, as_matrix(m, "m") @ b)

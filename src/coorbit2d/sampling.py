@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import DIAGONAL, SIMILITUDE, g_weight, haar_weight
+from .errors import WeightRangeError
+from .groups import DIAGONAL, SHEARLET, SIMILITUDE, g_weight, haar_weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +63,14 @@ def build_sampling(spec, points, volumes):
     """
     pts = np.asarray(points, dtype=float)
     vol = np.asarray(volumes, dtype=float)
-    return GroupSampling(pts, vol, haar_weight(spec, pts) * vol,
-                         g_weight(spec, pts) * vol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        haar_w, g_w = haar_weight(spec, pts) * vol, g_weight(spec, pts) * vol
+    # with valid volumes, weights out of range are the spec's doing: a shearlet
+    # exponent |c| above ~378 on the default log-scales (up to 1.875)
+    valid = [np.all(np.isfinite(w) & (w > 0)) for w in (vol, haar_w, g_w)]
+    if valid[0] and not all(valid):
+        raise WeightRangeError(f"the weights of {spec!r} leave the float range")
+    return GroupSampling(pts, vol, haar_w, g_w)
 
 
 def _check_count(n, name):
@@ -96,11 +103,9 @@ def similitude_sampling(spec, lam_range=(-2.0, 2.0), n_lam=32, n_theta=32):
     return build_sampling(spec, pts, np.full(len(pts), dlam * dth))
 
 
-def diagonal_sampling(spec, lam_range=(-2.0, 2.0), n_lam=16, signs=None):
-    if signs is None:
-        signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+def diagonal_sampling(spec, lam_range=(-2.0, 2.0), n_lam=16):
     lams, dlam = _midpoints(lam_range, n_lam, "lam")
-    signs = np.array(signs, dtype=float).reshape(-1, 2)
+    signs = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
     sheet = _rows(lams, lams)
     pts = np.hstack([np.tile(sheet, (len(signs), 1)),
                      np.repeat(signs, len(sheet), axis=0)])
@@ -108,21 +113,14 @@ def diagonal_sampling(spec, lam_range=(-2.0, 2.0), n_lam=16, signs=None):
 
 
 def shearlet_sampling(spec, lam_range=(-2.0, 2.0), n_lam=16,
-                      shear_range=(-5.0, 5.0), n_shear=48, signs=(1, -1)):
+                      shear_range=(-5.0, 5.0), n_shear=48):
     lams, dlam = _midpoints(lam_range, n_lam, "lam")
     shears, dshear = _midpoints(shear_range, n_shear, "shear")
-    pts = _rows(np.asarray(signs, dtype=float), lams, shears)
+    pts = _rows(np.array([1.0, -1.0]), lams, shears)
     return build_sampling(spec, pts, np.full(len(pts), dlam * dshear))
 
 
-def default_sampling(spec, refine=1):
-    """Family-appropriate default chart grid; `refine` scales the resolution."""
-    r = int(refine)
-    if r < 1:
-        raise ValueError("refine must be a positive integer")
-    kind = spec.family.kind
-    if kind == SIMILITUDE:
-        return similitude_sampling(spec, n_lam=32 * r, n_theta=32 * r)
-    if kind == DIAGONAL:
-        return diagonal_sampling(spec, n_lam=16 * r)
-    return shearlet_sampling(spec, n_lam=16 * r, n_shear=48 * r)
+def default_sampling(spec):
+    """The default chart grid of the spec's family: its builder's defaults."""
+    return {SIMILITUDE: similitude_sampling, DIAGONAL: diagonal_sampling,
+            SHEARLET: shearlet_sampling}[spec.family.kind](spec)

@@ -202,9 +202,8 @@ def psi_atom(n, length, wavelet, amplitude=1.0):
 
 
 def gen_test_signal(kind, n, length, **params):
-    """Dispatch on kind: 'freq_bump', 'wave_packet' or 'psi_atom'."""
-    makers = {"freq_bump": freq_bump, "wave_packet": wave_packet,
-              "psi_atom": psi_atom}
+    """Dispatch on kind: 'freq_bump' or 'wave_packet'."""
+    makers = {"freq_bump": freq_bump, "wave_packet": wave_packet}
     if kind not in makers:
         raise ValueError(f"unknown test-signal kind {kind!r}")
     return makers[kind](n, length, **params)

@@ -88,6 +88,7 @@ from .signals import (
     signal_from_spectrum,
     spectrum_from_signal,
 )
+from .wavelets import default_wavelet
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,7 +376,10 @@ def default_orbit_samples(spec, n=16):
     return out[:n]
 
 
-def calderon_constant(spec, psi, xi_samples, sampling, margin=1e-6):
+_ORBIT_MARGIN = 1e-6  # relative depth of a frequency sample inside the dual orbit
+
+
+def calderon_constant(spec, psi, xi_samples, sampling):
     """Admissibility integral C(xi) = sum_h haar_w |psihat(h^T xi)|^2 per sample.
 
     Returns the mean over samples and the largest relative deviation from it;
@@ -385,7 +389,7 @@ def calderon_constant(spec, psi, xi_samples, sampling, margin=1e-6):
     if not xi_samples:
         raise ValueError("need at least one frequency sample")
     for x in xi_samples:
-        if not orbit_contains(spec, x, margin):
+        if not orbit_contains(spec, x, _ORBIT_MARGIN):
             raise OrbitSampleError(
                 f"frequency sample {x.tolist()} is not inside the dual orbit"
             )
@@ -523,21 +527,16 @@ class RatioTable:
         return {"min": lo, "max": hi, "spread": hi / lo if lo > 0 else None}
 
 
-def norm_ratio_profile(s1, s2, p, signals, sampling1, sampling2,
-                       psi1=None, psi2=None):
+def norm_ratio_profile(s1, s2, p, signals, sampling1, sampling2):
     """Coorbit-norm ratios ||f||_{s1} / ||f||_{s2} over a family of signals.
 
-    The signals are grouped by grid; each group takes one pass per spec, so
-    its element stack and psihat (or, at p = 2, its Calderon multiplier) are
-    built once and shared by all signals of the group.
+    Each norm uses the `default_wavelet` of its spec.  The signals are
+    grouped by grid; each group takes one pass per spec, so its element
+    stack and psihat (or, at p = 2, its Calderon multiplier) are built once
+    and shared by all signals of the group.
     """
-    from .wavelets import default_wavelet
-
     _check_exponent(p)
-    if psi1 is None:
-        psi1 = default_wavelet(s1)
-    if psi2 is None:
-        psi2 = default_wavelet(s2)
+    psi1, psi2 = default_wavelet(s1), default_wavelet(s2)
     by_grid = {}
     for k, f in enumerate(signals):
         by_grid.setdefault((f.signal.N, f.signal.L), []).append(k)

@@ -121,8 +121,9 @@ class WaveletSpec:
             return hi, hi * self.bandwidth
         return hi, hi
 
-    def support_boundary(self, n_per_edge=16):
+    def support_boundary(self):
         """Sample points (in eta coordinates) on the boundary of the support."""
+        n_per_edge = 16
         s0, w = self.center_scale, self.bandwidth
         lo, hi = s0 * 2.0 ** (-w), s0 * 2.0 ** w
         pts = []
@@ -162,9 +163,8 @@ def verify_support_in_orbit(wavelet, spec, tol=1e-12):
             )
 
 
-def default_wavelet(spec, center_scale=1.0, bandwidth=1.0, amplitude=1.0):
+def default_wavelet(spec):
     """Standard admissible wavelet for a group spec, support-checked."""
-    psi = WaveletSpec(spec.family, spec.conjugator, center_scale, bandwidth,
-                      amplitude)
+    psi = WaveletSpec(spec.family, spec.conjugator)
     verify_support_in_orbit(psi, spec)
     return psi

@@ -17,6 +17,7 @@ from coorbit2d import (
     canonical_diagonal,
     coorbit_norm,
     default_orbit_samples,
+    default_sampling,
     default_wavelet,
     diagonal,
     diagonal_sampling,
@@ -28,6 +29,7 @@ from coorbit2d import (
     rotation,
     shearlet,
     shearlet_sampling,
+    signal_coorbit_norm,
     similitude,
     similitude_sampling,
     write_group_spec,
@@ -256,6 +258,25 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        "analyze {group} {signal}", "norm {group} {signal}",
+        "invert {group} {signal}", "calderon {group}", "compare {group} {group}",
+    ])
+    def test_weight_overflow_is_numeric_failure(self, capsys, tmp_path,
+                                                bump_signal, command):
+        # g_w = exp(-(2 + c) lam) leaves the float range on the default
+        # log-scales (+-1.875) once |c| exceeds ~378: no flag is at fault
+        group = str(tmp_path / "c400.json")
+        write_group_spec(group, GroupSpec(shearlet(400.0)))
+        argv = command.format(group=group, signal=bump_signal).split()
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ")
+        assert err.count("\n") == 1
+        assert record == []
+
     def test_zero_tolerance_is_accepted(self, capsys, diag_path):
         code, report = run_cli(capsys, "equiv", diag_path, diag_path, "--tol", "0")
         assert code == 0
@@ -420,13 +441,21 @@ class TestMultiplierCommands:
         # at fine scales the default samplings map the wavelet off the band
         # on purpose: those planes are exactly 0 and nothing is wrong
         spec, gpath, spath, *_ = self._setup(tmp_path, family)
+        reports = {}
         for command, *flags in (["analyze"], ["norm"], ["norm", "--p", "1"],
                                 ["invert"]):
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always")
                 assert main([command, gpath, spath, *flags]) == 0
-            assert capsys.readouterr().err == ""
+            captured = capsys.readouterr()
+            assert captured.err == ""
             assert record == []
+            reports[(command, *flags)] = parse_report(captured.out)["values"]
+        # the CLI default grid is the library's default_sampling
+        sampling = default_sampling(spec)
+        assert reports[("analyze",)]["planes"] == len(sampling)
+        assert reports[("norm", "--p", "1")]["coorbit_norm"] == signal_coorbit_norm(
+            read_signal(spath), spec, sampling, default_wavelet(spec), 1)
 
     def test_invert_matches_library_invert(self, tmp_path, capsys, family):
         spec, gpath, spath, flags, sampling = self._setup(tmp_path, family)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from coorbit2d import (
     ShearletChart,
     SimilitudeChart,
     WaveletSpec,
+    WeightRangeError,
     analyze,
     build_sampling,
     calderon_constant,
@@ -469,11 +471,14 @@ class TestSamplingArrays:
         with pytest.raises(ValueError):
             build_sampling(GroupSpec(family), points, [1.0])
 
-    def test_bad_signs_rejected_by_builders(self):
-        with pytest.raises(ValueError, match="eps2"):
-            diagonal_sampling(GroupSpec(diagonal()), signs=[(1, 2)])
-        with pytest.raises(ValueError, match="eps"):
-            shearlet_sampling(GroupSpec(shearlet(0.5)), signs=(1, 0))
+    @pytest.mark.parametrize("c", [400.0, -400.0])
+    def test_weights_out_of_float_range_are_typed(self, c):
+        # g_w = exp(-(2 + c) lam) overflows at one end of the default
+        # log-scales (+-1.875) and underflows to 0 at the other
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WeightRangeError, match="float range"):
+                default_sampling(GroupSpec(shearlet(c)))
 
     @pytest.mark.parametrize("kwargs", [
         {"n_lam": 0}, {"n_lam": -3}, {"n_lam": 2.5}, {"n_theta": 0},
