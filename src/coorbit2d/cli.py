@@ -38,6 +38,8 @@ from .io_formats import (
     write_signal,
 )
 from .sampling import (
+    LAM_RANGE,
+    SHEAR_RANGE,
     default_sampling,
     diagonal_sampling,
     shearlet_sampling,
@@ -120,16 +122,16 @@ def _sampling_from_args(spec, args):
 
 
 def _add_sampling_flags(p):
-    p.add_argument("--lam-min", type=float, default=-2.0,
-                   help="lower log-scale bound (default -2)")
-    p.add_argument("--lam-max", type=float, default=2.0,
-                   help="upper log-scale bound (default 2)")
+    p.add_argument("--lam-min", type=float, default=LAM_RANGE[0],
+                   help="lower log-scale bound (default %(default)g)")
+    p.add_argument("--lam-max", type=float, default=LAM_RANGE[1],
+                   help="upper log-scale bound (default %(default)g)")
     p.add_argument("--n-scale", type=int, default=None,
                    help="points per log-scale axis (family default)")
     p.add_argument("--n-angle", type=int, default=None,
                    help="rotation points, similitude only (family default)")
-    p.add_argument("--shear-min", type=float, default=-5.0)
-    p.add_argument("--shear-max", type=float, default=5.0)
+    p.add_argument("--shear-min", type=float, default=SHEAR_RANGE[0])
+    p.add_argument("--shear-max", type=float, default=SHEAR_RANGE[1])
     p.add_argument("--n-shear", type=int, default=None,
                    help="shear points, shearlet only (family default)")
 
@@ -430,10 +432,13 @@ def _cmd_compare(args):
     sampling1, sampling2 = default_sampling(s1), default_sampling(s2)
     n, length = args.N, args.L
     rng = np.random.default_rng(args.seed)
+    # radii at most the band over 1 + 3.5 * 0.12: the 3.5 sigma box of every
+    # packet stays on the grid, and the test signals raise no CoverageWarning
+    r_max = (n / 2 - 1) / length / (1 + 3.5 * 0.12)
     signals = []
     for k in range(args.n_signals):
         ang = rng.uniform(0.0, np.pi / 2)
-        r = 0.7 + 0.9 * k / max(args.n_signals - 1, 1)
+        r = min(0.7 + 0.9 * k / max(args.n_signals - 1, 1), r_max)
         signals.append(
             gen_test_signal(
                 "wave_packet", n, length,

@@ -160,6 +160,14 @@ def _write_signal_csv(path, sig):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_signal_csv(path):
     try:
         text = path.read_text(encoding="utf-8")
@@ -178,24 +186,22 @@ def _read_signal_csv(path):
         raise FormatError(f"bad CSV header: {exc}") from exc
     if len(lines) - 1 != n:
         raise FormatError(f"expected {n} data rows, got {len(lines) - 1}")
-    data = np.empty((n, n), dtype=complex)
+    flat = np.empty((n, 2 * n))
     for i, line in enumerate(lines[1:]):
         cells = line.split(",")
         if len(cells) != 2 * n:
             raise FormatError(
                 f"row {i + 1}: expected {2 * n} cells, got {len(cells)}"
             )
-        for j, cell in enumerate(cells):
-            try:
-                val = float(cell)
-            except ValueError:
-                raise FormatError(
-                    f"row {i + 1}, col {j + 1}: non-numeric cell {cell.strip()!r}"
-                ) from None
-            if j % 2 == 0:
-                data[i, j // 2] = val
-            else:
-                data[i, j // 2] += 1j * val
+        try:
+            flat[i] = [float(c) for c in cells]
+        except ValueError:
+            j = next(j for j, c in enumerate(cells) if not _is_number(c))
+            raise FormatError(
+                f"row {i + 1}, col {j + 1}: non-numeric cell {cells[j].strip()!r}"
+            ) from None
+    with np.errstate(invalid="ignore"):  # non-finite cells rejected below
+        data = flat[:, 0::2] + 1j * flat[:, 1::2]
     try:
         return GridSignal(n, length, data)
     except ValueError as exc:

@@ -19,6 +19,10 @@ import numpy as np
 from .errors import WeightRangeError
 from .groups import DIAGONAL, SHEARLET, SIMILITUDE, g_weight, haar_weight
 
+# the default chart ranges of the builders below; the CLI flags default to them
+LAM_RANGE = (-2.0, 2.0)
+SHEAR_RANGE = (-5.0, 5.0)
+
 
 @dataclass(frozen=True, eq=False)
 class GroupSampling:
@@ -95,7 +99,7 @@ def _rows(*axes):
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def similitude_sampling(spec, lam_range=(-2.0, 2.0), n_lam=32, n_theta=32):
+def similitude_sampling(spec, lam_range=LAM_RANGE, n_lam=32, n_theta=32):
     lams, dlam = _midpoints(lam_range, n_lam, "lam")
     _check_count(n_theta, "n_theta")
     dth = 2.0 * np.pi / n_theta
@@ -103,7 +107,7 @@ def similitude_sampling(spec, lam_range=(-2.0, 2.0), n_lam=32, n_theta=32):
     return build_sampling(spec, pts, np.full(len(pts), dlam * dth))
 
 
-def diagonal_sampling(spec, lam_range=(-2.0, 2.0), n_lam=16):
+def diagonal_sampling(spec, lam_range=LAM_RANGE, n_lam=16):
     lams, dlam = _midpoints(lam_range, n_lam, "lam")
     signs = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
     sheet = _rows(lams, lams)
@@ -112,8 +116,8 @@ def diagonal_sampling(spec, lam_range=(-2.0, 2.0), n_lam=16):
     return build_sampling(spec, pts, np.full(len(pts), dlam * dlam))
 
 
-def shearlet_sampling(spec, lam_range=(-2.0, 2.0), n_lam=16,
-                      shear_range=(-5.0, 5.0), n_shear=48):
+def shearlet_sampling(spec, lam_range=LAM_RANGE, n_lam=16,
+                      shear_range=SHEAR_RANGE, n_shear=48):
     lams, dlam = _midpoints(lam_range, n_lam, "lam")
     shears, dshear = _midpoints(shear_range, n_shear, "shear")
     pts = _rows(np.array([1.0, -1.0]), lams, shears)

@@ -89,11 +89,23 @@ def spectrum_from_signal(sig):
     return (dx * dx) * _phase_grid(sig.N) * np.fft.fft2(sig.data)
 
 
+def ifft2_rows(values, rows, buf):
+    """np.fft.ifft2 of the N x N array that holds `values` in `rows` and 0 elsewhere.
+
+    numpy's ifft2 transforms the last axis first, so the first pass runs on
+    the given rows alone and the result equals ifft2 of the full array bit
+    for bit.  `buf` is N x N complex scratch space; it is overwritten.
+    """
+    buf.fill(0)
+    buf[rows] = np.fft.ifft(values, axis=1)
+    return np.fft.ifft(buf, axis=0)
+
+
 def signal_from_spectrum(spec_array, n, length):
     """Signal samples whose spectrum equals the given lattice samples."""
-    spec_array = np.asarray(spec_array, dtype=complex)
+    spec_array = _phase_grid(n) * np.asarray(spec_array, dtype=complex)
     scale = (n / length) ** 2
-    return scale * np.fft.ifft2(_phase_grid(n) * spec_array)
+    return scale * ifft2_rows(spec_array, slice(None), np.empty_like(spec_array))
 
 
 def spectral_norm_l2(spec_array, length):

@@ -28,8 +28,14 @@ bit for bit.
 The analysis planes come from one generator that takes the FFT of each
 signal once and yields, class by class, the planes of all its signals;
 where psihat(h^T xi) is exactly 0 on the lattice the plane is exactly 0 and
-its FFTs are skipped.  `analyze` is the only code that fills an M x N x N
-slab from it, writing each class's plane into every row of the class.
+its FFTs are skipped.  Elsewhere only the lattice rows that psihat reaches
+take the first inverse-FFT pass (`signals.ifft2_rows`, `np.fft.ifft2` bit
+for bit), and the plane and magnitude buffers are reused from plane to
+plane.  Each spectrum takes the lattice phase and (N/L)^2 once; when
+(N/L)^2 is a power of two that is exact, and the planes equal
+`signal_from_spectrum(fhat * factor)` bit for bit.  `analyze` is the only
+code that fills an M x N x N slab from it, copying each class's plane into
+every row of the class.
 Norms with p != 2 (`signal_coorbit_norm`, `norm_ratio_profile`, which shares
 each psihat plane across its signals) and the CLI `analyze` report reduce
 each class's plane as it is computed, hand its sums to every row of the
@@ -84,7 +90,9 @@ from .sampling import GroupSampling
 from .signals import (
     GridSignal,
     TestSignal,
+    _phase_grid,
     freq_grids,
+    ifft2_rows,
     signal_from_spectrum,
     spectrum_from_signal,
 )
@@ -202,19 +210,26 @@ def _planes(signals, mats, psi):
 
     Yields, for each element h of the stack `mats` in order, the (S, N, N)
     stack of planes W_s(., h), or None when psihat(h^T xi) is exactly 0 on
-    the lattice, where the plane is exactly 0 and its FFTs are skipped.
+    the lattice, where the plane is exactly 0 and its FFTs are skipped.  The
+    stack is one buffer that the next plane overwrites: copy what must
+    outlive the step.  Only the lattice rows where psihat(h^T xi) is nonzero
+    take fhat * factor and the first inverse-FFT pass.
     """
     n, length = signals[0].N, signals[0].L
-    fhats = [spectrum_from_signal(f) for f in signals]
+    # the phase and scale of signal_from_spectrum, applied once per signal
+    fold = (n / length) ** 2 * _phase_grid(n)
+    spectra = [fold * spectrum_from_signal(f) for f in signals]
+    out = np.empty((len(spectra), n, n), dtype=complex)
+    buf = np.empty((n, n), dtype=complex)
     for _, root_det, vals in _wavelet_chunks(psi, mats, *freq_grids(n, length)):
         for j in range(len(vals)):
-            if not vals[j].any():
+            rows = np.flatnonzero(vals[j].any(axis=1))
+            if not len(rows):
                 yield None
                 continue
-            factor = root_det[j] * np.conj(vals[j])
-            out = np.empty((len(fhats), n, n), dtype=complex)
-            for s, fhat in enumerate(fhats):
-                out[s] = signal_from_spectrum(fhat * factor, n, length)
+            factor = root_det[j] * np.conj(vals[j][rows])
+            for s, spectrum in enumerate(spectra):
+                out[s] = ifft2_rows(spectrum[rows] * factor, rows, buf)
             yield out
 
 
@@ -226,13 +241,15 @@ def _plane_stats(planes, shape, p, cell):
     only the maxima are formed and the sums stay 0.
     """
     sums, peaks = np.zeros(shape), np.zeros(shape)
+    mags = None  # one magnitude buffer, allocated by the first nonzero plane
     for i, w in enumerate(planes):
         if w is None:
             continue
-        mags = np.abs(w)
+        mags = np.abs(w, out=mags)
         peaks[i] = mags.max(axis=(-2, -1))
         if not np.isinf(p):
-            sums[i] = np.sum(mags ** p, axis=(-2, -1)) * cell
+            mags **= p  # in place, with the fast paths (square, sqrt) of mags ** p
+            sums[i] = np.sum(mags, axis=(-2, -1)) * cell
     return sums, peaks
 
 

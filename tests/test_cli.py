@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from coorbit2d import (
-    CoverageWarning,
     GridSignal,
     GroupSpec,
     analyze,
@@ -375,14 +374,18 @@ class TestPipeline:
         g1, g2 = tmp_path / "a.json", tmp_path / "b.json"
         write_group_spec(g1, GroupSpec(shearlet(1.0)))
         write_group_spec(g2, GroupSpec(shearlet(1.0), rotation(np.pi / 4)))
-        # the higher-frequency packet reaches past the 32 x 32 band (0.94)
-        with pytest.warns(CoverageWarning, match="wave packet"):
+        # both packet radii (0.7 and 1.6) are capped to fit the 32 x 32 band
+        # (0.94): a test-signal CoverageWarning would fail the command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, rep = run_cli(
                 capsys, "compare", str(g1), str(g2),
                 "--N", "32", "--n-signals", "2", "--p", "1",
             )
         assert code == 0
-        assert len(rep["values"]["rows"]) == 2
+        rows = rep["values"]["rows"]
+        assert len(rows) == 2
+        assert not any(row["degenerate"] for row in rows)
 
 
 # small samplings in CLI flag form and as library calls, one per family
@@ -456,6 +459,19 @@ class TestMultiplierCommands:
         assert reports[("analyze",)]["planes"] == len(sampling)
         assert reports[("norm", "--p", "1")]["coorbit_norm"] == signal_coorbit_norm(
             read_signal(spath), spec, sampling, default_wavelet(spec), 1)
+
+    def test_default_compare_writes_nothing_to_stderr(self, tmp_path, capsys,
+                                                      family):
+        # at the default N = 64 the top packet (r = 1.6) used to reach past
+        # the band (1.94); the radii are capped so that every packet fits
+        _, gpath, *_ = self._setup(tmp_path, family)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(["compare", gpath, gpath]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert record == []
+        assert len(parse_report(captured.out)["values"]["rows"]) == 5
 
     def test_invert_matches_library_invert(self, tmp_path, capsys, family):
         spec, gpath, spath, flags, sampling = self._setup(tmp_path, family)

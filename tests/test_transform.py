@@ -49,6 +49,7 @@ from coorbit2d.sampling import (
     diagonal_sampling,
     shearlet_sampling,
 )
+from coorbit2d.signals import ifft2_rows
 
 
 @pytest.fixture(scope="module")
@@ -651,9 +652,9 @@ def _count_inverse_ffts(monkeypatch):
 
     def counted(*args):
         calls.append(1)
-        return signal_from_spectrum(*args)
+        return ifft2_rows(*args)
 
-    monkeypatch.setattr(transform, "signal_from_spectrum", counted)
+    monkeypatch.setattr(transform, "ifft2_rows", counted)
     return calls
 
 
@@ -700,6 +701,9 @@ class TestStreamedReduction:
         calls.clear()
         assert np.array_equal(analyze(f, spec, sampling, psi).planes, slab.planes)
         assert len(calls) == distinct
+        calls.clear()
+        transform._signal_stats([f, f], spec, sampling, psi, 1)
+        assert len(calls) == 2 * distinct
 
     def test_sampling_off_the_lattice_gives_zero(self, stream_case, monkeypatch):
         family, spec, psi, _, f, _ = stream_case

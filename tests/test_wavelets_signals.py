@@ -20,7 +20,7 @@ from coorbit2d import (
     spectrum_from_signal,
     wave_packet,
 )
-from coorbit2d.signals import _phase_grid
+from coorbit2d.signals import _phase_grid, ifft2_rows
 from coorbit2d.wavelets import bump, verify_support_in_orbit
 
 
@@ -129,6 +129,26 @@ class TestGridSignal:
         assert not grid.flags.writeable
         s = (-1.0) ** np.arange(16)
         assert np.array_equal(grid, np.outer(s, s))
+
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    @pytest.mark.parametrize("pick", ["none", "one", "some", "all"])
+    def test_row_pruned_inverse_equals_ifft2(self, rng, n, pick):
+        rows = {"none": [], "one": [n - 1], "some": [0, 3, n // 2, n - 2],
+                "all": list(range(n))}[pick]
+        rows = np.array(rows, dtype=int)
+        spec = np.zeros((n, n), dtype=complex)
+        spec[rows] = (rng.normal(size=(len(rows), n))
+                      + 1j * rng.normal(size=(len(rows), n)))
+        buf = np.full((n, n), np.nan + 0j)  # stale scratch contents are ignored
+        assert np.array_equal(ifft2_rows(spec[rows], rows, buf), np.fft.ifft2(spec))
+
+    def test_signal_from_spectrum_keeps_its_arithmetic(self, rng):
+        # (N/L)^2 = 40.96 is not a power of two, so a reordered product would
+        # round differently
+        n, length = 64, 10.0
+        spec = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        ref = (n / length) ** 2 * np.fft.ifft2(_phase_grid(n) * spec)
+        assert np.array_equal(signal_from_spectrum(spec, n, length), ref)
 
     def test_validation(self):
         with pytest.raises(ValueError):
