@@ -43,11 +43,8 @@ from .groups import (
     conjugate_spec,
     contains,
     diagonal,
-    dual_action,
     element_from_chart,
     g_weight,
-    group_inverse,
-    group_product,
     haar_weight,
     lie_algebra_basis,
     rotation,
@@ -83,7 +80,6 @@ from .signals import (
     gen_test_signal,
     psi_atom,
     signal_from_spectrum,
-    spectral_norm_l2,
     spectrum_from_signal,
     wave_packet,
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,7 +29,16 @@ from .classify import (
     rep_group,
 )
 from .errors import CoorbitError, FormatError
-from .groups import DEFAULT_TOL, DIAGONAL, SHEARLET, SIMILITUDE
+from .groups import (
+    DEFAULT_TOL,
+    DIAGONAL,
+    SHEARLET,
+    SIMILITUDE,
+    DiagonalChart,
+    ShearletChart,
+    SimilitudeChart,
+    element_from_chart,
+)
 from .io_formats import (
     emit_report,
     group_spec_to_dict,
@@ -136,15 +146,6 @@ def _add_sampling_flags(p):
                    help="shear points, shearlet only (family default)")
 
 
-def _emit(args, report):
-    text = emit_report(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _parse_matrix_flag(text):
     parts = text.split(",")
     if len(parts) != 4:
@@ -201,24 +202,44 @@ def _parse_exponent(text):
 # subcommands
 
 
+def _transform_request(args, signal=True):
+    """The spec, the signal (None unless `signal`), the sampling and the
+    spec's default wavelet, made in that order: a bad spec is reported
+    before a bad signal, and both before bad sampling flags."""
+    spec = parse_group_spec(args.group)
+    sig = read_signal(args.signal) if signal else None
+    sampling = _sampling_from_args(spec, args)
+    return spec, sig, sampling, default_wavelet(spec)
+
+
+def _emit(args, t0, command, inputs, values, **extra):
+    """Write the report, timed from `t0`, to --out or stdout."""
+    text = emit_report(make_report(command, inputs, values,
+                                   timing=time.perf_counter() - t0, **extra))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _gate(what, value, flag, limit):
+    """Exit 4, once the report is written, if `value` exceeds --`flag`."""
+    if limit is not None and value > limit:
+        raise NumericFailure(f"{what} {value:.3g} exceeds --{flag} {limit:.3g}")
+
+
 def _cmd_classify(args):
     spec = parse_group_spec(args.group)
     t0 = time.perf_counter()
     cf = canonicalize(spec, args.tol)
     rep = rep_group(cf)
-    report = make_report(
-        "classify",
-        {"group": group_spec_to_dict(spec)},
-        {
-            "canonical_form": _canonical_doc(cf),
-            "component_count": component_count(spec),
-            "complement": _lineset_doc(orbit_complement(spec)),
-            "representative_conjugator": rep.conjugator.tolist(),
-        },
-        tolerances={"tol": args.tol},
-        timing=time.perf_counter() - t0,
-    )
-    _emit(args, report)
+    _emit(args, t0, "classify", {"group": group_spec_to_dict(spec)}, {
+        "canonical_form": _canonical_doc(cf),
+        "component_count": component_count(spec),
+        "complement": _lineset_doc(orbit_complement(spec)),
+        "representative_conjugator": rep.conjugator.tolist(),
+    }, tolerances={"tol": args.tol})
     return EXIT_OK
 
 
@@ -227,8 +248,8 @@ def _cmd_equiv(args):
     s2 = parse_group_spec(args.group2)
     t0 = time.perf_counter()
     verdict = coorbit_equivalent(s1, s2, args.tol)
-    report = make_report(
-        "equiv",
+    _emit(
+        args, t0, "equiv",
         {"group1": group_spec_to_dict(s1), "group2": group_spec_to_dict(s2)},
         {"equivalent": verdict.equivalent, "reason": verdict.reason},
         certificates={
@@ -237,9 +258,7 @@ def _cmd_equiv(args):
             "canonical_forms": [_canonical_doc(c) for c in verdict.canonicals],
         },
         tolerances={"tol": args.tol},
-        timing=time.perf_counter() - t0,
     )
-    _emit(args, report)
     return EXIT_OK if verdict.equivalent else EXIT_NEGATIVE
 
 
@@ -252,22 +271,14 @@ def _cmd_symmetry(args):
         "coorbit_symmetry": in_coorbit_symmetry(spec, mat, args.tol),
         "orbit_symmetry": in_orbit_symmetry(spec, mat, args.tol),
     }
-    report = make_report(
-        "symmetry",
-        {"group": group_spec_to_dict(spec), "matrix": mat.tolist()},
-        triple,
-        tolerances={"tol": args.tol},
-        timing=time.perf_counter() - t0,
-    )
-    _emit(args, report)
+    _emit(args, t0, "symmetry",
+          {"group": group_spec_to_dict(spec), "matrix": mat.tolist()},
+          triple, tolerances={"tol": args.tol})
     return EXIT_OK
 
 
 def _cmd_analyze(args):
-    spec = parse_group_spec(args.group)
-    sig = read_signal(args.signal)
-    sampling = _sampling_from_args(spec, args)
-    psi = default_wavelet(spec)
+    spec, sig, sampling, psi = _transform_request(args)
     t0 = time.perf_counter()
     # the p = 2 plane sums are the plane energies; no slab is held
     sums, peaks = _signal_stats([sig], spec, sampling, psi, 2)
@@ -280,40 +291,25 @@ def _cmd_analyze(args):
     }
     if args.energies:
         values["plane_energies"] = [float(e) for e in energies]
-    report = make_report(
-        "analyze",
-        {"group": group_spec_to_dict(spec), "signal": str(args.signal)},
-        values,
-        timing=time.perf_counter() - t0,
-    )
-    _emit(args, report)
+    _emit(args, t0, "analyze",
+          {"group": group_spec_to_dict(spec), "signal": str(args.signal)}, values)
     return EXIT_OK
 
 
 def _cmd_norm(args):
-    spec = parse_group_spec(args.group)
-    sig = read_signal(args.signal)
-    sampling = _sampling_from_args(spec, args)
-    psi = default_wavelet(spec)
+    spec, sig, sampling, psi = _transform_request(args)
     p = _parse_exponent(args.p)
     t0 = time.perf_counter()
     value = signal_coorbit_norm(sig, spec, sampling, psi, p)
-    report = make_report(
-        "norm",
-        {"group": group_spec_to_dict(spec), "signal": str(args.signal),
-         "p": args.p},
-        {"coorbit_norm": value, "signal_l2": sig.norm_l2()},
-        timing=time.perf_counter() - t0,
-    )
-    _emit(args, report)
+    _emit(args, t0, "norm",
+          {"group": group_spec_to_dict(spec), "signal": str(args.signal),
+           "p": args.p},
+          {"coorbit_norm": value, "signal_l2": sig.norm_l2()})
     return EXIT_OK
 
 
 def _cmd_invert(args):
-    spec = parse_group_spec(args.group)
-    sig = read_signal(args.signal)
-    sampling = _sampling_from_args(spec, args)
-    psi = default_wavelet(spec)
+    spec, sig, sampling, psi = _transform_request(args)
     t0 = time.perf_counter()
     cal = calderon_constant(spec, psi, default_orbit_samples(spec), sampling)
     rec = reconstruct(sig, spec, sampling, psi, cal.mean)
@@ -325,49 +321,31 @@ def _cmd_invert(args):
         rel_err = float(np.sqrt(np.sum(np.abs(diff) ** 2)) * sig.dx / denom)
     if args.out_signal:
         write_signal(args.out_signal, rec)
-    report = make_report(
-        "invert",
-        {"group": group_spec_to_dict(spec), "signal": str(args.signal)},
-        {"relative_l2_error": rel_err, "calderon_constant": cal.mean,
-         "calderon_deviation": cal.max_rel_deviation},
-        timing=time.perf_counter() - t0,
-    )
-    _emit(args, report)
-    if args.max_error is not None and rel_err > args.max_error:
-        raise NumericFailure(
-            f"reconstruction error {rel_err:.3g} exceeds --max-error {args.max_error:.3g}"
-        )
+    _emit(args, t0, "invert",
+          {"group": group_spec_to_dict(spec), "signal": str(args.signal)},
+          {"relative_l2_error": rel_err, "calderon_constant": cal.mean,
+           "calderon_deviation": cal.max_rel_deviation})
+    _gate("reconstruction error", rel_err, "max-error", args.max_error)
     return EXIT_OK
 
 
 def _cmd_calderon(args):
-    spec = parse_group_spec(args.group)
-    sampling = _sampling_from_args(spec, args)
-    psi = default_wavelet(spec)
+    spec, _, sampling, psi = _transform_request(args, signal=False)
     t0 = time.perf_counter()
     samples = default_orbit_samples(spec, args.n_samples)
     cal = calderon_constant(spec, psi, samples, sampling)
-    report = make_report(
-        "calderon",
-        {"group": group_spec_to_dict(spec), "n_samples": len(samples)},
-        {"mean": cal.mean, "max_rel_deviation": cal.max_rel_deviation,
-         "values": list(cal.values)},
-        timing=time.perf_counter() - t0,
-    )
-    _emit(args, report)
-    if args.max_deviation is not None and cal.max_rel_deviation > args.max_deviation:
-        raise NumericFailure(
-            f"Calderon deviation {cal.max_rel_deviation:.3g} exceeds "
-            f"--max-deviation {args.max_deviation:.3g}"
-        )
+    _emit(args, t0, "calderon",
+          {"group": group_spec_to_dict(spec), "n_samples": len(samples)},
+          {"mean": cal.mean, "max_rel_deviation": cal.max_rel_deviation,
+           "values": list(cal.values)})
+    _gate("Calderon deviation", cal.max_rel_deviation, "max-deviation",
+          args.max_deviation)
     return EXIT_OK
 
 
 def _covariance_cases(spec, n, length):
     """Identity, a grid translation, and a sampled (unit-determinant) dilation,
     plus one genuine scaling dilation reported for context."""
-    from .groups import DiagonalChart, ShearletChart, SimilitudeChart, element_from_chart
-
     kind = spec.family.kind
     dx = length / n
     if kind == SIMILITUDE:
@@ -405,21 +383,11 @@ def _cmd_covariance(args):
     residuals = {}
     for label, y, g in cases:
         residuals[label] = covariance_residual(f, y, g, h_chart, spec, psi)
-    report = make_report(
-        "covariance",
-        {"group": group_spec_to_dict(spec), "grid": {"N": n, "L": length}},
-        {"residuals": residuals},
-        timing=time.perf_counter() - t0,
-    )
-    _emit(args, report)
-    if args.max_residual is not None:
-        gated = {k: v for k, v in residuals.items() if k != "scaling_dilation"}
-        worst = max(gated.values())
-        if worst > args.max_residual:
-            raise NumericFailure(
-                f"covariance residual {worst:.3g} exceeds "
-                f"--max-residual {args.max_residual:.3g}"
-            )
+    _emit(args, t0, "covariance",
+          {"group": group_spec_to_dict(spec), "grid": {"N": n, "L": length}},
+          {"residuals": residuals})
+    gated = [v for k, v in residuals.items() if k != "scaling_dilation"]
+    _gate("covariance residual", max(gated), "max-residual", args.max_residual)
     return EXIT_OK
 
 
@@ -447,19 +415,10 @@ def _cmd_compare(args):
             )
         )
     table = norm_ratio_profile(s1, s2, p, signals, sampling1, sampling2)
-    rows = [
-        {"label": r.label, "norm1": r.norm1, "norm2": r.norm2,
-         "ratio": r.ratio, "degenerate": r.degenerate}
-        for r in table.rows
-    ]
-    report = make_report(
-        "compare",
-        {"group1": group_spec_to_dict(s1), "group2": group_spec_to_dict(s2),
-         "p": args.p, "seed": args.seed},
-        {"rows": rows, "summary": table.summary()},
-        timing=time.perf_counter() - t0,
-    )
-    _emit(args, report)
+    _emit(args, t0, "compare",
+          {"group1": group_spec_to_dict(s1), "group2": group_spec_to_dict(s2),
+           "p": args.p, "seed": args.seed},
+          {"rows": [asdict(r) for r in table.rows], "summary": table.summary()})
     return EXIT_OK
 
 
@@ -488,14 +447,10 @@ def _cmd_gen_signal(args):
     if not np.isfinite(l2_norm):
         raise _UsageError(f"--amplitude {args.amplitude:g} overflows the signal")
     write_signal(args.out_signal, f.signal)
-    report = make_report(
-        "gen-signal",
-        {"kind": args.kind, "N": n, "L": length, "seed": args.seed},
-        {"label": f.label, "center": list(center), "sigma": args.sigma,
-         "l2_norm": l2_norm, "written": str(args.out_signal)},
-        timing=time.perf_counter() - t0,
-    )
-    _emit(args, report)
+    _emit(args, t0, "gen-signal",
+          {"kind": args.kind, "N": n, "L": length, "seed": args.seed},
+          {"label": f.label, "center": list(center), "sigma": args.sigma,
+           "l2_norm": l2_norm, "written": str(args.out_signal)})
     return EXIT_OK
 
 

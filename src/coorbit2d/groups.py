@@ -194,13 +194,6 @@ def _chart_columns(spec, p):
 # operations
 
 
-def dual_action(h, zeta):
-    """The dual action h^-T zeta of an invertible matrix on frequency space."""
-    h = as_matrix(h, "h")
-    zeta = as_vector(zeta, "zeta")
-    return np.linalg.solve(h.T, zeta)
-
-
 def _standard_matrix(family, cols):
     """Standard-family matrices at checked chart columns (..., k): (..., 2, 2)."""
     if family.kind == SIMILITUDE:
@@ -279,23 +272,6 @@ def g_weight(spec, p):
         return _weights(np.exp(-(cols[..., 0] + cols[..., 1])))
     lam = cols[..., 1]
     return _weights(np.exp(-lam) * np.exp(-(1.0 + spec.family.c) * lam))
-
-
-def group_product(gx, g, hx, h):
-    """Product (gx, g) o (hx, h) = (gx + g hx, g h) in R^2 x| GL(2)."""
-    g = as_matrix(g, "g")
-    h = as_matrix(h, "h")
-    gx = as_vector(gx, "gx")
-    hx = as_vector(hx, "hx")
-    return gx + g @ hx, g @ h
-
-
-def group_inverse(x, h):
-    """Inverse (x, h)^-1 = (-h^-1 x, h^-1)."""
-    h = as_matrix(h, "h")
-    x = as_vector(x, "x")
-    hinv = np.linalg.inv(h)
-    return -hinv @ x, hinv
 
 
 def contains(spec, m, tol=DEFAULT_TOL):

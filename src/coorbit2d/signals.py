@@ -108,11 +108,6 @@ def signal_from_spectrum(spec_array, n, length):
     return scale * ifft2_rows(spec_array, slice(None), np.empty_like(spec_array))
 
 
-def spectral_norm_l2(spec_array, length):
-    """L^2 norm computed from lattice spectrum samples (grid Plancherel)."""
-    return float(np.sqrt(np.sum(np.abs(spec_array) ** 2) / length ** 2))
-
-
 # ---------------------------------------------------------------------------
 # closed-form test signals
 

@@ -506,7 +506,7 @@ def covariance_residual(f, y, g, h_chart, spec, psi):
         gmt = np.linalg.inv(g).T
         om1, om2 = np.broadcast_arrays(gmt[0, 0] * xi1 + gmt[0, 1] * xi2,
                                        gmt[1, 0] * xi1 + gmt[1, 1] * xi2)
-        pos = (np.arange(n) / n - 0.5) * length
+        pos = f.signal.positions()
         rhs = _trig_eval(rhs_hat / length ** 2, om1, om2,
                          pos - y[0], pos - y[1])
     scale = float(np.max(np.abs(lhs)))
@@ -533,11 +533,8 @@ class RatioTable:
     rows: tuple
     p: float
 
-    def valid_ratios(self):
-        return [r.ratio for r in self.rows if not r.degenerate]
-
     def summary(self):
-        ratios = self.valid_ratios()
+        ratios = [r.ratio for r in self.rows if not r.degenerate]
         if not ratios:
             return {"min": None, "max": None, "spread": None}
         lo, hi = min(ratios), max(ratios)

@@ -16,7 +16,7 @@ any transform built on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class WaveletSpec:
     conjugator: np.ndarray
     center_scale: float = 1.0
     bandwidth: float = 1.0
-    amplitude: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "conjugator",
@@ -106,13 +105,7 @@ class WaveletSpec:
                  & (np.abs(e2, out=tmp) < w * (1.0 + _SLACK) * a1))
             out[m] = (bump(np.log2(a1[m] / s0) / w)
                       * bump((e2[m] / e1[m]) / w))
-        out *= self.amplitude
         return out.reshape(shape)
-
-    def scaled(self, factor):
-        """Same profile with the amplitude multiplied by `factor`."""
-        return WaveletSpec(self.family, self.conjugator, self.center_scale,
-                           self.bandwidth, self.amplitude * factor)
 
     def support_box(self):
         """Half-widths (m1, m2) of a box bounding the support in eta coordinates."""

@@ -300,6 +300,57 @@ class TestExitCodes:
         assert code == 4
 
 
+class TestRequestOrder:
+    """A transform command parses the group spec, then reads the signal, then
+    builds the sampling, then parses --p: the first fault met sets the exit."""
+
+    @pytest.mark.parametrize("command,code,prefix", [
+        ("norm {nope}.json {nope}.sig --p 0", 2, "input error: cannot read group spec:"),
+        ("norm {group} {nope}.sig --n-scale 0 --p 0", 2,
+         "input error: cannot read signal:"),
+        ("norm {group} {signal} --n-scale 0 --p 0", 1, "usage error: sampling flags:"),
+        ("norm {group} {signal} --p 0", 1, "usage error: --p must be positive"),
+        ("calderon {nope}.json --n-scale 0", 2, "input error: cannot read group spec:"),
+    ])
+    def test_first_fault_sets_the_exit(self, capsys, tmp_path, diag_path, bump_signal,
+                                       command, code, prefix):
+        argv = command.format(group=diag_path, signal=bump_signal,
+                              nope=tmp_path / "nope").split()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
+
+
+class TestFailedGateReport:
+    """A breached gate exits 4 after the full report is written."""
+
+    @pytest.mark.parametrize("argv,what,flag,value_of", [
+        (["invert", "{group}", "{signal}", "--n-scale", "6", "--max-error", "1e-9"],
+         "reconstruction error", "max-error",
+         lambda v: v["relative_l2_error"]),
+        (["calderon", "{group}", "--n-scale", "8", "--max-deviation", "0"],
+         "Calderon deviation", "max-deviation",
+         lambda v: v["max_rel_deviation"]),
+        (["covariance", "{group}", "--N", "64", "--max-residual", "0"],
+         "covariance residual", "max-residual",
+         lambda v: max(r for k, r in v["residuals"].items()
+                       if k != "scaling_dilation")),
+    ], ids=["invert", "calderon", "covariance"])
+    def test_report_then_one_line(self, capsys, diag_path, bump_signal,
+                                  argv, what, flag, value_of):
+        argv = [a.format(group=diag_path, signal=bump_signal) for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 4
+        report = parse_report(captured.out)
+        assert report["command"] == argv[0]
+        value = value_of(report["values"])
+        limit = float(argv[-1])
+        assert value > limit
+        assert captured.err == (f"numeric failure: {what} {value:.3g} "
+                                f"exceeds --{flag} {limit:.3g}\n")
+
+
 class TestPipeline:
     def test_gen_analyze_norm_invert(self, tmp_path, capsys):
         gpath = tmp_path / "sim.json"

@@ -12,11 +12,8 @@ from coorbit2d import (
     chart_from_element,
     contains,
     diagonal,
-    dual_action,
     element_from_chart,
     g_weight,
-    group_inverse,
-    group_product,
     haar_weight,
     lie_algebra_basis,
     rotation,
@@ -28,35 +25,6 @@ from coorbit2d.sampling import default_sampling
 from conftest import random_invertible
 
 B_UNIT_SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
-
-
-class TestDualAction:
-    def test_diagonal_halves_first_component(self):
-        assert np.allclose(dual_action(np.diag([2.0, 1.0]), (1.0, 1.0)), (0.5, 1.0))
-
-    def test_identity_fixes_everything(self, rng):
-        for _ in range(10):
-            z = rng.normal(size=2)
-            assert np.allclose(dual_action(np.eye(2), z), z)
-
-    def test_shear_on_first_axis(self):
-        # oracle: multiply back with h^T
-        h = B_UNIT_SHEAR
-        out = dual_action(h, (1.0, 0.0))
-        assert np.allclose(out, (1.0, -1.0))
-        assert np.allclose(h.T @ out, (1.0, 0.0))
-
-    def test_cocycle_property(self, rng):
-        for _ in range(50):
-            h1, h2 = random_invertible(rng, 2)
-            z = rng.normal(size=2)
-            lhs = dual_action(h1 @ h2, z)
-            rhs = dual_action(h1, dual_action(h2, z))
-            assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-    def test_singular_matrix_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            dual_action([[1.0, 0.0], [0.0, 0.0]], (1.0, 1.0))
 
 
 class TestGroupSpecConditioning:
@@ -334,37 +302,6 @@ class TestLeftInvarianceOracle:
         assert g_weight(spec, p) == pytest.approx(
             haar_weight(spec, p) / abs(np.linalg.det(h)), rel=1e-12
         )
-
-
-class TestGroupProduct:
-    def test_identity(self, rng):
-        y = rng.normal(size=2)
-        h = random_invertible(rng)
-        x, m = group_product((0.0, 0.0), np.eye(2), y, h)
-        assert np.allclose(x, y) and np.allclose(m, h)
-
-    def test_substitution(self):
-        x, m = group_product((1.0, 0.0), np.diag([2.0, 2.0]), (1.0, 1.0), np.eye(2))
-        assert np.allclose(x, (3.0, 2.0))
-        assert np.allclose(m, np.diag([2.0, 2.0]))
-
-    def test_inverse_law(self, rng):
-        for _ in range(50):
-            h = random_invertible(rng)
-            x = rng.normal(size=2)
-            ix, ih = group_inverse(x, h)
-            zx, zh = group_product(x, h, ix, ih)
-            assert np.allclose(zx, 0.0, atol=1e-12)
-            assert np.allclose(zh, np.eye(2), atol=1e-12)
-
-    def test_associativity(self, rng):
-        for _ in range(50):
-            g1, g2, g3 = random_invertible(rng, 3)
-            x1, x2, x3 = rng.normal(size=(3, 2))
-            left = group_product(*group_product(x1, g1, x2, g2), x3, g3)
-            right = group_product(x1, g1, *group_product(x2, g2, x3, g3))
-            assert np.allclose(left[0], right[0], rtol=1e-12, atol=1e-12)
-            assert np.allclose(left[1], right[1], rtol=1e-12, atol=1e-12)
 
 
 class TestContains:
