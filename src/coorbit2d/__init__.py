@@ -46,7 +46,6 @@ from .groups import (
     element_from_chart,
     g_weight,
     haar_weight,
-    lie_algebra_basis,
     rotation,
     same_group,
     shear,

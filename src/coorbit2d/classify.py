@@ -14,6 +14,7 @@ reports as its certificate from the same two complements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional, Tuple
 
 import numpy as np
@@ -164,6 +165,18 @@ class CanonicalForm:
     def __post_init__(self):
         if self.kind not in (SIMILITUDE, DIAGONAL, SHEARLET):
             raise ValueError(f"unknown canonical kind {self.kind!r}")
+        if self.kind == SIMILITUDE:
+            return
+        name = "s" if self.kind == DIAGONAL else "c"
+        value = getattr(self, name)
+        if self.phi is None or value is None:
+            raise ValueError(f"{self.kind} canonical form needs phi and {name}")
+        if not (0.0 <= self.phi < _PI):
+            raise ValueError("phi must lie in [0, pi)")
+        if not isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        if self.kind == DIAGONAL and value < 0.0:
+            raise ValueError("s must be nonnegative")
 
     def __repr__(self):
         if self.kind == SIMILITUDE:
@@ -178,18 +191,10 @@ def canonical_similitude():
 
 
 def canonical_diagonal(phi, s):
-    if not (0.0 <= phi < _PI):
-        raise ValueError("phi must lie in [0, pi)")
-    if s < 0.0:
-        raise ValueError("s must be nonnegative")
     return CanonicalForm(DIAGONAL, phi=float(phi), s=float(s))
 
 
 def canonical_shearlet(phi, c):
-    if not (0.0 <= phi < _PI):
-        raise ValueError("phi must lie in [0, pi)")
-    if not np.isfinite(c):
-        raise ValueError("c must be finite")
     return CanonicalForm(SHEARLET, phi=float(phi), c=float(c))
 
 
@@ -242,16 +247,8 @@ def rep_group(cf):
     if cf.kind == SIMILITUDE:
         return GroupSpec(similitude())
     if cf.kind == DIAGONAL:
-        if cf.phi is None or cf.s is None:
-            raise ValueError("diagonal canonical form needs phi and s")
-        if not (0.0 <= cf.phi < _PI) or cf.s < 0.0:
-            raise ValueError("canonical parameters out of range")
         conj = rotation(cf.phi) @ np.array([[1.0, 0.0], [-cf.s, 1.0]])
         return GroupSpec(diagonal(), conj)
-    if cf.phi is None or cf.c is None:
-        raise ValueError("shearlet canonical form needs phi and c")
-    if not (0.0 <= cf.phi < _PI) or not np.isfinite(cf.c):
-        raise ValueError("canonical parameters out of range")
     return GroupSpec(shearlet(cf.c), rotation(cf.phi))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -28,7 +29,7 @@ from .classify import (
     orbit_complement,
     rep_group,
 )
-from .errors import CoorbitError, FormatError
+from .errors import CoorbitError, CoverageWarning, FormatError
 from .groups import (
     DEFAULT_TOL,
     DIAGONAL,
@@ -377,8 +378,15 @@ def _cmd_covariance(args):
     center = {"similitude": (1.0, 0.3), "diagonal": (0.9, 0.9),
               "shearlet": (1.1, 0.1)}[spec.family.kind]
     binv_t = np.linalg.inv(spec.conjugator).T
-    f = gen_test_signal("freq_bump", n, length, center=binv_t @ np.array(center),
-                        sigma=0.15)
+    # a bump that leaves the band measures aliasing, not covariance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CoverageWarning)
+        try:
+            f = gen_test_signal("freq_bump", n, length,
+                                center=binv_t @ np.array(center), sigma=0.15)
+        except CoverageWarning as exc:
+            raise _UsageError(f"--N {n} and --L {length:g} give too narrow a band "
+                              f"for the covariance test signal: {exc}") from None
     h_chart, cases = _covariance_cases(spec, n, length)
     residuals = {}
     for label, y, g in cases:

@@ -298,54 +298,28 @@ def contains(spec, m, tol=DEFAULT_TOL):
     return abs(abs(ms[1, 1]) - target) <= tol * max(abs(ms[1, 1]), target)
 
 
-def lie_algebra_basis(spec):
-    """Basis of the Lie algebra of the represented group (conjugated)."""
-    kind = spec.family.kind
-    if kind == SIMILITUDE:
-        basis = [np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])]
-    elif kind == DIAGONAL:
-        basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    else:
-        basis = [np.diag([1.0, spec.family.c]),
-                 np.array([[0.0, 1.0], [0.0, 0.0]])]
-    b = spec.conjugator
-    binv = np.linalg.inv(b)
-    return [b @ x @ binv for x in basis]
-
-
-def component_representatives(spec):
-    """One group element per connected component of the represented group."""
-    kind = spec.family.kind
-    if kind == SIMILITUDE:
-        reps = [np.eye(2)]
-    elif kind == DIAGONAL:
-        reps = [np.diag([e1, e2]) for e1 in (1.0, -1.0) for e2 in (1.0, -1.0)]
-    else:
-        reps = [np.eye(2), -np.eye(2)]
-    b = spec.conjugator
-    binv = np.linalg.inv(b)
-    return [b @ r @ binv for r in reps]
-
-
 def same_group(spec_a, spec_b, tol=DEFAULT_TOL):
     """Whether two specs represent the same subgroup of GL(2, R).
 
-    Tests equality of the Lie algebra spans (numerical rank of the stacked
-    basis vectors) and then membership of one component representative per
-    connected component, in both directions.
+    B_a H B_a^-1 = B_b H B_b^-1 exactly when M = B_a^-1 B_b normalizes the
+    standard group H.  The normalizers are closed forms: the conformal
+    matrices (rotation- or reflection-scalings) for the similitude group,
+    the monomial matrices for the diagonal group and the upper-triangular
+    matrices for every shearlet exponent c.  M is tested against them with
+    one relative tolerance, tol * max|M_ij|, as in `contains`.
     """
-    if spec_a.family.kind != spec_b.family.kind:
+    kind = spec_a.family.kind
+    if kind != spec_b.family.kind:
         return False
-    if spec_a.family.kind == SHEARLET:
-        if abs(spec_a.family.c - spec_b.family.c) > tol:
-            return False
-    rows = []
-    for x in lie_algebra_basis(spec_a) + lie_algebra_basis(spec_b):
-        v = x.reshape(-1)
-        rows.append(v / np.linalg.norm(v))
-    sv = np.linalg.svd(np.array(rows), compute_uv=False)
-    if sv[2] > max(tol, 1e-12) * sv[0]:
+    if kind == SHEARLET and abs(spec_a.family.c - spec_b.family.c) > tol:
         return False
-    return all(contains(spec_a, r, tol) for r in component_representatives(spec_b)) and all(
-        contains(spec_b, r, tol) for r in component_representatives(spec_a)
-    )
+    (m11, m12), (m21, m22) = np.linalg.solve(spec_a.conjugator,
+                                             spec_b.conjugator).tolist()
+    eps = tol * max(abs(m11), abs(m12), abs(m21), abs(m22))
+    if kind == SIMILITUDE:
+        return ((abs(m11 - m22) <= eps and abs(m12 + m21) <= eps)
+                or (abs(m11 + m22) <= eps and abs(m12 - m21) <= eps))
+    if kind == DIAGONAL:
+        return ((abs(m12) <= eps and abs(m21) <= eps)
+                or (abs(m11) <= eps and abs(m22) <= eps))
+    return abs(m21) <= eps

@@ -120,7 +120,6 @@ class TestSignal:
     so group-transformed spectra can be sampled without interpolation.
     """
 
-    kind: str
     signal: GridSignal
     spectrum: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str = ""
@@ -165,7 +164,7 @@ def freq_bump(n, length, center, sigma, amplitude=1.0, shape="gaussian",
     xi1, xi2 = freq_grids(n, length)
     sig = GridSignal(n, length, signal_from_spectrum(spectrum(xi1, xi2), n, length))
     label = f"{shape} bump @({center[0]:.3g},{center[1]:.3g}) sigma={sigma:.3g}"
-    return TestSignal("freq_bump", sig, spectrum, label)
+    return TestSignal(sig, spectrum, label)
 
 
 def wave_packet(n, length, center, sigma_along, sigma_across, direction,
@@ -192,7 +191,7 @@ def wave_packet(n, length, center, sigma_along, sigma_across, direction,
     sig = GridSignal(n, length, signal_from_spectrum(spectrum(xi1, xi2), n, length))
     label = (f"packet @({center[0]:.3g},{center[1]:.3g}) "
              f"dir={direction:.3g} widths=({sigma_along:.3g},{sigma_across:.3g})")
-    return TestSignal("wave_packet", sig, spectrum, label)
+    return TestSignal(sig, spectrum, label)
 
 
 def psi_atom(n, length, wavelet, amplitude=1.0):
@@ -205,7 +204,7 @@ def psi_atom(n, length, wavelet, amplitude=1.0):
 
     xi1, xi2 = freq_grids(n, length)
     sig = GridSignal(n, length, signal_from_spectrum(spectrum(xi1, xi2), n, length))
-    return TestSignal("psi_atom", sig, spectrum, f"wavelet atom x{amplitude:.3g}")
+    return TestSignal(sig, spectrum, f"wavelet atom x{amplitude:.3g}")
 
 
 def gen_test_signal(kind, n, length, **params):

@@ -531,7 +531,6 @@ class RatioRow:
 @dataclass(frozen=True)
 class RatioTable:
     rows: tuple
-    p: float
 
     def summary(self):
         ratios = [r.ratio for r in self.rows if not r.degenerate]
@@ -567,4 +566,4 @@ def norm_ratio_profile(s1, s2, p, signals, sampling1, sampling2):
         degenerate = n2 <= 1e-14 * scale or n1 <= 1e-14 * scale
         ratio = None if degenerate else n1 / n2
         rows.append(RatioRow(f.label, n1, n2, ratio, degenerate))
-    return RatioTable(tuple(rows), float(p))
+    return RatioTable(tuple(rows))

@@ -168,12 +168,13 @@ class TestCanonicalize:
         assert sh.family.c == 2.0
 
     def test_rep_group_range_validation(self):
-        with pytest.raises(ValueError):
-            canonical_diagonal(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            canonical_diagonal(0.2, -1.0)
-        with pytest.raises(ValueError):
-            canonical_shearlet(PI, 1.0)
+        for make, phi, second in ((canonical_diagonal, -0.1, 1.0),
+                                  (canonical_diagonal, 0.2, -1.0),
+                                  (canonical_diagonal, 0.1, np.nan),
+                                  (canonical_diagonal, 0.1, np.inf),
+                                  (canonical_shearlet, PI, 1.0)):
+            with pytest.raises(ValueError):
+                make(phi, second)
 
 
 class TestCoorbitEquivalent:
@@ -345,6 +346,17 @@ class TestSymmetryGroups:
         spec = GroupSpec(similitude())
         assert in_normalizer(spec, np.diag([1.0, -1.0]))
         assert not in_normalizer(spec, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_similitude_normalizer_under_a_shear_conjugator(self):
+        # B (R(0.5) + 1e-8 E11) B^-1 with B = [[1, 2], [0, 1]] lies 10 tol off
+        # the normalizer; the second matrix is B R(0.5) B^-1 itself
+        spec = GroupSpec(similitude(), [[1.0, 2.0], [0.0, 1.0]])
+        off = [[-0.0812685053180332, 2.397127673021015],
+               [-0.479425538604203, 1.8364336390987788]]
+        exact = [[-0.08126851531803325, 2.397127693021015],
+                 [-0.479425538604203, 1.8364336390987788]]
+        assert not in_normalizer(spec, off)
+        assert in_normalizer(spec, exact)
 
     def test_diagonal_rotation_not_coorbit(self):
         assert not in_coorbit_symmetry(GroupSpec(diagonal()), rotation(0.2))

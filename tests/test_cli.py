@@ -421,6 +421,18 @@ class TestPipeline:
         assert res["sampled_dilation"] <= 1e-8
         assert "scaling_dilation" in res
 
+    def test_covariance_refuses_a_grid_its_bump_leaves(self, capsys, tmp_path):
+        # at N = 32, L = 16 the test bump reaches |xi| ~ 1.43, past the band 0.938
+        gpath = tmp_path / "d.json"
+        write_group_spec(gpath, GroupSpec(diagonal()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["covariance", str(gpath), "--N", "32"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and not caught
+        assert err.startswith("usage error: --N 32 and --L 16 ")
+        assert err.count("\n") == 1
+
     def test_compare_command(self, capsys, tmp_path):
         g1, g2 = tmp_path / "a.json", tmp_path / "b.json"
         write_group_spec(g1, GroupSpec(shearlet(1.0)))

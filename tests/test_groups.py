@@ -15,7 +15,6 @@ from coorbit2d import (
     element_from_chart,
     g_weight,
     haar_weight,
-    lie_algebra_basis,
     rotation,
     same_group,
     shearlet,
@@ -25,6 +24,19 @@ from coorbit2d.sampling import default_sampling
 from conftest import random_invertible
 
 B_UNIT_SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+# per family: normalizer elements of the standard group and, for each, a unit
+# matrix that moves it off the normalizer
+NORMALIZER_MOVES = {
+    "similitude": [(1.7 * rotation(0.9), np.diag([1.0, 0.0])),
+                   (0.6 * rotation(2.0) @ np.diag([1.0, -1.0]), np.diag([0.0, 1.0]))],
+    "diagonal": [(np.diag([2.5, -0.4]), np.array([[0.0, 1.0], [0.0, 0.0]])),
+                 (SWAP @ np.diag([-1.2, 3.0]), np.diag([1.0, 0.0]))],
+    "shearlet": [(np.array([[1.5, -2.0], [0.0, -0.3]]),
+                  np.array([[0.0, 0.0], [1.0, 0.0]]))],
+}
+FAMILIES = {"similitude": similitude(), "diagonal": diagonal(), "shearlet": shearlet(0.7)}
 
 
 class TestGroupSpecConditioning:
@@ -331,37 +343,27 @@ class TestContains:
 
 
 class TestLieAlgebra:
-    def test_diagonal_basis(self):
-        basis = lie_algebra_basis(GroupSpec(diagonal()))
-        assert np.allclose(basis[0], np.diag([1.0, 0.0]))
-        assert np.allclose(basis[1], np.diag([0.0, 1.0]))
-
-    def test_shearlet_basis(self):
-        basis = lie_algebra_basis(GroupSpec(shearlet(3.0)))
-        assert np.allclose(basis[0], np.diag([1.0, 3.0]))
-        assert np.allclose(basis[1], [[0.0, 1.0], [0.0, 0.0]])
-
-    def test_conjugated_basis(self):
-        basis = lie_algebra_basis(GroupSpec(diagonal(), B_UNIT_SHEAR))
-        binv = np.linalg.inv(B_UNIT_SHEAR)
-        assert np.allclose(basis[0], B_UNIT_SHEAR @ np.diag([1.0, 0.0]) @ binv)
-        assert np.allclose(basis[1], B_UNIT_SHEAR @ np.diag([0.0, 1.0]) @ binv)
-
     def test_one_parameter_subgroups(self):
-        # exp(t X) stays in the group for each basis element
+        # exp(t X) stays in the group for each Lie algebra basis element X
         from scipy.linalg import expm
 
-        for spec in (GroupSpec(similitude()), GroupSpec(diagonal()),
-                     GroupSpec(shearlet(-0.8), B_UNIT_SHEAR)):
-            for x in lie_algebra_basis(spec):
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for family, basis, b in (
+            (similitude(), (np.eye(2), rot), np.eye(2)),
+            (diagonal(), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.eye(2)),
+            (shearlet(-0.8), (np.diag([1.0, -0.8]), nilpotent), B_UNIT_SHEAR),
+        ):
+            spec = GroupSpec(family, b)
+            for x in basis:
                 for t in (-0.7, 0.3, 1.1):
-                    assert contains(spec, expm(t * x), tol=1e-8)
+                    assert contains(spec, b @ expm(t * x) @ np.linalg.inv(b), tol=1e-8)
 
 
 class TestSameGroup:
     def test_normalizing_conjugator_gives_same_group(self):
         spec = GroupSpec(diagonal())
-        swapped = GroupSpec(diagonal(), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        swapped = GroupSpec(diagonal(), SWAP)
         assert same_group(spec, swapped)
 
     def test_rotated_diagonal_differs(self):
@@ -370,3 +372,28 @@ class TestSameGroup:
 
     def test_families_differ(self):
         assert not same_group(GroupSpec(diagonal()), GroupSpec(similitude()))
+
+    @pytest.mark.parametrize("kind", sorted(NORMALIZER_MOVES))
+    def test_sharp_normalizer_boundary(self, kind, rng):
+        # M = B_a^-1 B_b moved off the normalizer by delta * max|M|: accepted
+        # at tol / 3 and rejected at 3 tol, whatever the conjugator
+        tol = 1e-9
+        conjugators = [np.eye(2), B_UNIT_SHEAR, *random_invertible(rng, 8)]
+        for b in conjugators:
+            spec = GroupSpec(FAMILIES[kind], b)
+            for n, move in NORMALIZER_MOVES[kind]:
+                assert same_group(spec, GroupSpec(spec.family, b @ n), tol)
+                for delta, verdict in ((tol / 3, True), (3 * tol, False)):
+                    m = n + delta * np.max(np.abs(n)) * move
+                    assert same_group(spec, GroupSpec(spec.family, b @ m), tol) is verdict
+
+    def test_swapping_the_specs_keeps_the_verdict(self, rng):
+        tol = 1e-9
+        for kind, moves in NORMALIZER_MOVES.items():
+            for b in random_invertible(rng, 10):
+                spec = GroupSpec(FAMILIES[kind], b)
+                for n, move in moves:
+                    for delta in (0.0, 0.99 * tol, 1.01 * tol, 1.0):
+                        m = n + delta * np.max(np.abs(n)) * move
+                        other = GroupSpec(spec.family, b @ m)
+                        assert same_group(spec, other, tol) == same_group(other, spec, tol)
