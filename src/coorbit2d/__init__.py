@@ -20,6 +20,7 @@ from .classify import (
     orbit_complement,
     orbit_contains,
     rep_group,
+    same_group,
 )
 from .errors import (
     ChartMismatchError,
@@ -47,7 +48,6 @@ from .groups import (
     g_weight,
     haar_weight,
     rotation,
-    same_group,
     shear,
     shearlet,
     similitude,

@@ -14,7 +14,7 @@ reports as its certificate from the same two complements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import hypot, isfinite
 from typing import Optional, Tuple
 
 import numpy as np
@@ -32,7 +32,6 @@ from .groups import (
     conjugate_spec,
     diagonal,
     rotation,
-    same_group,
     shearlet,
     similitude,
 )
@@ -309,12 +308,41 @@ def _fmt_angles(ls):
 
 
 def in_orbit_symmetry(spec, a, tol=DEFAULT_TOL):
-    """Whether A^T maps the dual orbit onto itself (the linear symmetry group)."""
+    """Whether A^T maps the dual orbit onto itself (the linear symmetry group).
+
+    A^T O = O exactly when A^-T O, the dual orbit of A H A^-1, is O.  The
+    complements are compared in that form, as `same_group` and
+    `coorbit_equivalent` compare them, so the three symmetry tests round alike.
+    """
     a = as_matrix(a, "A")
     comp = orbit_complement(spec)
     if not comp.angles:
         return True
-    return comp.mapped_by(a.T).equals(comp, tol)
+    return orbit_complement(conjugate_spec(spec, a)).equals(comp, tol)
+
+
+def same_group(spec_a, spec_b, tol=DEFAULT_TOL):
+    """Whether two specs represent the same subgroup of GL(2, R).
+
+    A diagonal or shearlet group is fixed by its invariant lines, so two
+    conjugates of one family are the same group exactly when their dual-orbit
+    complements coincide (and, for shearlets, c agrees within `tol`).  Two
+    similitude groups agree when M = B_a^-1 B_b is a rotation- or
+    reflection-scaling: the smaller of the norms of those two parts of M is
+    at most `tol` times the larger.  Neither test depends on how a conjugator
+    is written.
+    """
+    kind = spec_a.family.kind
+    if kind != spec_b.family.kind:
+        return False
+    if kind == SIMILITUDE:
+        (m11, m12), (m21, m22) = np.linalg.solve(spec_a.conjugator,
+                                                 spec_b.conjugator).tolist()
+        rot, ref = hypot(m11 + m22, m12 - m21), hypot(m11 - m22, m12 + m21)
+        return min(rot, ref) <= tol * max(rot, ref)
+    if kind == SHEARLET and abs(spec_a.family.c - spec_b.family.c) > tol:
+        return False
+    return orbit_complement(spec_a).equals(orbit_complement(spec_b), tol)
 
 
 def in_normalizer(spec, a, tol=DEFAULT_TOL):

@@ -297,29 +297,3 @@ def contains(spec, m, tol=DEFAULT_TOL):
     target = abs(ms[0, 0]) ** c
     return abs(abs(ms[1, 1]) - target) <= tol * max(abs(ms[1, 1]), target)
 
-
-def same_group(spec_a, spec_b, tol=DEFAULT_TOL):
-    """Whether two specs represent the same subgroup of GL(2, R).
-
-    B_a H B_a^-1 = B_b H B_b^-1 exactly when M = B_a^-1 B_b normalizes the
-    standard group H.  The normalizers are closed forms: the conformal
-    matrices (rotation- or reflection-scalings) for the similitude group,
-    the monomial matrices for the diagonal group and the upper-triangular
-    matrices for every shearlet exponent c.  M is tested against them with
-    one relative tolerance, tol * max|M_ij|, as in `contains`.
-    """
-    kind = spec_a.family.kind
-    if kind != spec_b.family.kind:
-        return False
-    if kind == SHEARLET and abs(spec_a.family.c - spec_b.family.c) > tol:
-        return False
-    (m11, m12), (m21, m22) = np.linalg.solve(spec_a.conjugator,
-                                             spec_b.conjugator).tolist()
-    eps = tol * max(abs(m11), abs(m12), abs(m21), abs(m22))
-    if kind == SIMILITUDE:
-        return ((abs(m11 - m22) <= eps and abs(m12 + m21) <= eps)
-                or (abs(m11 + m22) <= eps and abs(m12 - m21) <= eps))
-    if kind == DIAGONAL:
-        return ((abs(m12) <= eps and abs(m21) <= eps)
-                or (abs(m11) <= eps and abs(m22) <= eps))
-    return abs(m21) <= eps

@@ -358,6 +358,34 @@ class TestSymmetryGroups:
         assert not in_normalizer(spec, off)
         assert in_normalizer(spec, exact)
 
+    def test_normalizer_verdict_ignores_how_the_conjugator_is_written(self):
+        # I and the axis scalings write the standard groups; each A moves the
+        # invariant line e1 by 1e-7, 100 tol, so it is outside every normalizer
+        for family, a, scalings in (
+                (diagonal(), [[1.0, 1e-7], [0.0, 1.0]], ([1e3, 1.0], [1e6, 1.0])),
+                (shearlet(0.7), [[1.0, 0.0], [1e-7, 1.0]], ([1.0, 1e3], [1.0, 1e6]))):
+            for b in (np.eye(2), *map(np.diag, scalings)):
+                spec = GroupSpec(family, b)
+                assert not in_normalizer(spec, a)
+                assert not in_orbit_symmetry(spec, a)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_inclusion_chain_at_the_boundary(self, tol, rng):
+        # A = R(delta) B N B^-1 turns the invariant lines of a diagonal or
+        # shearlet group by delta; for these families all three groups agree
+        normalizers = {"diagonal": (diagonal(), SWAP @ np.diag([2.0, -0.5])),
+                       "shearlet": (shearlet(-1.3), np.array([[1.5, -2.0], [0.0, -0.3]]))}
+        for family, n in normalizers.values():
+            for b in random_invertible(rng, 20):
+                b = b @ np.diag([10.0 ** rng.uniform(-3, 3), 1.0])
+                spec = GroupSpec(family, b)
+                for delta in (0.0, 1e-9 / 3, 1e-9, 3e-9):
+                    a = rotation(delta) @ b @ n @ np.linalg.inv(b)
+                    n_h = in_normalizer(spec, a, tol)
+                    s_h = in_coorbit_symmetry(spec, a, tol)
+                    s_o = in_orbit_symmetry(spec, a, tol)
+                    assert n_h == s_h == s_o
+
     def test_diagonal_rotation_not_coorbit(self):
         assert not in_coorbit_symmetry(GroupSpec(diagonal()), rotation(0.2))
 

@@ -26,17 +26,32 @@ from conftest import random_invertible
 B_UNIT_SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-# per family: normalizer elements of the standard group and, for each, a unit
-# matrix that moves it off the normalizer
-NORMALIZER_MOVES = {
-    "similitude": [(1.7 * rotation(0.9), np.diag([1.0, 0.0])),
-                   (0.6 * rotation(2.0) @ np.diag([1.0, -1.0]), np.diag([0.0, 1.0]))],
-    "diagonal": [(np.diag([2.5, -0.4]), np.array([[0.0, 1.0], [0.0, 0.0]])),
-                 (SWAP @ np.diag([-1.2, 3.0]), np.diag([1.0, 0.0]))],
-    "shearlet": [(np.array([[1.5, -2.0], [0.0, -0.3]]),
-                  np.array([[0.0, 0.0], [1.0, 0.0]]))],
+# per family: elements N of the standard normalizer, and factors F such that
+# B and B F write the same group
+NORMALIZERS = {
+    "similitude": [1.7 * rotation(0.9), 0.6 * rotation(2.0) @ np.diag([1.0, -1.0])],
+    "diagonal": [np.diag([2.5, -0.4]), SWAP @ np.diag([-1.2, 3.0])],
+    "shearlet": [np.array([[1.5, -2.0], [0.0, -0.3]])],
+}
+REWRITES = {
+    "similitude": [np.eye(2), 1e3 * rotation(0.4), 1e-3 * rotation(2.0) @ np.diag([1.0, -1.0])],
+    "diagonal": [np.eye(2), np.diag([1e3, 1.0]), SWAP @ np.diag([1.0, 1e-3])],
+    "shearlet": [np.eye(2), np.diag([1.0, 1e3]), np.array([[1e-3, 5.0], [0.0, 2.0]])],
 }
 FAMILIES = {"similitude": similitude(), "diagonal": diagonal(), "shearlet": shearlet(0.7)}
+
+
+def _moved_off(kind, b, n, delta):
+    """Conjugator of a group delta away from the one B N writes.
+
+    For similitude M = B^-1 B_b gains, relative to the conformal part N has,
+    a part of the other kind of size delta; for the diagonal and shearlet
+    families the invariant lines turn by delta.
+    """
+    if kind == "similitude":
+        other = np.diag([1.0, -1.0]) if np.linalg.det(n) > 0 else np.eye(2)
+        return b @ (n + delta * np.sqrt(abs(np.linalg.det(n))) * other)
+    return rotation(delta) @ b @ n
 
 
 class TestGroupSpecConditioning:
@@ -373,27 +388,26 @@ class TestSameGroup:
     def test_families_differ(self):
         assert not same_group(GroupSpec(diagonal()), GroupSpec(similitude()))
 
-    @pytest.mark.parametrize("kind", sorted(NORMALIZER_MOVES))
+    @pytest.mark.parametrize("kind", sorted(NORMALIZERS))
     def test_sharp_normalizer_boundary(self, kind, rng):
-        # M = B_a^-1 B_b moved off the normalizer by delta * max|M|: accepted
-        # at tol / 3 and rejected at 3 tol, whatever the conjugator
+        # a group tol / 3 away is the same, one 3 tol away is not, whichever
+        # conjugator writes the first spec
         tol = 1e-9
-        conjugators = [np.eye(2), B_UNIT_SHEAR, *random_invertible(rng, 8)]
-        for b in conjugators:
-            spec = GroupSpec(FAMILIES[kind], b)
-            for n, move in NORMALIZER_MOVES[kind]:
-                assert same_group(spec, GroupSpec(spec.family, b @ n), tol)
-                for delta, verdict in ((tol / 3, True), (3 * tol, False)):
-                    m = n + delta * np.max(np.abs(n)) * move
-                    assert same_group(spec, GroupSpec(spec.family, b @ m), tol) is verdict
+        for b in [np.eye(2), B_UNIT_SHEAR, *random_invertible(rng, 8)]:
+            for f in REWRITES[kind]:
+                spec = GroupSpec(FAMILIES[kind], b @ f)
+                for n in NORMALIZERS[kind]:
+                    assert same_group(spec, GroupSpec(spec.family, b @ n), tol)
+                    for delta, verdict in ((tol / 3, True), (3 * tol, False)):
+                        other = GroupSpec(spec.family, _moved_off(kind, b, n, delta))
+                        assert same_group(spec, other, tol) is verdict
 
     def test_swapping_the_specs_keeps_the_verdict(self, rng):
         tol = 1e-9
-        for kind, moves in NORMALIZER_MOVES.items():
+        for kind, normalizers in NORMALIZERS.items():
             for b in random_invertible(rng, 10):
                 spec = GroupSpec(FAMILIES[kind], b)
-                for n, move in moves:
-                    for delta in (0.0, 0.99 * tol, 1.01 * tol, 1.0):
-                        m = n + delta * np.max(np.abs(n)) * move
-                        other = GroupSpec(spec.family, b @ m)
+                for n in normalizers:
+                    for delta in (0.0, 0.99 * tol, 1.01 * tol, 0.5):
+                        other = GroupSpec(spec.family, _moved_off(kind, b, n, delta))
                         assert same_group(spec, other, tol) == same_group(other, spec, tol)
