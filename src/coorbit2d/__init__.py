@@ -31,7 +31,6 @@ from .errors import (
     NotInGroupError,
     OrbitSampleError,
     SingularMatrixError,
-    WaveletSupportError,
     WeightRangeError,
 )
 from .groups import (
@@ -77,7 +76,6 @@ from .signals import (
     freq_bump,
     freq_grids,
     gen_test_signal,
-    psi_atom,
     signal_from_spectrum,
     spectrum_from_signal,
     wave_packet,

@@ -38,6 +38,7 @@ from .groups import (
     DiagonalChart,
     ShearletChart,
     SimilitudeChart,
+    column_sine,
     element_from_chart,
 )
 from .io_formats import (
@@ -155,11 +156,11 @@ def _parse_matrix_flag(text):
         a, b, c, d = (float(v) for v in parts)
     except ValueError:
         raise _UsageError("--matrix entries must be numbers") from None
-    # GroupSpec's conditioning test: |det| <= tol |a1| |a2| (a1, a2 the
-    # columns) also rejects nan and inf entries, whose comparison fails
-    if not abs(a * d - b * c) > DEFAULT_TOL * np.hypot(a, c) * np.hypot(b, d):
+    m = np.array([[a, b], [c, d]])
+    # GroupSpec's conditioning rule; nan or inf entries give a nan sine and fail it
+    if not column_sine(m) > DEFAULT_TOL:
         raise _UsageError("--matrix must be finite and not numerically singular")
-    return np.array([[a, b], [c, d]])
+    return m
 
 
 def _flag_type(convert, check, expected):

@@ -25,10 +25,6 @@ class OrbitSampleError(CoorbitError, ValueError):
     """A frequency sample does not lie inside the open dual orbit."""
 
 
-class WaveletSupportError(CoorbitError, ValueError):
-    """Wavelet frequency support is not contained in the dual orbit."""
-
-
 class WeightRangeError(CoorbitError, ArithmeticError):
     """The chart weights of a group spec leave the floating-point range."""
 

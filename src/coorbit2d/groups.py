@@ -26,7 +26,7 @@ the left-invariance quadrature oracle in the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import hypot
+from math import frexp, hypot, ldexp
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -42,14 +42,28 @@ DEFAULT_TOL = 1e-9
 _I2 = np.eye(2)
 
 
+def column_sine(m):
+    """|sin| of the angle between the columns of a 2x2 matrix; 0 for a zero column.
+
+    Each column is first scaled by an exact power of two to a largest entry
+    in [1/2, 1), so the value does not depend on scale and cannot overflow.
+    A non-finite entry gives nan.
+    """
+    (a, b), (c, d) = np.asarray(m, dtype=float).tolist()
+    e1, e2 = frexp(max(abs(a), abs(c)))[1], frexp(max(abs(b), abs(d)))[1]
+    a, c, b, d = ldexp(a, -e1), ldexp(c, -e1), ldexp(b, -e2), ldexp(d, -e2)
+    norms = hypot(a, c) * hypot(b, d)
+    return abs(a * d - b * c) / norms if norms else 0.0
+
+
 def as_matrix(m, name="matrix"):
-    """Coerce to a read-only 2x2 float array with det != 0."""
+    """Coerce to a read-only 2x2 float array, finite and with independent columns."""
     a = np.array(m, dtype=float)
     if a.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise SingularMatrixError(f"{name} has non-finite entries")
-    if np.linalg.det(a) == 0.0:
+    if column_sine(a) == 0.0:
         raise SingularMatrixError(f"{name} is singular")
     a.flags.writeable = False
     return a
@@ -113,11 +127,9 @@ class GroupSpec:
 
     def __post_init__(self):
         b = as_matrix(self.conjugator, "conjugator")
-        # |det B| / (|b1| |b2|) is the sine of the angle between the lines
+        # the sine of the angle between B's columns is that between the lines
         # B^-T maps the axes to; at DEFAULT_TOL they coincide for LineSet
-        (b11, b12), (b21, b22) = b.tolist()
-        det = b11 * b22 - b12 * b21
-        if abs(det) <= DEFAULT_TOL * hypot(b11, b21) * hypot(b12, b22):
+        if column_sine(b) <= DEFAULT_TOL:
             raise SingularMatrixError(
                 "conjugator is numerically singular: B^-T maps the axes to lines "
                 "within tolerance of each other"

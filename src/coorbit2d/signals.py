@@ -137,14 +137,9 @@ def _check_band(center, extent, n, length, what):
         )
 
 
-def freq_bump(n, length, center, sigma, amplitude=1.0, shape="gaussian",
-              x0=(0.0, 0.0)):
-    """Atom concentrated near one frequency: Gaussian or compact bump profile.
-
-    `x0` shifts the atom in space (a pure phase on the spectrum).
-    """
+def freq_bump(n, length, center, sigma, amplitude=1.0, shape="gaussian"):
+    """Atom concentrated near one frequency: Gaussian or compact bump profile."""
     center = np.asarray(center, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if shape not in ("gaussian", "bump"):
@@ -158,8 +153,7 @@ def freq_bump(n, length, center, sigma, amplitude=1.0, shape="gaussian",
             prof = np.exp(-d2 / (2.0 * sigma * sigma))
         else:
             prof = bump(np.sqrt(d2) / sigma)
-        phase = np.exp(-2j * np.pi * (x0[0] * xi1 + x0[1] * xi2))
-        return amplitude * prof * phase
+        return amplitude * prof
 
     xi1, xi2 = freq_grids(n, length)
     sig = GridSignal(n, length, signal_from_spectrum(spectrum(xi1, xi2), n, length))
@@ -168,10 +162,9 @@ def freq_bump(n, length, center, sigma, amplitude=1.0, shape="gaussian",
 
 
 def wave_packet(n, length, center, sigma_along, sigma_across, direction,
-                amplitude=1.0, x0=(0.0, 0.0)):
+                amplitude=1.0):
     """Anisotropic Gaussian packet: elongated across `direction` in frequency."""
     center = np.asarray(center, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
     if sigma_along <= 0 or sigma_across <= 0:
         raise ValueError("widths must be positive")
     u = np.array([np.cos(direction), np.sin(direction)])
@@ -182,29 +175,14 @@ def wave_packet(n, length, center, sigma_along, sigma_across, direction,
     def spectrum(xi1, xi2):
         d1 = (xi1 - center[0]) * u[0] + (xi2 - center[1]) * u[1]
         d2 = (xi1 - center[0]) * v[0] + (xi2 - center[1]) * v[1]
-        prof = np.exp(-d1 ** 2 / (2 * sigma_along ** 2)
-                      - d2 ** 2 / (2 * sigma_across ** 2))
-        phase = np.exp(-2j * np.pi * (x0[0] * xi1 + x0[1] * xi2))
-        return amplitude * prof * phase
+        return amplitude * np.exp(-d1 ** 2 / (2 * sigma_along ** 2)
+                                  - d2 ** 2 / (2 * sigma_across ** 2))
 
     xi1, xi2 = freq_grids(n, length)
     sig = GridSignal(n, length, signal_from_spectrum(spectrum(xi1, xi2), n, length))
     label = (f"packet @({center[0]:.3g},{center[1]:.3g}) "
              f"dir={direction:.3g} widths=({sigma_along:.3g},{sigma_across:.3g})")
     return TestSignal(sig, spectrum, label)
-
-
-def psi_atom(n, length, wavelet, amplitude=1.0):
-    """The wavelet itself as a signal: spectrum = amplitude * psi-hat."""
-    box = wavelet.support_box()
-    _check_band((0.0, 0.0), max(box), n, length, "wavelet atom")
-
-    def spectrum(xi1, xi2):
-        return amplitude * wavelet.evaluate(xi1, xi2)
-
-    xi1, xi2 = freq_grids(n, length)
-    sig = GridSignal(n, length, signal_from_spectrum(spectrum(xi1, xi2), n, length))
-    return TestSignal(sig, spectrum, f"wavelet atom x{amplitude:.3g}")
 
 
 def gen_test_signal(kind, n, length, **params):

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import orbit_contains
-from .errors import WaveletSupportError
+# not called here; bench/spans.py traces requests through this name
+from .classify import orbit_contains  # noqa: F401
 from .groups import DIAGONAL, SHEARLET, SIMILITUDE, Family, as_matrix
 
 
@@ -107,57 +107,12 @@ class WaveletSpec:
                       * bump((e2[m] / e1[m]) / w))
         return out.reshape(shape)
 
-    def support_box(self):
-        """Half-widths (m1, m2) of a box bounding the support in eta coordinates."""
-        hi = self.center_scale * 2.0 ** self.bandwidth
-        if self.family.kind == SHEARLET:
-            return hi, hi * self.bandwidth
-        return hi, hi
-
-    def support_boundary(self):
-        """Sample points (in eta coordinates) on the boundary of the support."""
-        n_per_edge = 16
-        s0, w = self.center_scale, self.bandwidth
-        lo, hi = s0 * 2.0 ** (-w), s0 * 2.0 ** w
-        pts = []
-        kind = self.family.kind
-        if kind == SIMILITUDE:
-            ang = np.linspace(0, 2 * np.pi, n_per_edge, endpoint=False)
-            for r in (lo, hi):
-                pts.extend(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
-        elif kind == DIAGONAL:
-            ts = np.linspace(lo, hi, n_per_edge)
-            for s1 in (1.0, -1.0):
-                for s2 in (1.0, -1.0):
-                    for edge in (lo, hi):
-                        pts.extend(np.column_stack([s1 * np.full_like(ts, edge), s2 * ts]))
-                        pts.extend(np.column_stack([s1 * ts, s2 * np.full_like(ts, edge)]))
-        else:
-            rs = np.linspace(-w, w, n_per_edge)
-            for s1 in (1.0, -1.0):
-                for edge in (lo, hi):
-                    e1 = s1 * np.full_like(rs, edge)
-                    pts.extend(np.column_stack([e1, e1 * rs]))
-                mags = np.linspace(lo, hi, n_per_edge)
-                for r in (-w, w):
-                    e1 = s1 * mags
-                    pts.extend(np.column_stack([e1, e1 * r]))
-        return np.array(pts)
-
-
-def verify_support_in_orbit(wavelet, spec, tol=1e-12):
-    """Check that the closure of the wavelet support lies in the dual orbit."""
-    binv_t = np.linalg.inv(wavelet.conjugator).T
-    for eta in wavelet.support_boundary():
-        xi = binv_t @ eta
-        if not orbit_contains(spec, xi, tol):
-            raise WaveletSupportError(
-                f"support boundary point {xi.tolist()} leaves the dual orbit"
-            )
-
 
 def default_wavelet(spec):
-    """Standard admissible wavelet for a group spec, support-checked."""
-    psi = WaveletSpec(spec.family, spec.conjugator)
-    verify_support_in_orbit(psi, spec)
-    return psi
+    """Standard admissible wavelet for a group spec.
+
+    It needs no support check: in standard coordinates eta = B^T xi the
+    closure of its support keeps |eta| >= 1/2 (similitude), |eta1|, |eta2| >= 1/2
+    (diagonal) or |eta1| >= 1/2 (shearlet), so it lies inside the open dual orbit.
+    """
+    return WaveletSpec(spec.family, spec.conjugator)

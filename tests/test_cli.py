@@ -181,6 +181,15 @@ class TestSymmetry:
         assert code == 0
         assert all(isinstance(v, bool) for v in report["values"].values())
 
+    @pytest.mark.parametrize("matrix", ["1e200,0,0,1e200", "1e-200,0,0,1e-200"])
+    def test_scalar_matrix_at_extreme_scale_accepted(self, capsys, diag_path, matrix):
+        # det leaves the float range here; the conditioning rule is scale-free,
+        # and a scalar matrix lies in every normalizer
+        code, report = run_cli(capsys, "symmetry", diag_path, "--matrix", matrix)
+        assert code == 0
+        assert all(report["values"].values())
+        assert capsys.readouterr().err == ""
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -196,11 +205,13 @@ class TestExitCodes:
         assert main(["classify", str(p)]) == 2
 
     def test_nearly_singular_conjugator_is_parse_error(self, tmp_path, capsys):
-        p = tmp_path / "ill.json"
-        p.write_text(json.dumps(
-            {"family": "diagonal", "conjugator": [[1.0, 1.0], [1.0, 1.0 + 1e-10]]}))
-        assert main(["classify", str(p)]) == 2
-        assert "singular" in capsys.readouterr().err
+        # det of the second evaluates to nan; the rule does not depend on scale
+        for b in ([[1.0, 1.0], [1.0, 1.0 + 1e-10]],
+                  [[1e160, 1e160], [1e160, 1e160 * (1 + 1e-15)]]):
+            p = tmp_path / "ill.json"
+            p.write_text(json.dumps({"family": "diagonal", "conjugator": b}))
+            assert main(["classify", str(p)]) == 2
+            assert "singular" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["classify", str(tmp_path / "none.json")]) == 2

@@ -9,8 +9,10 @@ from coorbit2d import (
     ShearletChart,
     SimilitudeChart,
     SingularMatrixError,
+    canonicalize,
     chart_from_element,
     contains,
+    coorbit_equivalent,
     diagonal,
     element_from_chart,
     g_weight,
@@ -55,11 +57,31 @@ def _moved_off(kind, b, n, delta):
 
 
 class TestGroupSpecConditioning:
-    # |det B| / (|b1| |b2|) is about eps / 2 for [[1, 1], [1, 1 + eps]]
+    # |det B| / (|b1| |b2|) is about eps / 2 for [[1, 1], [1, 1 + eps]]; at
+    # the scale 1e160 det itself evaluates to inf - inf = nan
     def test_nearly_singular_conjugator_rejected(self):
         for family in (similitude(), diagonal(), shearlet(1.0)):
-            with pytest.raises(SingularMatrixError):
-                GroupSpec(family, [[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+            for b in ([[1.0, 1.0], [1.0, 1.0 + 1e-10]],
+                      1e160 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])):
+                with pytest.raises(SingularMatrixError):
+                    GroupSpec(family, b)
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_rescaled_conjugator_writes_the_same_group(self, rng, kind, scale):
+        family = FAMILIES[kind]
+        for b in (np.eye(2), B_UNIT_SHEAR, random_invertible(rng)):
+            spec, scaled = GroupSpec(family, b), GroupSpec(family, scale * b)
+            assert same_group(spec, scaled) and same_group(scaled, spec)
+            # the same form, up to the roundoff of scaling by a non-power of two
+            cf, cf_scaled = canonicalize(spec), canonicalize(scaled)
+            assert cf_scaled.kind == cf.kind
+            assert [cf_scaled.phi, cf_scaled.s, cf_scaled.c] == pytest.approx(
+                [cf.phi, cf.s, cf.c], rel=1e-14)
+            other = GroupSpec(family, rotation(0.4) @ b)
+            for s2 in (spec, other, GroupSpec(family, scale * other.conjugator)):
+                assert (coorbit_equivalent(scaled, s2).equivalent
+                        == coorbit_equivalent(spec, s2).equivalent)
 
 
 class TestElementFromChart:

@@ -30,7 +30,6 @@ from coorbit2d import (
     gen_test_signal,
     invert,
     norm_ratio_profile,
-    psi_atom,
     reconstruct,
     rotation,
     shearlet,
@@ -49,6 +48,14 @@ from coorbit2d.sampling import (
     shearlet_sampling,
 )
 from coorbit2d.signals import ifft2_rows
+
+
+def _wavelet_atom(n, length, psi):
+    """The wavelet itself as a test signal: its spectrum is psi-hat."""
+    from coorbit2d.signals import TestSignal  # a module-level name would be collected
+
+    data = signal_from_spectrum(psi.evaluate(*freq_grids(n, length)), n, length)
+    return TestSignal(GridSignal(n, length, data), psi.evaluate, "wavelet atom")
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +80,7 @@ class TestAnalyze:
     def test_self_reproducing_peak(self):
         spec = GroupSpec(similitude())
         psi = default_wavelet(spec)
-        atom = psi_atom(128, 16.0, psi)
+        atom = _wavelet_atom(128, 16.0, psi)
         sampling = build_sampling(spec, [SimilitudeChart(0.0, 0.0)], [1.0])
         slab = analyze(atom.signal, spec, sampling, psi)
         center = slab.planes[0, 64, 64]  # x = 0 sits at index N/2
@@ -849,9 +856,8 @@ class TestStabilizerQuotient:
         _, spec, psi, sampling, f, slab = stream_case
         first, _ = transform._classes(spec, sampling, psi)
         assert len(first) < len(sampling)
-        with pytest.warns(CoverageWarning, match="wavelet atom"):
-            atom = psi_atom(f.N, f.L, psi)
-        signals = [atom, freq_bump(f.N, f.L, center=(0.9, 0.3), sigma=0.2)]
+        signals = [_wavelet_atom(f.N, f.L, psi),
+                   freq_bump(f.N, f.L, center=(0.9, 0.3), sigma=0.2)]
         other = GroupSpec(spec.family, rotation(0.7) @ spec.conjugator)
         table = norm_ratio_profile(spec, other, p, signals, sampling,
                                    sampling)
