@@ -37,7 +37,7 @@ sampling = similitude_sampling(spec, (-2.0, 2.0), 32, 32)
 print("chart points:", len(sampling))
 
 # Admissibility: C(xi) should not depend on xi.
-cal = calderon_constant(spec, psi, default_orbit_samples(spec), sampling)
+cal = calderon_constant(spec, default_orbit_samples(spec), sampling)
 print(f"Calderon constant: {cal.mean:.6f} "
       f"(max relative deviation {cal.max_rel_deviation:.2e})")
 print()
@@ -46,9 +46,9 @@ print()
 f = freq_bump(128, 16.0, center=(1.0, 0.4), sigma=0.12)
 print("test signal:", f.label, "  ||f||_2 =", round(f.signal.norm_l2(), 6))
 
-slab = analyze(f.signal, spec, sampling, psi)
+slab = analyze(f.signal, spec, sampling)
 w2 = coorbit_norm(slab, 2.0)
-w2_mult = signal_coorbit_norm(f.signal, spec, sampling, psi, 2)
+w2_mult = signal_coorbit_norm(f.signal, spec, sampling, 2)
 print(f"p=2 norm from the slab:       {w2:.15f}")
 print(f"p=2 norm from the multiplier: {w2_mult:.15f}   "
       f"(relative gap {abs(w2 - w2_mult) / w2:.1e})")

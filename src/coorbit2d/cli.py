@@ -58,21 +58,19 @@ from .sampling import (
     similitude_sampling,
 )
 from .signals import gen_test_signal
-# analyze, coorbit_norm and invert are not called here; they stay importable
-# from this module because bench/spans.py traces CLI requests through these names
-from .transform import (  # noqa: F401
+from .transform import (
     _signal_stats,
-    analyze,
     calderon_constant,
-    coorbit_norm,
     covariance_residual,
     default_orbit_samples,
-    invert,
     norm_ratio_profile,
     reconstruct,
     signal_coorbit_norm,
 )
-from .wavelets import default_wavelet
+# not called here; they stay importable from this module because
+# bench/spans.py traces CLI requests through these names
+from .transform import analyze, coorbit_norm, invert  # noqa: F401
+from .wavelets import default_wavelet  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -205,13 +203,12 @@ def _parse_exponent(text):
 
 
 def _transform_request(args, signal=True):
-    """The spec, the signal (None unless `signal`), the sampling and the
-    spec's default wavelet, made in that order: a bad spec is reported
-    before a bad signal, and both before bad sampling flags."""
+    """The spec, the signal (None unless `signal`) and the sampling, made in
+    that order: a bad spec is reported before a bad signal, and both before
+    bad sampling flags."""
     spec = parse_group_spec(args.group)
     sig = read_signal(args.signal) if signal else None
-    sampling = _sampling_from_args(spec, args)
-    return spec, sig, sampling, default_wavelet(spec)
+    return spec, sig, _sampling_from_args(spec, args)
 
 
 def _emit(args, t0, command, inputs, values, **extra):
@@ -280,10 +277,10 @@ def _cmd_symmetry(args):
 
 
 def _cmd_analyze(args):
-    spec, sig, sampling, psi = _transform_request(args)
+    spec, sig, sampling = _transform_request(args)
     t0 = time.perf_counter()
     # the p = 2 plane sums are the plane energies; no slab is held
-    sums, peaks = _signal_stats([sig], spec, sampling, psi, 2)
+    sums, peaks = _signal_stats([sig], spec, sampling, 2)
     energies = sums[:, 0]
     values = {
         "planes": len(sampling),
@@ -299,10 +296,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_norm(args):
-    spec, sig, sampling, psi = _transform_request(args)
+    spec, sig, sampling = _transform_request(args)
     p = _parse_exponent(args.p)
     t0 = time.perf_counter()
-    value = signal_coorbit_norm(sig, spec, sampling, psi, p)
+    value = signal_coorbit_norm(sig, spec, sampling, p)
     _emit(args, t0, "norm",
           {"group": group_spec_to_dict(spec), "signal": str(args.signal),
            "p": args.p},
@@ -311,10 +308,10 @@ def _cmd_norm(args):
 
 
 def _cmd_invert(args):
-    spec, sig, sampling, psi = _transform_request(args)
+    spec, sig, sampling = _transform_request(args)
     t0 = time.perf_counter()
-    cal = calderon_constant(spec, psi, default_orbit_samples(spec), sampling)
-    rec = reconstruct(sig, spec, sampling, psi, cal.mean)
+    cal = calderon_constant(spec, default_orbit_samples(spec), sampling)
+    rec = reconstruct(sig, spec, sampling, cal.mean)
     denom = sig.norm_l2()
     if denom == 0.0:
         rel_err = 0.0
@@ -332,10 +329,13 @@ def _cmd_invert(args):
 
 
 def _cmd_calderon(args):
-    spec, _, sampling, psi = _transform_request(args, signal=False)
+    spec, _, sampling = _transform_request(args, signal=False)
     t0 = time.perf_counter()
     samples = default_orbit_samples(spec, args.n_samples)
-    cal = calderon_constant(spec, psi, samples, sampling)
+    if len(samples) < args.n_samples:
+        raise _UsageError(f"--n-samples {args.n_samples} exceeds the "
+                          f"{len(samples)} orbit samples of the family")
+    cal = calderon_constant(spec, samples, sampling)
     _emit(args, t0, "calderon",
           {"group": group_spec_to_dict(spec), "n_samples": len(samples)},
           {"mean": cal.mean, "max_rel_deviation": cal.max_rel_deviation,
@@ -373,7 +373,6 @@ def _covariance_cases(spec, n, length):
 
 def _cmd_covariance(args):
     spec = parse_group_spec(args.group)
-    psi = default_wavelet(spec)
     t0 = time.perf_counter()
     n, length = args.N, args.L
     center = {"similitude": (1.0, 0.3), "diagonal": (0.9, 0.9),
@@ -391,7 +390,7 @@ def _cmd_covariance(args):
     h_chart, cases = _covariance_cases(spec, n, length)
     residuals = {}
     for label, y, g in cases:
-        residuals[label] = covariance_residual(f, y, g, h_chart, spec, psi)
+        residuals[label] = covariance_residual(f, y, g, h_chart, spec)
     _emit(args, t0, "covariance",
           {"group": group_spec_to_dict(spec), "grid": {"N": n, "L": length}},
           {"residuals": residuals})

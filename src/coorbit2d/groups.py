@@ -134,6 +134,8 @@ class GroupSpec:
                 "conjugator is numerically singular: B^-T maps the axes to lines "
                 "within tolerance of each other"
             )
+        if not np.isfinite(np.linalg.inv(b)).all():
+            raise SingularMatrixError("conjugator has a non-finite inverse")
         object.__setattr__(self, "conjugator", b)
 
     @property
@@ -286,26 +288,40 @@ def g_weight(spec, p):
     return _weights(np.exp(-lam) * np.exp(-(1.0 + spec.family.c) * lam))
 
 
+def _fixes_line(m, v, tol):
+    """Whether m maps the line of v to itself: |sin| of the angle of v and m v."""
+    return column_sine(np.column_stack((v, m @ v))) <= tol
+
+
 def contains(spec, m, tol=DEFAULT_TOL):
-    """Whether m lies in the represented group, within relative tolerance."""
+    """Whether m lies in the represented group, within relative tolerance.
+
+    Each test reads an invariant of the group, so the verdict does not depend
+    on how the conjugator B is written: for similitude, the reflection-scaling
+    part of B^-1 m B is at most `tol` times its rotation-scaling part; for
+    diagonal, m fixes the lines of B e1 and B e2; for shearlet, m fixes the
+    line of B e1, and its eigenvalue l1 there and the other one, l2 =
+    det m / l1, share a sign with |l2| = |l1|^c within relative `tol`.
+    """
     m = as_matrix(m, "m")
     b = spec.conjugator
-    ms = np.linalg.solve(b, m @ b)
-    scale = np.max(np.abs(ms))
-    if scale == 0.0:
-        return False
     kind = spec.family.kind
     if kind == SIMILITUDE:
-        return (abs(ms[0, 0] - ms[1, 1]) <= tol * scale
-                and abs(ms[0, 1] + ms[1, 0]) <= tol * scale)
+        (m11, m12), (m21, m22) = np.linalg.solve(b, m @ b).tolist()
+        return hypot(m11 - m22, m12 + m21) <= tol * hypot(m11 + m22, m12 - m21)
     if kind == DIAGONAL:
-        return (abs(ms[0, 1]) <= tol * scale and abs(ms[1, 0]) <= tol * scale
-                and abs(ms[0, 0]) > tol * scale and abs(ms[1, 1]) > tol * scale)
-    c = spec.family.c
-    if abs(ms[1, 0]) > tol * scale:
+        return _fixes_line(m, b[:, 0], tol) and _fixes_line(m, b[:, 1], tol)
+    if not _fixes_line(m, b[:, 0], tol):
         return False
-    if ms[0, 0] == 0.0 or np.sign(ms[0, 0]) != np.sign(ms[1, 1]):
+    # l1 and l2 of m scaled by 2^-e, then scaled back: det m cannot overflow
+    e = frexp(np.max(np.abs(m)))[1]
+    v, ms = b[:, 0] / hypot(*b[:, 0]), np.ldexp(m, -e)
+    l1 = float(v @ ms @ v)
+    if l1 == 0.0:
         return False
-    target = abs(ms[0, 0]) ** c
-    return abs(abs(ms[1, 1]) - target) <= tol * max(abs(ms[1, 1]), target)
+    l1, l2 = ldexp(l1, e), ldexp(float(np.linalg.det(ms)) / l1, e)
+    if np.sign(l1) != np.sign(l2):
+        return False
+    target = abs(l1) ** spec.family.c
+    return abs(abs(l2) - target) <= tol * max(abs(l2), target)
 

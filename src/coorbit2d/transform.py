@@ -6,24 +6,22 @@ group element h the analysis plane is
 
     W(., h) = inverse FT of [ fhat(xi) * |det h|^(1/2) * conj(psihat(h^T xi)) ]
 
-with psihat always evaluated in closed form at h^T xi.  Each public call
-stacks the 2 x 2 elements of its class representatives (below) once; one
-kernel yields |det h|^(1/2) and psihat(h^T xi) over a stack, a chunk at a
-time, and backs the multiplier, the analysis planes, the `invert` sum and
-both sides of `covariance_residual`.
+with psi the wavelet of the group spec (`default_wavelet`), always evaluated
+in closed form at h^T xi: no function here takes a wavelet of its own.  Each
+public call stacks the 2 x 2 elements of its class representatives (below)
+once; one kernel yields |det h|^(1/2) and psihat(h^T xi) over a stack, a
+chunk at a time, and backs the multiplier, the analysis planes, the `invert`
+sum and both sides of `covariance_residual`.
 
 The wavelet factor |det h|^(1/2) psihat(h^T xi) is constant on the classes
 of H modulo the compact part K_psi of H that leaves the profile invariant.
-A `WaveletSpec` declares the chart columns its profile ignores in
-`WaveletSpec.ignored_columns`: theta for the radial similitude profile, the
-signs (e1, e2) for the diagonal one and eps for the shearlet one.  When psi
-has the family and conjugator of the group spec (as `default_wavelet`
-gives) the sampled rows are grouped by their remaining columns (`_classes`,
-one `np.unique` over the chart array) and the kernel runs on one
-representative row per class; on the default samplings that is 32 of 1024
-similitude, 256 of 1024 diagonal and 768 of 1536 shearlet rows.  Any other
-psi gets one class per row, and every result is then the per-element one
-bit for bit.
+`WaveletSpec.ignored_columns` names the chart columns the profile ignores:
+theta for the radial similitude profile, the signs (e1, e2) for the diagonal
+one and eps for the shearlet one.  The sampled rows are grouped by their
+remaining columns (`_classes`, one `np.unique` over the chart array) and the
+kernel runs on one representative row per class; on the default samplings
+that is 32 of 1024 similitude, 256 of 1024 diagonal and 768 of 1536
+shearlet rows.
 
 The analysis planes come from one generator that takes the FFT of each
 signal once and yields, class by class, the planes of all its signals;
@@ -78,7 +76,6 @@ from .classify import orbit_contains
 from .errors import NotInGroupError, OrbitSampleError
 from .groups import (
     DIAGONAL,
-    SHEARLET,
     SIMILITUDE,
     as_matrix,
     as_vector,
@@ -162,34 +159,29 @@ def _plane_factor(psi, h, xi1, xi2):
     return root[0] * np.conj(vals[0])
 
 
-def _classes(spec, sampling, psi):
-    """(first, inverse): the classes of the sampled elements modulo K_psi.
+def _classes(spec, sampling):
+    """(psi, mats, inverse): the spec's wavelet and its classes of sampled rows.
 
     Rows that differ only in the chart columns `psi.ignored_columns` share a
-    class; first[k] is the lowest row of class k and inverse[i] the class of
-    row i.  Only a wavelet of the spec's own family and conjugator has that
-    invariance; any other pair gets one class per row, in index order.
+    class modulo K_psi; mats[k] is the element of the lowest row of class k and inverse[i]
+    the class of row i.
     """
-    rows = np.arange(len(sampling))
-    if psi.family != spec.family or not np.array_equal(psi.conjugator,
-                                                       spec.conjugator):
-        return rows, rows
+    psi = default_wavelet(spec)
     key = np.delete(sampling.points, psi.ignored_columns, axis=1)
     _, first, inverse = np.unique(key, axis=0, return_index=True,
                                   return_inverse=True)
-    return first, inverse.reshape(-1)
+    return psi, element_from_chart(spec, sampling.points[first]), inverse.reshape(-1)
 
 
-def calderon_multiplier(spec, psi, sampling, xi1, xi2):
+def calderon_multiplier(spec, sampling, xi1, xi2):
     """C(xi) = sum_h haar_w(h) |psihat(h^T xi)|^2 at broadcastable frequencies.
 
     The sum runs over the classes of the sampled chart modulo K_psi, a chunk
     of class representatives at a time; the result has the broadcast shape of
     (xi1, xi2).
     """
-    first, inverse = _classes(spec, sampling, psi)
+    psi, mats, inverse = _classes(spec, sampling)
     haar_w = np.bincount(inverse, sampling.haar_w)
-    mats = element_from_chart(spec, sampling.points[first])
     total = np.zeros(np.broadcast_shapes(np.shape(xi1), np.shape(xi2)))
     for lo, _, vals in _wavelet_chunks(psi, mats, xi1, xi2):
         k = len(vals)
@@ -263,7 +255,7 @@ def _coorbit_total(sums, peaks, g_w, p):
     return float(total ** (1.0 / p))
 
 
-def _signal_stats(signals, spec, sampling, psi, p):
+def _signal_stats(signals, spec, sampling, p):
     """(M, S) per-plane sums of |W_s|^p (L/N)^2 and maxima of |W_s|.
 
     The planes of the same-grid signals are reduced as they are computed, one
@@ -271,14 +263,13 @@ def _signal_stats(signals, spec, sampling, psi, p):
     M x N x N slab is held.
     """
     n, length = _grid(signals)
-    first, inverse = _classes(spec, sampling, psi)
-    mats = element_from_chart(spec, sampling.points[first])
+    psi, mats, inverse = _classes(spec, sampling)
     sums, peaks = _plane_stats(_planes(signals, mats, psi),
-                               (len(first), len(signals)), p, (length / n) ** 2)
+                               (len(mats), len(signals)), p, (length / n) ** 2)
     return sums[inverse], peaks[inverse]
 
 
-def _signal_norms(signals, spec, sampling, psi, p):
+def _signal_norms(signals, spec, sampling, p):
     """Coorbit quasi-norms of grid signals that share one lattice.
 
     p = 2 builds the Calderon multiplier once; any other p streams the
@@ -286,10 +277,10 @@ def _signal_norms(signals, spec, sampling, psi, p):
     """
     n, length = _grid(signals)
     if p == 2:
-        c = calderon_multiplier(spec, psi, sampling, *freq_grids(n, length))
+        c = calderon_multiplier(spec, sampling, *freq_grids(n, length))
         return [float(np.sqrt(np.sum(np.abs(spectrum_from_signal(f)) ** 2 * c))
                       / length) for f in signals]
-    sums, peaks = _signal_stats(signals, spec, sampling, psi, p)
+    sums, peaks = _signal_stats(signals, spec, sampling, p)
     return [_coorbit_total(sums[:, k], peaks[:, k], sampling.g_w, p)
             for k in range(len(signals))]
 
@@ -299,7 +290,7 @@ def _check_exponent(p):
         raise ValueError("p must be a positive exponent or inf")
 
 
-def signal_coorbit_norm(f, spec, sampling, psi, p):
+def signal_coorbit_norm(f, spec, sampling, p):
     """Coorbit quasi-norm ||W f||_{L^p(G)} of a grid signal.
 
     p = 2 is computed from the Calderon multiplier as
@@ -308,25 +299,24 @@ def signal_coorbit_norm(f, spec, sampling, psi, p):
     equals coorbit_norm(analyze(f), p) bit for bit.
     """
     _check_exponent(p)
-    (value,) = _signal_norms([f], spec, sampling, psi, p)
+    (value,) = _signal_norms([f], spec, sampling, p)
     return value
 
 
-def reconstruct(f, spec, sampling, psi, c_psi):
+def reconstruct(f, spec, sampling, c_psi):
     """invert(analyze(f), ...) computed as the inverse FT of fhat C / C_psi."""
     if not (c_psi > 0):
         raise ValueError("C_psi must be positive")
     n, length = _grid([f])
-    c = calderon_multiplier(spec, psi, sampling, *freq_grids(n, length))
+    c = calderon_multiplier(spec, sampling, *freq_grids(n, length))
     rec = signal_from_spectrum(spectrum_from_signal(f) * c / c_psi, n, length)
     return GridSignal(n, length, rec)
 
 
-def analyze(f, spec, sampling, psi):
+def analyze(f, spec, sampling):
     """Continuous wavelet transform of a grid signal over the sampled chart."""
     n, length = _grid([f])
-    first, inverse = _classes(spec, sampling, psi)
-    mats = element_from_chart(spec, sampling.points[first])
+    psi, mats, inverse = _classes(spec, sampling)
     planes = np.zeros((len(sampling), n, n), dtype=complex)
     for k, w in enumerate(_planes([f], mats, psi)):
         if w is not None:
@@ -396,7 +386,7 @@ def default_orbit_samples(spec, n=16):
 _ORBIT_MARGIN = 1e-6  # relative depth of a frequency sample inside the dual orbit
 
 
-def calderon_constant(spec, psi, xi_samples, sampling):
+def calderon_constant(spec, xi_samples, sampling):
     """Admissibility integral C(xi) = sum_h haar_w |psihat(h^T xi)|^2 per sample.
 
     Returns the mean over samples and the largest relative deviation from it;
@@ -411,7 +401,7 @@ def calderon_constant(spec, psi, xi_samples, sampling):
                 f"frequency sample {x.tolist()} is not inside the dual orbit"
             )
     pts = np.array(xi_samples)
-    values = calderon_multiplier(spec, psi, sampling, pts[:, 0], pts[:, 1])
+    values = calderon_multiplier(spec, sampling, pts[:, 0], pts[:, 1])
     mean = float(values.mean())
     if not mean > 0.0:
         raise OrbitSampleError("admissibility integral vanished on all samples")
@@ -419,22 +409,20 @@ def calderon_constant(spec, psi, xi_samples, sampling):
     return CalderonResult(mean, dev, tuple(values))
 
 
-def invert(slab, spec, sampling, psi, c_psi):
+def invert(slab, spec, c_psi):
     """Reconstruction from a coefficient slab via the inversion formula.
 
-    Accumulates g_w(h) * FT(W(., h)) * |det h|^(1/2) * psihat(h^T xi) in the
-    DFT domain, class by class and within a class in index order, and
-    applies a single inverse transform, scaled by 1/C_psi.  Every plane of
-    the slab takes its own FFT; psihat is evaluated once per class.
+    Accumulates g_w(h) * FT(W(., h)) * |det h|^(1/2) * psihat(h^T xi) over
+    the sampling of the slab in the DFT domain, class by class and within a
+    class in index order, and applies a single inverse transform, scaled by
+    1/C_psi.  Every plane of the slab takes its own FFT; psihat is evaluated
+    once per class.
     """
     if not (c_psi > 0):
         raise ValueError("C_psi must be positive")
-    n, length = slab.N, slab.L
-    if len(sampling) != len(slab):
-        raise ValueError("sampling does not match slab")
+    n, length, sampling = slab.N, slab.L, slab.sampling
     acc = np.zeros((n, n), dtype=complex)
-    first, inverse = _classes(spec, sampling, psi)
-    mats = element_from_chart(spec, sampling.points[first])
+    psi, mats, inverse = _classes(spec, sampling)
     for lo, root_det, vals in _wavelet_chunks(psi, mats, *freq_grids(n, length)):
         for j in range(len(vals)):
             for i in np.flatnonzero(inverse == lo + j):
@@ -463,7 +451,7 @@ def _trig_eval(coeffs, omega1, omega2, pos1, pos2):
     return (a * coeffs.ravel()[None, :]) @ b.T
 
 
-def covariance_residual(f, y, g, h_chart, spec, psi):
+def covariance_residual(f, y, g, h_chart, spec):
     """Residual of W(pi(y,g) f)(x, h) = W f((y,g)^-1 (x, h)) over the grid.
 
     The left side analyzes the transformed signal (exact spectrum
@@ -483,6 +471,7 @@ def covariance_residual(f, y, g, h_chart, spec, psi):
         raise NotInGroupError("g^-1 h is not representable in the chart")
     hp = element_from_chart(spec, chart_from_element(spec, hp))
 
+    psi = default_wavelet(spec)
     n, length = f.signal.N, f.signal.L
     xi1, xi2 = freq_grids(n, length)
     det_g = abs(np.linalg.det(g))
@@ -543,21 +532,19 @@ class RatioTable:
 def norm_ratio_profile(s1, s2, p, signals, sampling1, sampling2):
     """Coorbit-norm ratios ||f||_{s1} / ||f||_{s2} over a family of signals.
 
-    Each norm uses the `default_wavelet` of its spec.  The signals are
-    grouped by grid; each group takes one pass per spec, so its element
-    stack and psihat (or, at p = 2, its Calderon multiplier) are built once
-    and shared by all signals of the group.
+    The signals are grouped by grid; each group takes one pass per spec, so
+    its element stack and psihat (or, at p = 2, its Calderon multiplier) are
+    built once and shared by all signals of the group.
     """
     _check_exponent(p)
-    psi1, psi2 = default_wavelet(s1), default_wavelet(s2)
     by_grid = {}
     for k, f in enumerate(signals):
         by_grid.setdefault((f.signal.N, f.signal.L), []).append(k)
     norms = [None] * len(signals)
     for ks in by_grid.values():
         grid = [signals[k].signal for k in ks]
-        pairs = zip(_signal_norms(grid, s1, sampling1, psi1, p),
-                    _signal_norms(grid, s2, sampling2, psi2, p))
+        pairs = zip(_signal_norms(grid, s1, sampling1, p),
+                    _signal_norms(grid, s2, sampling2, p))
         for k, pair in zip(ks, pairs):
             norms[k] = pair
     rows = []

@@ -1,17 +1,17 @@
 """Band-limited admissible wavelets with closed-form frequency profiles.
 
-Each profile is built from the smooth compactly supported bump
+Each group spec has one wavelet, ``default_wavelet(spec)``.  Its profile is
+built from the smooth compactly supported bump
 ``rho(t) = exp(1 - 1/(1 - t^2))`` on (-1, 1) and evaluated at ``eta = B^T xi``
-where ``B`` is the conjugator of the owning group, which places the support
-inside the conjugated dual orbit:
+where ``B`` is the conjugator of the group, which places the support inside
+the conjugated dual orbit:
 
-* similitude:  rho(log2(|eta| / s0) / w)
-* diagonal:    rho(log2(|eta1| / s0) / w) * rho(log2(|eta2| / s0) / w)
-* shearlet:    rho(log2(|eta1| / s0) / w) * rho((eta2 / eta1) / w)
+* similitude:  rho(log2|eta|)
+* diagonal:    rho(log2|eta1|) * rho(log2|eta2|)
+* shearlet:    rho(log2|eta1|) * rho(eta2 / eta1)
 
-with center scale ``s0`` and bandwidth factor ``w`` (defaults 1).  Values are
-always computed from the closed form; no resampling or interpolation enters
-any transform built on top.
+Values are always computed from the closed form; no resampling or
+interpolation enters any transform built on top.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 # not called here; bench/spans.py traces requests through this name
 from .classify import orbit_contains  # noqa: F401
-from .groups import DIAGONAL, SHEARLET, SIMILITUDE, Family, as_matrix
+from .groups import DIAGONAL, SHEARLET, SIMILITUDE, GroupSpec
 
 
 def bump(t):
@@ -44,36 +44,27 @@ _IGNORED_COLUMNS = {SIMILITUDE: (1,), DIAGONAL: (2, 3), SHEARLET: (0,)}
 
 @dataclass(frozen=True, eq=False)
 class WaveletSpec:
-    """Closed-form frequency profile tied to a group family and conjugator."""
+    """Closed-form frequency profile of a group spec's family and conjugator."""
 
-    family: Family
-    conjugator: np.ndarray
-    center_scale: float = 1.0
-    bandwidth: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "conjugator",
-                           as_matrix(self.conjugator, "conjugator"))
-        if self.center_scale <= 0 or self.bandwidth <= 0:
-            raise ValueError("center scale and bandwidth must be positive")
+    spec: GroupSpec
 
     @property
     def ignored_columns(self):
-        """Chart columns of its own family on which psihat(h^T xi) does not depend.
+        """Chart columns of its spec on which psihat(h^T xi) does not depend.
 
-        For h = B m B^-1 with this wavelet's conjugator B, psihat(h^T xi) is the
+        For h = B m B^-1 with the spec's conjugator B, psihat(h^T xi) is the
         profile at m^T B^T xi: the similitude profile is radial (theta drops
         out), the diagonal profile is even in each coordinate (the signs drop
         out), and the shearlet profile sees eps only through |eta1| and
         eta2 / eta1.  |det h| ignores the same columns.
         """
-        return _IGNORED_COLUMNS[self.family.kind]
+        return _IGNORED_COLUMNS[self.spec.family.kind]
 
     def evaluate(self, xi1, xi2):
         """psi-hat at arbitrary frequencies (broadcastable arrays or scalars)."""
         xi1 = np.asarray(xi1, dtype=float)
         xi2 = np.asarray(xi2, dtype=float)
-        bt = self.conjugator.T
+        bt = self.spec.conjugator.T
         shape = np.broadcast_shapes(xi1.shape, xi2.shape)
         e1, e2, tmp = np.empty((3,) + (shape or (1,)))
         np.multiply(bt[0, 0], xi1, out=e1)
@@ -81,38 +72,34 @@ class WaveletSpec:
         np.multiply(bt[1, 0], xi1, out=e2)
         e2 += np.multiply(bt[1, 1], xi2, out=tmp)
         out = np.zeros(e1.shape)
-        s0, w = self.center_scale, self.bandwidth
-        # bump(t) is 0 unless |t| < 1, i.e. unless each log-scale lies in
-        # (lo, hi); the masks keep a superset of those frequencies, with a
-        # slack far above the roundoff of log2(.) / w, and the closed form runs
+        # bump(t) is 0 unless |t| < 1, i.e. unless each magnitude lies in
+        # (1/2, 2); the masks keep a superset of those frequencies, with a
+        # slack far above the roundoff of log2(.), and the closed form runs
         # on the kept ones only: every other value is exactly 0 anyway
-        lo = s0 * 2.0 ** -w * (1.0 - _SLACK)
-        hi = s0 * 2.0 ** w * (1.0 + _SLACK)
-        kind = self.family.kind
+        lo, hi = 0.5 * (1.0 - _SLACK), 2.0 * (1.0 + _SLACK)
+        kind = self.spec.family.kind
         if kind == SIMILITUDE:
             r2 = np.square(e1)
             r2 += np.square(e2, out=tmp)
             m = (r2 > lo * lo) & (r2 < hi * hi)
-            out[m] = bump(np.log2(np.hypot(e1[m], e2[m]) / s0) / w)
+            out[m] = bump(np.log2(np.hypot(e1[m], e2[m])))
         elif kind == DIAGONAL:
             a1, a2 = np.abs(e1), np.abs(e2, out=tmp)
             m = (a1 > lo) & (a1 < hi) & (a2 > lo) & (a2 < hi)
-            out[m] = (bump(np.log2(a1[m] / s0) / w)
-                      * bump(np.log2(a2[m] / s0) / w))
+            out[m] = bump(np.log2(a1[m])) * bump(np.log2(a2[m]))
         else:
             a1 = np.abs(e1)
             m = ((a1 > lo) & (a1 < hi)
-                 & (np.abs(e2, out=tmp) < w * (1.0 + _SLACK) * a1))
-            out[m] = (bump(np.log2(a1[m] / s0) / w)
-                      * bump((e2[m] / e1[m]) / w))
+                 & (np.abs(e2, out=tmp) < (1.0 + _SLACK) * a1))
+            out[m] = bump(np.log2(a1[m])) * bump(e2[m] / e1[m])
         return out.reshape(shape)
 
 
 def default_wavelet(spec):
-    """Standard admissible wavelet for a group spec.
+    """The admissible wavelet of a group spec; its conjugator was checked there.
 
     It needs no support check: in standard coordinates eta = B^T xi the
     closure of its support keeps |eta| >= 1/2 (similitude), |eta1|, |eta2| >= 1/2
     (diagonal) or |eta1| >= 1/2 (shearlet), so it lies inside the open dual orbit.
     """
-    return WaveletSpec(spec.family, spec.conjugator)
+    return WaveletSpec(spec)

@@ -20,7 +20,6 @@ from coorbit2d import (
     coorbit_norm,
     covariance_residual,
     default_orbit_samples,
-    default_wavelet,
     diagonal,
     diagonal_sampling,
     element_from_chart,
@@ -207,14 +206,13 @@ def isometry_results():
     for name, cfg in configs.items():
         t0 = time.perf_counter()
         spec = cfg["spec"]
-        psi = default_wavelet(spec)
         sampling = cfg["sampling"](spec)
         f = freq_bump(128, 16.0, center=cfg["center"], sigma=cfg["sigma"])
-        cal = calderon_constant(spec, psi, default_orbit_samples(spec), sampling)
-        slab = analyze(f.signal, spec, sampling, psi)
+        cal = calderon_constant(spec, default_orbit_samples(spec), sampling)
+        slab = analyze(f.signal, spec, sampling)
         w2 = coorbit_norm(slab, 2.0)
         iso_err = abs(w2 ** 2 / (cal.mean * f.signal.norm_l2() ** 2) - 1.0)
-        rec = invert(slab, spec, sampling, psi, cal.mean)
+        rec = invert(slab, spec, cal.mean)
         inv_err = float(
             np.sqrt(np.sum(np.abs(rec.data - f.signal.data) ** 2)
                     / np.sum(np.abs(f.signal.data) ** 2))
@@ -265,15 +263,13 @@ def test_criterion_6_calderon_constancy():
     details = []
     ok = True
     for name, (spec, make) in fine.items():
-        psi = default_wavelet(spec)
-        cal = calderon_constant(spec, psi, default_orbit_samples(spec), make(spec))
+        cal = calderon_constant(spec, default_orbit_samples(spec), make(spec))
         details.append(f"{name}: dev={cal.max_rel_deviation:.2e}")
         ok = ok and cal.max_rel_deviation <= 1e-2
     # negative control: truncated scale range varies with the sample radius
     spec = GroupSpec(similitude())
-    psi = default_wavelet(spec)
     trunc = similitude_sampling(spec, (-0.3, 0.3), 8, 16)
-    cal = calderon_constant(spec, psi, default_orbit_samples(spec), trunc)
+    cal = calderon_constant(spec, default_orbit_samples(spec), trunc)
     details.append(f"truncated control dev={cal.max_rel_deviation:.2f}")
     ok = ok and cal.max_rel_deviation > 0.5
     _report(6, ok, "; ".join(details))
@@ -300,15 +296,13 @@ def test_criterion_7_covariance():
     details = []
     ok = True
     for name, (spec, center, h_chart, dilation_chart, scaling_chart) in cases.items():
-        psi = default_wavelet(spec)
         f = freq_bump(n, length, center=center, sigma=0.14)
-        r_id = covariance_residual(f, (0.0, 0.0), np.eye(2), h_chart, spec, psi)
-        r_tr = covariance_residual(f, (5 * dx, -3 * dx), np.eye(2), h_chart,
-                                   spec, psi)
+        r_id = covariance_residual(f, (0.0, 0.0), np.eye(2), h_chart, spec)
+        r_tr = covariance_residual(f, (5 * dx, -3 * dx), np.eye(2), h_chart, spec)
         g = element_from_chart(spec, dilation_chart)
-        r_dil = covariance_residual(f, (0.3, -0.7), g, h_chart, spec, psi)
+        r_dil = covariance_residual(f, (0.3, -0.7), g, h_chart, spec)
         g_sc = element_from_chart(spec, scaling_chart)
-        r_scale = covariance_residual(f, (0.0, 0.0), g_sc, h_chart, spec, psi)
+        r_scale = covariance_residual(f, (0.0, 0.0), g_sc, h_chart, spec)
         details.append(
             f"{name}: id={r_id:.1e} shift={r_tr:.1e} dil={r_dil:.1e} "
             f"[scaling, reported only: {r_scale:.1e}]"

@@ -17,7 +17,6 @@ from coorbit2d import (
     coorbit_norm,
     default_orbit_samples,
     default_sampling,
-    default_wavelet,
     diagonal,
     diagonal_sampling,
     freq_bump,
@@ -213,6 +212,19 @@ class TestExitCodes:
             assert main(["classify", str(p)]) == 2
             assert "singular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify", "norm"])
+    def test_conjugator_with_non_finite_inverse_is_parse_error(self, tmp_path, capsys,
+                                                               bump_signal, command):
+        p = tmp_path / "subnormal.json"
+        p.write_text(json.dumps({"family": "diagonal",
+                                 "conjugator": [[1e-310, 0.0], [0.0, 1.0]]}))
+        argv = [command, str(p)] + ([bump_signal] if command == "norm" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
     def test_missing_file(self, tmp_path):
         assert main(["classify", str(tmp_path / "none.json")]) == 2
 
@@ -232,6 +244,8 @@ class TestExitCodes:
         "gen-signal freq_bump {out} --sigma -1",
         "covariance {similitude} --N 12",
         "calderon {similitude} --n-samples 0",
+        "calderon {similitude} --n-samples 17",
+        "calderon {shearlet} --n-samples 17",
         "classify {similitude} --tol nan",
         "classify {similitude} --tol inf",
         "equiv {similitude} {similitude} --tol -1",
@@ -494,12 +508,12 @@ class TestMultiplierCommands:
         code, rep = run_cli(capsys, "norm", gpath, spath, "--p", "2", *flags)
         assert code == 0
         sig = read_signal(spath)
-        ref = coorbit_norm(analyze(sig, spec, sampling, default_wavelet(spec)), 2)
+        ref = coorbit_norm(analyze(sig, spec, sampling), 2)
         assert abs(rep["values"]["coorbit_norm"] - ref) <= 1e-12 * ref
 
     def test_streamed_commands_match_slab_path(self, tmp_path, capsys, family):
         spec, gpath, spath, flags, sampling = self._setup(tmp_path, family)
-        slab = analyze(read_signal(spath), spec, sampling, default_wavelet(spec))
+        slab = analyze(read_signal(spath), spec, sampling)
         energies = slab.plane_energies()
         code, rep = run_cli(capsys, "analyze", gpath, spath, "--energies", *flags)
         assert code == 0
@@ -532,7 +546,7 @@ class TestMultiplierCommands:
         sampling = default_sampling(spec)
         assert reports[("analyze",)]["planes"] == len(sampling)
         assert reports[("norm", "--p", "1")]["coorbit_norm"] == signal_coorbit_norm(
-            read_signal(spath), spec, sampling, default_wavelet(spec), 1)
+            read_signal(spath), spec, sampling, 1)
 
     def test_default_compare_writes_nothing_to_stderr(self, tmp_path, capsys,
                                                       family):
@@ -553,9 +567,9 @@ class TestMultiplierCommands:
         code, rep = run_cli(capsys, "invert", gpath, spath, "--out-signal", str(out),
                             *flags)
         assert code == 0
-        psi, sig = default_wavelet(spec), read_signal(spath)
-        c_psi = calderon_constant(spec, psi, default_orbit_samples(spec), sampling).mean
+        sig = read_signal(spath)
+        c_psi = calderon_constant(spec, default_orbit_samples(spec), sampling).mean
         assert rep["values"]["calderon_constant"] == c_psi
-        ref = invert(analyze(sig, spec, sampling, psi), spec, sampling, psi, c_psi).data
+        ref = invert(analyze(sig, spec, sampling), spec, c_psi).data
         gap = np.linalg.norm(read_signal(out).data - ref) / np.linalg.norm(ref)
         assert gap <= 1e-12

@@ -56,6 +56,25 @@ def _moved_off(kind, b, n, delta):
     return rotation(delta) @ b @ n
 
 
+def _moved_elements(kind, b, delta):
+    """Elements delta off the group B H B^-1, one per invariant they break.
+
+    Similitude: the reflection-scaling part of B^-1 m B is delta times its
+    rotation-scaling part.  Diagonal and shearlet: a rotation by delta turns
+    the invariant lines (it keeps det, so l2 = det m / l1 moves by O(delta^2));
+    shearlet also: |l2| = |l1|^c (1 + delta).
+    """
+    binv = np.linalg.inv(b)
+    if kind == "similitude":
+        r = 1.3 * rotation(0.7)
+        return [b @ (r + delta * r @ np.diag([1.0, -1.0])) @ binv]
+    if kind == "diagonal":
+        return [rotation(delta) @ b @ np.diag([1.4, -0.6]) @ binv]
+    a, c = 1.6, FAMILIES[kind].c
+    return [rotation(delta) @ b @ np.array([[a, 0.8], [0.0, a ** c]]) @ binv,
+            b @ np.array([[a, 0.8], [0.0, a ** c * (1.0 + delta)]]) @ binv]
+
+
 class TestGroupSpecConditioning:
     # |det B| / (|b1| |b2|) is about eps / 2 for [[1, 1], [1, 1 + eps]]; at
     # the scale 1e160 det itself evaluates to inf - inf = nan
@@ -65,6 +84,12 @@ class TestGroupSpecConditioning:
                       1e160 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])):
                 with pytest.raises(SingularMatrixError):
                     GroupSpec(family, b)
+
+    def test_conjugator_with_non_finite_inverse_rejected(self):
+        # well conditioned, but its inverse overflows to inf
+        for family in FAMILIES.values():
+            with pytest.raises(SingularMatrixError, match="inverse"):
+                GroupSpec(family, [[1e-310, 0.0], [0.0, 1.0]])
 
     @pytest.mark.parametrize("kind", FAMILIES)
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -377,6 +402,36 @@ class TestContains:
         spec = GroupSpec(similitude())
         assert not contains(spec, B_UNIT_SHEAR)
         assert not contains(GroupSpec(diagonal()), rotation(0.3))
+
+    @pytest.mark.parametrize("family, m", [
+        (diagonal(), [[1.0, 1e-7], [0.0, 1.0]]),
+        (shearlet(0.5), [[1.0, 0.0], [1e-7, 1.0]]),
+    ], ids=["diagonal", "shearlet"])
+    def test_rescaled_axis_keeps_the_verdict(self, family, m):
+        # a shear of 100 tol moves an invariant line off itself
+        for b in (np.eye(2), np.diag([1e3, 1.0]), np.diag([1.0, 1e3])):
+            assert not contains(GroupSpec(family, b), m)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_scalar_member_at_extreme_scale(self, scale):
+        # det of a shearlet element is formed after an exact power-of-two
+        # scaling, so it neither overflows nor underflows
+        for family in (similitude(), diagonal(), shearlet(1.0)):
+            for b in (np.eye(2), B_UNIT_SHEAR):
+                assert contains(GroupSpec(family, b), scale * np.eye(2))
+        assert not contains(GroupSpec(shearlet(0.7)), scale * np.eye(2))
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_sharp_membership_boundary(self, kind, rng):
+        # an element tol / 3 off the group is in it, one 3 tol off is not,
+        # whichever conjugator B F writes the group
+        tol = 1e-9
+        for b in [np.eye(2), B_UNIT_SHEAR, *random_invertible(rng, 8)]:
+            for f in REWRITES[kind]:
+                spec = GroupSpec(FAMILIES[kind], b @ f)
+                for delta, verdict in ((tol / 3, True), (3 * tol, False)):
+                    for m in _moved_elements(kind, b, delta):
+                        assert contains(spec, m, tol) is verdict
 
 
 class TestLieAlgebra:

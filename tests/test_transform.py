@@ -13,7 +13,6 @@ from coorbit2d import (
     OrbitSampleError,
     ShearletChart,
     SimilitudeChart,
-    WaveletSpec,
     WeightRangeError,
     analyze,
     build_sampling,
@@ -50,10 +49,11 @@ from coorbit2d.sampling import (
 from coorbit2d.signals import ifft2_rows
 
 
-def _wavelet_atom(n, length, psi):
-    """The wavelet itself as a test signal: its spectrum is psi-hat."""
+def _wavelet_atom(n, length, spec):
+    """The wavelet of `spec` as a test signal: its spectrum is psi-hat."""
     from coorbit2d.signals import TestSignal  # a module-level name would be collected
 
+    psi = default_wavelet(spec)
     data = signal_from_spectrum(psi.evaluate(*freq_grids(n, length)), n, length)
     return TestSignal(GridSignal(n, length, data), psi.evaluate, "wavelet atom")
 
@@ -61,28 +61,27 @@ def _wavelet_atom(n, length, psi):
 @pytest.fixture(scope="module")
 def sim_setup():
     spec = GroupSpec(similitude())
-    psi = default_wavelet(spec)
     sampling = similitude_sampling(spec)
     f = freq_bump(128, 16.0, center=(1.0, 0.4), sigma=0.12)
-    slab = analyze(f.signal, spec, sampling, psi)
-    return spec, psi, sampling, f, slab
+    slab = analyze(f.signal, spec, sampling)
+    return spec, sampling, f, slab
 
 
 class TestAnalyze:
     def test_zero_signal_zero_slab(self, sim_setup):
-        spec, psi, sampling, f, _ = sim_setup
+        spec, sampling, f, _ = sim_setup
         with pytest.warns(CoverageWarning, match="frequency bump"):
             zero = freq_bump(32, 16.0, center=(1.0, 0.0), sigma=0.2, amplitude=0.0)
         small = similitude_sampling(spec, n_lam=4, n_theta=4)
-        slab = analyze(zero.signal, spec, small, psi)
+        slab = analyze(zero.signal, spec, small)
         assert np.all(slab.planes == 0.0)
 
     def test_self_reproducing_peak(self):
         spec = GroupSpec(similitude())
         psi = default_wavelet(spec)
-        atom = _wavelet_atom(128, 16.0, psi)
+        atom = _wavelet_atom(128, 16.0, spec)
         sampling = build_sampling(spec, [SimilitudeChart(0.0, 0.0)], [1.0])
-        slab = analyze(atom.signal, spec, sampling, psi)
+        slab = analyze(atom.signal, spec, sampling)
         center = slab.planes[0, 64, 64]  # x = 0 sits at index N/2
         xi1, xi2 = freq_grids(128, 16.0)
         norm2 = np.sum(np.abs(psi.evaluate(xi1, xi2)) ** 2) / 16.0 ** 2
@@ -93,25 +92,24 @@ class TestAnalyze:
 
     def test_disjoint_supports_zero_plane(self):
         spec = GroupSpec(similitude())
-        psi = default_wavelet(spec)
         # signal lives at radius ~1; at lam = -2 the wavelet sees radii > 3.6
         f = freq_bump(128, 16.0, center=(1.0, 0.0), sigma=0.05)
         sampling = build_sampling(
             spec, [SimilitudeChart(0.0, 0.0), SimilitudeChart(-2.0, 0.0)], [1.0, 1.0]
         )
-        slab = analyze(f.signal, spec, sampling, psi)
+        slab = analyze(f.signal, spec, sampling)
         top = np.max(np.abs(slab.planes))
         assert np.max(np.abs(slab.planes[1])) <= 1e-12 * top
 
     def test_dimension_mismatch(self, sim_setup):
-        spec, psi, sampling, f, slab = sim_setup
+        spec, sampling, f, slab = sim_setup
         with pytest.raises(TypeError):
-            analyze(f.signal.data, spec, sampling, psi)
+            analyze(f.signal.data, spec, sampling)
 
 
 class TestCoorbitNorm:
     def test_zero_slab(self, sim_setup):
-        spec, psi, _, _, _ = sim_setup
+        spec, *_ = sim_setup
         sampling = build_sampling(spec, [SimilitudeChart(0.0, 0.0)], [1.0])
         slab = CoeffSlab(np.zeros((1, 16, 16), dtype=complex), sampling, 16, 4.0)
         for p in (0.5, 1, 2, np.inf):
@@ -128,7 +126,7 @@ class TestCoorbitNorm:
         assert coorbit_norm(slab, 2) == pytest.approx(m * np.sqrt(w * length ** 2))
 
     def test_scaling_homogeneity(self, sim_setup):
-        spec, psi, sampling, f, slab = sim_setup
+        spec, sampling, f, slab = sim_setup
         scaled = CoeffSlab(3.5 * slab.planes, sampling, slab.N, slab.L)
         for p in (0.7, 1, 2, 4, np.inf):
             assert coorbit_norm(scaled, p) == pytest.approx(
@@ -155,21 +153,13 @@ class TestCoorbitNorm:
         # every transform path starts by stacking the sampled elements
         monkeypatch.setattr(transform, "element_from_chart", no_work)
         spec = GroupSpec(similitude())
-        psi = default_wavelet(spec)
         sampling = similitude_sampling(spec, n_lam=4, n_theta=4)
         with pytest.warns(CoverageWarning, match="frequency bump"):
             f = freq_bump(32, 16.0, center=(1.0, 0.0), sigma=0.2)
         with pytest.raises(ValueError, match="exponent"):
-            signal_coorbit_norm(f.signal, spec, sampling, psi, p)
+            signal_coorbit_norm(f.signal, spec, sampling, p)
         with pytest.raises(ValueError, match="exponent"):
             norm_ratio_profile(spec, spec, p, [f], sampling, sampling)
-
-
-class _Doubled(WaveletSpec):
-    """A wavelet whose psi-hat is twice its profile."""
-
-    def evaluate(self, xi1, xi2):
-        return 2.0 * super().evaluate(xi1, xi2)
 
 
 class TestCalderon:
@@ -180,81 +170,66 @@ class TestCalderon:
         spec = GroupSpec(similitude())
         psi = default_wavelet(spec)
         sampling = similitude_sampling(spec, n_lam=128, n_theta=16)
-        cal = calderon_constant(spec, psi, default_orbit_samples(spec), sampling)
+        cal = calderon_constant(spec, default_orbit_samples(spec), sampling)
         oracle = 2 * np.pi * quad(
             lambda t: psi.evaluate(t, 0.0) ** 2 / t, 0.5, 2.0
         )[0]
         assert cal.mean == pytest.approx(oracle, rel=1e-6)
         assert cal.max_rel_deviation < 1e-6
 
-    def test_quadratic_homogeneity(self):
-        spec = GroupSpec(similitude())
-        psi = default_wavelet(spec)
-        sampling = similitude_sampling(spec, n_lam=16, n_theta=16)
-        xs = default_orbit_samples(spec)
-        base = calderon_constant(spec, psi, xs, sampling)
-        scaled = calderon_constant(spec, _Doubled(psi.family, psi.conjugator),
-                                   xs, sampling)
-        assert scaled.mean == pytest.approx(4.0 * base.mean, rel=1e-12)
-
     def test_truncated_range_negative_control(self):
         spec = GroupSpec(similitude())
-        psi = default_wavelet(spec)
         sampling = similitude_sampling(spec, lam_range=(-0.3, 0.3), n_lam=8,
                                        n_theta=16)
-        cal = calderon_constant(spec, psi, default_orbit_samples(spec), sampling)
+        cal = calderon_constant(spec, default_orbit_samples(spec), sampling)
         assert cal.max_rel_deviation > 0.5
 
     def test_sample_outside_orbit_rejected(self):
         spec = GroupSpec(shearlet(1.0))
-        psi = default_wavelet(spec)
         sampling = default_sampling(spec)
         with pytest.raises(OrbitSampleError):
-            calderon_constant(spec, psi, [np.array([0.0, 1.0])], sampling)
+            calderon_constant(spec, [np.array([0.0, 1.0])], sampling)
 
     def test_nan_integral_rejected(self, monkeypatch):
         spec = GroupSpec(similitude())
-        psi = default_wavelet(spec)
         sampling = similitude_sampling(spec, n_lam=4, n_theta=4)
         samples = default_orbit_samples(spec)
         monkeypatch.setattr(transform, "calderon_multiplier",
                             lambda *args: np.full(len(samples), np.nan))
         with pytest.raises(OrbitSampleError):
-            calderon_constant(spec, psi, samples, sampling)
+            calderon_constant(spec, samples, sampling)
 
     def test_unpacks_as_pair(self):
         spec = GroupSpec(similitude())
-        psi = default_wavelet(spec)
         sampling = similitude_sampling(spec, n_lam=8, n_theta=8)
-        mean, dev = calderon_constant(spec, psi, default_orbit_samples(spec),
+        mean, dev = calderon_constant(spec, default_orbit_samples(spec),
                                       sampling)
         assert mean > 0 and dev >= 0
 
 
 class TestInvert:
     def test_zero_slab_zero_signal(self, sim_setup):
-        spec, psi, _, _, _ = sim_setup
+        spec, *_ = sim_setup
         sampling = build_sampling(spec, [SimilitudeChart(0.0, 0.0)], [1.0])
         slab = CoeffSlab(np.zeros((1, 32, 32), dtype=complex), sampling, 32, 16.0)
-        rec = invert(slab, spec, sampling, psi, 1.0)
+        rec = invert(slab, spec, 1.0)
         assert np.all(rec.data == 0.0)
 
     def test_reconstruction_of_covered_signal(self, sim_setup):
-        spec, psi, sampling, f, slab = sim_setup
-        cal = calderon_constant(spec, psi, default_orbit_samples(spec), sampling)
-        rec = invert(slab, spec, sampling, psi, cal.mean)
+        spec, sampling, f, slab = sim_setup
+        cal = calderon_constant(spec, default_orbit_samples(spec), sampling)
+        rec = invert(slab, spec, cal.mean)
         err = np.sqrt(np.sum(np.abs(rec.data - f.signal.data) ** 2)
                       / np.sum(np.abs(f.signal.data) ** 2))
         assert err <= 5e-2
 
     def test_invalid_constant(self, sim_setup):
-        spec, psi, sampling, _, slab = sim_setup
+        spec, sampling, _, slab = sim_setup
         with pytest.raises(ValueError):
-            invert(slab, spec, sampling, psi, 0.0)
+            invert(slab, spec, 0.0)
 
     def test_uncovered_band_error_localizes(self):
         spec = GroupSpec(similitude())
-        psi = default_wavelet(spec)
         sampling = similitude_sampling(spec, lam_range=(-1.0, 1.0), n_lam=16,
                                        n_theta=16)
         n, length = 128, 16.0
@@ -273,9 +248,9 @@ class TestInvert:
         # with lam in [-1, 1] the annulus around r = 1 is fully covered,
         # the bump at r = 3.2 is not
         samples = [np.array([np.cos(a), np.sin(a)]) for a in (0.2, 1.0, 2.2, 4.5)]
-        cal = calderon_constant(spec, psi, samples, sampling)
-        slab = analyze(sig, spec, sampling, psi)
-        rec = invert(slab, spec, sampling, psi, cal.mean)
+        cal = calderon_constant(spec, samples, sampling)
+        slab = analyze(sig, spec, sampling)
+        rec = invert(slab, spec, cal.mean)
         from coorbit2d import spectrum_from_signal
 
         diff = spectrum_from_signal(rec) - spec_arr
@@ -293,12 +268,11 @@ class TestInvert:
 class TestRefinement:
     def test_doubling_changes_norm_little(self):
         spec = GroupSpec(similitude())
-        psi = default_wavelet(spec)
         f = freq_bump(64, 16.0, center=(1.0, 0.4), sigma=0.12)
         norms = {}
         for refine, n_lam, n_th in (("base", 16, 16), ("fine", 32, 32)):
             sampling = similitude_sampling(spec, n_lam=n_lam, n_theta=n_th)
-            slab = analyze(f.signal, spec, sampling, psi)
+            slab = analyze(f.signal, spec, sampling)
             norms[refine] = coorbit_norm(slab, 2)
         assert abs(norms["fine"] - norms["base"]) / norms["base"] <= 1e-2
 
@@ -309,55 +283,49 @@ class TestCovariance:
 
     def test_identity_exact_zero(self):
         spec = GroupSpec(similitude())
-        psi = default_wavelet(spec)
         f = self._signal()
         res = covariance_residual(f, (0.0, 0.0), np.eye(2),
-                                  SimilitudeChart(0.2, 0.8), spec, psi)
+                                  SimilitudeChart(0.2, 0.8), spec)
         assert res == 0.0
 
     def test_grid_translation(self):
         spec = GroupSpec(similitude())
-        psi = default_wavelet(spec)
         f = self._signal()
         dx = 16.0 / 128
         res = covariance_residual(f, (5 * dx, -3 * dx), np.eye(2),
-                                  SimilitudeChart(0.2, 0.8), spec, psi)
+                                  SimilitudeChart(0.2, 0.8), spec)
         assert res <= 1e-10
 
     def test_sampled_rotation_dilation(self):
         spec = GroupSpec(similitude())
-        psi = default_wavelet(spec)
         f = self._signal()
         g = element_from_chart(spec, SimilitudeChart(0.0, np.pi / 2))
         res = covariance_residual(f, (0.3, -0.7), g,
-                                  SimilitudeChart(0.2, 0.8), spec, psi)
+                                  SimilitudeChart(0.2, 0.8), spec)
         assert res <= 1e-8
 
     def test_sampled_shear_dilation(self):
         spec = GroupSpec(shearlet(0.7))
-        psi = default_wavelet(spec)
         f = freq_bump(128, 16.0, center=(1.1, 0.1), sigma=0.12)
         g = element_from_chart(spec, ShearletChart(1, 0.0, 1.0))
         res = covariance_residual(f, (0.5, 0.25), g,
-                                  ShearletChart(1, 0.2, 0.4), spec, psi)
+                                  ShearletChart(1, 0.2, 0.4), spec)
         assert res <= 1e-8
 
     def test_sampled_reflection_dilation(self):
         spec = GroupSpec(diagonal())
-        psi = default_wavelet(spec)
         f = freq_bump(128, 16.0, center=(0.9, 0.9), sigma=0.12)
         g = element_from_chart(spec, DiagonalChart(0.0, 0.0, 1, -1))
         res = covariance_residual(f, (0.0, 0.0), g,
-                                  DiagonalChart(0.15, -0.2), spec, psi)
+                                  DiagonalChart(0.15, -0.2), spec)
         assert res <= 1e-8
 
     def test_non_group_element_rejected(self):
         spec = GroupSpec(diagonal())
-        psi = default_wavelet(spec)
         f = self._signal(64)
         with pytest.raises(NotInGroupError):
             covariance_residual(f, (0.0, 0.0), rotation(0.3),
-                                DiagonalChart(0.0, 0.0), spec, psi)
+                                DiagonalChart(0.0, 0.0), spec)
 
 
 class TestNormRatioProfile:
@@ -538,20 +506,20 @@ SMALL_CASES = {
 @pytest.fixture(scope="module", params=sorted(SMALL_CASES))
 def small_case(request):
     spec, make_sampling = SMALL_CASES[request.param]
-    psi = default_wavelet(spec)
     sampling = make_sampling(spec)
     rng = np.random.default_rng(7)
     n, length = 32, 8.0
     # an arbitrary signal: the identities hold for every f, not just covered ones
     f = GridSignal(n, length, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    slab = analyze(f, spec, sampling, psi)
+    slab = analyze(f, spec, sampling)
     xi1, xi2 = freq_grids(n, length)
-    c = calderon_multiplier(spec, psi, sampling, xi1, xi2)
-    return spec, psi, sampling, f, slab, c
+    c = calderon_multiplier(spec, sampling, xi1, xi2)
+    return spec, sampling, f, slab, c
 
 
-def _per_point_multiplier(spec, psi, sampling, xi1, xi2):
+def _per_point_multiplier(spec, sampling, xi1, xi2):
     """Reference: sum_h haar_w psihat(h^T xi)^2, one chart point at a time."""
+    psi = default_wavelet(spec)
     total = 0.0
     for p, w in zip(sampling.points, sampling.haar_w):
         h = element_from_chart(spec, p)
@@ -566,54 +534,55 @@ def _rel(a, b):
 
 class TestCalderonMultiplier:
     def test_kernel_matches_per_point_loop(self, small_case):
-        spec, psi, sampling, f, _, c = small_case
+        spec, sampling, f, _, c = small_case
         xi1, xi2 = freq_grids(f.N, f.L)
-        ref = _per_point_multiplier(spec, psi, sampling, xi1, xi2)
+        ref = _per_point_multiplier(spec, sampling, xi1, xi2)
         assert c.shape == (f.N, f.N)
         assert _rel(c, ref) <= ROUNDOFF
 
     def test_scalar_frequency(self, small_case):
-        spec, psi, sampling, *_ = small_case
+        spec, sampling, *_ = small_case
         x = default_orbit_samples(spec)[0]
-        value = calderon_multiplier(spec, psi, sampling, x[0], x[1])
+        value = calderon_multiplier(spec, sampling, x[0], x[1])
         assert np.shape(value) == ()
-        ref = _per_point_multiplier(spec, psi, sampling, x[0], x[1])
+        ref = _per_point_multiplier(spec, sampling, x[0], x[1])
         assert abs(value - ref) <= ROUNDOFF * ref
 
     def test_norm2_is_multiplier_energy(self, small_case):
-        spec, psi, sampling, f, slab, c = small_case
+        spec, sampling, f, slab, c = small_case
         energy = np.sum(np.abs(spectrum_from_signal(f)) ** 2 * c) / f.L ** 2
         assert abs(coorbit_norm(slab, 2) ** 2 - energy) <= ROUNDOFF * energy
-        norm = signal_coorbit_norm(f, spec, sampling, psi, 2)
+        norm = signal_coorbit_norm(f, spec, sampling, 2)
         assert abs(norm ** 2 - energy) <= ROUNDOFF * energy
 
     def test_other_exponents_take_the_slab_path(self, small_case):
-        spec, psi, sampling, f, slab, _ = small_case
+        spec, sampling, f, slab, _ = small_case
         for p in (0.5, 1, np.inf):
-            assert signal_coorbit_norm(f, spec, sampling, psi, p) == coorbit_norm(slab, p)
+            assert signal_coorbit_norm(f, spec, sampling, p) == coorbit_norm(slab, p)
 
     def test_invert_is_multiplier_image(self, small_case):
-        spec, psi, sampling, f, slab, c = small_case
+        spec, sampling, f, slab, c = small_case
         c_psi = 1.7
         ref = signal_from_spectrum(spectrum_from_signal(f) * c / c_psi, f.N, f.L)
-        assert _rel(invert(slab, spec, sampling, psi, c_psi).data, ref) <= ROUNDOFF
-        assert _rel(reconstruct(f, spec, sampling, psi, c_psi).data, ref) <= ROUNDOFF
+        assert _rel(invert(slab, spec, c_psi).data, ref) <= ROUNDOFF
+        assert _rel(reconstruct(f, spec, sampling, c_psi).data, ref) <= ROUNDOFF
 
     def test_calderon_values_match_per_point_sums(self, small_case):
-        spec, psi, sampling, *_ = small_case
+        spec, sampling, *_ = small_case
         samples = default_orbit_samples(spec)
-        cal = calderon_constant(spec, psi, samples, sampling)
-        ref = np.array([_per_point_multiplier(spec, psi, sampling, x[0], x[1])
+        cal = calderon_constant(spec, samples, sampling)
+        ref = np.array([_per_point_multiplier(spec, sampling, x[0], x[1])
                         for x in samples])
         assert np.max(np.abs(np.array(cal.values) - ref) / ref) <= ROUNDOFF
         assert cal.mean == pytest.approx(float(ref.mean()), rel=ROUNDOFF)
 
     def test_planes_in_sampling_order(self, small_case):
-        spec, psi, sampling, f, slab, _ = small_case
+        spec, sampling, f, slab, _ = small_case
         fhat = spectrum_from_signal(f)
         xi1, xi2 = freq_grids(f.N, f.L)
         scale = np.max(np.abs(slab.planes))
         acc = 0.0
+        psi = default_wavelet(spec)
         for i, p in enumerate(sampling.points):
             h = element_from_chart(spec, p)
             factor = np.sqrt(abs(np.linalg.det(h))) * psi.evaluate(
@@ -623,12 +592,12 @@ class TestCalderonMultiplier:
             acc = acc + sampling.g_w[i] * spectrum_from_signal(
                 GridSignal(f.N, f.L, slab.planes[i])) * factor
         ref = signal_from_spectrum(acc / 1.7, f.N, f.L)
-        assert _rel(invert(slab, spec, sampling, psi, 1.7).data, ref) <= ROUNDOFF
+        assert _rel(invert(slab, spec, 1.7).data, ref) <= ROUNDOFF
 
     def test_reconstruct_rejects_bad_constant(self, small_case):
-        spec, psi, sampling, f, *_ = small_case
+        spec, sampling, f, *_ = small_case
         with pytest.raises(ValueError):
-            reconstruct(f, spec, sampling, psi, 0.0)
+            reconstruct(f, spec, sampling, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -648,13 +617,12 @@ EXPONENTS = (0.5, 1, 3, np.inf)
 @pytest.fixture(scope="module", params=sorted(STREAM_SAMPLINGS))
 def stream_case(request):
     spec = SMALL_CASES[request.param][0]
-    psi = default_wavelet(spec)
     sampling = STREAM_SAMPLINGS[request.param](spec, SOME_ZERO)
     rng = np.random.default_rng(11)
     n, length = 64, 16.0
     f = GridSignal(n, length, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    slab = analyze(f, spec, sampling, psi)
-    return request.param, spec, psi, sampling, f, slab
+    slab = analyze(f, spec, sampling)
+    return request.param, spec, sampling, f, slab
 
 
 def _nonzero_planes(slab):
@@ -674,11 +642,11 @@ def _count_inverse_ffts(monkeypatch):
 
 class TestStreamedReduction:
     def test_norms_equal_slab_norms(self, stream_case):
-        _, spec, psi, sampling, f, slab = stream_case
+        _, spec, sampling, f, slab = stream_case
         assert 0 < _nonzero_planes(slab) < len(sampling)
         mags = np.abs(slab.planes)
         for p in EXPONENTS:
-            value = signal_coorbit_norm(f, spec, sampling, psi, p)
+            value = signal_coorbit_norm(f, spec, sampling, p)
             assert value == coorbit_norm(slab, p)
             # reference: the whole-slab reduction, summed in index order
             if np.isinf(p):
@@ -692,10 +660,10 @@ class TestStreamedReduction:
             assert value == ref
 
     def test_plane_sums_equal_whole_slab_reduction(self, stream_case):
-        _, spec, psi, sampling, f, slab = stream_case
+        _, spec, sampling, f, slab = stream_case
         mags = np.abs(slab.planes)
         for p in (*EXPONENTS, 2):
-            sums, peaks = transform._signal_stats([f], spec, sampling, psi, p)
+            sums, peaks = transform._signal_stats([f], spec, sampling, p)
             assert np.array_equal(peaks[:, 0], mags.max(axis=(1, 2)))
             if np.isfinite(p):
                 ref = np.sum(mags ** p, axis=(1, 2)) * (f.L / f.N) ** 2
@@ -703,9 +671,9 @@ class TestStreamedReduction:
         assert np.array_equal(sums[:, 0], slab.plane_energies())
 
     def test_zero_planes_skip_their_ffts(self, stream_case, monkeypatch):
-        _, spec, psi, sampling, f, slab = stream_case
+        _, spec, sampling, f, slab = stream_case
         calls = _count_inverse_ffts(monkeypatch)
-        signal_coorbit_norm(f, spec, sampling, psi, 1)
+        signal_coorbit_norm(f, spec, sampling, 1)
         # one FFT per class of H/K_psi with a nonzero plane: the slab holds
         # each class's plane in all of its rows
         planes = slab.planes.reshape(len(slab), -1)
@@ -713,20 +681,20 @@ class TestStreamedReduction:
         assert distinct < _nonzero_planes(slab)
         assert len(calls) == distinct
         calls.clear()
-        assert np.array_equal(analyze(f, spec, sampling, psi).planes, slab.planes)
+        assert np.array_equal(analyze(f, spec, sampling).planes, slab.planes)
         assert len(calls) == distinct
         calls.clear()
-        transform._signal_stats([f, f], spec, sampling, psi, 1)
+        transform._signal_stats([f, f], spec, sampling, 1)
         assert len(calls) == 2 * distinct
 
     def test_sampling_off_the_lattice_gives_zero(self, stream_case, monkeypatch):
-        family, spec, psi, _, f, _ = stream_case
+        family, spec, _, f, _ = stream_case
         sampling = STREAM_SAMPLINGS[family](spec, ALL_ZERO)
         calls = _count_inverse_ffts(monkeypatch)
-        slab = analyze(f, spec, sampling, psi)
+        slab = analyze(f, spec, sampling)
         assert np.all(slab.planes == 0.0)
         for p in EXPONENTS:
-            assert signal_coorbit_norm(f, spec, sampling, psi, p) == 0.0
+            assert signal_coorbit_norm(f, spec, sampling, p) == 0.0
             assert coorbit_norm(slab, p) == 0.0
         assert calls == []
 
@@ -749,11 +717,10 @@ class TestBatchedProfile:
         sm2 = STREAM_SAMPLINGS["shearlet"](s2, SOME_ZERO)
         signals = _profile_signals()
         table = norm_ratio_profile(s1, s2, p, signals, sm1, sm2)
-        psi1, psi2 = default_wavelet(s1), default_wavelet(s2)
         for f, row in zip(signals, table.rows):
             assert row.label == f.label
-            assert row.norm1 == signal_coorbit_norm(f.signal, s1, sm1, psi1, p)
-            assert row.norm2 == signal_coorbit_norm(f.signal, s2, sm2, psi2, p)
+            assert row.norm1 == signal_coorbit_norm(f.signal, s1, sm1, p)
+            assert row.norm2 == signal_coorbit_norm(f.signal, s2, sm2, p)
             assert row.ratio == row.norm1 / row.norm2
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -781,10 +748,10 @@ CLASS_COUNTS = {"similitude": (32, 1024), "diagonal": (256, 1024),
                 "shearlet": (768, 1536)}
 
 
-def _element_factor(spec, psi, point, xi1, xi2):
+def _element_factor(spec, point, xi1, xi2):
     """Reference |det h|^(1/2) psihat(h^T xi) at one chart point."""
     h = element_from_chart(spec, point)
-    return np.sqrt(abs(np.linalg.det(h))) * psi.evaluate(
+    return np.sqrt(abs(np.linalg.det(h))) * default_wavelet(spec).evaluate(
         h[0, 0] * xi1 + h[1, 0] * xi2, h[0, 1] * xi1 + h[1, 1] * xi2)
 
 
@@ -792,92 +759,85 @@ class TestStabilizerQuotient:
     @pytest.mark.parametrize("family", sorted(CLASS_COUNTS))
     def test_planes_equal_their_class_representative(self, family):
         spec = SMALL_CASES[family][0]
-        psi = default_wavelet(spec)
         sampling = default_sampling(spec)
-        first, inverse = transform._classes(spec, sampling, psi)
-        assert (len(first), len(sampling)) == CLASS_COUNTS[family]
+        psi, mats, inverse = transform._classes(spec, sampling)
+        assert (len(mats), len(sampling)) == CLASS_COUNTS[family]
+        # mats holds the element of the lowest row of each class, and the rows
+        # of a class agree off the columns the profile ignores
+        classes, first = np.unique(inverse, return_index=True)
+        assert np.array_equal(classes, np.arange(len(mats)))
+        assert np.array_equal(mats, element_from_chart(spec, sampling.points[first]))
         key = np.delete(sampling.points, psi.ignored_columns, axis=1)
         assert np.array_equal(key[first][inverse], key)
         xi1, xi2 = freq_grids(64, 16.0)
-        reps = [_element_factor(spec, psi, sampling.points[i], xi1, xi2)
-                for i in first]
+        reps = [_element_factor(spec, sampling.points[i], xi1, xi2) for i in first]
         # relative to the largest plane, as in test_planes_in_sampling_order:
         # planes that hold only the far tail of the bump carry no digits of
         # their own
         scale = max(np.max(np.abs(r)) for r in reps)
         assert scale > 0.0
         for point, k in zip(sampling.points, inverse):
-            plane = _element_factor(spec, psi, point, xi1, xi2)
+            plane = _element_factor(spec, point, xi1, xi2)
             assert np.max(np.abs(plane - reps[k])) <= ROUNDOFF * scale
 
-    def test_any_profile_of_the_spec_family_and_conjugator_is_factored(self):
-        spec = SMALL_CASES["similitude"][0]
-        sampling = similitude_sampling(spec, n_lam=4, n_theta=8)
-        psi = WaveletSpec(spec.family, spec.conjugator, 1.2, 0.8)
-        first, _ = transform._classes(spec, sampling, psi)
-        assert len(first) == 4
-
-    @pytest.mark.parametrize("family,psi", [
-        ("similitude", WaveletSpec(similitude(), np.eye(2))),
-        ("shearlet", WaveletSpec(shearlet(0.5), rotation(-0.5))),
-        ("diagonal", WaveletSpec(similitude(), rotation(0.3) @ np.diag([1.0, 1.5]))),
-    ], ids=["other-conjugator", "other-exponent", "other-family"])
-    def test_other_wavelet_gets_one_class_per_row(self, family, psi):
+    @pytest.mark.parametrize("family", sorted(SMALL_CASES))
+    def test_planes_and_inversion_equal_per_row(self, family):
         spec, make_sampling = SMALL_CASES[family]
         sampling = make_sampling(spec)
         f = GridSignal(32, 8.0, np.random.default_rng(6).normal(size=(32, 32)))
-        first, inverse = transform._classes(spec, sampling, psi)
-        assert np.array_equal(first, np.arange(len(sampling)))
-        assert np.array_equal(inverse, first)
+        psi, mats, _ = transform._classes(spec, sampling)
+        assert len(mats) < len(sampling)
         # the per-element path: the kernel on one element at a time, in index order
-        slab = analyze(f, spec, sampling, psi)
+        slab = analyze(f, spec, sampling)
         fhat = spectrum_from_signal(f)
         xi1, xi2 = freq_grids(f.N, f.L)
-        mats = element_from_chart(spec, sampling.points)
+        rows = element_from_chart(spec, sampling.points)
         planes = np.zeros_like(slab.planes)
         acc = 0.0
         for i in range(len(sampling)):
-            ((_, root, vals),) = transform._wavelet_chunks(psi, mats[i:i + 1], xi1, xi2)
-            if vals[0].any():
-                planes[i] = signal_from_spectrum(fhat * (root[0] * np.conj(vals[0])),
-                                                 f.N, f.L)
+            ((_, root, vals),) = transform._wavelet_chunks(psi, rows[i:i + 1], xi1, xi2)
+            planes[i] = signal_from_spectrum(fhat * (root[0] * np.conj(vals[0])),
+                                             f.N, f.L)
             what = spectrum_from_signal(GridSignal(f.N, f.L, slab.planes[i]))
             acc = acc + (sampling.g_w[i] * root[0]) * what * vals[0]
-        assert np.array_equal(slab.planes, planes)
-        assert np.array_equal(invert(slab, spec, sampling, psi, 1.7).data,
-                              signal_from_spectrum(acc / 1.7, f.N, f.L))
-        sums, _ = transform._signal_stats([f], spec, sampling, psi, 2)
+        # relative to the largest plane, as in
+        # test_planes_equal_their_class_representative
+        scale = np.max(np.abs(planes))
+        assert scale > 0.0
+        assert np.max(np.abs(slab.planes - planes)) <= ROUNDOFF * scale
+        ref = signal_from_spectrum(acc / 1.7, f.N, f.L)
+        gap = np.max(np.abs(invert(slab, spec, 1.7).data - ref))
+        assert gap <= ROUNDOFF * np.max(np.abs(ref))
+        sums, _ = transform._signal_stats([f], spec, sampling, 2)
         assert np.array_equal(sums[:, 0], slab.plane_energies())
         for p in (0.5, 1, 3, np.inf):
-            assert signal_coorbit_norm(f, spec, sampling, psi, p) == coorbit_norm(slab, p)
+            assert signal_coorbit_norm(f, spec, sampling, p) == coorbit_norm(slab, p)
 
     @pytest.mark.parametrize("p", EXPONENTS)
     def test_norms_and_profile_rows_equal_slab_norms(self, stream_case, p):
-        _, spec, psi, sampling, f, slab = stream_case
-        first, _ = transform._classes(spec, sampling, psi)
-        assert len(first) < len(sampling)
-        signals = [_wavelet_atom(f.N, f.L, psi),
+        _, spec, sampling, f, slab = stream_case
+        _, mats, _ = transform._classes(spec, sampling)
+        assert len(mats) < len(sampling)
+        signals = [_wavelet_atom(f.N, f.L, spec),
                    freq_bump(f.N, f.L, center=(0.9, 0.3), sigma=0.2)]
         other = GroupSpec(spec.family, rotation(0.7) @ spec.conjugator)
         table = norm_ratio_profile(spec, other, p, signals, sampling,
                                    sampling)
-        assert signal_coorbit_norm(f, spec, sampling, psi, p) == coorbit_norm(slab, p)
+        assert signal_coorbit_norm(f, spec, sampling, p) == coorbit_norm(slab, p)
         for g, row in zip(signals, table.rows):
-            assert row.norm1 == coorbit_norm(analyze(g.signal, spec, sampling, psi), p)
-            assert row.norm2 == coorbit_norm(
-                analyze(g.signal, other, sampling, default_wavelet(other)), p)
+            assert row.norm1 == coorbit_norm(analyze(g.signal, spec, sampling), p)
+            assert row.norm2 == coorbit_norm(analyze(g.signal, other, sampling), p)
 
 
 def test_streamed_norm_holds_no_slab():
     # the M x N x N slab of this case is 1536 x 128 x 128 complex: 403 MB
     spec = GroupSpec(shearlet(0.7), rotation(-0.5))
-    psi = default_wavelet(spec)
     sampling = default_sampling(spec)
     center = np.linalg.inv(spec.conjugator).T @ np.array([1.0, 0.2])
     f = freq_bump(128, 16.0, center=center, sigma=0.12).signal
     tracemalloc.start()
     try:
-        value = signal_coorbit_norm(f, spec, sampling, psi, 1)
+        value = signal_coorbit_norm(f, spec, sampling, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
