@@ -11,6 +11,7 @@ applied symmetrically in both directions below.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -129,11 +130,16 @@ def _check_band(center, extent, n, length, what):
     nyq = (n / 2 - 1) / length
     reach = max(abs(center[0]), abs(center[1])) + extent
     if reach > nyq:
+        # point at the first caller outside this module, also through
+        # gen_test_signal
+        level, frame = 1, sys._getframe()
+        while frame is not None and frame.f_globals.get("__name__") == __name__:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"{what} reaches |xi| ~ {reach:.3g}, beyond the representable "
             f"band {nyq:.3g} of the {n}x{n} grid",
             CoverageWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 

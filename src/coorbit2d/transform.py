@@ -9,9 +9,19 @@ group element h the analysis plane is
 with psi the wavelet of the group spec (`default_wavelet`), always evaluated
 in closed form at h^T xi: no function here takes a wavelet of its own.  Each
 public call stacks the 2 x 2 elements of its class representatives (below)
-once; one kernel yields |det h|^(1/2) and psihat(h^T xi) over a stack, a
-chunk at a time, and backs the multiplier, the analysis planes, the `invert`
-sum and both sides of `covariance_residual`.
+once, and one sparse kernel evaluates psihat(h^T xi) over the stack where
+the convex support pieces of the profile in eta = B^T h^T xi
+(`WaveletSpec.support_pieces`) reach.  Along a lattice row eta is affine in
+xi2, so each piece reaches one interval of columns per class and row
+(`_row_intervals`), widened by a few roundings of |B^T| |h^T| |xi| and made
+disjoint.  The (class, frequency) pairs inside come in class order, in
+chunks of bounded size, and take the arithmetic of a dense evaluation:
+every value is the dense one bit for bit, and every pair left out is
+exactly 0 (on the default samplings at N = 128, 4-5% of the lattice is
+evaluated for the shearlet classes, 11-14% for the diagonal ones).
+Frequencies off a product grid pair with every class.  The kernel backs the
+multiplier, the analysis planes, the `invert` sum and both sides of
+`covariance_residual`.
 
 The wavelet factor |det h|^(1/2) psihat(h^T xi) is constant on the classes
 of H modulo the compact part K_psi of H that leaves the profile invariant.
@@ -26,10 +36,11 @@ shearlet rows.
 The analysis planes come from one generator that takes the FFT of each
 signal once and yields, class by class, the planes of all its signals;
 where psihat(h^T xi) is exactly 0 on the lattice the plane is exactly 0 and
-its FFTs are skipped.  Elsewhere only the lattice rows that psihat reaches
-take the first inverse-FFT pass (`signals.ifft2_rows`, `np.fft.ifft2` bit
-for bit), and the plane and magnitude buffers are reused from plane to
-plane.  Each spectrum takes the lattice phase and (N/L)^2 once; when
+its FFTs are skipped; a class whose pieces reach no lattice point skips
+psihat as well.  Elsewhere only the lattice rows that psihat reaches take
+the first inverse-FFT pass (`signals.ifft2_rows`, `np.fft.ifft2` bit for
+bit), and the plane, row-product and magnitude buffers are reused from plane
+to plane.  Each spectrum takes the lattice phase and (N/L)^2 once; when
 (N/L)^2 is a power of two that is exact, and the planes equal
 `signal_from_spectrum(fhat * factor)` bit for bit.  `analyze` is the only
 code that fills an M x N x N slab from it, copying each class's plane into
@@ -39,8 +50,9 @@ each psihat plane across its signals) and the CLI `analyze` report reduce
 each class's plane as it is computed, hand its sums to every row of the
 class, and total them over the M rows with the same per-plane formula and
 index-order sum as `coorbit_norm` of a slab, so the results agree bit for
-bit.  `invert` takes the FFT of every slab plane, since a slab may have been
-edited, and evaluates psihat once per class.
+bit.  `invert` takes the FFT of every slab plane whose class the support
+pieces bring onto the lattice, since a slab may have been edited, and
+evaluates psihat once per class.
 
 The coorbit quasi-norm integrates |W|^p over space (cell (L/N)^2) and over
 the chart with the g-weights of the sampling; no triangle inequality is
@@ -57,9 +69,11 @@ p = 2 norm of a signal (signal_coorbit_norm) and the reconstruction of a
 signal (reconstruct) are computed that way, with two FFTs at most and no
 M x N x N coefficient slab; the admissibility constant is the same sum at a
 few orbit samples.  C is summed once per class, which enters with the sum of
-the Haar weights of its rows.  `analyze`, `coorbit_norm` and `invert` remain
-the coefficient-domain path on a slab, and the tests use them as the
-reference for the multiplier and for the streamed reductions.
+the Haar weights of its rows, in class order at every frequency, so the
+sum does not depend on how the kernel blocks or chunks its work.
+`analyze`, `coorbit_norm` and `invert` remain the coefficient-domain path on
+a slab, and the tests use them as the reference for the multiplier and for
+the streamed reductions.
 
 No coverage check runs here: an h that maps the wavelet off the lattice
 gives a zero plane.  Only the test signals of `signals` warn on coverage.
@@ -118,45 +132,165 @@ class CoeffSlab:
         return sums
 
 
-# elements per chunk times frequencies: one 128 x 128 plane.  On a 2-core Xeon
-# at N = 128, 2^16 (4 planes) made `analyze` ~40% slower than a per-plane loop
-# (diagonal 1.35 -> 2.0 s); 2^14 is at parity (all families, 6 alternating
-# runs: 8.6-10.0 s CPU against 9.4-10.6 s) and its grid multiplier is no
-# slower than 2^16 (diagonal 0.77 vs 1.07 s, shearlet 1.25 vs 1.5 s).
-_CHUNK_ELEMENTS = 2 ** 14
+# classes per block of column intervals, and candidate points per call of
+# `WaveletSpec.evaluate`; neither changes a value
+_BLOCK_CLASSES = 16
+_CHUNK_POINTS = 2 ** 12
+
+# a margin of _ROUNDING * (|g| |B^T| |h^T| |xi| + |b|) on each constraint
+# g . eta < b of a support piece covers the few roundings, each at most
+# eps * |B^T| |h^T| |xi|, by which the computed eta of `evaluate`, its mask
+# comparisons and the interval arithmetic below can differ from exact eta
+_ROUNDING = 16 * np.finfo(float).eps
 
 
-def _wavelet_chunks(psi, mats, xi1, xi2):
-    """Yield (lo, |det h|^(1/2), psihat(h^T xi)) for h in mats[lo:lo + k].
+def _row_intervals(psi, mats, rows, cols):
+    """(start, count) of the columns each support piece reaches, per class and row.
 
-    Chunks come in index order; vals has shape (k,) + broadcast shape of xi.
+    On the product grid xi = (rows[r], cols[c]), with cols sorted, eta =
+    B^T h^T xi is affine in cols along row r, so each convex piece of
+    `psi.support_pieces` keeps one interval of columns, widened by the
+    rounding margin.  Both results have shape (len(mats), pieces, len(rows)),
+    and the intervals of one class and row do not overlap.
     """
-    xi1, xi2 = np.broadcast_arrays(np.asarray(xi1, dtype=float),
-                                   np.asarray(xi2, dtype=float))
-    shape = xi1.shape
-    x1, x2 = xi1.reshape(1, -1), xi2.reshape(1, -1)
-    step = max(1, _CHUNK_ELEMENTS // max(x1.size, 1))
-    # h^T xi of every chunk goes into one buffer: a fresh chunk-sized
-    # temporary is returned to the OS on free and page-faulted back in by
-    # the next chunk
-    buf = np.empty((3, min(step, len(mats)), x1.size))
+    g, b = psi.support_pieces()
+    bt, ht = psi.spec.conjugator.T, np.swapaxes(mats, 1, 2)
+    ga = g @ (bt @ ht)[:, None]  # (K, pieces, constraints, 2): g . eta = ga . xi
+    # |B^T| |h^T| |xi| per row, with |xi2| bounded over the row
+    reach = np.abs(bt) @ np.abs(ht) @ np.stack(
+        [np.abs(rows), np.full(len(rows), np.max(np.abs(cols), initial=0.0))])  # (K, 2, R)
+    slope = ga[..., 1, None] + 0.0  # no -0: a zero slope bounds from above
+    bound = np.abs(g) @ reach[:, None]  # (K, pieces, constraints, R)
+    bound += np.abs(b[..., None])
+    bound *= _ROUNDING
+    bound += b[..., None]
+    bound -= ga[..., 0, None] * rows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.divide(bound, slope, out=bound)
+    # cols < t where slope > 0 (+-inf where it is 0), cols > t where slope
+    # < 0; fmin and fmax skip a nan (from inf - inf or 0 / 0), which leaves
+    # the interval open
+    hi = np.fmin.reduce(np.where(slope >= 0, t, np.inf), axis=2)
+    lo = np.fmax.reduce(np.where(slope < 0, t, -np.inf), axis=2)
+    start = np.searchsorted(cols, lo, side="left")
+    end = np.searchsorted(cols, hi, side="right")
+    # a wide margin can make the intervals of two pieces overlap: sort them
+    # by (start, end) (odd-even transposition over the few pieces) and start
+    # each after the ends of those before it
+    width = len(cols) + 1
+    keys = start * width + end
+    for k in range(len(g)):
+        for i in range(k % 2, len(g) - 1, 2):
+            left, right = keys[:, i], keys[:, i + 1]
+            keys[:, i], keys[:, i + 1] = np.minimum(left, right), np.maximum(left, right)
+    start, end = np.divmod(keys, width)
+    for i in range(1, len(g)):
+        np.maximum(start[:, i], end[:, i - 1], out=start[:, i])
+        np.maximum(end[:, i], end[:, i - 1], out=end[:, i])
+    return start, np.maximum(end - start, 0)
+
+
+def _candidates(psi, mats, xi1, xi2):
+    """Yield (cls, idx): the (class, frequency) pairs where psihat(h^T xi) may be nonzero.
+
+    idx indexes the flattened broadcast frequencies.  Every pair left out
+    has psihat(h^T xi) exactly 0, and no pair comes twice.  The pairs come
+    in class order, at most _CHUNK_POINTS at a time.  On a product grid
+    (xi1 of shape (R, 1), xi2 of shape (1, C), as from `freq_grids`) they
+    come from `_row_intervals`, a block of _BLOCK_CLASSES classes at a time;
+    any other frequencies pair with every class, in one block.
+    """
+    shape = np.broadcast_shapes(np.shape(xi1), np.shape(xi2))
+    grid = len(shape) == 2 and (np.shape(xi1), np.shape(xi2)) == (
+        (shape[0], 1), (1, shape[1]))
+    if grid:
+        rows, cols = np.ravel(xi1).astype(float), np.ravel(xi2).astype(float)
+        order = np.argsort(cols, kind="stable")
+        cols = cols[order]
+    else:
+        order = np.arange(int(np.prod(shape)))
+    step = _BLOCK_CLASSES if grid else max(len(mats), 1)
     for lo in range(0, len(mats), step):
-        h = mats[lo:lo + step]
-        k = len(h)
-        det = np.abs(h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0])
-        eta1, eta2, tmp = buf[0, :k], buf[1, :k], buf[2, :k]
-        np.multiply(h[:, 0, 0, None], x1, out=eta1)
-        eta1 += np.multiply(h[:, 1, 0, None], x2, out=tmp)
-        np.multiply(h[:, 0, 1, None], x1, out=eta2)
-        eta2 += np.multiply(h[:, 1, 1, None], x2, out=tmp)
-        vals = psi.evaluate(eta1, eta2)
-        yield lo, np.sqrt(det), vals.reshape((len(h),) + shape)
+        block = mats[lo:lo + step]
+        if grid:
+            start, count = _row_intervals(psi, block, rows, cols)
+        else:  # one segment of all frequencies per class
+            start = np.zeros((len(block), 1, 1), dtype=int)
+            count = np.full(start.shape, len(order))
+        # segments (class, piece, row) of consecutive sorted columns
+        n_pieces, n_rows = count.shape[1:]
+        seg = np.flatnonzero(count)
+        seg_count = count.ravel()[seg]
+        seg_cls = lo + seg // (n_pieces * n_rows)
+        seg_base = seg % n_rows * len(order)
+        ends = np.cumsum(seg_count)
+        skip = start.ravel()[seg] - (ends - seg_count)  # sorted column - point number
+        total = int(ends[-1]) if len(ends) else 0
+        for q0 in range(0, total, _CHUNK_POINTS):
+            q = np.arange(q0, min(q0 + _CHUNK_POINTS, total))
+            first, last = np.searchsorted(ends, q[[0, -1]], side="right")
+            segs = np.arange(first, last + 1)
+            s = np.repeat(segs, np.minimum(ends[segs], q[-1] + 1)
+                          - np.maximum(ends[segs] - seg_count[segs], q0))
+            yield seg_cls[s], seg_base[s] + order[skip[s] + q]
+
+
+def _psihat(psi, mats, xi1, xi2):
+    """Yield (cls, idx, psihat(h_cls^T xi_idx)) over the pairs of `_candidates`.
+
+    h^T xi takes the same two roundings per coordinate as a dense evaluation
+    over all frequencies, so every value equals its dense counterpart bit
+    for bit.
+    """
+    shape = np.broadcast_shapes(np.shape(xi1), np.shape(xi2))
+    x1 = np.broadcast_to(np.asarray(xi1, dtype=float), shape).ravel()
+    x2 = np.broadcast_to(np.asarray(xi2, dtype=float), shape).ravel()
+    h00, h10, h01, h11 = (mats[:, i, j].copy() for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    for cls, idx in _candidates(psi, mats, xi1, xi2):
+        a1, a2 = x1[idx], x2[idx]
+        eta1 = h00[cls] * a1
+        eta1 += h10[cls] * a2
+        eta2 = h01[cls] * a1
+        eta2 += h11[cls] * a2
+        yield cls, idx, psi.evaluate(eta1, eta2)
+
+
+def _class_values(psi, mats, xi1, xi2):
+    """Yield psihat(h^T xi) for each element h of the stack `mats`, in order.
+
+    A class without candidates yields None, with no psihat evaluated; any
+    other yields the values over the broadcast frequencies in one dense
+    buffer that the next class overwrites.
+    """
+    buf = np.zeros(np.broadcast_shapes(np.shape(xi1), np.shape(xi2)))
+    flat = buf.reshape(-1)
+    current = -1
+    for cls, idx, vals in _psihat(psi, mats, xi1, xi2):
+        cuts = np.flatnonzero(cls[1:] != cls[:-1]) + 1
+        for lo, hi in zip([0, *cuts], [*cuts, len(cls)]):
+            if cls[lo] != current:
+                if current >= 0:
+                    yield buf
+                    flat.fill(0.0)
+                yield from [None] * (cls[lo] - current - 1)
+                current = cls[lo]
+            flat[idx[lo:hi]] = vals[lo:hi]
+    if current >= 0:
+        yield buf
+    yield from [None] * (len(mats) - current - 1)
+
+
+def _root_det(mats):
+    """|det h|^(1/2) over a stack of elements."""
+    return np.sqrt(np.abs(mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]))
 
 
 def _plane_factor(psi, h, xi1, xi2):
-    """|det h|^(1/2) conj(psihat(h^T xi)) for one element, as a 1-element stack."""
-    ((_, root, vals),) = _wavelet_chunks(psi, h[None], xi1, xi2)
-    return root[0] * np.conj(vals[0])
+    """|det h|^(1/2) conj(psihat(h^T xi)) for one element."""
+    (vals,) = _class_values(psi, h[None], xi1, xi2)
+    if vals is None:
+        return np.zeros(np.broadcast_shapes(np.shape(xi1), np.shape(xi2)))
+    return _root_det(h[None])[0] * np.conj(vals)
 
 
 def _classes(spec, sampling):
@@ -176,17 +310,17 @@ def _classes(spec, sampling):
 def calderon_multiplier(spec, sampling, xi1, xi2):
     """C(xi) = sum_h haar_w(h) |psihat(h^T xi)|^2 at broadcastable frequencies.
 
-    The sum runs over the classes of the sampled chart modulo K_psi, a chunk
-    of class representatives at a time; the result has the broadcast shape of
+    The sum runs over the classes of the sampled chart modulo K_psi, in class
+    order at every frequency, and skips the frequencies where the support of
+    psihat(h^T .) cannot reach; the result has the broadcast shape of
     (xi1, xi2).
     """
     psi, mats, inverse = _classes(spec, sampling)
     haar_w = np.bincount(inverse, sampling.haar_w)
     total = np.zeros(np.broadcast_shapes(np.shape(xi1), np.shape(xi2)))
-    for lo, _, vals in _wavelet_chunks(psi, mats, xi1, xi2):
-        k = len(vals)
-        sq = np.square(vals, out=vals).reshape(k, -1)
-        total += (haar_w[lo:lo + k] @ sq).reshape(total.shape)
+    flat = total.reshape(-1)
+    for cls, idx, vals in _psihat(psi, mats, xi1, xi2):
+        np.add.at(flat, idx, haar_w[cls] * np.square(vals))
     return total
 
 
@@ -202,7 +336,8 @@ def _planes(signals, mats, psi):
 
     Yields, for each element h of the stack `mats` in order, the (S, N, N)
     stack of planes W_s(., h), or None when psihat(h^T xi) is exactly 0 on
-    the lattice, where the plane is exactly 0 and its FFTs are skipped.  The
+    the lattice, where the plane is exactly 0 and its FFTs are skipped; a
+    class without candidates is skipped before psihat is evaluated.  The
     stack is one buffer that the next plane overwrites: copy what must
     outlive the step.  Only the lattice rows where psihat(h^T xi) is nonzero
     take fhat * factor and the first inverse-FFT pass.
@@ -212,17 +347,21 @@ def _planes(signals, mats, psi):
     fold = (n / length) ** 2 * _phase_grid(n)
     spectra = [fold * spectrum_from_signal(f) for f in signals]
     out = np.empty((len(spectra), n, n), dtype=complex)
-    buf = np.empty((n, n), dtype=complex)
-    for _, root_det, vals in _wavelet_chunks(psi, mats, *freq_grids(n, length)):
-        for j in range(len(vals)):
-            rows = np.flatnonzero(vals[j].any(axis=1))
-            if not len(rows):
-                yield None
-                continue
-            factor = root_det[j] * np.conj(vals[j][rows])
-            for s, spectrum in enumerate(spectra):
-                out[s] = ifft2_rows(spectrum[rows] * factor, rows, buf)
-            yield out
+    buf, picked = np.empty((2, n, n), dtype=complex)
+    root_det = _root_det(mats)
+    for k, vals in enumerate(_class_values(psi, mats, *freq_grids(n, length))):
+        rows = () if vals is None else np.flatnonzero(vals.any(axis=1))
+        if not len(rows):
+            yield None
+            continue
+        factor = root_det[k] * np.conj(vals[rows])
+        for s, spectrum in enumerate(spectra):
+            # fhat * factor in a reused buffer: a fresh plane-sized product
+            # is handed back to the OS on free and faulted in again
+            rows_hat = np.take(spectrum, rows, axis=0, out=picked[:len(rows)])
+            rows_hat *= factor
+            out[s] = ifft2_rows(rows_hat, rows, buf)
+        yield out
 
 
 def _plane_stats(planes, shape, p, cell):
@@ -415,19 +554,22 @@ def invert(slab, spec, c_psi):
     Accumulates g_w(h) * FT(W(., h)) * |det h|^(1/2) * psihat(h^T xi) over
     the sampling of the slab in the DFT domain, class by class and within a
     class in index order, and applies a single inverse transform, scaled by
-    1/C_psi.  Every plane of the slab takes its own FFT; psihat is evaluated
-    once per class.
+    1/C_psi.  Every plane takes its own FFT, since a slab may have been
+    edited, except the planes of a class whose support pieces reach no
+    lattice point, which add exactly 0; psihat is evaluated once per class.
     """
     if not (c_psi > 0):
         raise ValueError("C_psi must be positive")
     n, length, sampling = slab.N, slab.L, slab.sampling
     acc = np.zeros((n, n), dtype=complex)
     psi, mats, inverse = _classes(spec, sampling)
-    for lo, root_det, vals in _wavelet_chunks(psi, mats, *freq_grids(n, length)):
-        for j in range(len(vals)):
-            for i in np.flatnonzero(inverse == lo + j):
-                what = spectrum_from_signal(GridSignal(n, length, slab.planes[i]))
-                acc += (sampling.g_w[i] * root_det[j]) * what * vals[j]
+    root_det = _root_det(mats)
+    for k, vals in enumerate(_class_values(psi, mats, *freq_grids(n, length))):
+        if vals is None:
+            continue
+        for i in np.flatnonzero(inverse == k):
+            what = spectrum_from_signal(GridSignal(n, length, slab.planes[i]))
+            acc += (sampling.g_w[i] * root_det[k]) * what * vals
     data = signal_from_spectrum(acc / c_psi, n, length)
     return GridSignal(n, length, data)
 

@@ -12,6 +12,16 @@ the conjugated dual orbit:
 
 Values are always computed from the closed form; no resampling or
 interpolation enters any transform built on top.
+
+``WaveletSpec.support_pieces`` writes the support as a few disjoint convex
+pieces in eta, each an intersection of half-planes g . eta < b, with the same
+slack and bounds as the masks of ``evaluate``:
+
+* similitude:  the box |eta1|, |eta2| < 2
+* diagonal:    the 4 sign squares 1/2 < +-eta1, +-eta2 < 2
+* shearlet:    the 2 trapezoids 1/2 < +-eta1 < 2, |eta2| < |eta1|
+
+A transform evaluates the profile only where one of these pieces can reach.
 """
 
 from __future__ import annotations
@@ -35,8 +45,10 @@ def bump(t):
     return out
 
 
-# relative slack of the support masks in WaveletSpec.evaluate
+# relative slack of the support masks in WaveletSpec.evaluate and of its
+# support pieces: a magnitude t is kept when _LO < t < _HI
 _SLACK = 1e-6
+_LO, _HI = 0.5 * (1.0 - _SLACK), 2.0 * (1.0 + _SLACK)
 
 # per family: the chart columns (see coorbit2d.groups) the profile ignores
 _IGNORED_COLUMNS = {SIMILITUDE: (1,), DIAGONAL: (2, 3), SHEARLET: (0,)}
@@ -76,7 +88,7 @@ class WaveletSpec:
         # (1/2, 2); the masks keep a superset of those frequencies, with a
         # slack far above the roundoff of log2(.), and the closed form runs
         # on the kept ones only: every other value is exactly 0 anyway
-        lo, hi = 0.5 * (1.0 - _SLACK), 2.0 * (1.0 + _SLACK)
+        lo, hi = _LO, _HI
         kind = self.spec.family.kind
         if kind == SIMILITUDE:
             r2 = np.square(e1)
@@ -93,6 +105,27 @@ class WaveletSpec:
                  & (np.abs(e2, out=tmp) < (1.0 + _SLACK) * a1))
             out[m] = bump(np.log2(a1[m])) * bump(e2[m] / e1[m])
         return out.reshape(shape)
+
+    def support_pieces(self):
+        """(g, b): the disjoint convex pieces {eta : g[k] @ eta < b[k] for all k}.
+
+        g has shape (pieces, constraints, 2) and b (pieces, constraints); every
+        eta that a mask of `evaluate` keeps lies in one piece, up to the
+        roundoff of the comparisons.
+        """
+        kind = self.spec.family.kind
+        if kind == SIMILITUDE:
+            g = [[(1, 0), (-1, 0), (0, 1), (0, -1)]]
+            b = [(_HI, _HI, _HI, _HI)]
+        elif kind == DIAGONAL:
+            signs = [(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]
+            g = [[(-s1, 0), (s1, 0), (0, -s2), (0, s2)] for s1, s2 in signs]
+            b = [(-_LO, _HI, -_LO, _HI)] * 4
+        else:
+            k = 1.0 + _SLACK  # |eta2| < k |eta1|, as in the mask
+            g = [[(-s, 0), (s, 0), (-s * k, 1), (-s * k, -1)] for s in (1, -1)]
+            b = [(-_LO, _HI, 0.0, 0.0)] * 2
+        return np.array(g, dtype=float), np.array(b, dtype=float)
 
 
 def default_wavelet(spec):

@@ -47,6 +47,7 @@ from coorbit2d.sampling import (
     shearlet_sampling,
 )
 from coorbit2d.signals import ifft2_rows
+from coorbit2d.wavelets import WaveletSpec
 
 
 def _wavelet_atom(n, length, spec):
@@ -787,19 +788,20 @@ class TestStabilizerQuotient:
         f = GridSignal(32, 8.0, np.random.default_rng(6).normal(size=(32, 32)))
         psi, mats, _ = transform._classes(spec, sampling)
         assert len(mats) < len(sampling)
-        # the per-element path: the kernel on one element at a time, in index order
+        # the per-element path: psihat over the whole lattice at every row's
+        # element, in index order
         slab = analyze(f, spec, sampling)
         fhat = spectrum_from_signal(f)
         xi1, xi2 = freq_grids(f.N, f.L)
         rows = element_from_chart(spec, sampling.points)
         planes = np.zeros_like(slab.planes)
         acc = 0.0
-        for i in range(len(sampling)):
-            ((_, root, vals),) = transform._wavelet_chunks(psi, rows[i:i + 1], xi1, xi2)
-            planes[i] = signal_from_spectrum(fhat * (root[0] * np.conj(vals[0])),
-                                             f.N, f.L)
+        for i, h in enumerate(rows):
+            root = np.sqrt(abs(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]))
+            vals = psi.evaluate(h[0, 0] * xi1 + h[1, 0] * xi2, h[0, 1] * xi1 + h[1, 1] * xi2)
+            planes[i] = signal_from_spectrum(fhat * (root * np.conj(vals)), f.N, f.L)
             what = spectrum_from_signal(GridSignal(f.N, f.L, slab.planes[i]))
-            acc = acc + (sampling.g_w[i] * root[0]) * what * vals[0]
+            acc = acc + (sampling.g_w[i] * root) * what * vals
         # relative to the largest plane, as in
         # test_planes_equal_their_class_representative
         scale = np.max(np.abs(planes))
@@ -827,6 +829,141 @@ class TestStabilizerQuotient:
         for g, row in zip(signals, table.rows):
             assert row.norm1 == coorbit_norm(analyze(g.signal, spec, sampling), p)
             assert row.norm2 == coorbit_norm(analyze(g.signal, other, sampling), p)
+
+
+# ---------------------------------------------------------------------------
+# the sparse psihat kernel: psihat(h^T xi) only where a support piece reaches,
+# each value bit for bit a dense evaluation's
+
+
+def _dense_psihat(psi, h, xi1, xi2):
+    """Reference: psihat(h^T xi) at every frequency for one element."""
+    return psi.evaluate(h[0, 0] * xi1 + h[1, 0] * xi2,
+                        h[0, 1] * xi1 + h[1, 1] * xi2).ravel()
+
+
+def _assert_kernel_is_dense(psi, mats, xi1, xi2):
+    """The kernel's values equal a dense evaluation; its pairs come in class
+    order and none twice.  Returns (pairs evaluated, whether any value is nonzero).
+    """
+    parts = list(transform._psihat(psi, mats, xi1, xi2))
+    cls, idx, vals = (np.concatenate(p) for p in zip(*parts))
+    size = np.broadcast(xi1, xi2).size
+    assert np.all(np.diff(cls) >= 0)
+    assert len(np.unique(cls * size + idx)) == len(cls)
+    bounds = np.searchsorted(cls, np.arange(len(mats) + 1))
+    for k, h in enumerate(mats):
+        got = np.zeros(size)
+        got[idx[bounds[k]:bounds[k + 1]]] = vals[bounds[k]:bounds[k + 1]]
+        assert np.array_equal(got, _dense_psihat(psi, h, xi1, xi2))
+    return len(cls), bool(np.any(vals))
+
+
+KERNEL_FAMILIES = {"similitude": similitude(), "diagonal": diagonal(),
+                   "shearlet": shearlet(0.7), "shearlet-376": shearlet(376.0)}
+_B = rotation(0.4) @ np.diag([1.3, 0.8])
+# column sine 2e-9, just above the DEFAULT_TOL = 1e-9 that GroupSpec refuses
+_NEAR_LIMIT = rotation(0.2) @ np.array([[1.0, 1.0], [0.0, 2e-9]])
+# (conjugator, N, L); a conjugator scaled by s meets a lattice scaled by s,
+# so that psihat reaches it
+KERNEL_CASES = {
+    **{f"N{n}-L{length:g}": (_B, n, length)
+       for n, length in ((8, 2.0), (16, 4.0), (32, 8.0), (32, 16.0), (64, 16.0),
+                         (128, 16.0), (128, 32.0))},
+    "scaled-1e200": (1e200 * _B, 64, 16e200),
+    "scaled-1e-200": (1e-200 * _B, 64, 16e-200),
+    "near-limit-N64": (_NEAR_LIMIT, 64, 16.0),
+    "near-limit-N32-L1": (_NEAR_LIMIT, 32, 1.0),
+}
+
+
+class TestSparseKernel:
+    # at c = 376, B m B^-1 overflows for the scaled and near-limit conjugators
+    @pytest.mark.parametrize("family, case", [
+        (family, case) for family in sorted(KERNEL_FAMILIES) for case in sorted(KERNEL_CASES)
+        if family != "shearlet-376" or case.startswith("N")])
+    def test_values_equal_dense_evaluation(self, family, case):
+        conjugator, n, length = KERNEL_CASES[case]
+        spec = GroupSpec(KERNEL_FAMILIES[family], conjugator)
+        psi, mats, _ = transform._classes(spec, default_sampling(spec))
+        xi1, xi2 = freq_grids(n, length)
+        count, nonzero = _assert_kernel_is_dense(psi, mats, xi1, xi2)
+        assert nonzero
+        assert count < len(mats) * n * n  # the pieces leave most of the lattice out
+
+    @pytest.mark.parametrize("family", sorted(SMALL_CASES))
+    def test_off_lattice_frequencies_pair_with_every_class(self, family):
+        spec, make_sampling = SMALL_CASES[family]
+        psi, mats, _ = transform._classes(spec, make_sampling(spec))
+        pts = np.array(default_orbit_samples(spec))
+        count, _ = _assert_kernel_is_dense(psi, mats, pts[:, 0], pts[:, 1])
+        assert count == len(mats) * len(pts)
+
+    @pytest.mark.parametrize("family", sorted(SMALL_CASES))
+    def test_any_product_grid_takes_row_intervals(self, family):
+        # unsorted, unevenly spaced rows and columns, and an empty grid
+        spec, make_sampling = SMALL_CASES[family]
+        psi, mats, _ = transform._classes(spec, make_sampling(spec))
+        rng = np.random.default_rng(3)
+        xi1, xi2 = rng.normal(scale=1.5, size=(40, 1)), rng.normal(scale=1.5, size=(1, 50))
+        count, nonzero = _assert_kernel_is_dense(psi, mats, xi1, xi2)
+        assert nonzero and count < len(mats) * 40 * 50
+        empty = calderon_multiplier(spec, make_sampling(spec), xi1, np.zeros((1, 0)))
+        assert empty.shape == (40, 0)
+
+    def test_overlapping_margins_count_each_point_once(self, small_case, monkeypatch):
+        # margins this wide make every piece reach the whole of every row
+        spec, sampling, f, slab, c = small_case
+        psi, mats, _ = transform._classes(spec, sampling)
+        xi1, xi2 = freq_grids(f.N, f.L)
+        monkeypatch.setattr(transform, "_ROUNDING", 1.0)
+        count, _ = _assert_kernel_is_dense(psi, mats, xi1, xi2)
+        assert count == len(mats) * f.N * f.N
+        assert np.array_equal(calderon_multiplier(spec, sampling, xi1, xi2), c)
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (10 ** 9, 10 ** 9)])
+    def test_block_and_chunk_sizes_change_no_value(self, small_case, sizes, monkeypatch):
+        spec, sampling, f, slab, c = small_case
+        sums, peaks = transform._signal_stats([f], spec, sampling, 1)
+        monkeypatch.setattr(transform, "_BLOCK_CLASSES", sizes[0])
+        monkeypatch.setattr(transform, "_CHUNK_POINTS", sizes[1])
+        assert np.array_equal(calderon_multiplier(spec, sampling, *freq_grids(f.N, f.L)), c)
+        got_sums, got_peaks = transform._signal_stats([f], spec, sampling, 1)
+        assert np.array_equal(got_sums, sums) and np.array_equal(got_peaks, peaks)
+        assert np.array_equal(analyze(f, spec, sampling).planes, slab.planes)
+
+    def test_classes_without_candidates_skip_psihat(self, monkeypatch):
+        # CI's shearlet spec at N = 128: 195 of its 768 class planes are 0
+        spec = GroupSpec(shearlet(0.7), rotation(-0.5))
+        sampling = default_sampling(spec)
+        psi, mats, _ = transform._classes(spec, sampling)
+        xi1, xi2 = freq_grids(128, 16.0)
+        zero = [k for k, h in enumerate(mats) if not np.any(_dense_psihat(psi, h, xi1, xi2))]
+        assert (len(zero), len(mats)) == (195, 768)
+        classes, points, evaluated = [], [], []
+        candidates, evaluate = transform._candidates, WaveletSpec.evaluate
+
+        def recorded_candidates(*args):
+            for cls, idx in candidates(*args):
+                classes.append(np.unique(cls))
+                points.append(len(cls))
+                yield cls, idx
+
+        def recorded_evaluate(self, eta1, eta2):
+            evaluated.append(np.size(eta1))
+            return evaluate(self, eta1, eta2)
+
+        monkeypatch.setattr(transform, "_candidates", recorded_candidates)
+        monkeypatch.setattr(WaveletSpec, "evaluate", recorded_evaluate)
+        calls = _count_inverse_ffts(monkeypatch)
+        center = np.linalg.inv(spec.conjugator).T @ np.array([1.0, 0.2])
+        f = freq_bump(128, 16.0, center=center, sigma=0.12).signal
+        assert signal_coorbit_norm(f, spec, sampling, 1) > 0.0
+        skipped = np.setdiff1d(np.arange(len(mats)), np.concatenate(classes))
+        assert skipped.tolist() == zero
+        # psihat sees the candidates and nothing else
+        assert sum(evaluated) == sum(points) < 0.05 * len(mats) * 128 * 128
+        assert len(calls) == len(mats) - len(zero)
 
 
 def test_streamed_norm_holds_no_slab():

@@ -210,8 +210,15 @@ class TestGenTestSignal:
         assert np.all(f.signal.data == 0.0)
 
     def test_leak_warning(self):
-        with pytest.warns(CoverageWarning):
-            freq_bump(16, 16.0, center=(0.45, 0.0), sigma=0.2)
+        # the warning points at the caller, also through gen_test_signal
+        for make in (lambda: freq_bump(16, 16.0, center=(0.45, 0.0), sigma=0.2),
+                     lambda: wave_packet(16, 16.0, center=(0.45, 0.0), sigma_along=0.2,
+                                         sigma_across=0.1, direction=0.0),
+                     lambda: gen_test_signal("freq_bump", 16, 16.0,
+                                             center=(0.45, 0.0), sigma=0.2)):
+            with pytest.warns(CoverageWarning) as record:
+                make()
+            assert [w.filename for w in record] == [__file__]
 
     def test_wave_packet_norm(self):
         f = wave_packet(64, 16.0, center=(1.0, 0.5), sigma_along=0.15,
