@@ -28,7 +28,6 @@ from .errors import (
     CoverageWarning,
     DegenerateInputError,
     FormatError,
-    NotInGroupError,
     OrbitSampleError,
     SingularMatrixError,
     WeightRangeError,
@@ -39,9 +38,7 @@ from .groups import (
     GroupSpec,
     ShearletChart,
     SimilitudeChart,
-    chart_from_element,
     conjugate_spec,
-    contains,
     diagonal,
     element_from_chart,
     g_weight,
@@ -88,7 +85,6 @@ from .transform import (
     calderon_constant,
     calderon_multiplier,
     coorbit_norm,
-    covariance_residual,
     default_orbit_samples,
     invert,
     norm_ratio_profile,

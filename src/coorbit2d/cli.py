@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -29,17 +28,13 @@ from .classify import (
     orbit_complement,
     rep_group,
 )
-from .errors import CoorbitError, CoverageWarning, FormatError
+from .errors import CoorbitError, FormatError
 from .groups import (
     DEFAULT_TOL,
     DIAGONAL,
     SHEARLET,
     SIMILITUDE,
-    DiagonalChart,
-    ShearletChart,
-    SimilitudeChart,
     column_sine,
-    element_from_chart,
 )
 from .io_formats import (
     emit_report,
@@ -61,7 +56,6 @@ from .signals import gen_test_signal
 from .transform import (
     _signal_stats,
     calderon_constant,
-    covariance_residual,
     default_orbit_samples,
     norm_ratio_profile,
     reconstruct,
@@ -345,60 +339,6 @@ def _cmd_calderon(args):
     return EXIT_OK
 
 
-def _covariance_cases(spec, n, length):
-    """Identity, a grid translation, and a sampled (unit-determinant) dilation,
-    plus one genuine scaling dilation reported for context."""
-    kind = spec.family.kind
-    dx = length / n
-    if kind == SIMILITUDE:
-        h_chart = SimilitudeChart(0.2, 0.8)
-        unimodular = SimilitudeChart(0.0, np.pi / 2)
-        scaling = SimilitudeChart(0.25, 0.3)
-    elif kind == DIAGONAL:
-        h_chart = DiagonalChart(0.15, -0.2)
-        unimodular = DiagonalChart(0.0, 0.0, 1, -1)
-        scaling = DiagonalChart(0.3, -0.25)
-    else:
-        h_chart = ShearletChart(1, 0.2, 0.4)
-        unimodular = ShearletChart(1, 0.0, 1.0)
-        scaling = ShearletChart(1, 0.3, 0.0)
-    e = element_from_chart
-    return h_chart, [
-        ("identity", np.zeros(2), np.eye(2)),
-        ("grid_translation", np.array([5 * dx, -3 * dx]), np.eye(2)),
-        ("sampled_dilation", np.array([0.3, -0.7]), e(spec, unimodular)),
-        ("scaling_dilation", np.zeros(2), e(spec, scaling)),
-    ]
-
-
-def _cmd_covariance(args):
-    spec = parse_group_spec(args.group)
-    t0 = time.perf_counter()
-    n, length = args.N, args.L
-    center = {"similitude": (1.0, 0.3), "diagonal": (0.9, 0.9),
-              "shearlet": (1.1, 0.1)}[spec.family.kind]
-    binv_t = np.linalg.inv(spec.conjugator).T
-    # a bump that leaves the band measures aliasing, not covariance
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", CoverageWarning)
-        try:
-            f = gen_test_signal("freq_bump", n, length,
-                                center=binv_t @ np.array(center), sigma=0.15)
-        except CoverageWarning as exc:
-            raise _UsageError(f"--N {n} and --L {length:g} give too narrow a band "
-                              f"for the covariance test signal: {exc}") from None
-    h_chart, cases = _covariance_cases(spec, n, length)
-    residuals = {}
-    for label, y, g in cases:
-        residuals[label] = covariance_residual(f, y, g, h_chart, spec)
-    _emit(args, t0, "covariance",
-          {"group": group_spec_to_dict(spec), "grid": {"N": n, "L": length}},
-          {"residuals": residuals})
-    gated = [v for k, v in residuals.items() if k != "scaling_dilation"]
-    _gate("covariance residual", max(gated), "max-residual", args.max_residual)
-    return EXIT_OK
-
-
 def _cmd_compare(args):
     s1 = parse_group_spec(args.group1)
     s2 = parse_group_spec(args.group2)
@@ -533,15 +473,6 @@ def build_parser():
     _add_sampling_flags(p)
     common(p, tol=False)
     p.set_defaults(fn=_cmd_calderon)
-
-    p = sub.add_parser("covariance", help="representation-covariance residuals")
-    p.add_argument("group")
-    p.add_argument("--N", type=_GRID_SIZE, default=128)
-    p.add_argument("--L", type=_POSITIVE, default=16.0)
-    p.add_argument("--max-residual", type=_TOLERANCE, default=None,
-                   help="exit 4 if a gated residual exceeds this")
-    common(p, tol=False)
-    p.set_defaults(fn=_cmd_covariance)
 
     p = sub.add_parser("compare", help="norm-ratio profile between two groups")
     p.add_argument("group1")

@@ -13,10 +13,6 @@ class ChartMismatchError(CoorbitError, ValueError):
     """Chart point does not belong to the family of the group spec."""
 
 
-class NotInGroupError(CoorbitError, ValueError):
-    """A matrix expected to lie in the represented group does not."""
-
-
 class DegenerateInputError(CoorbitError, ValueError):
     """Geometrically degenerate input (e.g. coincident lines)."""
 
@@ -26,7 +22,7 @@ class OrbitSampleError(CoorbitError, ValueError):
 
 
 class WeightRangeError(CoorbitError, ArithmeticError):
-    """The chart weights of a group spec leave the floating-point range."""
+    """The chart weights or elements of a group spec leave the floating-point range."""
 
 
 class FormatError(CoorbitError, ValueError):

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ChartMismatchError, NotInGroupError, SingularMatrixError
+from .errors import ChartMismatchError, SingularMatrixError, WeightRangeError
 
 SIMILITUDE = "similitude"
 DIAGONAL = "diagonal"
@@ -231,31 +231,16 @@ def element_from_chart(spec, p):
     """Group element at chart point p, conjugated into the represented group.
 
     p is one point, giving a 2x2 matrix, or an (..., k) stack of rows.
+    Raises WeightRangeError if an entry leaves the float range, as B m B^-1
+    can for a badly scaled B and a large shearlet exponent.
     """
-    m = _standard_matrix(spec.family, _chart_columns(spec, p))
+    cols = _chart_columns(spec, p)
     b = spec.conjugator
-    return b @ m @ np.linalg.inv(b)
-
-
-def chart_from_element(spec, m):
-    """Inverse of `element_from_chart`; raises NotInGroupError off the group."""
-    if not contains(spec, m):
-        raise NotInGroupError("matrix is not in the represented group")
-    b = spec.conjugator
-    ms = np.linalg.solve(b, as_matrix(m, "m") @ b)
-    kind = spec.family.kind
-    if kind == SIMILITUDE:
-        a, bb = ms[0, 0], ms[0, 1]
-        return SimilitudeChart(lam=0.5 * np.log(a * a + bb * bb),
-                               theta=np.arctan2(bb, a) % (2 * np.pi))
-    if kind == DIAGONAL:
-        return DiagonalChart(
-            lam1=np.log(abs(ms[0, 0])), lam2=np.log(abs(ms[1, 1])),
-            eps1=1 if ms[0, 0] > 0 else -1, eps2=1 if ms[1, 1] > 0 else -1,
-        )
-    eps = 1 if ms[0, 0] > 0 else -1
-    a = eps * ms[0, 0]
-    return ShearletChart(eps=eps, lam=np.log(a), shear=eps * ms[0, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = b @ _standard_matrix(spec.family, cols) @ np.linalg.inv(b)
+    if not np.all(np.isfinite(h)):
+        raise WeightRangeError(f"the elements of {spec!r} leave the float range")
+    return h
 
 
 def _weights(w):
@@ -286,42 +271,3 @@ def g_weight(spec, p):
         return _weights(np.exp(-(cols[..., 0] + cols[..., 1])))
     lam = cols[..., 1]
     return _weights(np.exp(-lam) * np.exp(-(1.0 + spec.family.c) * lam))
-
-
-def _fixes_line(m, v, tol):
-    """Whether m maps the line of v to itself: |sin| of the angle of v and m v."""
-    return column_sine(np.column_stack((v, m @ v))) <= tol
-
-
-def contains(spec, m, tol=DEFAULT_TOL):
-    """Whether m lies in the represented group, within relative tolerance.
-
-    Each test reads an invariant of the group, so the verdict does not depend
-    on how the conjugator B is written: for similitude, the reflection-scaling
-    part of B^-1 m B is at most `tol` times its rotation-scaling part; for
-    diagonal, m fixes the lines of B e1 and B e2; for shearlet, m fixes the
-    line of B e1, and its eigenvalue l1 there and the other one, l2 =
-    det m / l1, share a sign with |l2| = |l1|^c within relative `tol`.
-    """
-    m = as_matrix(m, "m")
-    b = spec.conjugator
-    kind = spec.family.kind
-    if kind == SIMILITUDE:
-        (m11, m12), (m21, m22) = np.linalg.solve(b, m @ b).tolist()
-        return hypot(m11 - m22, m12 + m21) <= tol * hypot(m11 + m22, m12 - m21)
-    if kind == DIAGONAL:
-        return _fixes_line(m, b[:, 0], tol) and _fixes_line(m, b[:, 1], tol)
-    if not _fixes_line(m, b[:, 0], tol):
-        return False
-    # l1 and l2 of m scaled by 2^-e, then scaled back: det m cannot overflow
-    e = frexp(np.max(np.abs(m)))[1]
-    v, ms = b[:, 0] / hypot(*b[:, 0]), np.ldexp(m, -e)
-    l1 = float(v @ ms @ v)
-    if l1 == 0.0:
-        return False
-    l1, l2 = ldexp(l1, e), ldexp(float(np.linalg.det(ms)) / l1, e)
-    if np.sign(l1) != np.sign(l2):
-        return False
-    target = abs(l1) ** spec.family.c
-    return abs(abs(l2) - target) <= tol * max(abs(l2), target)
-

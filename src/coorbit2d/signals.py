@@ -50,10 +50,6 @@ class GridSignal:
     def dx(self):
         return self.L / self.N
 
-    def positions(self):
-        """1D coordinate axis shared by both directions."""
-        return (np.arange(self.N) / self.N - 0.5) * self.L
-
     def norm_l2(self):
         return float(np.sqrt(np.sum(np.abs(self.data) ** 2) * self.dx ** 2))
 

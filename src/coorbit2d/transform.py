@@ -1,5 +1,5 @@
 """Continuous wavelet analysis over sampled group charts, coorbit quasi-norms,
-the admissibility (Calderon) constant, inversion, and covariance checks.
+the admissibility (Calderon) constant and inversion.
 
 All frequency-domain objects live on the grid lattice of the signal.  For a
 group element h the analysis plane is
@@ -20,8 +20,7 @@ every value is the dense one bit for bit, and every pair left out is
 exactly 0 (on the default samplings at N = 128, 4-5% of the lattice is
 evaluated for the shearlet classes, 11-14% for the diagonal ones).
 Frequencies off a product grid pair with every class.  The kernel backs the
-multiplier, the analysis planes, the `invert` sum and both sides of
-`covariance_residual`.
+multiplier, the analysis planes and the `invert` sum.
 
 The wavelet factor |det h|^(1/2) psihat(h^T xi) is constant on the classes
 of H modulo the compact part K_psi of H that leaves the profile invariant.
@@ -87,20 +86,11 @@ from typing import Optional
 import numpy as np
 
 from .classify import orbit_contains
-from .errors import NotInGroupError, OrbitSampleError
-from .groups import (
-    DIAGONAL,
-    SIMILITUDE,
-    as_matrix,
-    as_vector,
-    chart_from_element,
-    contains,
-    element_from_chart,
-)
+from .errors import OrbitSampleError
+from .groups import DIAGONAL, SIMILITUDE, as_vector, element_from_chart
 from .sampling import GroupSampling
 from .signals import (
     GridSignal,
-    TestSignal,
     _phase_grid,
     freq_grids,
     ifft2_rows,
@@ -283,14 +273,6 @@ def _class_values(psi, mats, xi1, xi2):
 def _root_det(mats):
     """|det h|^(1/2) over a stack of elements."""
     return np.sqrt(np.abs(mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]))
-
-
-def _plane_factor(psi, h, xi1, xi2):
-    """|det h|^(1/2) conj(psihat(h^T xi)) for one element."""
-    (vals,) = _class_values(psi, h[None], xi1, xi2)
-    if vals is None:
-        return np.zeros(np.broadcast_shapes(np.shape(xi1), np.shape(xi2)))
-    return _root_det(h[None])[0] * np.conj(vals)
 
 
 def _classes(spec, sampling):
@@ -572,78 +554,6 @@ def invert(slab, spec, c_psi):
             acc += (sampling.g_w[i] * root_det[k]) * what * vals
     data = signal_from_spectrum(acc / c_psi, n, length)
     return GridSignal(n, length, data)
-
-
-# ---------------------------------------------------------------------------
-# covariance check
-
-
-def _is_grid_shift(y, n, length, tol=1e-12):
-    steps = np.asarray(y) / (length / n)
-    rounded = np.round(steps)
-    if np.max(np.abs(steps - rounded)) <= tol:
-        return rounded.astype(int)
-    return None
-
-
-def _trig_eval(coeffs, omega1, omega2, pos1, pos2):
-    """Evaluate sum_k c_k exp(2 pi i (p1 w1 + p2 w2)) on the product grid."""
-    a = np.exp(2j * np.pi * np.outer(pos1, omega1.ravel()))
-    b = np.exp(2j * np.pi * np.outer(pos2, omega2.ravel()))
-    return (a * coeffs.ravel()[None, :]) @ b.T
-
-
-def covariance_residual(f, y, g, h_chart, spec):
-    """Residual of W(pi(y,g) f)(x, h) = W f((y,g)^-1 (x, h)) over the grid.
-
-    The left side analyzes the transformed signal (exact spectrum
-    |det g|^(1/2) e^(-2 pi i y.xi) fhat(g^T xi)); the right side evaluates the
-    plane computed at the chart point of g^-1 h at the points g^-1 (x - y).
-    Reported as max |LHS - RHS| relative to the plane maximum.
-    """
-    if not isinstance(f, TestSignal):
-        raise TypeError("f must be a TestSignal with a closed-form spectrum")
-    g = as_matrix(g, "g")
-    y = as_vector(y, "y")
-    if not contains(spec, g):
-        raise NotInGroupError("g is not an element of the represented group")
-    h = element_from_chart(spec, h_chart)
-    hp = np.linalg.inv(g) @ h
-    if not contains(spec, hp):
-        raise NotInGroupError("g^-1 h is not representable in the chart")
-    hp = element_from_chart(spec, chart_from_element(spec, hp))
-
-    psi = default_wavelet(spec)
-    n, length = f.signal.N, f.signal.L
-    xi1, xi2 = freq_grids(n, length)
-    det_g = abs(np.linalg.det(g))
-
-    # left side: analyze pi(y, g) f at h
-    gt1 = g[0, 0] * xi1 + g[1, 0] * xi2
-    gt2 = g[0, 1] * xi1 + g[1, 1] * xi2
-    moved = (np.sqrt(det_g)
-             * np.exp(-2j * np.pi * (y[0] * xi1 + y[1] * xi2))
-             * f.spectrum(gt1, gt2))
-    lhs_hat = moved * _plane_factor(psi, h, xi1, xi2)
-    lhs = signal_from_spectrum(lhs_hat, n, length)
-
-    # right side: plane at chart(g^-1 h), evaluated at x' = g^-1 (x - y)
-    rhs_hat = f.spectrum(xi1, xi2) * _plane_factor(psi, hp, xi1, xi2)
-    shift = _is_grid_shift(y, n, length) if np.array_equal(g, np.eye(2)) else None
-    if shift is not None:
-        plane = signal_from_spectrum(rhs_hat, n, length)
-        rhs = np.roll(plane, (shift[0], shift[1]), axis=(0, 1))
-    else:
-        gmt = np.linalg.inv(g).T
-        om1, om2 = np.broadcast_arrays(gmt[0, 0] * xi1 + gmt[0, 1] * xi2,
-                                       gmt[1, 0] * xi1 + gmt[1, 1] * xi2)
-        pos = f.signal.positions()
-        rhs = _trig_eval(rhs_hat / length ** 2, om1, om2,
-                         pos - y[0], pos - y[1])
-    scale = float(np.max(np.abs(lhs)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,9 @@ from coorbit2d import (
     calderon_constant,
     coorbit_equivalent,
     coorbit_norm,
-    covariance_residual,
     default_orbit_samples,
     diagonal,
     diagonal_sampling,
-    element_from_chart,
     freq_bump,
     in_coorbit_symmetry,
     in_normalizer,
@@ -40,6 +38,7 @@ from coorbit2d import (
 from coorbit2d.classify import angle_distance
 from coorbit2d.groups import DiagonalChart, ShearletChart, SimilitudeChart
 from coorbit2d.transform import analyze
+from conftest import covariance_residual
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 PI = np.pi
@@ -280,14 +279,15 @@ def test_criterion_6_calderon_constancy():
 
 
 def test_criterion_7_covariance():
+    # per family: spec, bump center, identity, h, unimodular and scaling charts
     cases = {
-        "similitude": (GroupSpec(similitude()), (1.0, 0.3),
+        "similitude": (GroupSpec(similitude()), (1.0, 0.3), SimilitudeChart(0.0, 0.0),
                        SimilitudeChart(0.2, 0.8), SimilitudeChart(0.0, PI / 2),
                        SimilitudeChart(0.25, 0.3)),
-        "diagonal": (GroupSpec(diagonal()), (0.9, 0.9),
+        "diagonal": (GroupSpec(diagonal()), (0.9, 0.9), DiagonalChart(0.0, 0.0),
                      DiagonalChart(0.15, -0.2), DiagonalChart(0.0, 0.0, 1, -1),
                      DiagonalChart(0.3, -0.25)),
-        "shearlet(c=0.7)": (GroupSpec(shearlet(0.7)), (1.1, 0.1),
+        "shearlet(c=0.7)": (GroupSpec(shearlet(0.7)), (1.1, 0.1), ShearletChart(1, 0.0, 0.0),
                             ShearletChart(1, 0.2, 0.4), ShearletChart(1, 0.0, 1.0),
                             ShearletChart(1, 0.3, 0.0)),
     }
@@ -295,14 +295,13 @@ def test_criterion_7_covariance():
     dx = length / n
     details = []
     ok = True
-    for name, (spec, center, h_chart, dilation_chart, scaling_chart) in cases.items():
+    for name, (spec, center, identity, h_chart, dilation_chart,
+               scaling_chart) in cases.items():
         f = freq_bump(n, length, center=center, sigma=0.14)
-        r_id = covariance_residual(f, (0.0, 0.0), np.eye(2), h_chart, spec)
-        r_tr = covariance_residual(f, (5 * dx, -3 * dx), np.eye(2), h_chart, spec)
-        g = element_from_chart(spec, dilation_chart)
-        r_dil = covariance_residual(f, (0.3, -0.7), g, h_chart, spec)
-        g_sc = element_from_chart(spec, scaling_chart)
-        r_scale = covariance_residual(f, (0.0, 0.0), g_sc, h_chart, spec)
+        r_id = covariance_residual(f, (0.0, 0.0), identity, h_chart, spec)
+        r_tr = covariance_residual(f, (5 * dx, -3 * dx), identity, h_chart, spec)
+        r_dil = covariance_residual(f, (0.3, -0.7), dilation_chart, h_chart, spec)
+        r_scale = covariance_residual(f, (0.0, 0.0), scaling_chart, h_chart, spec)
         details.append(
             f"{name}: id={r_id:.1e} shift={r_tr:.1e} dil={r_dil:.1e} "
             f"[scaling, reported only: {r_scale:.1e}]"

@@ -242,7 +242,7 @@ class TestExitCodes:
         "gen-signal freq_bump {out} --center a,b",
         "gen-signal freq_bump {out} --N 100",
         "gen-signal freq_bump {out} --sigma -1",
-        "covariance {similitude} --N 12",
+        "covariance {similitude}",
         "calderon {similitude} --n-samples 0",
         "calderon {similitude} --n-samples 17",
         "calderon {shearlet} --n-samples 17",
@@ -259,7 +259,6 @@ class TestExitCodes:
         "invert {similitude} {signal} --max-error nan",
         "invert {similitude} {signal} --max-error -1",
         "calderon {similitude} --max-deviation nan",
-        "covariance {similitude} --max-residual nan",
     ])
     def test_bad_flag_is_usage_error(self, capsys, tmp_path, bump_signal, command):
         paths = {"signal": bump_signal, "out": str(tmp_path / "out.sig")}
@@ -298,6 +297,27 @@ class TestExitCodes:
             assert main(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ")
+        assert err.count("\n") == 1
+        assert record == []
+
+    @pytest.mark.parametrize("conjugator", [
+        1e200 * rotation(0.4), rotation(0.2) @ np.array([[1.0, 1.0], [0.0, 2e-9]]),
+    ], ids=["scaled-1e200", "column-sine-2e-9"])
+    @pytest.mark.parametrize("command", [
+        "norm {group} {signal} --p 2", "norm {group} {signal} --p 1",
+        "invert {group} {signal}", "calderon {group}",
+    ])
+    def test_element_overflow_is_numeric_failure(self, capsys, tmp_path, bump_signal,
+                                                 conjugator, command):
+        # B m B^-1 leaves the float range for e^(c lam) ~ 1e306 and these B
+        group = str(tmp_path / "c376.json")
+        write_group_spec(group, GroupSpec(shearlet(376.0), conjugator))
+        argv = command.format(group=group, signal=bump_signal).split()
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numeric failure: the elements of ")
         assert err.count("\n") == 1
         assert record == []
 
@@ -356,11 +376,7 @@ class TestFailedGateReport:
         (["calderon", "{group}", "--n-scale", "8", "--max-deviation", "0"],
          "Calderon deviation", "max-deviation",
          lambda v: v["max_rel_deviation"]),
-        (["covariance", "{group}", "--N", "64", "--max-residual", "0"],
-         "covariance residual", "max-residual",
-         lambda v: max(r for k, r in v["residuals"].items()
-                       if k != "scaling_dilation")),
-    ], ids=["invert", "calderon", "covariance"])
+    ], ids=["invert", "calderon"])
     def test_report_then_one_line(self, capsys, diag_path, bump_signal,
                                   argv, what, flag, value_of):
         argv = [a.format(group=diag_path, signal=bump_signal) for a in argv]
@@ -431,32 +447,6 @@ class TestPipeline:
             "--n-scale", "8", "--n-angle", "8", "--max-deviation", "0.5",
         )
         assert code == 4
-
-    def test_covariance_command(self, capsys, tmp_path):
-        gpath = tmp_path / "shr.json"
-        write_group_spec(gpath, GroupSpec(shearlet(0.7)))
-        code, rep = run_cli(
-            capsys, "covariance", str(gpath), "--N", "64", "--L", "16",
-            "--max-residual", "1e-8",
-        )
-        assert code == 0
-        res = rep["values"]["residuals"]
-        assert res["identity"] == 0.0
-        assert res["grid_translation"] <= 1e-10
-        assert res["sampled_dilation"] <= 1e-8
-        assert "scaling_dilation" in res
-
-    def test_covariance_refuses_a_grid_its_bump_leaves(self, capsys, tmp_path):
-        # at N = 32, L = 16 the test bump reaches |xi| ~ 1.43, past the band 0.938
-        gpath = tmp_path / "d.json"
-        write_group_spec(gpath, GroupSpec(diagonal()))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["covariance", str(gpath), "--N", "32"])
-        out, err = capsys.readouterr()
-        assert code == 1 and out == "" and not caught
-        assert err.startswith("usage error: --N 32 and --L 16 ")
-        assert err.count("\n") == 1
 
     def test_compare_command(self, capsys, tmp_path):
         g1, g2 = tmp_path / "a.json", tmp_path / "b.json"

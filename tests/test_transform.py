@@ -9,7 +9,6 @@ from coorbit2d import (
     CoverageWarning,
     GridSignal,
     GroupSpec,
-    NotInGroupError,
     OrbitSampleError,
     ShearletChart,
     SimilitudeChart,
@@ -19,7 +18,6 @@ from coorbit2d import (
     calderon_constant,
     calderon_multiplier,
     coorbit_norm,
-    covariance_residual,
     default_orbit_samples,
     default_wavelet,
     diagonal,
@@ -48,6 +46,7 @@ from coorbit2d.sampling import (
 )
 from coorbit2d.signals import ifft2_rows
 from coorbit2d.wavelets import WaveletSpec
+from conftest import chart_quotient, covariance_residual
 
 
 def _wavelet_atom(n, length, spec):
@@ -279,13 +278,15 @@ class TestRefinement:
 
 
 class TestCovariance:
+    """W(pi(y, g) f)(x, h) = W f((y, g)^-1 (x, h)) through the test-side oracle."""
+
     def _signal(self, n=128, length=16.0):
         return freq_bump(n, length, center=(1.0, 0.3), sigma=0.15)
 
     def test_identity_exact_zero(self):
         spec = GroupSpec(similitude())
         f = self._signal()
-        res = covariance_residual(f, (0.0, 0.0), np.eye(2),
+        res = covariance_residual(f, (0.0, 0.0), SimilitudeChart(0.0, 0.0),
                                   SimilitudeChart(0.2, 0.8), spec)
         assert res == 0.0
 
@@ -293,40 +294,41 @@ class TestCovariance:
         spec = GroupSpec(similitude())
         f = self._signal()
         dx = 16.0 / 128
-        res = covariance_residual(f, (5 * dx, -3 * dx), np.eye(2),
+        res = covariance_residual(f, (5 * dx, -3 * dx), SimilitudeChart(0.0, 0.0),
                                   SimilitudeChart(0.2, 0.8), spec)
         assert res <= 1e-10
 
     def test_sampled_rotation_dilation(self):
         spec = GroupSpec(similitude())
         f = self._signal()
-        g = element_from_chart(spec, SimilitudeChart(0.0, np.pi / 2))
-        res = covariance_residual(f, (0.3, -0.7), g,
+        res = covariance_residual(f, (0.3, -0.7), SimilitudeChart(0.0, np.pi / 2),
                                   SimilitudeChart(0.2, 0.8), spec)
         assert res <= 1e-8
 
     def test_sampled_shear_dilation(self):
         spec = GroupSpec(shearlet(0.7))
         f = freq_bump(128, 16.0, center=(1.1, 0.1), sigma=0.12)
-        g = element_from_chart(spec, ShearletChart(1, 0.0, 1.0))
-        res = covariance_residual(f, (0.5, 0.25), g,
+        res = covariance_residual(f, (0.5, 0.25), ShearletChart(1, 0.0, 1.0),
                                   ShearletChart(1, 0.2, 0.4), spec)
         assert res <= 1e-8
 
     def test_sampled_reflection_dilation(self):
         spec = GroupSpec(diagonal())
         f = freq_bump(128, 16.0, center=(0.9, 0.9), sigma=0.12)
-        g = element_from_chart(spec, DiagonalChart(0.0, 0.0, 1, -1))
-        res = covariance_residual(f, (0.0, 0.0), g,
+        res = covariance_residual(f, (0.0, 0.0), DiagonalChart(0.0, 0.0, 1, -1),
                                   DiagonalChart(0.15, -0.2), spec)
         assert res <= 1e-8
 
-    def test_non_group_element_rejected(self):
-        spec = GroupSpec(diagonal())
-        f = self._signal(64)
-        with pytest.raises(NotInGroupError):
-            covariance_residual(f, (0.0, 0.0), rotation(0.3),
-                                DiagonalChart(0.0, 0.0), spec)
+    @pytest.mark.parametrize("family", [similitude(), diagonal(), shearlet(-0.6)],
+                             ids=lambda f: f.kind)
+    def test_chart_quotient_is_the_group_quotient(self, family, rng):
+        # the oracle's chart arithmetic against inv(g) @ h, also under conjugation
+        spec = GroupSpec(family, [[1.3, 0.7], [-0.4, 0.9]])
+        points = default_sampling(spec).points
+        for i, j in rng.integers(0, len(points), size=(20, 2)):
+            g, h = element_from_chart(spec, points[[i, j]])
+            q = element_from_chart(spec, chart_quotient(spec, points[i], points[j]))
+            np.testing.assert_allclose(q, np.linalg.inv(g) @ h, rtol=1e-12, atol=1e-12)
 
 
 class TestNormRatioProfile:
