@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -56,7 +57,6 @@ from .signals import gen_test_signal
 from .transform import (
     _signal_stats,
     calderon_constant,
-    default_orbit_samples,
     norm_ratio_profile,
     reconstruct,
     signal_coorbit_norm,
@@ -304,7 +304,7 @@ def _cmd_norm(args):
 def _cmd_invert(args):
     spec, sig, sampling = _transform_request(args)
     t0 = time.perf_counter()
-    cal = calderon_constant(spec, default_orbit_samples(spec), sampling)
+    cal = calderon_constant(spec, sampling)
     rec = reconstruct(sig, spec, sampling, cal.mean)
     denom = sig.norm_l2()
     if denom == 0.0:
@@ -325,13 +325,9 @@ def _cmd_invert(args):
 def _cmd_calderon(args):
     spec, _, sampling = _transform_request(args, signal=False)
     t0 = time.perf_counter()
-    samples = default_orbit_samples(spec, args.n_samples)
-    if len(samples) < args.n_samples:
-        raise _UsageError(f"--n-samples {args.n_samples} exceeds the "
-                          f"{len(samples)} orbit samples of the family")
-    cal = calderon_constant(spec, samples, sampling)
+    cal = calderon_constant(spec, sampling)
     _emit(args, t0, "calderon",
-          {"group": group_spec_to_dict(spec), "n_samples": len(samples)},
+          {"group": group_spec_to_dict(spec), "n_samples": len(cal.values)},
           {"mean": cal.mean, "max_rel_deviation": cal.max_rel_deviation,
            "values": list(cal.values)})
     _gate("Calderon deviation", cal.max_rel_deviation, "max-deviation",
@@ -385,13 +381,17 @@ def _cmd_gen_signal(args):
     else:
         params = dict(sigma=args.sigma, shape=args.shape)
     # the other flags are checked when parsed: a ValueError is an overflow
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = gen_test_signal(args.kind, n, length, center=center,
-                                amplitude=args.amplitude, **params)
-            l2_norm = f.signal.norm_l2()
-    except ValueError:
-        l2_norm = np.inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = gen_test_signal(args.kind, n, length, center=center,
+                                    amplitude=args.amplitude, **params)
+                l2_norm = f.signal.norm_l2()
+        except ValueError:
+            l2_norm = np.inf
+    for w in caught:  # one line each, without the source location
+        print(f"warning: {w.message}", file=sys.stderr)
     if not np.isfinite(l2_norm):
         raise _UsageError(f"--amplitude {args.amplitude:g} overflows the signal")
     write_signal(args.out_signal, f.signal)
@@ -467,7 +467,6 @@ def build_parser():
 
     p = sub.add_parser("calderon", help="admissibility constant and its deviation")
     p.add_argument("group")
-    p.add_argument("--n-samples", type=_COUNT, default=16)
     p.add_argument("--max-deviation", type=_TOLERANCE, default=None,
                    help="exit 4 if the relative deviation exceeds this")
     _add_sampling_flags(p)

@@ -18,11 +18,12 @@ class DegenerateInputError(CoorbitError, ValueError):
 
 
 class OrbitSampleError(CoorbitError, ValueError):
-    """A frequency sample does not lie inside the open dual orbit."""
+    """The admissibility integral vanished at the orbit samples of the family."""
 
 
 class WeightRangeError(CoorbitError, ArithmeticError):
-    """The chart weights or elements of a group spec leave the floating-point range."""
+    """The chart weights or elements of a group spec, or the p-th powers summed
+    by a coorbit norm, leave the floating-point range."""
 
 
 class FormatError(CoorbitError, ValueError):

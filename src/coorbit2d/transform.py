@@ -18,9 +18,8 @@ disjoint.  The (class, frequency) pairs inside come in class order, in
 chunks of bounded size, and take the arithmetic of a dense evaluation:
 every value is the dense one bit for bit, and every pair left out is
 exactly 0 (on the default samplings at N = 128, 4-5% of the lattice is
-evaluated for the shearlet classes, 11-14% for the diagonal ones).
-Frequencies off a product grid pair with every class.  The kernel backs the
-multiplier, the analysis planes and the `invert` sum.
+evaluated for the shearlet classes, 11-14% for the diagonal ones).  The
+kernel backs the multiplier, the analysis planes and the `invert` sum.
 
 The wavelet factor |det h|^(1/2) psihat(h^T xi) is constant on the classes
 of H modulo the compact part K_psi of H that leaves the profile invariant.
@@ -66,10 +65,11 @@ exactly on the grid:  ||W f||_{L^2(G)}^2 = sum_xi |fhat|^2 C / L^2  (grid
 Plancherel) and  invert(analyze(f)) = inverse FT of fhat C / C_psi.  The
 p = 2 norm of a signal (signal_coorbit_norm) and the reconstruction of a
 signal (reconstruct) are computed that way, with two FFTs at most and no
-M x N x N coefficient slab; the admissibility constant is the same sum at a
-few orbit samples.  C is summed once per class, which enters with the sum of
-the Haar weights of its rows, in class order at every frequency, so the
-sum does not depend on how the kernel blocks or chunks its work.
+M x N x N coefficient slab.  C is summed once per class, which enters with
+the sum of the Haar weights of its rows, in class order at every frequency,
+so the sum does not depend on how the kernel blocks or chunks its work.
+`calderon_constant` takes the same sum at the 16 orbit samples of the family,
+from one dense psihat evaluation over all (class, sample) pairs.
 `analyze`, `coorbit_norm` and `invert` remain the coefficient-domain path on
 a slab, and the tests use them as the reference for the multiplier and for
 the streamed reductions.
@@ -85,14 +85,16 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import orbit_contains
-from .errors import OrbitSampleError
-from .groups import DIAGONAL, SIMILITUDE, as_vector, element_from_chart
+# not called here; it stays importable from this module because
+# bench/spans.py traces CLI requests through this name
+from .classify import orbit_contains  # noqa: F401
+from .errors import OrbitSampleError, WeightRangeError
+from .groups import DIAGONAL, SIMILITUDE, element_from_chart
 from .sampling import GroupSampling
 from .signals import (
     GridSignal,
     _phase_grid,
-    freq_grids,
+    freq_axis,
     ifft2_rows,
     signal_from_spectrum,
     spectrum_from_signal,
@@ -180,39 +182,25 @@ def _row_intervals(psi, mats, rows, cols):
     return start, np.maximum(end - start, 0)
 
 
-def _candidates(psi, mats, xi1, xi2):
+def _candidates(psi, mats, rows, cols):
     """Yield (cls, idx): the (class, frequency) pairs where psihat(h^T xi) may be nonzero.
 
-    idx indexes the flattened broadcast frequencies.  Every pair left out
-    has psihat(h^T xi) exactly 0, and no pair comes twice.  The pairs come
-    in class order, at most _CHUNK_POINTS at a time.  On a product grid
-    (xi1 of shape (R, 1), xi2 of shape (1, C), as from `freq_grids`) they
-    come from `_row_intervals`, a block of _BLOCK_CLASSES classes at a time;
-    any other frequencies pair with every class, in one block.
+    The frequencies are the product grid xi = (rows[r], cols[c]), and idx =
+    r * len(cols) + c.  Every pair left out has psihat(h^T xi) exactly 0,
+    and no pair comes twice.  The pairs come from `_row_intervals`, a block
+    of _BLOCK_CLASSES classes at a time, in class order, at most
+    _CHUNK_POINTS at a time.
     """
-    shape = np.broadcast_shapes(np.shape(xi1), np.shape(xi2))
-    grid = len(shape) == 2 and (np.shape(xi1), np.shape(xi2)) == (
-        (shape[0], 1), (1, shape[1]))
-    if grid:
-        rows, cols = np.ravel(xi1).astype(float), np.ravel(xi2).astype(float)
-        order = np.argsort(cols, kind="stable")
-        cols = cols[order]
-    else:
-        order = np.arange(int(np.prod(shape)))
-    step = _BLOCK_CLASSES if grid else max(len(mats), 1)
-    for lo in range(0, len(mats), step):
-        block = mats[lo:lo + step]
-        if grid:
-            start, count = _row_intervals(psi, block, rows, cols)
-        else:  # one segment of all frequencies per class
-            start = np.zeros((len(block), 1, 1), dtype=int)
-            count = np.full(start.shape, len(order))
+    order = np.argsort(cols, kind="stable")
+    sorted_cols = cols[order]
+    for lo in range(0, len(mats), _BLOCK_CLASSES):
+        start, count = _row_intervals(psi, mats[lo:lo + _BLOCK_CLASSES], rows, sorted_cols)
         # segments (class, piece, row) of consecutive sorted columns
         n_pieces, n_rows = count.shape[1:]
         seg = np.flatnonzero(count)
         seg_count = count.ravel()[seg]
         seg_cls = lo + seg // (n_pieces * n_rows)
-        seg_base = seg % n_rows * len(order)
+        seg_base = seg % n_rows * len(cols)
         ends = np.cumsum(seg_count)
         skip = start.ravel()[seg] - (ends - seg_count)  # sorted column - point number
         total = int(ends[-1]) if len(ends) else 0
@@ -225,19 +213,15 @@ def _candidates(psi, mats, xi1, xi2):
             yield seg_cls[s], seg_base[s] + order[skip[s] + q]
 
 
-def _psihat(psi, mats, xi1, xi2):
+def _psihat(psi, mats, rows, cols):
     """Yield (cls, idx, psihat(h_cls^T xi_idx)) over the pairs of `_candidates`.
 
     h^T xi takes the same two roundings per coordinate as a dense evaluation
-    over all frequencies, so every value equals its dense counterpart bit
-    for bit.
+    over the grid, so every value equals its dense counterpart bit for bit.
     """
-    shape = np.broadcast_shapes(np.shape(xi1), np.shape(xi2))
-    x1 = np.broadcast_to(np.asarray(xi1, dtype=float), shape).ravel()
-    x2 = np.broadcast_to(np.asarray(xi2, dtype=float), shape).ravel()
     h00, h10, h01, h11 = (mats[:, i, j].copy() for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
-    for cls, idx in _candidates(psi, mats, xi1, xi2):
-        a1, a2 = x1[idx], x2[idx]
+    for cls, idx in _candidates(psi, mats, rows, cols):
+        a1, a2 = rows[idx // len(cols)], cols[idx % len(cols)]
         eta1 = h00[cls] * a1
         eta1 += h10[cls] * a2
         eta2 = h01[cls] * a1
@@ -245,17 +229,18 @@ def _psihat(psi, mats, xi1, xi2):
         yield cls, idx, psi.evaluate(eta1, eta2)
 
 
-def _class_values(psi, mats, xi1, xi2):
-    """Yield psihat(h^T xi) for each element h of the stack `mats`, in order.
+def _class_values(psi, mats, n, length):
+    """Yield psihat(h^T xi) on the n x n signal lattice for each element h of `mats`.
 
     A class without candidates yields None, with no psihat evaluated; any
-    other yields the values over the broadcast frequencies in one dense
-    buffer that the next class overwrites.
+    other yields its values in one n x n buffer that the next class
+    overwrites.
     """
-    buf = np.zeros(np.broadcast_shapes(np.shape(xi1), np.shape(xi2)))
+    axis = freq_axis(n, length)
+    buf = np.zeros((n, n))
     flat = buf.reshape(-1)
     current = -1
-    for cls, idx, vals in _psihat(psi, mats, xi1, xi2):
+    for cls, idx, vals in _psihat(psi, mats, axis, axis):
         cuts = np.flatnonzero(cls[1:] != cls[:-1]) + 1
         for lo, hi in zip([0, *cuts], [*cuts, len(cls)]):
             if cls[lo] != current:
@@ -289,21 +274,20 @@ def _classes(spec, sampling):
     return psi, element_from_chart(spec, sampling.points[first]), inverse.reshape(-1)
 
 
-def calderon_multiplier(spec, sampling, xi1, xi2):
-    """C(xi) = sum_h haar_w(h) |psihat(h^T xi)|^2 at broadcastable frequencies.
+def calderon_multiplier(spec, sampling, n, length):
+    """C(xi) = sum_h haar_w(h) |psihat(h^T xi)|^2 on the n x n signal lattice.
 
     The sum runs over the classes of the sampled chart modulo K_psi, in class
     order at every frequency, and skips the frequencies where the support of
-    psihat(h^T .) cannot reach; the result has the broadcast shape of
-    (xi1, xi2).
+    psihat(h^T .) cannot reach; the result is laid out as `freq_grids(n, length)`.
     """
     psi, mats, inverse = _classes(spec, sampling)
     haar_w = np.bincount(inverse, sampling.haar_w)
-    total = np.zeros(np.broadcast_shapes(np.shape(xi1), np.shape(xi2)))
-    flat = total.reshape(-1)
-    for cls, idx, vals in _psihat(psi, mats, xi1, xi2):
-        np.add.at(flat, idx, haar_w[cls] * np.square(vals))
-    return total
+    axis = freq_axis(n, length)
+    total = np.zeros(n * n)
+    for cls, idx, vals in _psihat(psi, mats, axis, axis):
+        np.add.at(total, idx, haar_w[cls] * np.square(vals))
+    return total.reshape(n, n)
 
 
 def _grid(signals):
@@ -331,7 +315,7 @@ def _planes(signals, mats, psi):
     out = np.empty((len(spectra), n, n), dtype=complex)
     buf, picked = np.empty((2, n, n), dtype=complex)
     root_det = _root_det(mats)
-    for k, vals in enumerate(_class_values(psi, mats, *freq_grids(n, length))):
+    for k, vals in enumerate(_class_values(psi, mats, n, length)):
         rows = () if vals is None else np.flatnonzero(vals.any(axis=1))
         if not len(rows):
             yield None
@@ -361,19 +345,31 @@ def _plane_stats(planes, shape, p, cell):
         mags = np.abs(w, out=mags)
         peaks[i] = mags.max(axis=(-2, -1))
         if not np.isinf(p):
-            mags **= p  # in place, with the fast paths (square, sqrt) of mags ** p
-            sums[i] = np.sum(mags, axis=(-2, -1)) * cell
+            # in place, with the fast paths (square, sqrt) of mags ** p; a
+            # power out of range is refused by _coorbit_total
+            with np.errstate(over="ignore"):
+                mags **= p
+                sums[i] = np.sum(mags, axis=(-2, -1)) * cell
     return sums, peaks
 
 
 def _coorbit_total(sums, peaks, g_w, p):
-    """( sum_h g_w(h) * sums(h) )^(1/p), or the largest peak at p = inf."""
+    """( sum_h g_w(h) * sums(h) )^(1/p), or the largest peak at p = inf.
+
+    Raises WeightRangeError when that leaves the floating-point range: the
+    total is not finite, or it is 0 although some |W| is not.
+    """
     if np.isinf(p):
         return float(peaks.max())
     total = 0.0
-    for i in range(len(g_w)):  # index order: reference reduction mode
-        total += g_w[i] * sums[i]
-    return float(total ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        for i in range(len(g_w)):  # index order: reference reduction mode
+            total += g_w[i] * sums[i]
+        total = float(total ** (1.0 / p))
+    if not np.isfinite(total) or (total == 0.0 and peaks.max() > 0.0):
+        raise WeightRangeError(f"the coorbit norm at p = {p:g} leaves the "
+                               f"floating-point range")
+    return total
 
 
 def _signal_stats(signals, spec, sampling, p):
@@ -398,7 +394,7 @@ def _signal_norms(signals, spec, sampling, p):
     """
     n, length = _grid(signals)
     if p == 2:
-        c = calderon_multiplier(spec, sampling, *freq_grids(n, length))
+        c = calderon_multiplier(spec, sampling, n, length)
         return [float(np.sqrt(np.sum(np.abs(spectrum_from_signal(f)) ** 2 * c))
                       / length) for f in signals]
     sums, peaks = _signal_stats(signals, spec, sampling, p)
@@ -429,7 +425,7 @@ def reconstruct(f, spec, sampling, c_psi):
     if not (c_psi > 0):
         raise ValueError("C_psi must be positive")
     n, length = _grid([f])
-    c = calderon_multiplier(spec, sampling, *freq_grids(n, length))
+    c = calderon_multiplier(spec, sampling, n, length)
     rec = signal_from_spectrum(spectrum_from_signal(f) * c / c_psi, n, length)
     return GridSignal(n, length, rec)
 
@@ -468,11 +464,12 @@ class CalderonResult:
         return iter((self.mean, self.max_rel_deviation))
 
 
-def default_orbit_samples(spec, n=16):
-    """Frequencies well inside the dual orbit and inside default chart coverage.
+def default_orbit_samples(spec):
+    """The 16 frequencies at which `calderon_constant` samples C.
 
-    Chosen in standard (eta) coordinates per family and mapped back through
-    B^-T, so the set respects the conjugation.
+    Chosen in standard (eta) coordinates per family, well inside the dual
+    orbit and inside default chart coverage, and mapped back through B^-T, so
+    the set respects the conjugation.
     """
     kind = spec.family.kind
     pts = []
@@ -500,29 +497,26 @@ def default_orbit_samples(spec, n=16):
             for r in ratios
         ]
     binv_t = np.linalg.inv(spec.conjugator).T
-    out = [binv_t @ np.array(p) for p in pts]
-    return out[:n]
+    return [binv_t @ np.array(p) for p in pts]
 
 
-_ORBIT_MARGIN = 1e-6  # relative depth of a frequency sample inside the dual orbit
+def calderon_constant(spec, sampling):
+    """Admissibility integral C(xi) = sum_h haar_w |psihat(h^T xi)|^2 per orbit sample.
 
-
-def calderon_constant(spec, xi_samples, sampling):
-    """Admissibility integral C(xi) = sum_h haar_w |psihat(h^T xi)|^2 per sample.
-
-    Returns the mean over samples and the largest relative deviation from it;
-    for an admissible pair the deviation vanishes as the sampling refines.
+    psihat(h^T xi) is rounded as in `_psihat` and summed in class order, as in
+    `calderon_multiplier`.  Returns the mean over `default_orbit_samples` and
+    the largest relative deviation from it; for an admissible pair the
+    deviation vanishes as the sampling refines.
     """
-    xi_samples = [as_vector(x, "xi sample") for x in xi_samples]
-    if not xi_samples:
-        raise ValueError("need at least one frequency sample")
-    for x in xi_samples:
-        if not orbit_contains(spec, x, _ORBIT_MARGIN):
-            raise OrbitSampleError(
-                f"frequency sample {x.tolist()} is not inside the dual orbit"
-            )
-    pts = np.array(xi_samples)
-    values = calderon_multiplier(spec, sampling, pts[:, 0], pts[:, 1])
+    psi, mats, inverse = _classes(spec, sampling)
+    haar_w = np.bincount(inverse, sampling.haar_w)
+    xi1, xi2 = np.array(default_orbit_samples(spec)).T
+    eta1 = mats[:, 0, 0, None] * xi1
+    eta1 += mats[:, 1, 0, None] * xi2
+    eta2 = mats[:, 0, 1, None] * xi1
+    eta2 += mats[:, 1, 1, None] * xi2
+    vals = psi.evaluate(eta1, eta2)
+    values = np.cumsum(haar_w[:, None] * np.square(vals), axis=0)[-1]
     mean = float(values.mean())
     if not mean > 0.0:
         raise OrbitSampleError("admissibility integral vanished on all samples")
@@ -546,7 +540,7 @@ def invert(slab, spec, c_psi):
     acc = np.zeros((n, n), dtype=complex)
     psi, mats, inverse = _classes(spec, sampling)
     root_det = _root_det(mats)
-    for k, vals in enumerate(_class_values(psi, mats, *freq_grids(n, length))):
+    for k, vals in enumerate(_class_values(psi, mats, n, length)):
         if vals is None:
             continue
         for i in np.flatnonzero(inverse == k):

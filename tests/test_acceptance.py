@@ -18,7 +18,6 @@ from coorbit2d import (
     calderon_constant,
     coorbit_equivalent,
     coorbit_norm,
-    default_orbit_samples,
     diagonal,
     diagonal_sampling,
     freq_bump,
@@ -207,7 +206,7 @@ def isometry_results():
         spec = cfg["spec"]
         sampling = cfg["sampling"](spec)
         f = freq_bump(128, 16.0, center=cfg["center"], sigma=cfg["sigma"])
-        cal = calderon_constant(spec, default_orbit_samples(spec), sampling)
+        cal = calderon_constant(spec, sampling)
         slab = analyze(f.signal, spec, sampling)
         w2 = coorbit_norm(slab, 2.0)
         iso_err = abs(w2 ** 2 / (cal.mean * f.signal.norm_l2() ** 2) - 1.0)
@@ -262,13 +261,13 @@ def test_criterion_6_calderon_constancy():
     details = []
     ok = True
     for name, (spec, make) in fine.items():
-        cal = calderon_constant(spec, default_orbit_samples(spec), make(spec))
+        cal = calderon_constant(spec, make(spec))
         details.append(f"{name}: dev={cal.max_rel_deviation:.2e}")
         ok = ok and cal.max_rel_deviation <= 1e-2
     # negative control: truncated scale range varies with the sample radius
     spec = GroupSpec(similitude())
     trunc = similitude_sampling(spec, (-0.3, 0.3), 8, 16)
-    cal = calderon_constant(spec, default_orbit_samples(spec), trunc)
+    cal = calderon_constant(spec, trunc)
     details.append(f"truncated control dev={cal.max_rel_deviation:.2f}")
     ok = ok and cal.max_rel_deviation > 0.5
     _report(6, ok, "; ".join(details))

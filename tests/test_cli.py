@@ -15,7 +15,6 @@ from coorbit2d import (
     calderon_constant,
     canonical_diagonal,
     coorbit_norm,
-    default_orbit_samples,
     default_sampling,
     diagonal,
     diagonal_sampling,
@@ -243,9 +242,7 @@ class TestExitCodes:
         "gen-signal freq_bump {out} --N 100",
         "gen-signal freq_bump {out} --sigma -1",
         "covariance {similitude}",
-        "calderon {similitude} --n-samples 0",
-        "calderon {similitude} --n-samples 17",
-        "calderon {shearlet} --n-samples 17",
+        "calderon {similitude} --n-samples 16",
         "classify {similitude} --tol nan",
         "classify {similitude} --tol inf",
         "equiv {similitude} {similitude} --tol -1",
@@ -320,6 +317,35 @@ class TestExitCodes:
         assert out == "" and err.startswith("numeric failure: the elements of ")
         assert err.count("\n") == 1
         assert record == []
+
+    @pytest.mark.parametrize("command", [
+        "norm {group} {signal} --p 0.01", "norm {group} {signal} --p 400",
+        "compare {group} {group} --p 0.01",
+    ])
+    def test_norm_power_out_of_range_is_numeric_failure(self, capsys, tmp_path, command):
+        # sum |W|^0.01 to the power 100 overflows; |W|^400 underflows to 0
+        # although max |W| ~ 0.1
+        group, signal = str(tmp_path / "perp.json"), str(tmp_path / "f32.sig")
+        write_group_spec(group, rep_group(canonical_diagonal(2.6455835135848735, 0.0)))
+        assert main(["gen-signal", "freq_bump", signal, "--N", "32",
+                     "--center", "0.8,0.2"]) == 0
+        capsys.readouterr()
+        argv = command.format(group=group, signal=signal).split()
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numeric failure: the coorbit norm at p = ")
+        assert err.count("\n") == 1
+        assert record == []
+
+    def test_gen_signal_warning_is_one_line(self, capsys, tmp_path):
+        out = tmp_path / "wp.sig"
+        code = main(["gen-signal", "wave_packet", str(out), "--N", "32", "--seed", "3"])
+        err = capsys.readouterr().err
+        assert code == 0 and out.exists()
+        assert err.startswith("warning: wave packet reaches ")
+        assert err.count("\n") == 1 and "cli.py" not in err
 
     def test_zero_tolerance_is_accepted(self, capsys, diag_path):
         code, report = run_cli(capsys, "equiv", diag_path, diag_path, "--tol", "0")
@@ -558,7 +584,7 @@ class TestMultiplierCommands:
                             *flags)
         assert code == 0
         sig = read_signal(spath)
-        c_psi = calderon_constant(spec, default_orbit_samples(spec), sampling).mean
+        c_psi = calderon_constant(spec, sampling).mean
         assert rep["values"]["calderon_constant"] == c_psi
         ref = invert(analyze(sig, spec, sampling), spec, c_psi).data
         gap = np.linalg.norm(read_signal(out).data - ref) / np.linalg.norm(ref)

@@ -44,7 +44,7 @@ from coorbit2d.sampling import (
     diagonal_sampling,
     shearlet_sampling,
 )
-from coorbit2d.signals import ifft2_rows
+from coorbit2d.signals import freq_axis, ifft2_rows
 from coorbit2d.wavelets import WaveletSpec
 from conftest import chart_quotient, covariance_residual
 
@@ -170,7 +170,7 @@ class TestCalderon:
         spec = GroupSpec(similitude())
         psi = default_wavelet(spec)
         sampling = similitude_sampling(spec, n_lam=128, n_theta=16)
-        cal = calderon_constant(spec, default_orbit_samples(spec), sampling)
+        cal = calderon_constant(spec, sampling)
         oracle = 2 * np.pi * quad(
             lambda t: psi.evaluate(t, 0.0) ** 2 / t, 0.5, 2.0
         )[0]
@@ -181,29 +181,22 @@ class TestCalderon:
         spec = GroupSpec(similitude())
         sampling = similitude_sampling(spec, lam_range=(-0.3, 0.3), n_lam=8,
                                        n_theta=16)
-        cal = calderon_constant(spec, default_orbit_samples(spec), sampling)
+        cal = calderon_constant(spec, sampling)
         assert cal.max_rel_deviation > 0.5
-
-    def test_sample_outside_orbit_rejected(self):
-        spec = GroupSpec(shearlet(1.0))
-        sampling = default_sampling(spec)
-        with pytest.raises(OrbitSampleError):
-            calderon_constant(spec, [np.array([0.0, 1.0])], sampling)
 
     def test_nan_integral_rejected(self, monkeypatch):
         spec = GroupSpec(similitude())
         sampling = similitude_sampling(spec, n_lam=4, n_theta=4)
-        samples = default_orbit_samples(spec)
-        monkeypatch.setattr(transform, "calderon_multiplier",
-                            lambda *args: np.full(len(samples), np.nan))
-        with pytest.raises(OrbitSampleError):
-            calderon_constant(spec, samples, sampling)
+        for value in (np.nan, 0.0):
+            monkeypatch.setattr(WaveletSpec, "evaluate",
+                                lambda self, eta1, eta2: np.full(np.shape(eta1), value))
+            with pytest.raises(OrbitSampleError, match="vanished"):
+                calderon_constant(spec, sampling)
 
     def test_unpacks_as_pair(self):
         spec = GroupSpec(similitude())
         sampling = similitude_sampling(spec, n_lam=8, n_theta=8)
-        mean, dev = calderon_constant(spec, default_orbit_samples(spec),
-                                      sampling)
+        mean, dev = calderon_constant(spec, sampling)
         assert mean > 0 and dev >= 0
 
 
@@ -217,7 +210,7 @@ class TestInvert:
 
     def test_reconstruction_of_covered_signal(self, sim_setup):
         spec, sampling, f, slab = sim_setup
-        cal = calderon_constant(spec, default_orbit_samples(spec), sampling)
+        cal = calderon_constant(spec, sampling)
         rec = invert(slab, spec, cal.mean)
         err = np.sqrt(np.sum(np.abs(rec.data - f.signal.data) ** 2)
                       / np.sum(np.abs(f.signal.data) ** 2))
@@ -247,10 +240,10 @@ class TestInvert:
         sig = GridSignal(n, length, signal_from_spectrum(spec_arr, n, length))
         # with lam in [-1, 1] the annulus around r = 1 is fully covered,
         # the bump at r = 3.2 is not
-        samples = [np.array([np.cos(a), np.sin(a)]) for a in (0.2, 1.0, 2.2, 4.5)]
-        cal = calderon_constant(spec, samples, sampling)
+        c_psi = np.mean([_per_point_multiplier(spec, sampling, np.cos(a), np.sin(a))
+                         for a in (0.2, 1.0, 2.2, 4.5)])
         slab = analyze(sig, spec, sampling)
-        rec = invert(slab, spec, cal.mean)
+        rec = invert(slab, spec, c_psi)
         from coorbit2d import spectrum_from_signal
 
         diff = spectrum_from_signal(rec) - spec_arr
@@ -515,8 +508,7 @@ def small_case(request):
     # an arbitrary signal: the identities hold for every f, not just covered ones
     f = GridSignal(n, length, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     slab = analyze(f, spec, sampling)
-    xi1, xi2 = freq_grids(n, length)
-    c = calderon_multiplier(spec, sampling, xi1, xi2)
+    c = calderon_multiplier(spec, sampling, n, length)
     return spec, sampling, f, slab, c
 
 
@@ -543,14 +535,6 @@ class TestCalderonMultiplier:
         assert c.shape == (f.N, f.N)
         assert _rel(c, ref) <= ROUNDOFF
 
-    def test_scalar_frequency(self, small_case):
-        spec, sampling, *_ = small_case
-        x = default_orbit_samples(spec)[0]
-        value = calderon_multiplier(spec, sampling, x[0], x[1])
-        assert np.shape(value) == ()
-        ref = _per_point_multiplier(spec, sampling, x[0], x[1])
-        assert abs(value - ref) <= ROUNDOFF * ref
-
     def test_norm2_is_multiplier_energy(self, small_case):
         spec, sampling, f, slab, c = small_case
         energy = np.sum(np.abs(spectrum_from_signal(f)) ** 2 * c) / f.L ** 2
@@ -573,7 +557,7 @@ class TestCalderonMultiplier:
     def test_calderon_values_match_per_point_sums(self, small_case):
         spec, sampling, *_ = small_case
         samples = default_orbit_samples(spec)
-        cal = calderon_constant(spec, samples, sampling)
+        cal = calderon_constant(spec, sampling)
         ref = np.array([_per_point_multiplier(spec, sampling, x[0], x[1])
                         for x in samples])
         assert np.max(np.abs(np.array(cal.values) - ref) / ref) <= ROUNDOFF
@@ -844,13 +828,15 @@ def _dense_psihat(psi, h, xi1, xi2):
                         h[0, 1] * xi1 + h[1, 1] * xi2).ravel()
 
 
-def _assert_kernel_is_dense(psi, mats, xi1, xi2):
-    """The kernel's values equal a dense evaluation; its pairs come in class
-    order and none twice.  Returns (pairs evaluated, whether any value is nonzero).
+def _assert_kernel_is_dense(psi, mats, rows, cols):
+    """The kernel's values on the grid (rows[r], cols[c]) equal a dense
+    evaluation; its pairs come in class order and none twice.  Returns (pairs
+    evaluated, whether any value is nonzero).
     """
-    parts = list(transform._psihat(psi, mats, xi1, xi2))
+    parts = list(transform._psihat(psi, mats, rows, cols))
     cls, idx, vals = (np.concatenate(p) for p in zip(*parts))
-    size = np.broadcast(xi1, xi2).size
+    xi1, xi2 = rows[:, None], cols[None, :]
+    size = len(rows) * len(cols)
     assert np.all(np.diff(cls) >= 0)
     assert len(np.unique(cls * size + idx)) == len(cls)
     bounds = np.searchsorted(cls, np.arange(len(mats) + 1))
@@ -888,18 +874,34 @@ class TestSparseKernel:
         conjugator, n, length = KERNEL_CASES[case]
         spec = GroupSpec(KERNEL_FAMILIES[family], conjugator)
         psi, mats, _ = transform._classes(spec, default_sampling(spec))
-        xi1, xi2 = freq_grids(n, length)
-        count, nonzero = _assert_kernel_is_dense(psi, mats, xi1, xi2)
+        axis = freq_axis(n, length)
+        count, nonzero = _assert_kernel_is_dense(psi, mats, axis, axis)
         assert nonzero
         assert count < len(mats) * n * n  # the pieces leave most of the lattice out
 
-    @pytest.mark.parametrize("family", sorted(SMALL_CASES))
-    def test_off_lattice_frequencies_pair_with_every_class(self, family):
-        spec, make_sampling = SMALL_CASES[family]
-        psi, mats, _ = transform._classes(spec, make_sampling(spec))
-        pts = np.array(default_orbit_samples(spec))
-        count, _ = _assert_kernel_is_dense(psi, mats, pts[:, 0], pts[:, 1])
-        assert count == len(mats) * len(pts)
+    @pytest.mark.parametrize("case", [
+        *sorted(SMALL_CASES),
+        *(f"{family}-{case}" for family in ("diagonal", "shearlet", "similitude")
+          for case in ("scaled-1e200", "scaled-1e-200"))])
+    def test_calderon_constant_sums_classes_in_order(self, case):
+        if case in SMALL_CASES:
+            spec, make_sampling = SMALL_CASES[case]
+            sampling = make_sampling(spec)
+        else:
+            family, scaled = case.split("-", 1)
+            spec = GroupSpec(KERNEL_FAMILIES[family], KERNEL_CASES[scaled][0])
+            sampling = default_sampling(spec)
+        # per class: haar_w times a dense psihat(h^T xi)^2, added in class order
+        psi, mats, inverse = transform._classes(spec, sampling)
+        haar_w = np.bincount(inverse, sampling.haar_w)
+        xi1, xi2 = np.array(default_orbit_samples(spec)).T
+        ref = np.zeros(len(xi1))
+        for w, h in zip(haar_w, mats):
+            ref += w * np.square(_dense_psihat(psi, h, xi1, xi2))
+        cal = calderon_constant(spec, sampling)
+        assert np.all(ref > 0.0)
+        assert np.array_equal(cal.values, ref)
+        assert cal.mean == ref.mean()
 
     @pytest.mark.parametrize("family", sorted(SMALL_CASES))
     def test_any_product_grid_takes_row_intervals(self, family):
@@ -907,21 +909,20 @@ class TestSparseKernel:
         spec, make_sampling = SMALL_CASES[family]
         psi, mats, _ = transform._classes(spec, make_sampling(spec))
         rng = np.random.default_rng(3)
-        xi1, xi2 = rng.normal(scale=1.5, size=(40, 1)), rng.normal(scale=1.5, size=(1, 50))
-        count, nonzero = _assert_kernel_is_dense(psi, mats, xi1, xi2)
+        rows, cols = rng.normal(scale=1.5, size=40), rng.normal(scale=1.5, size=50)
+        count, nonzero = _assert_kernel_is_dense(psi, mats, rows, cols)
         assert nonzero and count < len(mats) * 40 * 50
-        empty = calderon_multiplier(spec, make_sampling(spec), xi1, np.zeros((1, 0)))
-        assert empty.shape == (40, 0)
+        assert list(transform._psihat(psi, mats, rows, np.zeros(0))) == []
 
     def test_overlapping_margins_count_each_point_once(self, small_case, monkeypatch):
         # margins this wide make every piece reach the whole of every row
         spec, sampling, f, slab, c = small_case
         psi, mats, _ = transform._classes(spec, sampling)
-        xi1, xi2 = freq_grids(f.N, f.L)
+        axis = freq_axis(f.N, f.L)
         monkeypatch.setattr(transform, "_ROUNDING", 1.0)
-        count, _ = _assert_kernel_is_dense(psi, mats, xi1, xi2)
+        count, _ = _assert_kernel_is_dense(psi, mats, axis, axis)
         assert count == len(mats) * f.N * f.N
-        assert np.array_equal(calderon_multiplier(spec, sampling, xi1, xi2), c)
+        assert np.array_equal(calderon_multiplier(spec, sampling, f.N, f.L), c)
 
     @pytest.mark.parametrize("sizes", [(1, 1), (10 ** 9, 10 ** 9)])
     def test_block_and_chunk_sizes_change_no_value(self, small_case, sizes, monkeypatch):
@@ -929,7 +930,7 @@ class TestSparseKernel:
         sums, peaks = transform._signal_stats([f], spec, sampling, 1)
         monkeypatch.setattr(transform, "_BLOCK_CLASSES", sizes[0])
         monkeypatch.setattr(transform, "_CHUNK_POINTS", sizes[1])
-        assert np.array_equal(calderon_multiplier(spec, sampling, *freq_grids(f.N, f.L)), c)
+        assert np.array_equal(calderon_multiplier(spec, sampling, f.N, f.L), c)
         got_sums, got_peaks = transform._signal_stats([f], spec, sampling, 1)
         assert np.array_equal(got_sums, sums) and np.array_equal(got_peaks, peaks)
         assert np.array_equal(analyze(f, spec, sampling).planes, slab.planes)
