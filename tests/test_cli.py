@@ -242,6 +242,10 @@ class TestExitCodes:
         "gen-signal freq_bump {out} --N 100",
         "gen-signal freq_bump {out} --sigma -1",
         "covariance {similitude}",
+        # --n-samples is no longer a flag of calderon: refused as unknown
+        "calderon {similitude} --n-samples 0",
+        "calderon {similitude} --n-samples 17",
+        "calderon {shearlet} --n-samples 17",
         "calderon {similitude} --n-samples 16",
         "classify {similitude} --tol nan",
         "classify {similitude} --tol inf",
