@@ -53,7 +53,7 @@ from .sampling import (
     shearlet_sampling,
     similitude_sampling,
 )
-from .signals import gen_test_signal
+from .signals import check_lattice, gen_test_signal
 from .transform import (
     _signal_stats,
     calderon_constant,
@@ -171,6 +171,9 @@ def _flag_type(convert, check, expected):
 _GRID_SIZE = _flag_type(int, lambda n: n >= 8 and n & (n - 1) == 0,
                         "a power of two, at least 8")
 _POSITIVE = _flag_type(float, lambda x: 0.0 < x < np.inf, "a positive finite number")
+# a packet's narrower width is sigma / 2: its square must not underflow to 0
+_WIDTH = _flag_type(float, lambda x: 0.0 < x < np.inf and (x / 2) ** 2 > 0.0,
+                    "a positive finite number whose half squares to more than 0")
 _COUNT = _flag_type(int, lambda n: n >= 1, "a positive integer")
 _SEED = _flag_type(int, lambda n: n >= 0, "a non-negative integer")
 _FINITE = _flag_type(float, np.isfinite, "a finite number")
@@ -194,6 +197,15 @@ def _parse_exponent(text):
 
 # ---------------------------------------------------------------------------
 # subcommands
+
+
+def _lattice(args):
+    """--N and --L, held to GridSignal's lattice rule before any signal is made."""
+    try:
+        check_lattice(args.N, args.L)
+    except ValueError as exc:
+        raise _UsageError(f"--L {args.L:g} at --N {args.N}: {exc}") from None
+    return args.N, args.L
 
 
 def _transform_request(args, signal=True):
@@ -339,10 +351,10 @@ def _cmd_compare(args):
     s1 = parse_group_spec(args.group1)
     s2 = parse_group_spec(args.group2)
     p = _parse_exponent(args.p)
+    n, length = _lattice(args)
     t0 = time.perf_counter()
     # samplings first: weights out of range fail before any signal is made
     sampling1, sampling2 = default_sampling(s1), default_sampling(s2)
-    n, length = args.N, args.L
     rng = np.random.default_rng(args.seed)
     # radii at most the band over 1 + 3.5 * 0.12: the 3.5 sigma box of every
     # packet stays on the grid, and the test signals raise no CoverageWarning
@@ -367,8 +379,8 @@ def _cmd_compare(args):
 
 
 def _cmd_gen_signal(args):
+    n, length = _lattice(args)
     rng = np.random.default_rng(args.seed)
-    n, length = args.N, args.L
     center = args.center
     if center is None:
         ang = rng.uniform(0, 2 * np.pi)
@@ -380,25 +392,24 @@ def _cmd_gen_signal(args):
                       direction=np.arctan2(center[1], center[0]))
     else:
         params = dict(sigma=args.sigma, shape=args.shape)
-    # the other flags are checked when parsed: a ValueError is an overflow
+    # the other flags are checked when parsed: a ValueError is an energy overflow
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 f = gen_test_signal(args.kind, n, length, center=center,
                                     amplitude=args.amplitude, **params)
-                l2_norm = f.signal.norm_l2()
         except ValueError:
-            l2_norm = np.inf
+            f = None
     for w in caught:  # one line each, without the source location
         print(f"warning: {w.message}", file=sys.stderr)
-    if not np.isfinite(l2_norm):
+    if f is None:
         raise _UsageError(f"--amplitude {args.amplitude:g} overflows the signal")
     write_signal(args.out_signal, f.signal)
     _emit(args, t0, "gen-signal",
           {"kind": args.kind, "N": n, "L": length, "seed": args.seed},
           {"label": f.label, "center": list(center), "sigma": args.sigma,
-           "l2_norm": l2_norm, "written": str(args.out_signal)})
+           "l2_norm": f.signal.norm_l2(), "written": str(args.out_signal)})
     return EXIT_OK
 
 
@@ -491,7 +502,7 @@ def build_parser():
     p.add_argument("--L", type=_POSITIVE, default=16.0)
     p.add_argument("--center", type=_CENTER, default=None,
                    help="frequency center 'xi1,xi2'")
-    p.add_argument("--sigma", type=_POSITIVE, default=0.15)
+    p.add_argument("--sigma", type=_WIDTH, default=0.15)
     p.add_argument("--shape", choices=["gaussian", "bump"], default="gaussian")
     p.add_argument("--amplitude", type=_FINITE, default=1.0)
     p.add_argument("--seed", type=_SEED, default=0)

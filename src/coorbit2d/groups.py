@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import frexp, hypot, ldexp
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -178,8 +178,6 @@ class ShearletChart(NamedTuple):
     lam: float
     shear: float
 
-
-ChartPoint = Union[SimilitudeChart, DiagonalChart, ShearletChart]
 
 # per family: the chart point type naming its columns, and its sign columns
 _CHARTS = {

@@ -2,11 +2,11 @@
 
 Group specs are strict JSON documents; unknown keys are rejected and error
 messages name the offending key.  Signals use a fixed little-endian binary
-layout (magic "C2D1", u16 version, u32 N, f64 L, N^2 interleaved re/im f64
-pairs, row-major; exactly 18 + 16 N^2 bytes) or, for hand-authored fixtures,
-a CSV variant selected by the .csv extension.  Reports serialize
-deterministically (sorted keys, floats at 17 significant digits) so byte
-comparison of two reports is meaningful.
+layout (magic "C2D1", u16 version, u32 N, f64 L, N^2 complex128 values,
+row-major, the same bytes as interleaved re/im f64 pairs; exactly
+18 + 16 N^2 bytes) or, for hand-authored fixtures, a CSV variant selected by
+the .csv extension.  Reports serialize deterministically (sorted keys, floats
+at 17 significant digits) so byte comparison of two reports is meaningful.
 """
 
 from __future__ import annotations
@@ -108,12 +108,9 @@ def write_signal(path, sig):
     if path.suffix.lower() == ".csv":
         _write_signal_csv(path, sig)
         return
-    payload = np.empty(2 * sig.N * sig.N)
-    payload[0::2] = sig.data.real.ravel()
-    payload[1::2] = sig.data.imag.ravel()
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, sig.N, sig.L))
-        fh.write(payload.astype("<f8").tobytes())
+        fh.write(np.asarray(sig.data, dtype="<c16").tobytes())
 
 
 def read_signal(path):
@@ -136,9 +133,8 @@ def read_signal(path):
         raise FormatError(
             f"truncated payload: expected {expected} bytes, got {len(raw)}"
         )
-    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    with np.errstate(invalid="ignore"):  # non-finite payloads rejected below
-        data = (flat[0::2] + 1j * flat[1::2]).reshape(n, n)
+    # copied, so the array is aligned and writable
+    data = np.frombuffer(raw, "<c16", offset=_HEADER.size).reshape(n, n).copy()
     try:
         return GridSignal(n, length, data)
     except ValueError as exc:
@@ -195,10 +191,8 @@ def _read_signal_csv(path):
             raise FormatError(
                 f"row {i + 1}, col {j + 1}: non-numeric cell {cells[j].strip()!r}"
             ) from None
-    with np.errstate(invalid="ignore"):  # non-finite cells rejected below
-        data = flat[:, 0::2] + 1j * flat[:, 1::2]
     try:
-        return GridSignal(n, length, data)
+        return GridSignal(n, length, flat.view(complex))
     except ValueError as exc:
         raise FormatError(f"invalid signal contents: {exc}") from exc
 

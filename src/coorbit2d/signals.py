@@ -23,9 +23,27 @@ from .errors import CoverageWarning
 from .wavelets import bump
 
 
+# the lattice steps L/N for which (L/N)^2 and (N/L)^2 are finite and normal
+STEP_RANGE = (2.0 ** -500, 2.0 ** 500)
+
+
+def check_lattice(n, length):
+    """Raise ValueError unless N is a power of two, at least 8, and the step
+    L/N lies in STEP_RANGE, which also makes L positive and finite."""
+    if n < 8 or (n & (n - 1)) != 0:
+        raise ValueError("N must be a power of two, at least 8")
+    if not STEP_RANGE[0] <= length / n <= STEP_RANGE[1]:
+        raise ValueError("L must be positive with L/N in [2^-500, 2^500]")
+
+
 @dataclass(frozen=True, eq=False)
 class GridSignal:
-    """N x N complex samples of a function on an L-periodic square."""
+    """N x N complex samples of a function on an L-periodic square.
+
+    Usable means: the lattice passes `check_lattice` (N a power of two, at
+    least 8, and 2^-500 <= L/N <= 2^500) and the energy norm_l2() is finite,
+    which implies finite samples.  Anything else raises ValueError.
+    """
 
     N: int
     L: float
@@ -33,18 +51,17 @@ class GridSignal:
 
     def __post_init__(self):
         n = int(self.N)
-        if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError("N must be a power of two, at least 8")
-        if not (self.L > 0 and np.isfinite(self.L)):
-            raise ValueError("L must be a positive finite length")
+        check_lattice(n, self.L)
         d = np.asarray(self.data, dtype=complex)
         if d.shape != (n, n):
             raise ValueError(f"data must be {n}x{n}, got {d.shape}")
-        if not np.all(np.isfinite(d.view(float))):
-            raise ValueError("signal values must be finite")
         object.__setattr__(self, "N", n)
         object.__setattr__(self, "L", float(self.L))
         object.__setattr__(self, "data", d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = self.norm_l2()
+        if not np.isfinite(energy):
+            raise ValueError("signal energy must be finite")
 
     @property
     def dx(self):

@@ -291,9 +291,11 @@ def calderon_multiplier(spec, sampling, n, length):
 
 
 def _grid(signals):
-    """The (N, L) lattice of a non-empty list of grid signals that share it."""
+    """The one (N, L) lattice of a non-empty list of grid signals."""
     if not all(isinstance(f, GridSignal) for f in signals):
         raise TypeError("f must be a GridSignal")
+    if len({(f.N, f.L) for f in signals}) != 1:
+        raise ValueError("the signals must share one (N, L) lattice")
     return signals[0].N, signals[0].L
 
 
@@ -578,21 +580,14 @@ class RatioTable:
 def norm_ratio_profile(s1, s2, p, signals, sampling1, sampling2):
     """Coorbit-norm ratios ||f||_{s1} / ||f||_{s2} over a family of signals.
 
-    The signals are grouped by grid; each group takes one pass per spec, so
-    its element stack and psihat (or, at p = 2, its Calderon multiplier) are
-    built once and shared by all signals of the group.
+    The signals share one (N, L) lattice (ValueError otherwise) and take one
+    pass per spec, so its element stack and psihat (or, at p = 2, its
+    Calderon multiplier) are built once and shared by all signals.
     """
     _check_exponent(p)
-    by_grid = {}
-    for k, f in enumerate(signals):
-        by_grid.setdefault((f.signal.N, f.signal.L), []).append(k)
-    norms = [None] * len(signals)
-    for ks in by_grid.values():
-        grid = [signals[k].signal for k in ks]
-        pairs = zip(_signal_norms(grid, s1, sampling1, p),
-                    _signal_norms(grid, s2, sampling2, p))
-        for k, pair in zip(ks, pairs):
-            norms[k] = pair
+    grid = [f.signal for f in signals]
+    norms = zip(_signal_norms(grid, s1, sampling1, p),
+                _signal_norms(grid, s2, sampling2, p))
     rows = []
     for f, (n1, n2) in zip(signals, norms):
         scale = max(f.signal.norm_l2(), 1.0)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from coorbit2d import (
     build_sampling,
     diagonal,
     element_from_chart,
+    freq_bump,
     freq_grids,
     signal_from_spectrum,
     spectrum_from_signal,
@@ -33,6 +36,21 @@ def diagonal_spec_from_lines(a1, a2):
     """Diagonal-family spec whose dual-orbit complement is the lines {a1, a2}."""
     directions = np.array([[np.cos(a1), np.cos(a2)], [np.sin(a1), np.sin(a2)]])
     return GroupSpec(diagonal(), np.linalg.inv(directions).T)
+
+
+def write_raw_signal(path, n, length, data):
+    """A .sig file written byte by byte, past GridSignal's rule: the header
+    (magic, u16 version, u32 N, f64 L) and N^2 little-endian complex128."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sHId", b"C2D1", 1, n, length))
+        fh.write(np.asarray(data, dtype="<c16").tobytes())
+
+
+def big_bump_data():
+    """The 32 x 32 freq_bump at (0.8, 0.2), L = 8, scaled by 1e200: its
+    samples are finite (max |f| ~ 1.4e199), its energy overflows."""
+    bump = freq_bump(32, 8.0, center=(0.8, 0.2), sigma=0.15).signal
+    return 1e200 * bump.data
 
 
 def chart_quotient(spec, g_chart, h_chart):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from coorbit2d import (
+    CoverageWarning,
     GridSignal,
     GroupSpec,
     analyze,
@@ -35,7 +36,12 @@ from coorbit2d import (
 from coorbit2d import cli
 from coorbit2d.classify import angle_distance
 from coorbit2d.cli import main
-from conftest import diagonal_spec_from_lines, random_invertible
+from conftest import (
+    big_bump_data,
+    diagonal_spec_from_lines,
+    random_invertible,
+    write_raw_signal,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -373,6 +379,90 @@ class TestExitCodes:
             "--n-scale", "6", "--max-error", "1e-9",
         )
         assert code == 4
+
+
+class TestSignalRule:
+    """Every signal meets GridSignal's rule (lattice step, finite energy) when
+    it is read or made: the command fails at once, in one stderr line."""
+
+    @pytest.mark.parametrize("command,code", [
+        *((f"{cmd} {{group}} {{tmp}}/{length}.sig", 2)
+          for length in ("1e-300", "1e-160", "1e160", "1e300")
+          for cmd in ("norm --p 1", "norm --p 2", "invert", "analyze")),
+        ("gen-signal freq_bump {tmp}/x.sig --L 1e-300", 1),
+        ("gen-signal freq_bump {tmp}/x.sig --L 1e300", 1),
+        ("gen-signal wave_packet {tmp}/x.sig --L 1e300", 1),
+        ("compare {group} {group} --L 1e-300", 1),
+        ("compare {group} {group} --N 8 --L 1e300", 1),
+    ])
+    def test_lattice_step_out_of_range(self, capsys, tmp_path, diag_path, command,
+                                       code):
+        # (L/N)^2 or (N/L)^2 of these lattices leaves the normal float range
+        data = np.random.default_rng(5).normal(size=(32, 32))
+        for length in ("1e-300", "1e-160", "1e160", "1e300"):
+            write_raw_signal(tmp_path / f"{length}.sig", 32, float(length), data)
+        argv = command.format(group=diag_path, tmp=tmp_path).split()
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        out, err = capsys.readouterr()
+        prefix = {1: "usage error: --L ",
+                  2: "input error: invalid signal contents: L must be"}[code]
+        assert out == "" and err.startswith(prefix) and err.count("\n") == 1
+        assert record == []
+        assert not (tmp_path / "x.sig").exists()
+
+    @pytest.mark.parametrize("command", [
+        "norm {group} {signal} --p 2", "norm {group} {signal} --p 1",
+        "norm {group} {signal} --p inf", "invert {group} {signal}",
+        "analyze {group} {signal}",
+    ])
+    def test_overflowing_energy_is_refused_at_read(self, capsys, tmp_path, diag_path,
+                                                   command):
+        signal = tmp_path / "big.sig"
+        write_raw_signal(signal, 32, 8.0, big_bump_data())
+        argv = command.format(group=diag_path, signal=signal).split()
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: invalid signal contents: signal energy")
+        assert err.count("\n") == 1
+        assert record == []
+
+    @pytest.mark.parametrize("kind", ["freq_bump", "wave_packet"])
+    def test_sigma_whose_square_underflows_is_usage_error(self, capsys, tmp_path,
+                                                          kind):
+        out = tmp_path / "tiny.sig"
+        assert main(["gen-signal", kind, str(out), "--sigma", "1e-300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --sigma")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_gen_signal_bump_shape(self, capsys, tmp_path):
+        out = tmp_path / "b.sig"
+        code, _ = run_cli(capsys, "gen-signal", "freq_bump", str(out), "--N", "32",
+                          "--center", "0.8,0.2", "--shape", "bump")
+        assert code == 0
+        with pytest.warns(CoverageWarning, match="frequency bump"):
+            ref = freq_bump(32, 16.0, (0.8, 0.2), 0.15, shape="bump").signal
+        assert read_signal(out).data.tobytes() == ref.data.tobytes()
+
+    def test_norm_shear_range_flags(self, capsys, tmp_path):
+        spec = GroupSpec(shearlet(0.7), rotation(-0.5))
+        group, signal = tmp_path / "g.json", tmp_path / "f.sig"
+        write_group_spec(group, spec)
+        write_signal(signal, freq_bump(32, 8.0, (0.8, 0.2), 0.15).signal)
+        code, rep = run_cli(capsys, "norm", str(group), str(signal), "--p", "1",
+                            "--shear-min", "-2", "--shear-max", "2")
+        assert code == 0
+        sig = read_signal(signal)
+        sampling = shearlet_sampling(spec, shear_range=(-2, 2))
+        narrow = signal_coorbit_norm(sig, spec, sampling, 1)
+        assert rep["values"]["coorbit_norm"] == narrow
+        assert narrow != signal_coorbit_norm(sig, spec, default_sampling(spec), 1)
 
 
 class TestRequestOrder:

@@ -19,6 +19,7 @@ from coorbit2d import (
     write_group_spec,
     write_signal,
 )
+from conftest import big_bump_data, write_raw_signal
 
 
 class TestGroupSpecFiles:
@@ -157,6 +158,23 @@ class TestSignalFiles:
         back = read_signal(p)
         assert back.N == sig.N and back.L == sig.L
         assert np.array_equal(back.data, sig.data)  # 17 digits round-trip floats
+
+    @pytest.mark.parametrize("suffix", [".sig", ".csv"])
+    def test_round_trip_keeps_signed_zeros_and_subnormals(self, tmp_path, suffix):
+        # every (re, im) pair of +-0.0 and +-5e-324; re + 1j * im would give
+        # +0.0 for -0.0 in either part
+        parts = (0.0, -0.0, 5e-324, -5e-324)
+        pairs = np.array([(re, im) for re in parts for im in parts])
+        data = np.resize(pairs, (8, 16)).view(complex)
+        p = tmp_path / f"s{suffix}"
+        write_signal(p, GridSignal(8, 1.0, data))
+        assert read_signal(p).data.tobytes() == data.tobytes()
+
+    def test_overflowing_energy_rejected(self, tmp_path):
+        p = tmp_path / "big.sig"
+        write_raw_signal(p, 32, 8.0, big_bump_data())
+        with pytest.raises(FormatError, match="invalid signal contents: .*energy"):
+            read_signal(p)
 
     def test_csv_bad_cell_position_reported(self, tmp_path):
         n = 8

@@ -687,12 +687,9 @@ class TestStreamedReduction:
 
 
 def _profile_signals():
-    """Signals on two grids, interleaved."""
-    out = []
-    for k in range(5):
-        n, length = (64, 16.0) if k % 2 == 0 else (32, 8.0)
-        out.append(freq_bump(n, length, center=(0.9 + 0.1 * k, 0.2), sigma=0.15))
-    return out
+    """Five signals on one lattice."""
+    return [freq_bump(64, 16.0, center=(0.9 + 0.1 * k, 0.2), sigma=0.15)
+            for k in range(5)]
 
 
 class TestBatchedProfile:
@@ -723,7 +720,16 @@ class TestBatchedProfile:
         spec = GroupSpec(diagonal(), rotation(0.3))
         sampling = diagonal_sampling(spec, n_lam=4)
         norm_ratio_profile(spec, spec, p, _profile_signals(), sampling, sampling)
-        assert len(stacks) == 4  # 2 specs x 2 grids, not 2 x 5 signals
+        assert len(stacks) == 2  # one per spec, not 2 x 5 signals
+
+    @pytest.mark.parametrize("other", [(32, 8.0), (64, 8.0)])
+    def test_mixed_lattices_rejected(self, other):
+        spec = GroupSpec(diagonal(), rotation(0.3))
+        sampling = diagonal_sampling(spec, n_lam=4)
+        signals = [*_profile_signals(),
+                   freq_bump(*other, center=(0.5, 0.2), sigma=0.15)]
+        with pytest.raises(ValueError, match="one .N, L. lattice"):
+            norm_ratio_profile(spec, spec, 1, signals, sampling, sampling)
 
 
 # ---------------------------------------------------------------------------

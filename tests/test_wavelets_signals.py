@@ -17,8 +17,9 @@ from coorbit2d import (
     spectrum_from_signal,
     wave_packet,
 )
-from coorbit2d.signals import _phase_grid, ifft2_rows
+from coorbit2d.signals import STEP_RANGE, _phase_grid, ifft2_rows
 from coorbit2d.wavelets import bump
+from conftest import big_bump_data
 
 
 class TestBump:
@@ -155,6 +156,24 @@ class TestGridSignal:
             GridSignal(16, -1.0, np.zeros((16, 16)))
         with pytest.raises(ValueError):
             GridSignal(16, 1.0, np.zeros((8, 8)))
+
+    def test_energy_must_be_finite(self):
+        # finite samples whose sum of squares overflows, and non-finite ones
+        data = big_bump_data()
+        assert np.all(np.isfinite(data))
+        for bad in (data, np.full((32, 32), np.nan), np.full((32, 32), np.inf)):
+            with pytest.raises(ValueError, match="energy"):
+                GridSignal(32, 8.0, bad)
+
+    def test_lattice_step_window(self):
+        ones = np.ones((8, 8))
+        for step in STEP_RANGE:
+            GridSignal(8, 8 * step, ones)
+        lo, hi = STEP_RANGE
+        for step in (np.nextafter(lo, 0), np.nextafter(hi, np.inf), 0.0, np.inf,
+                     np.nan, -1.0):
+            with pytest.raises(ValueError, match="L/N"):
+                GridSignal(8, 8 * step, ones)
 
     def test_round_trip_transforms(self, rng):
         data = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
