@@ -53,7 +53,7 @@ from .sampling import (
     shearlet_sampling,
     similitude_sampling,
 )
-from .signals import check_lattice, gen_test_signal
+from .signals import check_lattice, gen_test_signal, valid_grid_size
 from .transform import (
     _signal_stats,
     calderon_constant,
@@ -168,12 +168,14 @@ def _flag_type(convert, check, expected):
     return parse
 
 
-_GRID_SIZE = _flag_type(int, lambda n: n >= 8 and n & (n - 1) == 0,
-                        "a power of two, at least 8")
+_GRID_SIZE = _flag_type(int, valid_grid_size, "a power of two, at least 8")
 _POSITIVE = _flag_type(float, lambda x: 0.0 < x < np.inf, "a positive finite number")
-# a packet's narrower width is sigma / 2: its square must not underflow to 0
-_WIDTH = _flag_type(float, lambda x: 0.0 < x < np.inf and (x / 2) ** 2 > 0.0,
-                    "a positive finite number whose half squares to more than 0")
+# the signals square sigma and a packet's narrower width sigma / 2: neither
+# square may overflow or underflow to 0 (products saturate where ** raises)
+_WIDTH = _flag_type(float, lambda x: 0.0 < x and x * x < np.inf
+                    and (x / 2) * (x / 2) > 0.0,
+                    "a positive number whose square is finite and whose half "
+                    "squares to more than 0")
 _COUNT = _flag_type(int, lambda n: n >= 1, "a positive integer")
 _SEED = _flag_type(int, lambda n: n >= 0, "a non-negative integer")
 _FINITE = _flag_type(float, np.isfinite, "a finite number")

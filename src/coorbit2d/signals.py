@@ -27,10 +27,15 @@ from .wavelets import bump
 STEP_RANGE = (2.0 ** -500, 2.0 ** 500)
 
 
+def valid_grid_size(n):
+    """The rule on N: a power of two, at least 8."""
+    return n >= 8 and n & (n - 1) == 0
+
+
 def check_lattice(n, length):
-    """Raise ValueError unless N is a power of two, at least 8, and the step
-    L/N lies in STEP_RANGE, which also makes L positive and finite."""
-    if n < 8 or (n & (n - 1)) != 0:
+    """Raise ValueError unless N passes `valid_grid_size` and the step L/N
+    lies in STEP_RANGE, which also makes L positive and finite."""
+    if not valid_grid_size(n):
         raise ValueError("N must be a power of two, at least 8")
     if not STEP_RANGE[0] <= length / n <= STEP_RANGE[1]:
         raise ValueError("L must be positive with L/N in [2^-500, 2^500]")
@@ -42,7 +47,10 @@ class GridSignal:
 
     Usable means: the lattice passes `check_lattice` (N a power of two, at
     least 8, and 2^-500 <= L/N <= 2^500) and the energy norm_l2() is finite,
-    which implies finite samples.  Anything else raises ValueError.
+    which implies finite samples.  Anything else raises ValueError.  The rule
+    takes norm_l2() as every report prints it, which forms sum |f|^2 before
+    the (L/N)^2 factor: samples of modulus above ~1.3e154 fail it even where
+    a fine lattice would keep the norm itself in range.
     """
 
     N: int
@@ -61,7 +69,8 @@ class GridSignal:
         with np.errstate(over="ignore", invalid="ignore"):
             energy = self.norm_l2()
         if not np.isfinite(energy):
-            raise ValueError("signal energy must be finite")
+            raise ValueError("signal energy sum |f|^2 (L/N)^2 is not finite "
+                             "in double precision")
 
     @property
     def dx(self):

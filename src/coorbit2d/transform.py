@@ -542,11 +542,14 @@ def invert(slab, spec, c_psi):
     acc = np.zeros((n, n), dtype=complex)
     psi, mats, inverse = _classes(spec, sampling)
     root_det = _root_det(mats)
+    # spectrum_from_signal's factor: a plane holds coefficients, not a signal
+    dx = length / n
+    fold = (dx * dx) * _phase_grid(n)
     for k, vals in enumerate(_class_values(psi, mats, n, length)):
         if vals is None:
             continue
         for i in np.flatnonzero(inverse == k):
-            what = spectrum_from_signal(GridSignal(n, length, slab.planes[i]))
+            what = fold * np.fft.fft2(slab.planes[i])
             acc += (sampling.g_w[i] * root_det[k]) * what * vals
     data = signal_from_spectrum(acc / c_psi, n, length)
     return GridSignal(n, length, data)

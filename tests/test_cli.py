@@ -431,11 +431,13 @@ class TestSignalRule:
         assert err.count("\n") == 1
         assert record == []
 
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e200"])
     @pytest.mark.parametrize("kind", ["freq_bump", "wave_packet"])
-    def test_sigma_whose_square_underflows_is_usage_error(self, capsys, tmp_path,
-                                                          kind):
-        out = tmp_path / "tiny.sig"
-        assert main(["gen-signal", kind, str(out), "--sigma", "1e-300"]) == 1
+    def test_sigma_whose_square_is_out_of_range_is_usage_error(self, capsys,
+                                                               tmp_path, kind,
+                                                               sigma):
+        out = tmp_path / "x.sig"
+        assert main(["gen-signal", kind, str(out), "--sigma", sigma]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: argument --sigma")
         assert err.count("\n") == 1
