@@ -31,8 +31,9 @@ print("psi-hat on the unit circle:", psi.evaluate(1.0, 0.0))
 print("psi-hat at the support edge:", psi.evaluate(2.0, 0.0))
 print()
 
-# Chart sampling: 32 log-scales in [-2, 2] x 32 angles.
-sampling = similitude_sampling(spec, (-2.0, 2.0), 32, 32)
+# Chart sampling: 32 log-scales in [-2, 2], one row per class of H/K_psi (the
+# radial profile is rotation invariant, so each row stands for all angles).
+sampling = similitude_sampling(spec, (-2.0, 2.0), 32)
 print("chart points:", len(sampling))
 
 # Admissibility: C(xi) should not depend on xi; it is summed at the 16 orbit

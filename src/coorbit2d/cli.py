@@ -53,7 +53,7 @@ from .sampling import (
     shearlet_sampling,
     similitude_sampling,
 )
-from .signals import check_lattice, gen_test_signal, valid_grid_size
+from .signals import check_lattice, gen_test_signal, l2_norm, valid_grid_size
 from .transform import (
     _signal_stats,
     calderon_constant,
@@ -114,8 +114,7 @@ def _sampling_from_args(spec, args):
     # the builders reject counts below 1 and empty or non-finite ranges
     try:
         if kind == SIMILITUDE:
-            return similitude_sampling(
-                spec, lam, **_given(n_lam=args.n_scale, n_theta=args.n_angle))
+            return similitude_sampling(spec, lam, **_given(n_lam=args.n_scale))
         if kind == DIAGONAL:
             return diagonal_sampling(spec, lam, **_given(n_lam=args.n_scale))
         return shearlet_sampling(
@@ -132,8 +131,6 @@ def _add_sampling_flags(p):
                    help="upper log-scale bound (default %(default)g)")
     p.add_argument("--n-scale", type=int, default=None,
                    help="points per log-scale axis (family default)")
-    p.add_argument("--n-angle", type=int, default=None,
-                   help="rotation points, similitude only (family default)")
     p.add_argument("--shear-min", type=float, default=SHEAR_RANGE[0])
     p.add_argument("--shear-max", type=float, default=SHEAR_RANGE[1])
     p.add_argument("--n-shear", type=int, default=None,
@@ -168,7 +165,7 @@ def _flag_type(convert, check, expected):
     return parse
 
 
-_GRID_SIZE = _flag_type(int, valid_grid_size, "a power of two, at least 8")
+_GRID_SIZE = _flag_type(int, valid_grid_size, "a power of two from 8 to 2^31")
 _POSITIVE = _flag_type(float, lambda x: 0.0 < x < np.inf, "a positive finite number")
 # the signals square sigma and a packet's narrower width sigma / 2: neither
 # square may overflow or underflow to 0 (products saturate where ** raises)
@@ -321,11 +318,7 @@ def _cmd_invert(args):
     cal = calderon_constant(spec, sampling)
     rec = reconstruct(sig, spec, sampling, cal.mean)
     denom = sig.norm_l2()
-    if denom == 0.0:
-        rel_err = 0.0
-    else:
-        diff = sig.data - rec.data
-        rel_err = float(np.sqrt(np.sum(np.abs(diff) ** 2)) * sig.dx / denom)
+    rel_err = 0.0 if denom == 0.0 else l2_norm(sig.data - rec.data, sig.dx) / denom
     if args.out_signal:
         write_signal(args.out_signal, rec)
     _emit(args, t0, "invert",

@@ -1,13 +1,18 @@
 """Quadrature sampling of the dilation group in chart coordinates.
 
 Charts are sampled on uniform grids (midpoint rule in the unbounded
-coordinates, uniform points on the periodic angle), one sheet per connected
-component carrying signs.  A sampling stores its M chart points as a
-read-only (M, k) array of rows, in the column order of :mod:`coorbit2d.groups`,
-and the per-point chart cell volume together with the two derived weight
-vectors used everywhere downstream:  ``haar_w = haar density x volume``
-(integration over H) and ``g_w = haar_w / |det h|`` (h-marginal of the full
-group measure).
+coordinates).  A sampling stores its M chart points as a read-only (M, k)
+array of rows, in the column order of :mod:`coorbit2d.groups`, and the
+per-point chart cell volume together with the two derived weight vectors used
+everywhere downstream:  ``haar_w = haar density x volume`` (integration over
+H) and ``g_w = haar_w / |det h|`` (h-marginal of the full group measure).
+
+The default samplings cover the quotient H/K_psi, where K_psi is the compact
+subgroup that leaves the group's wavelet profile invariant: the rotations for
+similitude, the four sign elements for diagonal and +-I for shearlet.  Since
+W f(., h k) = W f(., h) for k in K_psi, each class needs one row, taken at
+theta = 0, signs (+1, +1) or eps = +1, and its cell volume includes the
+measure of K_psi in chart units: 2 pi, 4 or 2.
 """
 
 from __future__ import annotations
@@ -77,15 +82,11 @@ def build_sampling(spec, points, volumes):
     return GroupSampling(pts, vol, haar_w, g_w)
 
 
-def _check_count(n, name):
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {n!r}")
-
-
 def _midpoints(bounds, n, axis):
     """n cell midpoints of `bounds` = (lo, hi) and the cell width; errors name
     the builder's arguments n_<axis> and <axis>_range."""
-    _check_count(n, f"n_{axis}")
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"n_{axis} must be a positive integer, got {n!r}")
     lo, hi = bounds
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"{axis}_range must be finite and non-empty, got ({lo}, {hi})")
@@ -99,29 +100,24 @@ def _rows(*axes):
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def similitude_sampling(spec, lam_range=LAM_RANGE, n_lam=32, n_theta=32):
+def similitude_sampling(spec, lam_range=LAM_RANGE, n_lam=32):
     lams, dlam = _midpoints(lam_range, n_lam, "lam")
-    _check_count(n_theta, "n_theta")
-    dth = 2.0 * np.pi / n_theta
-    pts = _rows(lams, np.arange(n_theta) * dth)
-    return build_sampling(spec, pts, np.full(len(pts), dlam * dth))
+    pts = _rows(lams, [0.0])
+    return build_sampling(spec, pts, np.full(len(pts), dlam * (2.0 * np.pi)))
 
 
 def diagonal_sampling(spec, lam_range=LAM_RANGE, n_lam=16):
     lams, dlam = _midpoints(lam_range, n_lam, "lam")
-    signs = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
-    sheet = _rows(lams, lams)
-    pts = np.hstack([np.tile(sheet, (len(signs), 1)),
-                     np.repeat(signs, len(sheet), axis=0)])
-    return build_sampling(spec, pts, np.full(len(pts), dlam * dlam))
+    pts = _rows(lams, lams, [1.0], [1.0])
+    return build_sampling(spec, pts, np.full(len(pts), dlam * dlam * 4.0))
 
 
 def shearlet_sampling(spec, lam_range=LAM_RANGE, n_lam=16,
                       shear_range=SHEAR_RANGE, n_shear=48):
     lams, dlam = _midpoints(lam_range, n_lam, "lam")
     shears, dshear = _midpoints(shear_range, n_shear, "shear")
-    pts = _rows(np.array([1.0, -1.0]), lams, shears)
-    return build_sampling(spec, pts, np.full(len(pts), dlam * dshear))
+    pts = _rows([1.0], lams, shears)
+    return build_sampling(spec, pts, np.full(len(pts), dlam * dshear * 2.0))
 
 
 def default_sampling(spec):

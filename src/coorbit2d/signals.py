@@ -28,15 +28,16 @@ STEP_RANGE = (2.0 ** -500, 2.0 ** 500)
 
 
 def valid_grid_size(n):
-    """The rule on N: a power of two, at least 8."""
-    return n >= 8 and n & (n - 1) == 0
+    """The rule on N: a power of two from 8 to 2^31, the largest power of two
+    that the u32 N of a .sig header holds."""
+    return 8 <= n <= 2 ** 31 and n & (n - 1) == 0
 
 
 def check_lattice(n, length):
     """Raise ValueError unless N passes `valid_grid_size` and the step L/N
     lies in STEP_RANGE, which also makes L positive and finite."""
     if not valid_grid_size(n):
-        raise ValueError("N must be a power of two, at least 8")
+        raise ValueError("N must be a power of two from 8 to 2^31")
     if not STEP_RANGE[0] <= length / n <= STEP_RANGE[1]:
         raise ValueError("L must be positive with L/N in [2^-500, 2^500]")
 
@@ -45,12 +46,12 @@ def check_lattice(n, length):
 class GridSignal:
     """N x N complex samples of a function on an L-periodic square.
 
-    Usable means: the lattice passes `check_lattice` (N a power of two, at
-    least 8, and 2^-500 <= L/N <= 2^500) and the energy norm_l2() is finite,
-    which implies finite samples.  Anything else raises ValueError.  The rule
-    takes norm_l2() as every report prints it, which forms sum |f|^2 before
-    the (L/N)^2 factor: samples of modulus above ~1.3e154 fail it even where
-    a fine lattice would keep the norm itself in range.
+    Usable means: the lattice passes `check_lattice` (N a power of two from
+    8 to 2^31, and 2^-500 <= L/N <= 2^500) and the energy norm_l2()^2 is
+    finite, which implies finite samples.  Anything else raises ValueError.
+    The rule takes norm_l2() as every report prints it, scaled by max |f|, so
+    a signal passes whenever its energy is in range, however large its
+    samples are on a fine lattice.
     """
 
     N: int
@@ -67,17 +68,29 @@ class GridSignal:
         object.__setattr__(self, "L", float(self.L))
         object.__setattr__(self, "data", d)
         with np.errstate(over="ignore", invalid="ignore"):
-            energy = self.norm_l2()
+            norm = self.norm_l2()
+            energy = norm * norm
         if not np.isfinite(energy):
-            raise ValueError("signal energy sum |f|^2 (L/N)^2 is not finite "
-                             "in double precision")
+            raise ValueError("signal energy ||f||^2 is not finite in double "
+                             "precision")
 
     @property
     def dx(self):
         return self.L / self.N
 
     def norm_l2(self):
-        return float(np.sqrt(np.sum(np.abs(self.data) ** 2) * self.dx ** 2))
+        return l2_norm(self.data, self.dx)
+
+
+def l2_norm(data, dx):
+    """sqrt(sum |f|^2 dx^2), formed as m dx sqrt(sum |f/m|^2) with m = max |f|,
+    so that no square overflows or underflows before the norm itself does."""
+    mags = np.abs(data)
+    m = np.max(mags)
+    if m == 0.0:
+        return 0.0
+    mags /= m
+    return float(m * dx * np.sqrt(np.sum(np.square(mags, out=mags))))
 
 
 def freq_axis(n, length):

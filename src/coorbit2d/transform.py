@@ -8,49 +8,46 @@ group element h the analysis plane is
 
 with psi the wavelet of the group spec (`default_wavelet`), always evaluated
 in closed form at h^T xi: no function here takes a wavelet of its own.  Each
-public call stacks the 2 x 2 elements of its class representatives (below)
-once, and one sparse kernel evaluates psihat(h^T xi) over the stack where
-the convex support pieces of the profile in eta = B^T h^T xi
+public call stacks the 2 x 2 elements of its sampled rows once
+(`_elements`), and one sparse kernel evaluates psihat(h^T xi) over the
+stack where the convex support pieces of the profile in eta = B^T h^T xi
 (`WaveletSpec.support_pieces`) reach.  Along a lattice row eta is affine in
-xi2, so each piece reaches one interval of columns per class and row
+xi2, so each piece reaches one interval of columns per element and row
 (`_row_intervals`), widened by a few roundings of |B^T| |h^T| |xi| and made
-disjoint.  The (class, frequency) pairs inside come in class order, in
+disjoint.  The (element, frequency) pairs inside come in element order, in
 chunks of bounded size, and take the arithmetic of a dense evaluation:
 every value is the dense one bit for bit, and every pair left out is
 exactly 0 (on the default samplings at N = 128, 4-5% of the lattice is
-evaluated for the shearlet classes, 11-14% for the diagonal ones).  The
+evaluated for the shearlet elements, 11-14% for the diagonal ones).  The
 kernel backs the multiplier, the analysis planes and the `invert` sum.
 
 The wavelet factor |det h|^(1/2) psihat(h^T xi) is constant on the classes
-of H modulo the compact part K_psi of H that leaves the profile invariant.
-`WaveletSpec.ignored_columns` names the chart columns the profile ignores:
-theta for the radial similitude profile, the signs (e1, e2) for the diagonal
-one and eps for the shearlet one.  The sampled rows are grouped by their
-remaining columns (`_classes`, one `np.unique` over the chart array) and the
-kernel runs on one representative row per class; on the default samplings
-that is 32 of 1024 similitude, 256 of 1024 diagonal and 768 of 1536
-shearlet rows.
+of H modulo the compact subgroup K_psi that leaves the profile invariant:
+the rotations for the radial similitude profile, the four sign elements for
+the diagonal one and +-I for the shearlet one.  The default samplings
+(`coorbit2d.sampling`) list one row per class of H/K_psi, with the measure of
+K_psi in its cell volume: 32 similitude, 256 diagonal and 768 shearlet rows.
+A sampling that lists K_psi-equivalent rows is still correct: each of its
+rows takes its own plane.
 
 The analysis planes come from one generator that takes the FFT of each
-signal once and yields, class by class, the planes of all its signals;
+signal once and yields, row by row, the planes of all its signals;
 where psihat(h^T xi) is exactly 0 on the lattice the plane is exactly 0 and
-its FFTs are skipped; a class whose pieces reach no lattice point skips
+its FFTs are skipped; an element whose pieces reach no lattice point skips
 psihat as well.  Elsewhere only the lattice rows that psihat reaches take
 the first inverse-FFT pass (`signals.ifft2_rows`, `np.fft.ifft2` bit for
 bit), and the plane, row-product and magnitude buffers are reused from plane
 to plane.  Each spectrum takes the lattice phase and (N/L)^2 once; when
 (N/L)^2 is a power of two that is exact, and the planes equal
 `signal_from_spectrum(fhat * factor)` bit for bit.  `analyze` is the only
-code that fills an M x N x N slab from it, copying each class's plane into
-every row of the class.
+code that fills an M x N x N slab from it.
 Norms with p != 2 (`signal_coorbit_norm`, `norm_ratio_profile`, which shares
 each psihat plane across its signals) and the CLI `analyze` report reduce
-each class's plane as it is computed, hand its sums to every row of the
-class, and total them over the M rows with the same per-plane formula and
-index-order sum as `coorbit_norm` of a slab, so the results agree bit for
-bit.  `invert` takes the FFT of every slab plane whose class the support
-pieces bring onto the lattice, since a slab may have been edited, and
-evaluates psihat once per class.
+each plane as it is computed and total them over the M rows with the same
+per-plane formula and index-order sum as `coorbit_norm` of a slab, so the
+results agree bit for bit.  `invert` takes the FFT of every slab plane whose
+row the support pieces bring onto the lattice, since a slab may have been
+edited.
 
 The coorbit quasi-norm integrates |W|^p over space (cell (L/N)^2) and over
 the chart with the g-weights of the sampling; no triangle inequality is
@@ -65,11 +62,10 @@ exactly on the grid:  ||W f||_{L^2(G)}^2 = sum_xi |fhat|^2 C / L^2  (grid
 Plancherel) and  invert(analyze(f)) = inverse FT of fhat C / C_psi.  The
 p = 2 norm of a signal (signal_coorbit_norm) and the reconstruction of a
 signal (reconstruct) are computed that way, with two FFTs at most and no
-M x N x N coefficient slab.  C is summed once per class, which enters with
-the sum of the Haar weights of its rows, in class order at every frequency,
+M x N x N coefficient slab.  C is summed in row order at every frequency,
 so the sum does not depend on how the kernel blocks or chunks its work.
 `calderon_constant` takes the same sum at the 16 orbit samples of the family,
-from one dense psihat evaluation over all (class, sample) pairs.
+from one dense psihat evaluation over all (row, sample) pairs.
 `analyze`, `coorbit_norm` and `invert` remain the coefficient-domain path on
 a slab, and the tests use them as the reference for the multiplier and for
 the streamed reductions.
@@ -260,33 +256,23 @@ def _root_det(mats):
     return np.sqrt(np.abs(mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]))
 
 
-def _classes(spec, sampling):
-    """(psi, mats, inverse): the spec's wavelet and its classes of sampled rows.
-
-    Rows that differ only in the chart columns `psi.ignored_columns` share a
-    class modulo K_psi; mats[k] is the element of the lowest row of class k and inverse[i]
-    the class of row i.
-    """
-    psi = default_wavelet(spec)
-    key = np.delete(sampling.points, psi.ignored_columns, axis=1)
-    _, first, inverse = np.unique(key, axis=0, return_index=True,
-                                  return_inverse=True)
-    return psi, element_from_chart(spec, sampling.points[first]), inverse.reshape(-1)
+def _elements(spec, sampling):
+    """(psi, mats): the spec's wavelet and the elements of the sampled rows."""
+    return default_wavelet(spec), element_from_chart(spec, sampling.points)
 
 
 def calderon_multiplier(spec, sampling, n, length):
     """C(xi) = sum_h haar_w(h) |psihat(h^T xi)|^2 on the n x n signal lattice.
 
-    The sum runs over the classes of the sampled chart modulo K_psi, in class
-    order at every frequency, and skips the frequencies where the support of
-    psihat(h^T .) cannot reach; the result is laid out as `freq_grids(n, length)`.
+    The sum runs over the sampled rows in order at every frequency, and skips
+    the frequencies where the support of psihat(h^T .) cannot reach; the
+    result is laid out as `freq_grids(n, length)`.
     """
-    psi, mats, inverse = _classes(spec, sampling)
-    haar_w = np.bincount(inverse, sampling.haar_w)
+    psi, mats = _elements(spec, sampling)
     axis = freq_axis(n, length)
     total = np.zeros(n * n)
     for cls, idx, vals in _psihat(psi, mats, axis, axis):
-        np.add.at(total, idx, haar_w[cls] * np.square(vals))
+        np.add.at(total, idx, sampling.haar_w[cls] * np.square(vals))
     return total.reshape(n, n)
 
 
@@ -378,14 +364,12 @@ def _signal_stats(signals, spec, sampling, p):
     """(M, S) per-plane sums of |W_s|^p (L/N)^2 and maxima of |W_s|.
 
     The planes of the same-grid signals are reduced as they are computed, one
-    class at a time, and each row takes the values of its class, so no
-    M x N x N slab is held.
+    row at a time, so no M x N x N slab is held.
     """
     n, length = _grid(signals)
-    psi, mats, inverse = _classes(spec, sampling)
-    sums, peaks = _plane_stats(_planes(signals, mats, psi),
-                               (len(mats), len(signals)), p, (length / n) ** 2)
-    return sums[inverse], peaks[inverse]
+    psi, mats = _elements(spec, sampling)
+    return _plane_stats(_planes(signals, mats, psi),
+                        (len(mats), len(signals)), p, (length / n) ** 2)
 
 
 def _signal_norms(signals, spec, sampling, p):
@@ -435,11 +419,11 @@ def reconstruct(f, spec, sampling, c_psi):
 def analyze(f, spec, sampling):
     """Continuous wavelet transform of a grid signal over the sampled chart."""
     n, length = _grid([f])
-    psi, mats, inverse = _classes(spec, sampling)
+    psi, mats = _elements(spec, sampling)
     planes = np.zeros((len(sampling), n, n), dtype=complex)
     for k, w in enumerate(_planes([f], mats, psi)):
         if w is not None:
-            planes[inverse == k] = w[0]
+            planes[k] = w[0]
     return CoeffSlab(planes, sampling, n, length)
 
 
@@ -505,20 +489,19 @@ def default_orbit_samples(spec):
 def calderon_constant(spec, sampling):
     """Admissibility integral C(xi) = sum_h haar_w |psihat(h^T xi)|^2 per orbit sample.
 
-    psihat(h^T xi) is rounded as in `_psihat` and summed in class order, as in
+    psihat(h^T xi) is rounded as in `_psihat` and summed in row order, as in
     `calderon_multiplier`.  Returns the mean over `default_orbit_samples` and
     the largest relative deviation from it; for an admissible pair the
     deviation vanishes as the sampling refines.
     """
-    psi, mats, inverse = _classes(spec, sampling)
-    haar_w = np.bincount(inverse, sampling.haar_w)
+    psi, mats = _elements(spec, sampling)
     xi1, xi2 = np.array(default_orbit_samples(spec)).T
     eta1 = mats[:, 0, 0, None] * xi1
     eta1 += mats[:, 1, 0, None] * xi2
     eta2 = mats[:, 0, 1, None] * xi1
     eta2 += mats[:, 1, 1, None] * xi2
     vals = psi.evaluate(eta1, eta2)
-    values = np.cumsum(haar_w[:, None] * np.square(vals), axis=0)[-1]
+    values = np.cumsum(sampling.haar_w[:, None] * np.square(vals), axis=0)[-1]
     mean = float(values.mean())
     if not mean > 0.0:
         raise OrbitSampleError("admissibility integral vanished on all samples")
@@ -530,27 +513,24 @@ def invert(slab, spec, c_psi):
     """Reconstruction from a coefficient slab via the inversion formula.
 
     Accumulates g_w(h) * FT(W(., h)) * |det h|^(1/2) * psihat(h^T xi) over
-    the sampling of the slab in the DFT domain, class by class and within a
-    class in index order, and applies a single inverse transform, scaled by
-    1/C_psi.  Every plane takes its own FFT, since a slab may have been
-    edited, except the planes of a class whose support pieces reach no
-    lattice point, which add exactly 0; psihat is evaluated once per class.
+    the sampling of the slab in the DFT domain, in index order, and applies a
+    single inverse transform, scaled by 1/C_psi.  Every plane takes its own
+    FFT, since a slab may have been edited, except the planes of a row whose
+    support pieces reach no lattice point, which add exactly 0.
     """
     if not (c_psi > 0):
         raise ValueError("C_psi must be positive")
     n, length, sampling = slab.N, slab.L, slab.sampling
     acc = np.zeros((n, n), dtype=complex)
-    psi, mats, inverse = _classes(spec, sampling)
+    psi, mats = _elements(spec, sampling)
     root_det = _root_det(mats)
     # spectrum_from_signal's factor: a plane holds coefficients, not a signal
     dx = length / n
     fold = (dx * dx) * _phase_grid(n)
     for k, vals in enumerate(_class_values(psi, mats, n, length)):
-        if vals is None:
-            continue
-        for i in np.flatnonzero(inverse == k):
-            what = fold * np.fft.fft2(slab.planes[i])
-            acc += (sampling.g_w[i] * root_det[k]) * what * vals
+        if vals is not None:
+            what = fold * np.fft.fft2(slab.planes[k])
+            acc += (sampling.g_w[k] * root_det[k]) * what * vals
     data = signal_from_spectrum(acc / c_psi, n, length)
     return GridSignal(n, length, data)
 

@@ -50,27 +50,12 @@ def bump(t):
 _SLACK = 1e-6
 _LO, _HI = 0.5 * (1.0 - _SLACK), 2.0 * (1.0 + _SLACK)
 
-# per family: the chart columns (see coorbit2d.groups) the profile ignores
-_IGNORED_COLUMNS = {SIMILITUDE: (1,), DIAGONAL: (2, 3), SHEARLET: (0,)}
-
 
 @dataclass(frozen=True, eq=False)
 class WaveletSpec:
     """Closed-form frequency profile of a group spec's family and conjugator."""
 
     spec: GroupSpec
-
-    @property
-    def ignored_columns(self):
-        """Chart columns of its spec on which psihat(h^T xi) does not depend.
-
-        For h = B m B^-1 with the spec's conjugator B, psihat(h^T xi) is the
-        profile at m^T B^T xi: the similitude profile is radial (theta drops
-        out), the diagonal profile is even in each coordinate (the signs drop
-        out), and the shearlet profile sees eps only through |eta1| and
-        eta2 / eta1.  |det h| ignores the same columns.
-        """
-        return _IGNORED_COLUMNS[self.spec.family.kind]
 
     def evaluate(self, xi1, xi2):
         """psi-hat at arbitrary frequencies (broadcastable arrays or scalars)."""

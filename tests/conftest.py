@@ -107,3 +107,20 @@ def covariance_residual(f, y, g_chart, h_chart, spec):
         rhs = (a * what.ravel()) @ b.T
     scale = float(np.max(np.abs(lhs)))
     return 0.0 if scale == 0.0 else float(np.max(np.abs(lhs - rhs)) / scale)
+
+
+def stabilizer_residual(f, spec, h_chart, hk_chart):
+    """Residual of W f(., h k) = W f(., h) for k in the stabilizer K_psi.
+
+    h_chart is a chart row and hk_chart the row of h k: theta + phi for a
+    rotation k (similitude), the signs multiplied for a sign element
+    (diagonal), eps negated for k = -I (shearlet).  Both rows are analyzed in
+    one two-row sampling.  Returns max |W(., h k) - W(., h)| relative to the
+    larger plane's maximum, and exactly 0.0 when the planes are
+    np.array_equal; a zero plane at h, where the identity says nothing, fails.
+    """
+    planes = analyze(f, spec, build_sampling(spec, [h_chart, hk_chart], [1.0, 1.0])).planes
+    assert np.any(planes[0]), "W f(., h) is 0: choose f and h that overlap"
+    if np.array_equal(planes[0], planes[1]):
+        return 0.0
+    return float(np.max(np.abs(planes[1] - planes[0])) / np.max(np.abs(planes)))

@@ -186,7 +186,7 @@ def isometry_results():
     configs = {
         "similitude": dict(
             spec=GroupSpec(similitude()),
-            sampling=lambda s: similitude_sampling(s, (-2.0, 2.0), 32, 32),
+            sampling=lambda s: similitude_sampling(s, (-2.0, 2.0), 32),
             center=(1.0, 0.4), sigma=0.12,
         ),
         "diagonal": dict(
@@ -251,7 +251,7 @@ def test_criterion_5_inversion(isometry_results):
 def test_criterion_6_calderon_constancy():
     fine = {
         "similitude": (GroupSpec(similitude()),
-                       lambda s: similitude_sampling(s, (-2.0, 2.0), 64, 64)),
+                       lambda s: similitude_sampling(s, (-2.0, 2.0), 64)),
         "diagonal": (GroupSpec(diagonal()),
                      lambda s: diagonal_sampling(s, (-2.0, 2.0), 32)),
         "shearlet(c=1)": (GroupSpec(shearlet(1.0)),
@@ -266,7 +266,7 @@ def test_criterion_6_calderon_constancy():
         ok = ok and cal.max_rel_deviation <= 1e-2
     # negative control: truncated scale range varies with the sample radius
     spec = GroupSpec(similitude())
-    trunc = similitude_sampling(spec, (-0.3, 0.3), 8, 16)
+    trunc = similitude_sampling(spec, (-0.3, 0.3), 8)
     cal = calderon_constant(spec, trunc)
     details.append(f"truncated control dev={cal.max_rel_deviation:.2f}")
     ok = ok and cal.max_rel_deviation > 0.5

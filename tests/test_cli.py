@@ -246,6 +246,11 @@ class TestExitCodes:
         "norm {similitude} {signal} --lam-min 2 --lam-max -2",
         "gen-signal freq_bump {out} --center a,b",
         "gen-signal freq_bump {out} --N 100",
+        # above 2^31, the largest power of two of the u32 .sig header
+        "gen-signal freq_bump {out} --N 4294967296",
+        "compare {similitude} {similitude} --N 4294967296",
+        pytest.param(f"gen-signal freq_bump {{out}} --N {2 ** 1100}",
+                     id="gen-signal freq_bump {out} --N 2**1100"),
         "gen-signal freq_bump {out} --sigma -1",
         "covariance {similitude}",
         # --n-samples is no longer a flag of calderon: refused as unknown
@@ -273,7 +278,8 @@ class TestExitCodes:
             paths[name] = str(tmp_path / f"{name}.json")
             write_group_spec(paths[name], GroupSpec(family))
         assert main(command.format(**paths).split()) == 1
-        assert capsys.readouterr().err.startswith("usage error:")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("kind", ["freq_bump", "wave_packet"])
     @pytest.mark.parametrize("amplitude", ["1e308", "1e200"])
@@ -431,6 +437,21 @@ class TestSignalRule:
         assert err.count("\n") == 1
         assert record == []
 
+    def test_large_samples_on_a_fine_lattice_are_accepted(self, capsys, tmp_path,
+                                                          diag_path):
+        # |f| ~ (N/L)^2 ~ 1e244 overflows sum |f|^2, but ||f|| ~ 1e120 and its
+        # square are in range
+        signal = tmp_path / "x.sig"
+        code, rep = run_cli(capsys, "gen-signal", "freq_bump", str(signal),
+                            "--L", "1e-120", "--center", "0,0")
+        assert code == 0
+        assert rep["values"]["l2_norm"] == pytest.approx(1e120, rel=1e-12)
+        for command, *flags in (["norm", "--p", "2"], ["norm", "--p", "1"],
+                                ["norm", "--p", "inf"], ["invert"], ["analyze"]):
+            code = main([command, diag_path, str(signal), *flags])
+            assert code in (0, 4)
+            assert capsys.readouterr().err.count("\n") <= 1
+
     @pytest.mark.parametrize("sigma", ["1e-300", "1e200"])
     @pytest.mark.parametrize("kind", ["freq_bump", "wave_packet"])
     def test_sigma_whose_square_is_out_of_range_is_usage_error(self, capsys,
@@ -527,22 +548,23 @@ class TestPipeline:
 
         code, rep = run_cli(
             capsys, "analyze", str(gpath), str(spath),
-            "--n-scale", "12", "--n-angle", "12", "--energies",
+            "--n-scale", "12", "--energies",
         )
         assert code == 0
-        assert rep["values"]["planes"] == 144
-        assert len(rep["values"]["plane_energies"]) == 144
+        # one plane per class of H/K_psi: one per log-scale
+        assert rep["values"]["planes"] == 12
+        assert len(rep["values"]["plane_energies"]) == 12
 
         code, rep = run_cli(
             capsys, "norm", str(gpath), str(spath),
-            "--p", "2", "--n-scale", "12", "--n-angle", "12",
+            "--p", "2", "--n-scale", "12",
         )
         assert code == 0 and rep["values"]["coorbit_norm"] > 0
 
         rec_path = tmp_path / "rec.sig"
         code, rep = run_cli(
             capsys, "invert", str(gpath), str(spath),
-            "--n-scale", "16", "--n-angle", "16",
+            "--n-scale", "16",
             "--out-signal", str(rec_path), "--max-error", "0.05",
         )
         assert code == 0
@@ -553,7 +575,7 @@ class TestPipeline:
         gpath = tmp_path / "sim.json"
         write_group_spec(gpath, GroupSpec(similitude()))
         code, rep = run_cli(
-            capsys, "calderon", str(gpath), "--n-scale", "32", "--n-angle", "16",
+            capsys, "calderon", str(gpath), "--n-scale", "32",
             "--max-deviation", "0.01",
         )
         assert code == 0
@@ -566,7 +588,7 @@ class TestPipeline:
         code, _ = run_cli(
             capsys, "calderon", str(gpath),
             "--lam-min", "-0.3", "--lam-max", "0.3",
-            "--n-scale", "8", "--n-angle", "8", "--max-deviation", "0.5",
+            "--n-scale", "8", "--max-deviation", "0.5",
         )
         assert code == 4
 
@@ -591,8 +613,8 @@ class TestPipeline:
 # small samplings in CLI flag form and as library calls, one per family
 MULTIPLIER_CASES = {
     "similitude": (GroupSpec(similitude(), rotation(0.4)),
-                   ["--n-scale", "8", "--n-angle", "8"],
-                   lambda s: similitude_sampling(s, (-2.0, 2.0), 8, 8)),
+                   ["--n-scale", "8"],
+                   lambda s: similitude_sampling(s, (-2.0, 2.0), 8)),
     "diagonal": (GroupSpec(diagonal(), rotation(0.3)),
                  ["--n-scale", "6"],
                  lambda s: diagonal_sampling(s, (-2.0, 2.0), 6)),

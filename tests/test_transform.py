@@ -46,7 +46,7 @@ from coorbit2d.sampling import (
 )
 from coorbit2d.signals import freq_axis, ifft2_rows
 from coorbit2d.wavelets import WaveletSpec
-from conftest import chart_quotient, covariance_residual
+from conftest import chart_quotient, covariance_residual, stabilizer_residual
 
 
 def _wavelet_atom(n, length, spec):
@@ -72,7 +72,7 @@ class TestAnalyze:
         spec, sampling, f, _ = sim_setup
         with pytest.warns(CoverageWarning, match="frequency bump"):
             zero = freq_bump(32, 16.0, center=(1.0, 0.0), sigma=0.2, amplitude=0.0)
-        small = similitude_sampling(spec, n_lam=4, n_theta=4)
+        small = similitude_sampling(spec, n_lam=4)
         slab = analyze(zero.signal, spec, small)
         assert np.all(slab.planes == 0.0)
 
@@ -153,7 +153,7 @@ class TestCoorbitNorm:
         # every transform path starts by stacking the sampled elements
         monkeypatch.setattr(transform, "element_from_chart", no_work)
         spec = GroupSpec(similitude())
-        sampling = similitude_sampling(spec, n_lam=4, n_theta=4)
+        sampling = similitude_sampling(spec, n_lam=4)
         with pytest.warns(CoverageWarning, match="frequency bump"):
             f = freq_bump(32, 16.0, center=(1.0, 0.0), sigma=0.2)
         with pytest.raises(ValueError, match="exponent"):
@@ -169,7 +169,7 @@ class TestCalderon:
 
         spec = GroupSpec(similitude())
         psi = default_wavelet(spec)
-        sampling = similitude_sampling(spec, n_lam=128, n_theta=16)
+        sampling = similitude_sampling(spec, n_lam=128)
         cal = calderon_constant(spec, sampling)
         oracle = 2 * np.pi * quad(
             lambda t: psi.evaluate(t, 0.0) ** 2 / t, 0.5, 2.0
@@ -179,14 +179,13 @@ class TestCalderon:
 
     def test_truncated_range_negative_control(self):
         spec = GroupSpec(similitude())
-        sampling = similitude_sampling(spec, lam_range=(-0.3, 0.3), n_lam=8,
-                                       n_theta=16)
+        sampling = similitude_sampling(spec, lam_range=(-0.3, 0.3), n_lam=8)
         cal = calderon_constant(spec, sampling)
         assert cal.max_rel_deviation > 0.5
 
     def test_nan_integral_rejected(self, monkeypatch):
         spec = GroupSpec(similitude())
-        sampling = similitude_sampling(spec, n_lam=4, n_theta=4)
+        sampling = similitude_sampling(spec, n_lam=4)
         for value in (np.nan, 0.0):
             monkeypatch.setattr(WaveletSpec, "evaluate",
                                 lambda self, eta1, eta2: np.full(np.shape(eta1), value))
@@ -195,7 +194,7 @@ class TestCalderon:
 
     def test_unpacks_as_pair(self):
         spec = GroupSpec(similitude())
-        sampling = similitude_sampling(spec, n_lam=8, n_theta=8)
+        sampling = similitude_sampling(spec, n_lam=8)
         mean, dev = calderon_constant(spec, sampling)
         assert mean > 0 and dev >= 0
 
@@ -223,8 +222,7 @@ class TestInvert:
 
     def test_uncovered_band_error_localizes(self):
         spec = GroupSpec(similitude())
-        sampling = similitude_sampling(spec, lam_range=(-1.0, 1.0), n_lam=16,
-                                       n_theta=16)
+        sampling = similitude_sampling(spec, lam_range=(-1.0, 1.0), n_lam=16)
         n, length = 128, 16.0
 
         def two_bump_spectrum(xi1, xi2):
@@ -263,8 +261,8 @@ class TestRefinement:
         spec = GroupSpec(similitude())
         f = freq_bump(64, 16.0, center=(1.0, 0.4), sigma=0.12)
         norms = {}
-        for refine, n_lam, n_th in (("base", 16, 16), ("fine", 32, 32)):
-            sampling = similitude_sampling(spec, n_lam=n_lam, n_theta=n_th)
+        for refine, n_lam in (("base", 16), ("fine", 32)):
+            sampling = similitude_sampling(spec, n_lam=n_lam)
             slab = analyze(f.signal, spec, sampling)
             norms[refine] = coorbit_norm(slab, 2)
         assert abs(norms["fine"] - norms["base"]) / norms["base"] <= 1e-2
@@ -351,7 +349,7 @@ class TestNormRatioProfile:
         with pytest.warns(CoverageWarning, match="frequency bump"):
             zero = freq_bump(32, 16.0, center=(1.0, 0.0), sigma=0.15,
                              amplitude=0.0)
-        sampling = similitude_sampling(spec, n_lam=8, n_theta=8)
+        sampling = similitude_sampling(spec, n_lam=8)
         table = norm_ratio_profile(spec, spec, 2.0, [zero], sampling, sampling)
         assert table.rows[0].degenerate
         assert table.rows[0].ratio is None
@@ -403,24 +401,27 @@ class TestSamplingArrays:
         return [lo + (i + 0.5) * step for i in range(n)]
 
     def test_default_rows_in_nested_loop_order(self):
+        # one row per class of H/K_psi, at theta = 0, signs (+1, +1) or
+        # eps = +1; the cell volume holds the measure of K_psi: 2 pi, 4 or 2
         lams = self._midpoints(-2.0, 2.0, 32)
-        thetas = [i * (2.0 * np.pi / 32) for i in range(32)]
-        expected = [(lam, th) for lam in lams for th in thetas]
-        assert np.array_equal(default_sampling(GroupSpec(similitude())).points, expected)
+        sampling = default_sampling(GroupSpec(similitude()))
+        assert np.array_equal(sampling.points, [(lam, 0.0) for lam in lams])
+        assert np.all(sampling.volumes == 0.125 * (2.0 * np.pi))
 
         lams = self._midpoints(-2.0, 2.0, 16)
-        expected = [(l1, l2, e1, e2)
-                    for e1, e2 in [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-                    for l1 in lams for l2 in lams]
-        assert np.array_equal(default_sampling(GroupSpec(diagonal())).points, expected)
+        sampling = default_sampling(GroupSpec(diagonal()))
+        assert np.array_equal(sampling.points,
+                              [(l1, l2, 1, 1) for l1 in lams for l2 in lams])
+        assert np.all(sampling.volumes == 0.25 * 0.25 * 4)
 
         shears = self._midpoints(-5.0, 5.0, 48)
-        expected = [(eps, lam, b) for eps in (1, -1) for lam in lams for b in shears]
-        assert np.array_equal(default_sampling(GroupSpec(shearlet(0.5))).points,
-                              expected)
+        sampling = default_sampling(GroupSpec(shearlet(0.5)))
+        assert np.array_equal(sampling.points,
+                              [(1, lam, b) for lam in lams for b in shears])
+        assert np.all(sampling.volumes == 0.25 * (10.0 / 48) * 2)
 
     def test_points_and_weights_are_read_only(self):
-        sampling = similitude_sampling(GroupSpec(similitude()), n_lam=2, n_theta=2)
+        sampling = similitude_sampling(GroupSpec(similitude()), n_lam=4)
         assert sampling.points.shape == (4, 2)
         with pytest.raises(ValueError):
             sampling.points[0, 0] = 1.0
@@ -460,7 +461,7 @@ class TestSamplingArrays:
                 default_sampling(GroupSpec(shearlet(c)))
 
     @pytest.mark.parametrize("kwargs", [
-        {"n_lam": 0}, {"n_lam": -3}, {"n_lam": 2.5}, {"n_theta": 0},
+        {"n_lam": 0}, {"n_lam": -3}, {"n_lam": 2.5}, {"n_lam": 3.0},
         {"lam_range": (1.0, 1.0)}, {"lam_range": (2.0, -2.0)},
         {"lam_range": (np.nan, 2.0)}, {"lam_range": (-2.0, np.inf)},
     ])
@@ -491,7 +492,7 @@ ROUNDOFF = 1e-13
 
 SMALL_CASES = {
     "similitude": (GroupSpec(similitude(), rotation(0.4) @ np.diag([1.3, 0.8])),
-                   lambda s: similitude_sampling(s, n_lam=8, n_theta=8)),
+                   lambda s: similitude_sampling(s, n_lam=8)),
     "diagonal": (GroupSpec(diagonal(), rotation(0.3) @ np.diag([1.0, 1.5])),
                  lambda s: diagonal_sampling(s, n_lam=6)),
     "shearlet": (GroupSpec(shearlet(0.7), rotation(-0.5)),
@@ -591,7 +592,7 @@ class TestCalderonMultiplier:
 # streamed coefficient-domain reductions: bit for bit against the slab path
 
 STREAM_SAMPLINGS = {
-    "similitude": lambda s, lam: similitude_sampling(s, lam, 8, 8),
+    "similitude": lambda s, lam: similitude_sampling(s, lam, 8),
     "diagonal": lambda s, lam: diagonal_sampling(s, lam, 6),
     "shearlet": lambda s, lam: shearlet_sampling(s, lam, 6, (-5.0, 5.0), 8),
 }
@@ -661,18 +662,15 @@ class TestStreamedReduction:
         _, spec, sampling, f, slab = stream_case
         calls = _count_inverse_ffts(monkeypatch)
         signal_coorbit_norm(f, spec, sampling, 1)
-        # one FFT per class of H/K_psi with a nonzero plane: the slab holds
-        # each class's plane in all of its rows
-        planes = slab.planes.reshape(len(slab), -1)
-        distinct = len(np.unique(planes[np.any(planes, axis=1)], axis=0))
-        assert distinct < _nonzero_planes(slab)
-        assert len(calls) == distinct
+        # one FFT per nonzero plane, and none for a zero plane
+        nonzero = _nonzero_planes(slab)
+        assert len(calls) == nonzero
         calls.clear()
         assert np.array_equal(analyze(f, spec, sampling).planes, slab.planes)
-        assert len(calls) == distinct
+        assert len(calls) == nonzero
         calls.clear()
         transform._signal_stats([f, f], spec, sampling, 1)
-        assert len(calls) == 2 * distinct
+        assert len(calls) == 2 * nonzero
 
     def test_sampling_off_the_lattice_gives_zero(self, stream_case, monkeypatch):
         family, spec, _, f, _ = stream_case
@@ -733,53 +731,63 @@ class TestBatchedProfile:
 
 
 # ---------------------------------------------------------------------------
-# the transform factored through the stabilizer K_psi of the wavelet profile
+# the stabilizer K_psi of the wavelet profile: W f(., h k) = W f(., h), so the
+# default samplings list one row per class of H/K_psi
 
-# default samplings: (classes, rows) for the similitude (key lam), diagonal
-# (key lam1, lam2) and shearlet (key lam, b) charts
-CLASS_COUNTS = {"similitude": (32, 1024), "diagonal": (256, 1024),
-                "shearlet": (768, 1536)}
+# id: (family, chart row h, chart row h k for some k in K_psi, whether the
+# element of h k is exactly -h under every conjugator: k = -I)
+STABILIZER_CASES = {
+    "similitude-rotation-0.7": ("similitude", (0.3, 0.5), (0.3, 1.2), False),
+    "similitude-rotation-pi/2": ("similitude", (0.3, 0.5), (0.3, 0.5 + np.pi / 2), False),
+    "similitude-rotation-pi": ("similitude", (0.3, 0.5), (0.3, 0.5 + np.pi), False),
+    "diagonal-minus-I": ("diagonal", (0.2, -0.2, 1, -1), (0.2, -0.2, -1, 1), True),
+    "diagonal-flip-1": ("diagonal", (0.2, -0.2, 1, -1), (0.2, -0.2, -1, -1), False),
+    "diagonal-flip-2": ("diagonal", (0.2, -0.2, 1, -1), (0.2, -0.2, 1, 1), False),
+    "shearlet-minus-I": ("shearlet", (1, 0.2, -0.5), (-1, 0.2, -0.5), True),
+    "shearlet-minus-I-back": ("shearlet", (-1, -0.3, -1.0), (1, -0.3, -1.0), True),
+}
 
 
-def _element_factor(spec, point, xi1, xi2):
-    """Reference |det h|^(1/2) psihat(h^T xi) at one chart point."""
-    h = element_from_chart(spec, point)
-    return np.sqrt(abs(np.linalg.det(h))) * default_wavelet(spec).evaluate(
-        h[0, 0] * xi1 + h[1, 0] * xi2, h[0, 1] * xi1 + h[1, 1] * xi2)
+def _moved_by_stabilizer(family, points):
+    """The rows h k of chart rows h for one k in K_psi other than I."""
+    points = np.array(points, dtype=float)
+    if family == "similitude":
+        points[:, 1] += 2.0
+    else:  # flip eps, or the first sign of a diagonal row
+        points[:, 0 if family == "shearlet" else 2] *= -1.0
+    return points
 
 
 class TestStabilizerQuotient:
-    @pytest.mark.parametrize("family", sorted(CLASS_COUNTS))
-    def test_planes_equal_their_class_representative(self, family):
+    @pytest.mark.parametrize("writing", ["standard", "conjugated"])
+    @pytest.mark.parametrize("case", sorted(STABILIZER_CASES))
+    def test_stabilizer_leaves_the_plane_unchanged(self, case, writing):
+        family, h, hk, minus_identity = STABILIZER_CASES[case]
         spec = SMALL_CASES[family][0]
-        sampling = default_sampling(spec)
-        psi, mats, inverse = transform._classes(spec, sampling)
-        assert (len(mats), len(sampling)) == CLASS_COUNTS[family]
-        # mats holds the element of the lowest row of each class, and the rows
-        # of a class agree off the columns the profile ignores
-        classes, first = np.unique(inverse, return_index=True)
-        assert np.array_equal(classes, np.arange(len(mats)))
-        assert np.array_equal(mats, element_from_chart(spec, sampling.points[first]))
-        key = np.delete(sampling.points, psi.ignored_columns, axis=1)
-        assert np.array_equal(key[first][inverse], key)
-        xi1, xi2 = freq_grids(64, 16.0)
-        reps = [_element_factor(spec, sampling.points[i], xi1, xi2) for i in first]
-        # relative to the largest plane, as in test_planes_in_sampling_order:
-        # planes that hold only the far tail of the bump carry no digits of
-        # their own
-        scale = max(np.max(np.abs(r)) for r in reps)
-        assert scale > 0.0
-        for point, k in zip(sampling.points, inverse):
-            plane = _element_factor(spec, point, xi1, xi2)
-            assert np.max(np.abs(plane - reps[k])) <= ROUNDOFF * scale
+        if writing == "standard":
+            spec = GroupSpec(spec.family)
+        center = np.linalg.inv(spec.conjugator).T @ np.array([1.0, 0.8])
+        f = freq_bump(64, 16.0, center=center, sigma=0.15).signal
+        res = stabilizer_residual(f, spec, h, hk)
+        # k = -I only flips signs, and so does a sign element of the standard
+        # diagonal group, whose elements are diagonal: both planes are equal
+        if minus_identity or (family == "diagonal" and writing == "standard"):
+            assert res == 0.0
+        else:
+            assert res <= ROUNDOFF
 
     @pytest.mark.parametrize("family", sorted(SMALL_CASES))
     def test_planes_and_inversion_equal_per_row(self, family):
+        # a caller-built sampling that lists each class twice, h and h k:
+        # every row takes its own plane, and at half the volume the norms and
+        # the multiplier equal those of one row per class
         spec, make_sampling = SMALL_CASES[family]
-        sampling = make_sampling(spec)
+        base = make_sampling(spec)
+        sampling = build_sampling(
+            spec, np.vstack([base.points, _moved_by_stabilizer(family, base.points)]),
+            np.tile(base.volumes / 2, 2))
         f = GridSignal(32, 8.0, np.random.default_rng(6).normal(size=(32, 32)))
-        psi, mats, _ = transform._classes(spec, sampling)
-        assert len(mats) < len(sampling)
+        psi = default_wavelet(spec)
         # the per-element path: psihat over the whole lattice at every row's
         # element, in index order
         slab = analyze(f, spec, sampling)
@@ -794,8 +802,9 @@ class TestStabilizerQuotient:
             planes[i] = signal_from_spectrum(fhat * (root * np.conj(vals)), f.N, f.L)
             what = spectrum_from_signal(GridSignal(f.N, f.L, slab.planes[i]))
             acc = acc + (sampling.g_w[i] * root) * what * vals
-        # relative to the largest plane, as in
-        # test_planes_equal_their_class_representative
+        # relative to the largest plane, as in test_planes_in_sampling_order:
+        # planes that hold only the far tail of the bump carry no digits of
+        # their own
         scale = np.max(np.abs(planes))
         assert scale > 0.0
         assert np.max(np.abs(slab.planes - planes)) <= ROUNDOFF * scale
@@ -805,13 +814,16 @@ class TestStabilizerQuotient:
         sums, _ = transform._signal_stats([f], spec, sampling, 2)
         assert np.array_equal(sums[:, 0], slab.plane_energies())
         for p in (0.5, 1, 3, np.inf):
-            assert signal_coorbit_norm(f, spec, sampling, p) == coorbit_norm(slab, p)
+            value = signal_coorbit_norm(f, spec, sampling, p)
+            assert value == coorbit_norm(slab, p)
+            assert value == pytest.approx(signal_coorbit_norm(f, spec, base, p),
+                                          rel=ROUNDOFF)
+        assert _rel(calderon_multiplier(spec, sampling, f.N, f.L),
+                    calderon_multiplier(spec, base, f.N, f.L)) <= ROUNDOFF
 
     @pytest.mark.parametrize("p", EXPONENTS)
     def test_norms_and_profile_rows_equal_slab_norms(self, stream_case, p):
         _, spec, sampling, f, slab = stream_case
-        _, mats, _ = transform._classes(spec, sampling)
-        assert len(mats) < len(sampling)
         signals = [_wavelet_atom(f.N, f.L, spec),
                    freq_bump(f.N, f.L, center=(0.9, 0.3), sigma=0.2)]
         other = GroupSpec(spec.family, rotation(0.7) @ spec.conjugator)
@@ -879,7 +891,7 @@ class TestSparseKernel:
     def test_values_equal_dense_evaluation(self, family, case):
         conjugator, n, length = KERNEL_CASES[case]
         spec = GroupSpec(KERNEL_FAMILIES[family], conjugator)
-        psi, mats, _ = transform._classes(spec, default_sampling(spec))
+        psi, mats = transform._elements(spec, default_sampling(spec))
         axis = freq_axis(n, length)
         count, nonzero = _assert_kernel_is_dense(psi, mats, axis, axis)
         assert nonzero
@@ -897,12 +909,11 @@ class TestSparseKernel:
             family, scaled = case.split("-", 1)
             spec = GroupSpec(KERNEL_FAMILIES[family], KERNEL_CASES[scaled][0])
             sampling = default_sampling(spec)
-        # per class: haar_w times a dense psihat(h^T xi)^2, added in class order
-        psi, mats, inverse = transform._classes(spec, sampling)
-        haar_w = np.bincount(inverse, sampling.haar_w)
+        # per row: haar_w times a dense psihat(h^T xi)^2, added in row order
+        psi, mats = transform._elements(spec, sampling)
         xi1, xi2 = np.array(default_orbit_samples(spec)).T
         ref = np.zeros(len(xi1))
-        for w, h in zip(haar_w, mats):
+        for w, h in zip(sampling.haar_w, mats):
             ref += w * np.square(_dense_psihat(psi, h, xi1, xi2))
         cal = calderon_constant(spec, sampling)
         assert np.all(ref > 0.0)
@@ -913,7 +924,7 @@ class TestSparseKernel:
     def test_any_product_grid_takes_row_intervals(self, family):
         # unsorted, unevenly spaced rows and columns, and an empty grid
         spec, make_sampling = SMALL_CASES[family]
-        psi, mats, _ = transform._classes(spec, make_sampling(spec))
+        psi, mats = transform._elements(spec, make_sampling(spec))
         rng = np.random.default_rng(3)
         rows, cols = rng.normal(scale=1.5, size=40), rng.normal(scale=1.5, size=50)
         count, nonzero = _assert_kernel_is_dense(psi, mats, rows, cols)
@@ -923,7 +934,7 @@ class TestSparseKernel:
     def test_overlapping_margins_count_each_point_once(self, small_case, monkeypatch):
         # margins this wide make every piece reach the whole of every row
         spec, sampling, f, slab, c = small_case
-        psi, mats, _ = transform._classes(spec, sampling)
+        psi, mats = transform._elements(spec, sampling)
         axis = freq_axis(f.N, f.L)
         monkeypatch.setattr(transform, "_ROUNDING", 1.0)
         count, _ = _assert_kernel_is_dense(psi, mats, axis, axis)
@@ -945,7 +956,7 @@ class TestSparseKernel:
         # CI's shearlet spec at N = 128: 195 of its 768 class planes are 0
         spec = GroupSpec(shearlet(0.7), rotation(-0.5))
         sampling = default_sampling(spec)
-        psi, mats, _ = transform._classes(spec, sampling)
+        psi, mats = transform._elements(spec, sampling)
         xi1, xi2 = freq_grids(128, 16.0)
         zero = [k for k, h in enumerate(mats) if not np.any(_dense_psihat(psi, h, xi1, xi2))]
         assert (len(zero), len(mats)) == (195, 768)
@@ -976,7 +987,7 @@ class TestSparseKernel:
 
 
 def test_streamed_norm_holds_no_slab():
-    # the M x N x N slab of this case is 1536 x 128 x 128 complex: 403 MB
+    # the M x N x N slab of this case is 768 x 128 x 128 complex: 201 MB
     spec = GroupSpec(shearlet(0.7), rotation(-0.5))
     sampling = default_sampling(spec)
     center = np.linalg.inv(spec.conjugator).T @ np.array([1.0, 0.2])
@@ -989,3 +1000,26 @@ def test_streamed_norm_holds_no_slab():
         tracemalloc.stop()
     assert value > 0.0
     assert peak < 32 * 2 ** 20
+
+
+# classes of H/K_psi on the default samplings: one per log-scale (similitude),
+# per pair of log-scales (diagonal), per log-scale and shear (shearlet)
+DEFAULT_CLASSES = {"similitude": 32, "diagonal": 16 * 16, "shearlet": 16 * 48}
+
+
+@pytest.mark.parametrize("family", sorted(DEFAULT_CLASSES))
+def test_analyze_holds_one_plane_per_class(family):
+    # the slab itself, one N x N complex plane per class, plus 2 MiB for the
+    # spectra, buffers and psihat chunks (about 1.2 MiB measured)
+    spec = SMALL_CASES[family][0]
+    sampling = default_sampling(spec)
+    center = np.linalg.inv(spec.conjugator).T @ np.array([1.0, 0.2])
+    f = freq_bump(64, 16.0, center=center, sigma=0.12).signal
+    tracemalloc.start()
+    try:
+        slab = analyze(f, spec, sampling)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(slab) == DEFAULT_CLASSES[family] and np.any(slab.planes)
+    assert peak <= DEFAULT_CLASSES[family] * 64 * 64 * 16 + 2 * 2 ** 20

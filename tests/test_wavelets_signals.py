@@ -165,6 +165,13 @@ class TestGridSignal:
             with pytest.raises(ValueError, match="energy"):
                 GridSignal(32, 8.0, bad)
 
+    def test_energy_is_scaled_before_it_is_squared(self):
+        # sum |f|^2 of 64 samples 1e200 overflows, but ||f|| = 8 * 1e200 * L/N
+        # at L/N = 1e-150 does not; samples 1e-200 underflow it to 0
+        for value, step in ((1e200, 1e-150), (1e-200, 1e150)):
+            sig = GridSignal(8, 8 * step, np.full((8, 8), value))
+            assert sig.norm_l2() == pytest.approx(8 * value * step, rel=1e-15)
+
     def test_lattice_step_window(self):
         ones = np.ones((8, 8))
         for step in STEP_RANGE:
