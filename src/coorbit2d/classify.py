@@ -8,13 +8,14 @@ and, for the two-component (shearlet) case, the anisotropy exponents agree as
 well.  Every decision below therefore reduces to arithmetic on line sets,
 which is cheap and exact up to an angle tolerance: a decision computes one
 complement per spec, compares those, and derives the canonical forms it
-reports as its certificate from the same two complements.
+reports as its certificate from the same two complements.  Complements
+come in closed form from the adjugate of ``B``: no decision inverts a matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, isfinite
+from math import atan2, frexp, hypot, isfinite, ldexp
 from typing import Optional, Tuple
 
 import numpy as np
@@ -27,11 +28,12 @@ from .groups import (
     SIMILITUDE,
     Family,
     GroupSpec,
-    as_matrix,
     as_vector,
+    checked_matrix,
     conjugate_spec,
     diagonal,
     rotation,
+    scaled_columns,
     shearlet,
     similitude,
 )
@@ -51,15 +53,6 @@ def angle_distance(a, b):
     return min(d, _PI - d)
 
 
-def line_angle(v):
-    """Angle in [0, pi) of the line spanned by a nonzero vector."""
-    v = as_vector(v, "line direction")
-    n = np.hypot(v[0], v[1])
-    if n == 0.0:
-        raise DegenerateInputError("zero vector spans no line")
-    return mod_pi(np.arctan2(v[1], v[0]))
-
-
 @dataclass(frozen=True)
 class LineSet:
     """0, 1 or 2 distinct lines through the origin, each an angle in [0, pi)."""
@@ -77,24 +70,15 @@ class LineSet:
     def __len__(self):
         return len(self.angles)
 
-    def mapped_by(self, m):
-        """Image line set under an invertible matrix acting on directions."""
-        m = as_matrix(m, "m")
-        return LineSet(tuple(line_angle(m @ _direction(a)) for a in self.angles))
-
     def equals(self, other, tol=DEFAULT_TOL):
-        if len(self.angles) != len(other.angles):
+        """Whether the lines pair up within `tol`, in order or crossed."""
+        a, b, d = self.angles, other.angles, angle_distance
+        if len(a) != len(b):
             return False
-        if len(self.angles) < 2:
-            return all(
-                angle_distance(a, b) <= tol
-                for a, b in zip(self.angles, other.angles)
-            )
-        a1, a2 = self.angles
-        b1, b2 = other.angles
-        straight = angle_distance(a1, b1) <= tol and angle_distance(a2, b2) <= tol
-        crossed = angle_distance(a1, b2) <= tol and angle_distance(a2, b1) <= tol
-        return straight or crossed
+        if len(a) < 2:
+            return not a or d(a[0], b[0]) <= tol
+        return ((d(a[0], b[0]) <= tol and d(a[1], b[1]) <= tol)
+                or (d(a[0], b[1]) <= tol and d(a[1], b[0]) <= tol))
 
     def distance_from(self, w):
         """Smallest distance of a point from the union of the lines (inf if empty)."""
@@ -104,10 +88,6 @@ class LineSet:
         return min(
             abs(-w[0] * np.sin(a) + w[1] * np.cos(a)) for a in self.angles
         )
-
-
-def _direction(angle):
-    return np.array([np.cos(angle), np.sin(angle)])
 
 
 _STD_COMPLEMENT = {
@@ -120,12 +100,19 @@ _COMPONENTS = {SIMILITUDE: 1, DIAGONAL: 4, SHEARLET: 2}
 
 
 def orbit_complement(spec):
-    """The lines missing from the open dual orbit of the represented group."""
-    std = LineSet(_STD_COMPLEMENT[spec.family.kind])
-    if spec.is_standard:
-        return std
-    b_inv_t = np.linalg.inv(spec.conjugator).T
-    return std.mapped_by(b_inv_t)
+    """The lines missing from the open dual orbit of the represented group.
+
+    B^-T moves the axes to the lines of its columns, which for B = [[p, q],
+    [r, s]] are (s, -q) and (-r, p) over det B; B = I gives the standard
+    angles exactly.
+    """
+    kind = spec.family.kind
+    if kind == SIMILITUDE:
+        return LineSet(())
+    (p, q), (r, s) = spec.conjugator.tolist()
+    if kind == SHEARLET:
+        return LineSet((atan2(p, -r),))
+    return LineSet((atan2(-q, s), atan2(p, -r)))
 
 
 def component_count(spec):
@@ -314,9 +301,9 @@ def in_orbit_symmetry(spec, a, tol=DEFAULT_TOL):
     complements are compared in that form, as `same_group` and
     `coorbit_equivalent` compare them, so the three symmetry tests round alike.
     """
-    a = as_matrix(a, "A")
     comp = orbit_complement(spec)
     if not comp.angles:
+        checked_matrix(a, "A")
         return True
     return orbit_complement(conjugate_spec(spec, a)).equals(comp, tol)
 
@@ -329,15 +316,23 @@ def same_group(spec_a, spec_b, tol=DEFAULT_TOL):
     complements coincide (and, for shearlets, c agrees within `tol`).  Two
     similitude groups agree when M = B_a^-1 B_b is a rotation- or
     reflection-scaling: the smaller of the norms of those two parts of M is
-    at most `tol` times the larger.  Neither test depends on how a conjugator
-    is written.
+    at most `tol` times the larger, a ratio no factor of M moves.  Neither
+    test depends on how a conjugator is written.
     """
     kind = spec_a.family.kind
     if kind != spec_b.family.kind:
         return False
     if kind == SIMILITUDE:
-        (m11, m12), (m21, m22) = np.linalg.solve(spec_a.conjugator,
-                                                 spec_b.conjugator).tolist()
+        # M = B_a^-1 B_b up to the factor 1/det B_a'.  With B = B' diag(2^e1,
+        # 2^e2) from `scaled_columns`, that is adj(B_a') B_b' with row i scaled
+        # by 2^-e_i and column j by 2^f_j; shifting each entry by those less
+        # the largest exponent keeps every entry in range
+        (p, q, r, s), (e1, e2) = scaled_columns(spec_a.conjugator)
+        (p2, q2, r2, s2), (f1, f2) = scaled_columns(spec_b.conjugator)
+        m = ((s * p2 - q * r2, f1 - e1), (s * q2 - q * s2, f2 - e1),
+             (p * r2 - r * p2, f1 - e2), (p * s2 - r * q2, f2 - e2))
+        top = max(frexp(x)[1] + k for x, k in m if x)
+        m11, m12, m21, m22 = (ldexp(x, k - top) for x, k in m)
         rot, ref = hypot(m11 + m22, m12 - m21), hypot(m11 - m22, m12 + m21)
         return min(rot, ref) <= tol * max(rot, ref)
     if kind == SHEARLET and abs(spec_a.family.c - spec_b.family.c) > tol:
@@ -347,11 +342,9 @@ def same_group(spec_a, spec_b, tol=DEFAULT_TOL):
 
 def in_normalizer(spec, a, tol=DEFAULT_TOL):
     """Whether A normalizes the represented group: A H A^-1 = H."""
-    a = as_matrix(a, "A")
     return same_group(spec, conjugate_spec(spec, a), tol)
 
 
 def in_coorbit_symmetry(spec, a, tol=DEFAULT_TOL):
     """Whether A H A^-1 is coorbit equivalent to H (the coorbit symmetry group)."""
-    a = as_matrix(a, "A")
     return coorbit_equivalent(conjugate_spec(spec, a), spec, tol).equivalent

@@ -4,8 +4,9 @@ Every subcommand reads its inputs from files (or generates them from flags),
 runs the requested computation once, and emits a deterministic report to
 stdout or --out.  Exit codes: 0 success, 1 usage error, 2 I/O or parse error,
 3 negative equivalence verdict, 4 numeric failure (requested tolerance
-breached, or a degenerate numeric result), 5 internal error (any other
-exception, reported as one line on stderr without a traceback).
+breached, a degenerate numeric result, or an array too large to allocate),
+5 internal error (any other exception, reported as one line on stderr
+without a traceback).
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from .classify import (
     orbit_complement,
     rep_group,
 )
-from .errors import CoorbitError, FormatError
+from .errors import CoorbitError, FormatError, SingularMatrixError
 from .groups import (
-    DEFAULT_TOL,
     DIAGONAL,
     SHEARLET,
     SIMILITUDE,
-    column_sine,
+    GroupSpec,
+    similitude,
 )
 from .io_formats import (
     emit_report,
@@ -145,11 +146,11 @@ def _parse_matrix_flag(text):
         a, b, c, d = (float(v) for v in parts)
     except ValueError:
         raise _UsageError("--matrix entries must be numbers") from None
-    m = np.array([[a, b], [c, d]])
-    # GroupSpec's conditioning rule; nan or inf entries give a nan sine and fail it
-    if not column_sine(m) > DEFAULT_TOL:
-        raise _UsageError("--matrix must be finite and not numerically singular")
-    return m
+    try:  # GroupSpec's rule for a conjugator
+        return GroupSpec(similitude(), [[a, b], [c, d]]).conjugator
+    except SingularMatrixError:
+        raise _UsageError("--matrix must be finite and not numerically singular, "
+                          "with a finite inverse") from None
 
 
 def _flag_type(convert, check, expected):
@@ -508,13 +509,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -530,6 +526,9 @@ def main(argv=None):
         return EXIT_NUMERIC
     except CoorbitError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:  # e.g. an --N whose N x N arrays do not fit
+        print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except Exception as exc:  # the last boundary: one line, never a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

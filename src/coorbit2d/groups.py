@@ -26,7 +26,7 @@ the left-invariance quadrature oracle in the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import frexp, hypot, ldexp
+from math import frexp, hypot, isfinite, ldexp
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -42,31 +42,39 @@ DEFAULT_TOL = 1e-9
 _I2 = np.eye(2)
 
 
-def column_sine(m):
-    """|sin| of the angle between the columns of a 2x2 matrix; 0 for a zero column.
-
-    Each column is first scaled by an exact power of two to a largest entry
-    in [1/2, 1), so the value does not depend on scale and cannot overflow.
-    A non-finite entry gives nan.
-    """
-    (a, b), (c, d) = np.asarray(m, dtype=float).tolist()
+def scaled_columns(m):
+    """Entries (a', b', c', d') and exponents (e1, e2) with B = [[a', b'],
+    [c', d']] diag(2^e1, 2^e2), each column scaled exactly to a largest entry
+    in [1/2, 1).  A non-finite entry stays non-finite."""
+    (a, b), (c, d) = m.tolist()
     e1, e2 = frexp(max(abs(a), abs(c)))[1], frexp(max(abs(b), abs(d)))[1]
-    a, c, b, d = ldexp(a, -e1), ldexp(c, -e1), ldexp(b, -e2), ldexp(d, -e2)
-    norms = hypot(a, c) * hypot(b, d)
-    return abs(a * d - b * c) / norms if norms else 0.0
+    return (ldexp(a, -e1), ldexp(b, -e2), ldexp(c, -e1), ldexp(d, -e2)), (e1, e2)
 
 
-def as_matrix(m, name="matrix"):
-    """Coerce to a read-only 2x2 float array, finite and with independent columns."""
+def checked_matrix(m, name):
+    """A read-only 2x2 float array, finite with independent columns; the sine
+    of the angle between its columns; and whether its inverse is finite.
+
+    With B = B' diag(2^e1, 2^e2) from `scaled_columns`, the sine
+    |det B'| / (|b1'| |b2'|) does not depend on scale and cannot overflow,
+    and inv(B) has rows 2^-e1 (d', -b') and 2^-e2 (-c', a') over det B'.
+    """
     a = np.array(m, dtype=float)
     if a.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    (p, q, r, s), (e1, e2) = scaled_columns(a)
+    if not isfinite(p + q + r + s):
         raise SingularMatrixError(f"{name} has non-finite entries")
-    if column_sine(a) == 0.0:
+    det = abs(p * s - q * r)
+    if not det:
         raise SingularMatrixError(f"{name} is singular")
+    try:  # x / det is inf for a subnormal det; ldexp raises past the float range
+        finite = (isfinite(ldexp(max(abs(q), abs(s)) / det, -e1))
+                  and isfinite(ldexp(max(abs(p), abs(r)) / det, -e2)))
+    except OverflowError:
+        finite = False
     a.flags.writeable = False
-    return a
+    return a, det / (hypot(p, r) * hypot(q, s)), finite
 
 
 def as_vector(v, name="vector"):
@@ -126,15 +134,15 @@ class GroupSpec:
     conjugator: np.ndarray = field(default_factory=lambda: _I2.copy())
 
     def __post_init__(self):
-        b = as_matrix(self.conjugator, "conjugator")
+        b, sine, inverse_finite = checked_matrix(self.conjugator, "conjugator")
         # the sine of the angle between B's columns is that between the lines
         # B^-T maps the axes to; at DEFAULT_TOL they coincide for LineSet
-        if column_sine(b) <= DEFAULT_TOL:
+        if sine <= DEFAULT_TOL:
             raise SingularMatrixError(
                 "conjugator is numerically singular: B^-T maps the axes to lines "
                 "within tolerance of each other"
             )
-        if not np.isfinite(np.linalg.inv(b)).all():
+        if not inverse_finite:
             raise SingularMatrixError("conjugator has a non-finite inverse")
         object.__setattr__(self, "conjugator", b)
 
@@ -153,8 +161,7 @@ class GroupSpec:
 
 def conjugate_spec(spec, a):
     """The spec of A H A^-1 where H is the group of `spec`."""
-    a = as_matrix(a, "A")
-    return GroupSpec(spec.family, a @ spec.conjugator)
+    return GroupSpec(spec.family, checked_matrix(a, "A")[0] @ spec.conjugator)
 
 
 # ---------------------------------------------------------------------------

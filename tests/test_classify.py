@@ -27,6 +27,7 @@ from coorbit2d import (
     similitude,
 )
 from coorbit2d.classify import angle_distance, mod_pi
+from coorbit2d.groups import DEFAULT_TOL
 from conftest import diagonal_spec_from_lines, random_invertible
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -50,6 +51,58 @@ class TestOrbitComplement:
         b = np.linalg.inv((rotation(PI / 4) @ shear(1.0)).T)
         comp = orbit_complement(GroupSpec(diagonal(), b))
         assert comp.angles == pytest.approx((0.0, 3 * PI / 4), abs=1e-12)
+
+
+# the standard directions whose lines make up each family's complement
+STD_DIRECTIONS = {"similitude": [], "diagonal": [(1.0, 0.0), (0.0, 1.0)],
+                  "shearlet": [(0.0, 1.0)]}
+# agreement with the reference complement: 4 ulp of pi, absolute
+ANGLE_ULPS = 4 * np.spacing(PI)
+
+
+def _reference_complement(spec):
+    """The complement as B^-T, inverted by LAPACK, moves the standard directions."""
+    b_inv_t = np.linalg.inv(spec.conjugator).T
+    return LineSet(tuple(np.arctan2(*(b_inv_t @ e)[::-1])
+                         for e in STD_DIRECTIONS[spec.family.kind]))
+
+
+class TestClosedFormComplement:
+    """orbit_complement against the complement mapped by an inverse matrix."""
+
+    @staticmethod
+    def _assert_matches_reference(b):
+        for family in (diagonal(), shearlet(0.7), similitude()):
+            spec = GroupSpec(family, b)
+            got, ref = orbit_complement(spec), _reference_complement(spec)
+            assert len(got) == len(ref) and got.equals(ref, ANGLE_ULPS), (b, got, ref)
+
+    def test_random_conjugators(self, rng):
+        for b in rng.normal(size=(10_000, 2, 2)):
+            self._assert_matches_reference(b)
+
+    @pytest.mark.parametrize("k", [-900, 900])
+    def test_conjugators_scaled_by_powers_of_two(self, rng, k):
+        for b in random_invertible(rng, 50):
+            for d in ((k, k), (k, 0), (0, k)):
+                self._assert_matches_reference(b @ np.diag(np.ldexp(1.0, d)))
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-6, 1.001, 1.1, 2.0])
+    def test_column_sines_just_above_tolerance(self, rng, factor):
+        # columns (1, 0) and (cos t, sin t), with sin t = factor * DEFAULT_TOL
+        sine = factor * DEFAULT_TOL
+        for phi, scale in zip(rng.uniform(0.0, 2.0 * PI, 20), np.exp(rng.uniform(-5, 5, 20))):
+            b = rotation(phi) @ np.array([[1.0, np.sqrt(1.0 - sine * sine)],
+                                          [0.0, sine]]) @ np.diag([1.0, scale])
+            self._assert_matches_reference(b)
+
+    @pytest.mark.parametrize("identity", [None, np.eye(2), [[1.0, 0.0], [0.0, 1.0]]],
+                             ids=["default", "eye", "list"])
+    def test_identity_gives_the_standard_angles_exactly(self, identity):
+        args = () if identity is None else (identity,)
+        assert orbit_complement(GroupSpec(diagonal(), *args)).angles == (0.0, PI / 2)
+        assert orbit_complement(GroupSpec(shearlet(-2.0), *args)).angles == (PI / 2,)
+        assert orbit_complement(GroupSpec(similitude(), *args)).angles == ()
 
 
 class TestComponentCount:

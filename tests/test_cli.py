@@ -33,7 +33,7 @@ from coorbit2d import (
     write_group_spec,
     write_signal,
 )
-from coorbit2d import cli
+from coorbit2d import cli, signals
 from coorbit2d.classify import angle_distance
 from coorbit2d.cli import main
 from conftest import (
@@ -178,6 +178,20 @@ class TestSymmetry:
         assert main(["symmetry", diag_path, "--matrix", matrix]) == 1
         assert capsys.readouterr().err.startswith("usage error: --matrix")
 
+    @pytest.mark.parametrize("family", [diagonal(), similitude()],
+                             ids=["diagonal", "similitude"])
+    @pytest.mark.parametrize("matrix", ["1e-310,0,0,1", "-5e-324,-5e-324,-5e-324,0"],
+                             ids=["inverse-overflows", "lapack-cannot-invert"])
+    def test_matrix_with_non_finite_inverse_is_usage_error(self, capsys, tmp_path,
+                                                           family, matrix):
+        # well conditioned, but its inverse leaves the float range: GroupSpec's
+        # rule refuses it in one line, before conjugate_spec is reached
+        p = tmp_path / "spec.json"
+        write_group_spec(p, GroupSpec(family))
+        assert main(["symmetry", str(p), f"--matrix={matrix}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --matrix") and err.count("\n") == 1
+
     def test_well_conditioned_matrix_accepted(self, capsys, diag_path):
         # |det| = 1e-8, above the 2e-9 that tol |a1| |a2| gives here
         code, report = run_cli(capsys, "symmetry", diag_path, "--matrix",
@@ -229,6 +243,32 @@ class TestExitCodes:
             assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1
+
+    def test_subnormal_conjugator_lapack_cannot_invert_is_parse_error(self, tmp_path,
+                                                                      capsys):
+        # column sine 0.707 and an inverse with entries 2^1074
+        p = tmp_path / "den.json"
+        p.write_text(json.dumps({"family": "diagonal",
+                                 "conjugator": [[-5e-324, -5e-324], [-5e-324, 0.0]]}))
+        assert main(["classify", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "inverse" in err
+        assert err.count("\n") == 1
+
+    def test_allocation_failure_is_numeric_failure(self, capsys, tmp_path, monkeypatch):
+        # stands in for an --N whose N x N grids do not fit in memory; nothing
+        # that large is allocated here
+        def no_memory(n, length):
+            raise MemoryError(f"Unable to allocate 16.0 GiB for an array with "
+                              f"shape ({n},) and data type float64")
+
+        monkeypatch.setattr(signals, "freq_grids", no_memory)
+        out = tmp_path / "x.sig"
+        assert main(["gen-signal", "freq_bump", str(out), "--N", "32"]) == 4
+        err = capsys.readouterr().err
+        assert err == ("numeric failure: out of memory: Unable to allocate 16.0 GiB "
+                       "for an array with shape (32,) and data type float64\n")
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         assert main(["classify", str(tmp_path / "none.json")]) == 2

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,18 @@ REWRITES = {
 FAMILIES = {"similitude": similitude(), "diagonal": diagonal(), "shearlet": shearlet(0.7)}
 
 
+def _exact_inverse_is_finite(m):
+    """Whether the exact inverse of a finite 2x2 float matrix rounds to finite floats."""
+    if not np.isfinite(m).all():
+        return False
+    (a, b), (c, d) = (map(Fraction, row) for row in m.tolist())
+    det = a * d - b * c
+    try:  # int / int rounds correctly, and raises past the float range
+        return det != 0 and all(np.isfinite(float(x / det)) for x in (a, b, c, d))
+    except OverflowError:
+        return False
+
+
 def _moved_off(kind, b, n, delta):
     """Conjugator of a group delta away from the one B N writes.
 
@@ -68,6 +82,45 @@ class TestGroupSpecConditioning:
         for family in FAMILIES.values():
             with pytest.raises(SingularMatrixError, match="inverse"):
                 GroupSpec(family, [[1e-310, 0.0], [0.0, 1.0]])
+
+    def test_subnormal_conjugator_that_lapack_cannot_invert_rejected(self):
+        # column sine 0.707, but the inverse has entries 2^1074
+        b = [[-5e-324, -5e-324], [-5e-324, 0.0]]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(b)
+        for family in FAMILIES.values():
+            with pytest.raises(SingularMatrixError, match="inverse"):
+                GroupSpec(family, b)
+
+    def test_accepted_exactly_where_the_inverse_is_finite(self, rng):
+        # every column scaling 2^k, k in [-1074, 1023], of a few conjugators:
+        # subnormal columns, inverses past the float range, and inf entries.
+        # GroupSpec accepts exactly where the exact inverse rounds to finite
+        # floats, and refuses wherever LAPACK cannot invert.  On subnormal
+        # columns LAPACK's own inverse can overflow or stay finite wrongly,
+        # so it is no reference there
+        counts = {"accepted": 0, "refused": 0, "lapack raised": 0}
+        for b in random_invertible(rng, 4):
+            for k in range(-1074, 1024):
+                t = np.ldexp(1.0, k)
+                with np.errstate(over="ignore"):  # inf entries at the top of the range
+                    scaled = (b * t, b * [t, 1.0], b * [1.0, t])
+                for m in scaled:
+                    try:
+                        GroupSpec(diagonal(), m)
+                    except SingularMatrixError:
+                        accepted = False
+                    else:
+                        accepted = True
+                    assert accepted == _exact_inverse_is_finite(m), m
+                    counts["accepted" if accepted else "refused"] += 1
+                    try:
+                        with np.errstate(all="ignore"):
+                            np.linalg.inv(m)
+                    except np.linalg.LinAlgError:
+                        assert not accepted, m
+                        counts["lapack raised"] += 1
+        assert all(counts.values()), counts
 
     @pytest.mark.parametrize("kind", FAMILIES)
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -384,6 +437,25 @@ class TestSameGroup:
                     for delta, verdict in ((tol / 3, True), (3 * tol, False)):
                         other = GroupSpec(spec.family, _moved_off(kind, b, n, delta))
                         assert same_group(spec, other, tol) is verdict
+
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_similitude_boundary_with_columns_far_apart_in_scale(self, k, rng):
+        # B = b diag(2^k, 2^-k), its columns 2^1000 apart in scale; scaling a
+        # whole conjugator by one factor would flush its small column's
+        # products.  The normalizer elements here multiply exactly.  Against
+        # B with its small column scaled by 1 + 2 g, M = B^-1 B' has
+        # reflection part 2 g and rotation part 2 + 2 g (scaling the large
+        # column would round it off the line of B's by more than tol)
+        tol = 1e-9
+        for b in [np.eye(2), *random_invertible(rng, 4)]:
+            b = b @ np.diag(np.ldexp(1.0, [k, -k]))
+            spec = GroupSpec(similitude(), b)
+            for n in (SWAP, np.diag([2.0, -2.0]), [[0.0, 0.5], [-0.5, 0.0]]):
+                assert same_group(spec, GroupSpec(similitude(), b @ n), tol)
+            for gap, verdict in ((tol / 3, True), (3 * tol, False)):
+                stretch = [1.0 + 2 * gap, 1.0] if k < 0 else [1.0, 1.0 + 2 * gap]
+                other = GroupSpec(similitude(), b * stretch)
+                assert same_group(spec, other, tol) is verdict
 
     def test_swapping_the_specs_keeps_the_verdict(self, rng):
         tol = 1e-9
