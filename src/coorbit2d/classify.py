@@ -15,12 +15,13 @@ come in closed form from the adjugate of ``B``: no decision inverts a matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, frexp, hypot, isfinite, ldexp
+from math import frexp, hypot, isfinite, ldexp
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import DegenerateInputError
+from .families import FAMILIES
 from .groups import (
     DEFAULT_TOL,
     DIAGONAL,
@@ -90,34 +91,16 @@ class LineSet:
         )
 
 
-_STD_COMPLEMENT = {
-    SIMILITUDE: (),
-    DIAGONAL: (0.0, _PI / 2),
-    SHEARLET: (_PI / 2,),
-}
-
-_COMPONENTS = {SIMILITUDE: 1, DIAGONAL: 4, SHEARLET: 2}
-
-
 def orbit_complement(spec):
-    """The lines missing from the open dual orbit of the represented group.
-
-    B^-T moves the axes to the lines of its columns, which for B = [[p, q],
-    [r, s]] are (s, -q) and (-r, p) over det B; B = I gives the standard
-    angles exactly.
-    """
-    kind = spec.family.kind
-    if kind == SIMILITUDE:
-        return LineSet(())
+    """The lines missing from the open dual orbit of the represented group,
+    in closed form from the entries of its conjugator."""
     (p, q), (r, s) = spec.conjugator.tolist()
-    if kind == SHEARLET:
-        return LineSet((atan2(p, -r),))
-    return LineSet((atan2(-q, s), atan2(p, -r)))
+    return LineSet(FAMILIES[spec.family.kind].complement(p, q, r, s))
 
 
 def component_count(spec):
     """Number of connected components of the dual orbit: 1, 2 or 4."""
-    return _COMPONENTS[spec.family.kind]
+    return FAMILIES[spec.family.kind].components
 
 
 def orbit_contains(spec, zeta, tol=DEFAULT_TOL):
@@ -127,7 +110,7 @@ def orbit_contains(spec, zeta, tol=DEFAULT_TOL):
     n = np.hypot(w[0], w[1])
     if n <= 0.0:
         return False
-    std = LineSet(_STD_COMPLEMENT[spec.family.kind])
+    std = LineSet(FAMILIES[spec.family.kind].complement(1.0, 0.0, 0.0, 1.0))
     return std.distance_from(w) > tol * n
 
 
@@ -149,11 +132,11 @@ class CanonicalForm:
     c: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in (SIMILITUDE, DIAGONAL, SHEARLET):
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown canonical kind {self.kind!r}")
-        if self.kind == SIMILITUDE:
+        name = FAMILIES[self.kind].parameter
+        if name is None:
             return
-        name = "s" if self.kind == DIAGONAL else "c"
         value = getattr(self, name)
         if self.phi is None or value is None:
             raise ValueError(f"{self.kind} canonical form needs phi and {name}")
@@ -161,15 +144,15 @@ class CanonicalForm:
             raise ValueError("phi must lie in [0, pi)")
         if not isfinite(value):
             raise ValueError(f"{name} must be finite")
-        if self.kind == DIAGONAL and value < 0.0:
+        if name == "s" and value < 0.0:
             raise ValueError("s must be nonnegative")
 
     def __repr__(self):
-        if self.kind == SIMILITUDE:
-            return "Canonical(similitude)"
-        if self.kind == DIAGONAL:
-            return f"Canonical(diagonal, phi={self.phi:.12g}, s={self.s:.12g})"
-        return f"Canonical(shearlet, phi={self.phi:.12g}, c={self.c:.12g})"
+        name = FAMILIES[self.kind].parameter
+        if name is None:
+            return f"Canonical({self.kind})"
+        return (f"Canonical({self.kind}, phi={self.phi:.12g}, "
+                f"{name}={getattr(self, name):.12g})")
 
 
 def canonical_similitude():

@@ -31,13 +31,8 @@ from .classify import (
     rep_group,
 )
 from .errors import CoorbitError, FormatError, SingularMatrixError
-from .groups import (
-    DIAGONAL,
-    SHEARLET,
-    SIMILITUDE,
-    GroupSpec,
-    similitude,
-)
+from .families import FAMILIES
+from .groups import DIAGONAL, SIMILITUDE, GroupSpec, similitude
 from .io_formats import (
     emit_report,
     group_spec_to_dict,
@@ -95,12 +90,10 @@ def _lineset_doc(ls):
 
 def _canonical_doc(cf):
     doc = {"kind": cf.kind}
-    if cf.kind == DIAGONAL:
+    name = FAMILIES[cf.kind].parameter
+    if name is not None:
         doc["phi"] = cf.phi
-        doc["s"] = cf.s
-    elif cf.kind == SHEARLET:
-        doc["phi"] = cf.phi
-        doc["c"] = cf.c
+        doc[name] = getattr(cf, name)
     return doc
 
 

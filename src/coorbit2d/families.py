@@ -1,0 +1,171 @@
+"""What the package knows of each standard family, in one read-only record.
+
+The groups classified are the similitude, diagonal and shearlet-c families,
+each up to conjugation by an invertible B.  `FAMILIES` maps a family kind to
+its :class:`FamilyRecord`; the other modules look a family up there instead
+of branching on its kind.  The wavelet profiles, in eta = B^T xi, are built
+from the bump rho(t) = exp(1 - 1/(1 - t^2)) on (-1, 1).  Their support pieces
+are disjoint convex sets {eta : g[k] . eta < b[k] for all k}: the box
+|eta1|, |eta2| < 2 (similitude), the 4 sign squares 1/2 < +-eta1, +-eta2 < 2
+(diagonal) and the 2 trapezoids 1/2 < +-eta1 < 2, |eta2| < |eta1| (shearlet).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import atan2
+from types import MappingProxyType
+from typing import Callable, NamedTuple, Optional, Tuple
+
+import numpy as np
+
+SIMILITUDE = "similitude"
+DIAGONAL = "diagonal"
+SHEARLET = "shearlet"
+
+
+def bump(t):
+    """exp(1 - 1/(1-t^2)) inside (-1, 1), 0 outside; peak value 1 at t = 0."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    m = np.abs(t) < 1.0
+    tm = t[m]
+    out[m] = np.exp(1.0 - 1.0 / (1.0 - tm * tm))
+    return out
+
+
+# relative slack of the profile masks and of the support pieces: a magnitude
+# t is kept when _LO < t < _HI, and a shearlet ratio when |eta2| < _K |eta1|
+_SLACK = 1e-6
+_LO, _HI = 0.5 * (1.0 - _SLACK), 2.0 * (1.0 + _SLACK)
+_K = 1.0 + _SLACK
+
+
+class SimilitudeChart(NamedTuple):
+    lam: float
+    theta: float
+
+
+class DiagonalChart(NamedTuple):
+    lam1: float
+    lam2: float
+    eps1: int = 1
+    eps2: int = 1
+
+
+class ShearletChart(NamedTuple):
+    eps: int
+    lam: float
+    shear: float
+
+
+@dataclass(frozen=True)
+class FamilyRecord:
+    """One standard family.  The functions of `cols` take checked chart
+    columns (..., k) and the shearlet exponent c (None for the others)."""
+
+    chart: type  # the named tuple of the chart columns
+    signs: Tuple[int, ...]  # the sign columns of the chart
+    matrix: Callable  # (cols, c) -> entries (a, b, c, d) of [[a, b], [c, d]]
+    haar: Callable  # (cols, c) -> density of the left Haar measure of H
+    g: Callable  # (cols, c) -> haar / |det h|
+    # (p, q, r, s) -> the lines missing from the dual orbit of B H B^-1 for
+    # B = [[p, q], [r, s]]: B^-T moves the axes to (s, -q) and (-r, p)
+    complement: Callable
+    components: int  # connected components of the dual orbit
+    # (eta1, eta2, scratch) -> (mask, profile on the mask); the mask keeps a
+    # superset of the support, and the profile is exactly 0 where it drops
+    profile: Callable
+    pieces: Tuple[np.ndarray, np.ndarray]  # g (pieces, k, 2) and b (pieces, k)
+    orbit_samples: np.ndarray  # (16, 2): the Calderon samples
+    parameter: Optional[str]  # of the canonical form, besides phi
+
+
+def _read_only(rows):
+    a = np.array(rows, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def _similitude_matrix(cols, c):
+    r = np.exp(cols[..., 0])
+    a, b = r * np.cos(cols[..., 1]), r * np.sin(cols[..., 1])
+    return a, b, -b, a
+
+
+def _diagonal_matrix(cols, c):
+    zero = np.zeros(cols.shape[:-1])
+    return (cols[..., 2] * np.exp(cols[..., 0]), zero,
+            zero, cols[..., 3] * np.exp(cols[..., 1]))
+
+
+def _shearlet_matrix(cols, c):
+    eps, a = cols[..., 0], np.exp(cols[..., 1])
+    # np.power, not **: on one point ** takes scalar pow, which can round
+    # differently from the array loop, and a point must equal its stack row
+    return eps * a, eps * cols[..., 2], eps * 0.0, eps * np.power(a, c)
+
+
+def _similitude_profile(e1, e2, tmp):
+    r2 = np.square(e1)
+    r2 += np.square(e2, out=tmp)
+    m = (r2 > _LO * _LO) & (r2 < _HI * _HI)
+    return m, bump(np.log2(np.hypot(e1[m], e2[m])))
+
+
+def _diagonal_profile(e1, e2, tmp):
+    a1, a2 = np.abs(e1), np.abs(e2, out=tmp)
+    m = (a1 > _LO) & (a1 < _HI) & (a2 > _LO) & (a2 < _HI)
+    return m, bump(np.log2(a1[m])) * bump(np.log2(a2[m]))
+
+
+def _shearlet_profile(e1, e2, tmp):
+    a1 = np.abs(e1)
+    m = (a1 > _LO) & (a1 < _HI) & (np.abs(e2, out=tmp) < _K * a1)
+    return m, bump(np.log2(a1[m])) * bump(e2[m] / e1[m])
+
+
+_SIGN_PAIRS = [(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]
+
+FAMILIES = MappingProxyType({
+    SIMILITUDE: FamilyRecord(
+        chart=SimilitudeChart, signs=(), matrix=_similitude_matrix,
+        haar=lambda cols, c: np.ones(cols.shape[:-1]),
+        g=lambda cols, c: np.exp(-2.0 * cols[..., 0]),
+        complement=lambda p, q, r, s: (), components=1,
+        profile=_similitude_profile,
+        pieces=(_read_only([[(1, 0), (-1, 0), (0, 1), (0, -1)]]),
+                _read_only([(_HI, _HI, _HI, _HI)])),
+        orbit_samples=_read_only([(r * np.cos(a), r * np.sin(a))
+                                  for r in (0.6, 1.0, 1.4, 2.0)
+                                  for a in (0.3, 1.2, 2.5, 4.0)]),
+        parameter=None,
+    ),
+    DIAGONAL: FamilyRecord(
+        chart=DiagonalChart, signs=(2, 3), matrix=_diagonal_matrix,
+        haar=lambda cols, c: np.ones(cols.shape[:-1]),
+        g=lambda cols, c: np.exp(-(cols[..., 0] + cols[..., 1])),
+        complement=lambda p, q, r, s: (atan2(-q, s), atan2(p, -r)), components=4,
+        profile=_diagonal_profile,
+        pieces=(_read_only([[(-s1, 0), (s1, 0), (0, -s2), (0, s2)]
+                            for s1, s2 in _SIGN_PAIRS]),
+                _read_only([(-_LO, _HI, -_LO, _HI)] * 4)),
+        orbit_samples=_read_only([(s1 * u, s2 * v) for s1, s2 in _SIGN_PAIRS
+                                  for u in (0.7, 1.2) for v in (0.7, 1.2)]),
+        parameter="s",
+    ),
+    SHEARLET: FamilyRecord(
+        chart=ShearletChart, signs=(0,), matrix=_shearlet_matrix,
+        haar=lambda cols, c: np.exp(-cols[..., 1]),
+        g=lambda cols, c: np.exp(-cols[..., 1]) * np.exp(-(1.0 + c) * cols[..., 1]),
+        complement=lambda p, q, r, s: (atan2(p, -r),), components=2,
+        profile=_shearlet_profile,
+        pieces=(_read_only([[(-s, 0), (s, 0), (-s * _K, 1), (-s * _K, -1)]
+                            for s in (1, -1)]),
+                _read_only([(-_LO, _HI, 0.0, 0.0)] * 2)),
+        orbit_samples=_read_only([(s * m, s * m * r) for s in (1.0, -1.0)
+                                  for m in (0.8, 1.25)
+                                  for r in (-0.35, -0.1, 0.2, 0.45)]),
+        parameter="c",
+    ),
+})

@@ -15,7 +15,9 @@ The signs ``e1``, ``e2`` and ``eps`` are +1 or -1.  One point is a
 :class:`SimilitudeChart`, :class:`DiagonalChart` or :class:`ShearletChart`
 (named tuples of those columns) or any length-k sequence; a stack of points is
 an ``(..., k)`` array of rows.  `element_from_chart`, `haar_weight` and
-`g_weight` take either and check the width, finiteness and signs.
+`g_weight` take either and check the width, finiteness and signs.  The
+charts, standard matrices and densities of each family are fields of its
+record in :mod:`coorbit2d.families`.
 
 The left Haar density of the full group ``R^2 x| H`` in these coordinates is
 ``dx dh / |det h|`` where ``dh`` is the Haar measure of ``H`` itself; the
@@ -27,15 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import frexp, hypot, isfinite, ldexp
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ChartMismatchError, SingularMatrixError, WeightRangeError
-
-SIMILITUDE = "similitude"
-DIAGONAL = "diagonal"
-SHEARLET = "shearlet"
+# the family kinds and chart point types stay importable from this module
+from .families import (DIAGONAL, FAMILIES, SHEARLET, SIMILITUDE,  # noqa: F401
+                       DiagonalChart, ShearletChart, SimilitudeChart)
 
 DEFAULT_TOL = 1e-9
 
@@ -152,7 +153,7 @@ class GroupSpec:
 
     def __repr__(self):
         fam = self.family.kind
-        if self.family.kind == SHEARLET:
+        if self.family.c is not None:
             fam += f"(c={self.family.c})"
         if self.is_standard:
             return f"GroupSpec({fam})"
@@ -165,71 +166,24 @@ def conjugate_spec(spec, a):
 
 
 # ---------------------------------------------------------------------------
-# chart points
-
-
-class SimilitudeChart(NamedTuple):
-    lam: float
-    theta: float
-
-
-class DiagonalChart(NamedTuple):
-    lam1: float
-    lam2: float
-    eps1: int = 1
-    eps2: int = 1
-
-
-class ShearletChart(NamedTuple):
-    eps: int
-    lam: float
-    shear: float
-
-
-# per family: the chart point type naming its columns, and its sign columns
-_CHARTS = {
-    SIMILITUDE: (SimilitudeChart, ()),
-    DIAGONAL: (DiagonalChart, (2, 3)),
-    SHEARLET: (ShearletChart, (0,)),
-}
+# chart points and operations
 
 
 def _chart_columns(spec, p):
-    """Chart point(s) of `spec` as a checked float array of shape (..., k)."""
-    chart, signs = _CHARTS[spec.family.kind]
+    """Chart point(s) of `spec` as a checked float array of shape (..., k),
+    and the record of its family."""
+    record = FAMILIES[spec.family.kind]
+    chart = record.chart
     cols = np.asarray(p, dtype=float)
     if cols.shape[-1:] != (len(chart._fields),):
         raise ChartMismatchError(f"chart points of shape {cols.shape} do not match "
                                  f"family {spec.family.kind}, rows {chart._fields}")
     if not np.all(np.isfinite(cols)):
         raise ValueError("chart coordinates must be finite")
-    for j in signs:
+    for j in record.signs:
         if not np.all(np.abs(cols[..., j]) == 1.0):
             raise ValueError(f"{chart._fields[j]} must be +1 or -1")
-    return cols
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-
-def _standard_matrix(family, cols):
-    """Standard-family matrices at checked chart columns (..., k): (..., 2, 2)."""
-    if family.kind == SIMILITUDE:
-        r = np.exp(cols[..., 0])
-        a, b = r * np.cos(cols[..., 1]), r * np.sin(cols[..., 1])
-        entries = (a, b, -b, a)
-    elif family.kind == DIAGONAL:
-        zero = np.zeros(cols.shape[:-1])
-        entries = (cols[..., 2] * np.exp(cols[..., 0]), zero,
-                   zero, cols[..., 3] * np.exp(cols[..., 1]))
-    else:
-        eps, a = cols[..., 0], np.exp(cols[..., 1])
-        # np.power, not **: on one point ** takes scalar pow, which can round
-        # differently from the array loop, and a point must equal its stack row
-        entries = (eps * a, eps * cols[..., 2], eps * 0.0,
-                   eps * np.power(a, family.c))
-    return np.stack(entries, axis=-1).reshape(cols.shape[:-1] + (2, 2))
+    return cols, record
 
 
 def element_from_chart(spec, p):
@@ -239,10 +193,11 @@ def element_from_chart(spec, p):
     Raises WeightRangeError if an entry leaves the float range, as B m B^-1
     can for a badly scaled B and a large shearlet exponent.
     """
-    cols = _chart_columns(spec, p)
+    cols, record = _chart_columns(spec, p)
     b = spec.conjugator
     with np.errstate(over="ignore", invalid="ignore"):
-        h = b @ _standard_matrix(spec.family, cols) @ np.linalg.inv(b)
+        m = np.stack(record.matrix(cols, spec.family.c), axis=-1)
+        h = b @ m.reshape(cols.shape[:-1] + (2, 2)) @ np.linalg.inv(b)
     if not np.all(np.isfinite(h)):
         raise WeightRangeError(f"the elements of {spec!r} leave the float range")
     return h
@@ -260,19 +215,11 @@ def haar_weight(spec, p):
     constant is fixed to 1 for every conjugate, so the density depends on the
     family alone.  p is one point (a float result) or a stack of rows.
     """
-    cols = _chart_columns(spec, p)
-    if spec.family.kind == SHEARLET:
-        return _weights(np.exp(-cols[..., 1]))
-    return _weights(np.ones(cols.shape[:-1]))
+    cols, record = _chart_columns(spec, p)
+    return _weights(record.haar(cols, spec.family.c))
 
 
 def g_weight(spec, p):
     """h-marginal density of the Haar measure of R^2 x| H: haar / |det h|."""
-    cols = _chart_columns(spec, p)
-    kind = spec.family.kind
-    if kind == SIMILITUDE:
-        return _weights(np.exp(-2.0 * cols[..., 0]))
-    if kind == DIAGONAL:
-        return _weights(np.exp(-(cols[..., 0] + cols[..., 1])))
-    lam = cols[..., 1]
-    return _weights(np.exp(-lam) * np.exp(-(1.0 + spec.family.c) * lam))
+    cols, record = _chart_columns(spec, p)
+    return _weights(record.g(cols, spec.family.c))

@@ -71,7 +71,7 @@ def group_spec_from_dict(doc):
 
 def group_spec_to_dict(spec):
     doc = {"family": spec.family.kind}
-    if spec.family.kind == SHEARLET:
+    if spec.family.c is not None:
         doc["c"] = spec.family.c
     if not spec.is_standard:
         doc["conjugator"] = [[float(v) for v in row] for row in spec.conjugator]

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CoverageWarning
-from .wavelets import bump
+from .families import bump
 
 
 # the lattice steps L/N for which (L/N)^2 and (N/L)^2 are finite and normal

@@ -11,7 +11,7 @@ in closed form at h^T xi: no function here takes a wavelet of its own.  Each
 public call stacks the 2 x 2 elements of its sampled rows once
 (`_elements`), and one sparse kernel evaluates psihat(h^T xi) over the
 stack where the convex support pieces of the profile in eta = B^T h^T xi
-(`WaveletSpec.support_pieces`) reach.  Along a lattice row eta is affine in
+(the family's record in `coorbit2d.families`) reach.  Along a lattice row eta is affine in
 xi2, so each piece reaches one interval of columns per element and row
 (`_row_intervals`), widened by a few roundings of |B^T| |h^T| |xi| and made
 disjoint.  The (element, frequency) pairs inside come in element order, in
@@ -64,8 +64,8 @@ p = 2 norm of a signal (signal_coorbit_norm) and the reconstruction of a
 signal (reconstruct) are computed that way, with two FFTs at most and no
 M x N x N coefficient slab.  C is summed in row order at every frequency,
 so the sum does not depend on how the kernel blocks or chunks its work.
-`calderon_constant` takes the same sum at the 16 orbit samples of the family,
-from one dense psihat evaluation over all (row, sample) pairs.
+`calderon_constant` takes the same sum at the 16 orbit samples of the family's
+record, from one dense psihat evaluation over all (row, sample) pairs.
 `analyze`, `coorbit_norm` and `invert` remain the coefficient-domain path on
 a slab, and the tests use them as the reference for the multiplier and for
 the streamed reductions.
@@ -85,7 +85,8 @@ import numpy as np
 # bench/spans.py traces CLI requests through this name
 from .classify import orbit_contains  # noqa: F401
 from .errors import OrbitSampleError, WeightRangeError
-from .groups import DIAGONAL, SIMILITUDE, element_from_chart
+from .families import FAMILIES
+from .groups import element_from_chart
 from .sampling import GroupSampling
 from .signals import (
     GridSignal,
@@ -136,12 +137,12 @@ def _row_intervals(psi, mats, rows, cols):
     """(start, count) of the columns each support piece reaches, per class and row.
 
     On the product grid xi = (rows[r], cols[c]), with cols sorted, eta =
-    B^T h^T xi is affine in cols along row r, so each convex piece of
-    `psi.support_pieces` keeps one interval of columns, widened by the
-    rounding margin.  Both results have shape (len(mats), pieces, len(rows)),
-    and the intervals of one class and row do not overlap.
+    B^T h^T xi is affine in cols along row r, so each convex support piece of
+    the family keeps one interval of columns, widened by the rounding margin.
+    Both results have shape (len(mats), pieces, len(rows)), and the intervals
+    of one class and row do not overlap.
     """
-    g, b = psi.support_pieces()
+    g, b = FAMILIES[psi.spec.family.kind].pieces
     bt, ht = psi.spec.conjugator.T, np.swapaxes(mats, 1, 2)
     ga = g @ (bt @ ht)[:, None]  # (K, pieces, constraints, 2): g . eta = ga . xi
     # |B^T| |h^T| |xi| per row, with |xi2| bounded over the row
@@ -453,37 +454,12 @@ class CalderonResult:
 def default_orbit_samples(spec):
     """The 16 frequencies at which `calderon_constant` samples C.
 
-    Chosen in standard (eta) coordinates per family, well inside the dual
-    orbit and inside default chart coverage, and mapped back through B^-T, so
-    the set respects the conjugation.
+    The orbit samples of the family's record, chosen in standard (eta)
+    coordinates, mapped back through B^-T, so the set respects the
+    conjugation.
     """
-    kind = spec.family.kind
-    pts = []
-    if kind == SIMILITUDE:
-        radii = (0.6, 1.0, 1.4, 2.0)
-        angles = (0.3, 1.2, 2.5, 4.0)
-        pts = [
-            (r * np.cos(a), r * np.sin(a)) for r in radii for a in angles
-        ]
-    elif kind == DIAGONAL:
-        mags = (0.7, 1.2)
-        pts = [
-            (s1 * u, s2 * v)
-            for s1 in (1.0, -1.0)
-            for s2 in (1.0, -1.0)
-            for u in mags
-            for v in mags
-        ]
-    else:
-        ratios = (-0.35, -0.1, 0.2, 0.45)
-        pts = [
-            (s1 * m, s1 * m * r)
-            for s1 in (1.0, -1.0)
-            for m in (0.8, 1.25)
-            for r in ratios
-        ]
     binv_t = np.linalg.inv(spec.conjugator).T
-    return [binv_t @ np.array(p) for p in pts]
+    return [binv_t @ p for p in FAMILIES[spec.family.kind].orbit_samples]
 
 
 def calderon_constant(spec, sampling):
