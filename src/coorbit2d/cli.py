@@ -30,9 +30,9 @@ from .classify import (
     orbit_complement,
     rep_group,
 )
-from .errors import CoorbitError, FormatError, SingularMatrixError
+from .errors import CoorbitError, FormatError, SingularMatrixError, WeightRangeError
 from .families import FAMILIES
-from .groups import DIAGONAL, SIMILITUDE, GroupSpec, similitude
+from .groups import SHEARLET, SIMILITUDE, GroupSpec, similitude
 from .io_formats import (
     emit_report,
     group_spec_to_dict,
@@ -44,6 +44,7 @@ from .io_formats import (
 from .sampling import (
     LAM_RANGE,
     SHEAR_RANGE,
+    _midpoints,
     default_sampling,
     diagonal_sampling,
     shearlet_sampling,
@@ -104,16 +105,17 @@ def _given(**counts):
 
 def _sampling_from_args(spec, args):
     kind = spec.family.kind
-    lam = (args.lam_min, args.lam_max)
-    # the builders reject counts below 1 and empty or non-finite ranges
+    lam, shear = (args.lam_min, args.lam_max), (args.shear_min, args.shear_max)
+    # the builders reject counts below 1 and empty or non-finite ranges; the
+    # shear flags are held to that rule for every family
     try:
+        if kind == SHEARLET:
+            return shearlet_sampling(spec, lam, shear_range=shear,
+                                     **_given(n_lam=args.n_scale, n_shear=args.n_shear))
+        _midpoints(shear, 1 if args.n_shear is None else args.n_shear, "shear")
         if kind == SIMILITUDE:
             return similitude_sampling(spec, lam, **_given(n_lam=args.n_scale))
-        if kind == DIAGONAL:
-            return diagonal_sampling(spec, lam, **_given(n_lam=args.n_scale))
-        return shearlet_sampling(
-            spec, lam, shear_range=(args.shear_min, args.shear_max),
-            **_given(n_lam=args.n_scale, n_shear=args.n_shear))
+        return diagonal_sampling(spec, lam, **_given(n_lam=args.n_scale))
     except ValueError as exc:
         raise _UsageError(f"sampling flags: {exc}") from None
 
@@ -281,10 +283,15 @@ def _cmd_analyze(args):
     # the p = 2 plane sums are the plane energies; no slab is held
     sums, peaks = _signal_stats([sig], spec, sampling, 2)
     energies = sums[:, 0]
+    with np.errstate(over="ignore"):
+        total = float(np.sum(sampling.g_w * energies))
+    if not np.isfinite(total):
+        raise WeightRangeError("the weighted energy ||W f||^2 leaves the "
+                               "floating-point range")
     values = {
         "planes": len(sampling),
         "grid": {"N": sig.N, "L": sig.L},
-        "total_weighted_energy": float(np.sum(sampling.g_w * energies)),
+        "total_weighted_energy": total,
         "max_coefficient": float(peaks.max()),
     }
     if args.energies:

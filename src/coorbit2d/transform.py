@@ -11,15 +11,16 @@ in closed form at h^T xi: no function here takes a wavelet of its own.  Each
 public call stacks the 2 x 2 elements of its sampled rows once
 (`_elements`), and one sparse kernel evaluates psihat(h^T xi) over the
 stack where the convex support pieces of the profile in eta = B^T h^T xi
-(the family's record in `coorbit2d.families`) reach.  Along a lattice row eta is affine in
-xi2, so each piece reaches one interval of columns per element and row
-(`_row_intervals`), widened by a few roundings of |B^T| |h^T| |xi| and made
-disjoint.  The (element, frequency) pairs inside come in element order, in
-chunks of bounded size, and take the arithmetic of a dense evaluation:
-every value is the dense one bit for bit, and every pair left out is
-exactly 0 (on the default samplings at N = 128, 4-5% of the lattice is
-evaluated for the shearlet elements, 11-14% for the diagonal ones).  The
-kernel backs the multiplier, the analysis planes and the `invert` sum.
+(the family's record in `coorbit2d.families`) reach.  Along a lattice row
+eta is affine in xi2, so each piece reaches one interval of columns per
+element and row (`_row_intervals`), widened by a few roundings of
+|B^T| |h^T| |xi| and made disjoint.  The (element, frequency) pairs inside
+come in element order, in chunks of bounded size, and take the arithmetic
+of a dense evaluation: every value is the dense one bit for bit, and every
+pair left out is exactly 0 (on the default samplings at N = 128, 4-5% of
+the lattice is evaluated for the shearlet elements, 11-14% for the diagonal
+ones).  The kernel backs the multiplier, the analysis planes and the
+`invert` sum.
 
 The wavelet factor |det h|^(1/2) psihat(h^T xi) is constant on the classes
 of H modulo the compact subgroup K_psi that leaves the profile invariant:
@@ -373,6 +374,23 @@ def _signal_stats(signals, spec, sampling, p):
                         (len(mats), len(signals)), p, (length / n) ** 2)
 
 
+def _multiplier_norm(fhat, c, length):
+    """sqrt(sum |fhat|^2 C) / L, with |fhat| scaled by the exact power of two
+    2^-e, e the exponent of max |fhat|, so that no square overflows.
+
+    Raises WeightRangeError when the norm itself leaves the float range.
+    """
+    mags = np.abs(fhat)
+    e = np.frexp(mags.max())[1]
+    np.ldexp(mags, -e, out=mags)
+    with np.errstate(over="ignore"):
+        value = float(np.ldexp(np.sqrt(np.sum(mags ** 2 * c)) / length, e))
+    if not np.isfinite(value):
+        raise WeightRangeError("the coorbit norm at p = 2 leaves the "
+                               "floating-point range")
+    return value
+
+
 def _signal_norms(signals, spec, sampling, p):
     """Coorbit quasi-norms of grid signals that share one lattice.
 
@@ -382,8 +400,7 @@ def _signal_norms(signals, spec, sampling, p):
     n, length = _grid(signals)
     if p == 2:
         c = calderon_multiplier(spec, sampling, n, length)
-        return [float(np.sqrt(np.sum(np.abs(spectrum_from_signal(f)) ** 2 * c))
-                      / length) for f in signals]
+        return [_multiplier_norm(spectrum_from_signal(f), c, length) for f in signals]
     sums, peaks = _signal_stats(signals, spec, sampling, p)
     return [_coorbit_total(sums[:, k], peaks[:, k], sampling.g_w, p)
             for k in range(len(signals))]

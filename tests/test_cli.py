@@ -284,6 +284,14 @@ class TestExitCodes:
         "norm {similitude} {signal} --lam-min nan",
         "norm {shearlet} {signal} --shear-min inf",
         "norm {similitude} {signal} --lam-min 2 --lam-max -2",
+        # the shear flags are checked for every family, not only for shearlets
+        "norm {similitude} {signal} --n-shear 0",
+        "norm {similitude} {signal} --shear-min nan",
+        "norm {similitude} {signal} --shear-min 3 --shear-max -3",
+        "norm {diagonal} {signal} --n-shear 0",
+        "norm {diagonal} {signal} --shear-min nan",
+        "norm {diagonal} {signal} --shear-min 3 --shear-max -3",
+        "calderon {diagonal} --n-shear -1",
         "gen-signal freq_bump {out} --center a,b",
         "gen-signal freq_bump {out} --N 100",
         # above 2^31, the largest power of two of the u32 .sig header
@@ -314,7 +322,8 @@ class TestExitCodes:
     ])
     def test_bad_flag_is_usage_error(self, capsys, tmp_path, bump_signal, command):
         paths = {"signal": bump_signal, "out": str(tmp_path / "out.sig")}
-        for name, family in (("similitude", similitude()), ("shearlet", shearlet(0.5))):
+        for name, family in (("similitude", similitude()), ("diagonal", diagonal()),
+                             ("shearlet", shearlet(0.5))):
             paths[name] = str(tmp_path / f"{name}.json")
             write_group_spec(paths[name], GroupSpec(family))
         assert main(command.format(**paths).split()) == 1
@@ -372,6 +381,28 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("numeric failure: the elements of ")
         assert err.count("\n") == 1
+        assert record == []
+
+    def test_large_signal_norms_at_p2_and_weighted_energy_overflow(self, capsys,
+                                                                   tmp_path):
+        # ||f|| ~ 1e153 is in range, |fhat|^2 is not: norm --p 2 scales |fhat|
+        # first; ||W f||^2 of a 5e154 bump overflows, which analyze refuses
+        group = str(tmp_path / "sim.json")
+        write_group_spec(group, GroupSpec(similitude()))
+        for amplitude in ("1e154", "5e154"):
+            assert main(["gen-signal", "freq_bump", str(tmp_path / f"{amplitude}.sig"),
+                         "--N", "64", "--center", "1.0,0.2",
+                         "--amplitude", amplitude]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            code, rep = run_cli(capsys, "norm", group, str(tmp_path / "1e154.sig"))
+            assert code == 0
+            assert rep["values"]["coorbit_norm"] == pytest.approx(5.50212e153, rel=1e-5)
+            assert main(["analyze", group, str(tmp_path / "5e154.sig")]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("numeric failure: the weighted energy ||W f||^2 "
+                                     "leaves the floating-point range\n")
         assert record == []
 
     @pytest.mark.parametrize("command", [
@@ -537,6 +568,9 @@ class TestRequestOrder:
         ("norm {group} {nope}.sig --n-scale 0 --p 0", 2,
          "input error: cannot read signal:"),
         ("norm {group} {signal} --n-scale 0 --p 0", 1, "usage error: sampling flags:"),
+        ("norm {group} {nope}.sig --n-shear 0", 2, "input error: cannot read signal:"),
+        ("norm {group} {signal} --n-shear 0 --p 0", 1,
+         "usage error: sampling flags: n_shear"),
         ("norm {group} {signal} --p 0", 1, "usage error: --p must be positive"),
         ("calderon {nope}.json --n-scale 0", 2, "input error: cannot read group spec:"),
     ])

@@ -144,6 +144,31 @@ class TestCoorbitNorm:
         *_, slab = sim_setup
         assert coorbit_norm(slab, np.inf) == np.max(np.abs(slab.planes))
 
+    @pytest.mark.parametrize("family", [similitude(), diagonal(), shearlet(0.7)],
+                             ids=lambda f: f.kind)
+    def test_p2_norm_scales_exactly_past_the_square_range(self, family):
+        # |fhat|^2 of 2^510 f overflows; the norm scales |fhat| by a power
+        # of two first, so it is exactly 2^510 times the norm of f
+        spec = GroupSpec(family, rotation(0.3))
+        sampling = default_sampling(spec)
+        f = freq_bump(64, 16.0, center=(1.0, 0.2), sigma=0.12).signal
+        big = GridSignal(f.N, f.L, 2.0 ** 510 * f.data)
+        norm = signal_coorbit_norm(f, spec, sampling, 2)
+        assert norm > 0.0
+        assert signal_coorbit_norm(big, spec, sampling, 2) == 2.0 ** 510 * norm
+
+    def test_p2_norm_out_of_range_is_typed(self, monkeypatch):
+        spec = GroupSpec(similitude())
+        f = freq_bump(64, 16.0, center=(1.0, 0.2), sigma=0.12).signal
+        big = GridSignal(f.N, f.L, 2.0 ** 510 * f.data)
+        # a multiplier of 1e308 puts the norm itself past the float range
+        monkeypatch.setattr(transform, "calderon_multiplier",
+                            lambda spec, sampling, n, length: np.full((n, n), 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WeightRangeError, match="p = 2"):
+                signal_coorbit_norm(big, spec, default_sampling(spec), 2)
+
     @pytest.mark.parametrize("p", [-1, 0, np.nan])
     def test_exponent_checked_before_any_transform_work(self, p, monkeypatch):
         def no_work(*args, **kwargs):
