@@ -7,9 +7,12 @@ lines through the origin; conjugating the group by ``B`` moves the orbit by
 and, for the two-component (shearlet) case, the anisotropy exponents agree as
 well.  Every decision below therefore reduces to arithmetic on line sets,
 which is cheap and exact up to an angle tolerance: a decision computes one
-complement per spec, compares those, and derives the canonical forms it
-reports as its certificate from the same two complements.  Complements
+complement per spec and compares those.  The canonical forms and the reason
+that certify an equivalence verdict are computed from the same two
+complements when they are read, not when the verdict is made.  Complements
 come in closed form from the adjugate of ``B``: no decision inverts a matrix.
+`canonicalize` and the decisions refuse a ``tol`` outside
+`groups.valid_tolerance` with ValueError.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ from .groups import (
     Family,
     GroupSpec,
     as_vector,
-    checked_matrix,
     conjugate_spec,
     diagonal,
     rotation,
     scaled_columns,
     shearlet,
     similitude,
+    valid_tolerance,
 )
 
 _PI = np.pi
@@ -52,6 +55,11 @@ def angle_distance(a, b):
     """Distance between two line angles in the R/pi metric."""
     d = abs(mod_pi(a) - mod_pi(b))
     return min(d, _PI - d)
+
+
+def _checked_tol(tol):
+    if not valid_tolerance(tol):
+        raise ValueError(f"tol must satisfy 0 <= tol < inf, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -178,10 +186,7 @@ def lines_to_phi_s(lines, tol=DEFAULT_TOL):
     if len(lines) != 2:
         raise DegenerateInputError("need exactly two distinct lines")
     a1, a2 = lines.angles
-    delta = a2 - a1
-    theta = min(delta, _PI - delta)
-    if theta <= tol:
-        raise DegenerateInputError("lines coincide within tolerance")
+    theta = _acute_gap(lines, tol)
     # cot(theta) via the complementary angle: exact 0 for perpendicular pairs
     s = float(np.tan(_PI / 2 - theta))
     if s <= tol:
@@ -189,11 +194,23 @@ def lines_to_phi_s(lines, tol=DEFAULT_TOL):
         return (0.0 if _PI / 2 - phi <= tol else phi), 0.0
     # R_phi S_s maps the axes to {-phi, theta - phi}: rotate the line that
     # starts the acute gap to 0
-    return mod_pi(-(a1 if delta < _PI / 2 else a2)), s
+    return mod_pi(-(a1 if a2 - a1 < _PI / 2 else a2)), s
+
+
+def _acute_gap(lines, tol):
+    """The acute angle between two lines; DegenerateInputError if it is at
+    most `tol`, where they have no (phi, s)."""
+    a1, a2 = lines.angles
+    delta = a2 - a1
+    theta = min(delta, _PI - delta)
+    if theta <= tol:
+        raise DegenerateInputError("lines coincide within tolerance")
+    return theta
 
 
 def canonicalize(spec, tol=DEFAULT_TOL):
     """Canonical form of the coorbit-equivalence class of the represented group."""
+    _checked_tol(tol)
     return _canonical(spec, orbit_complement(spec), tol)
 
 
@@ -227,11 +244,44 @@ def rep_group(cf):
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
+    """A coorbit-equivalence verdict, the data that decided it, and its
+    certificate.
+
+    The certificate, `canonicals` and `reason`, is computed from the specs,
+    complements and `tol` each time it is read: a caller that reads only
+    `equivalent` never builds it.  Reading it cannot raise, since the verdict
+    is only made where both canonical forms exist.
+    """
+
     equivalent: bool
     component_counts: Tuple[int, int]
     complements: Tuple[LineSet, LineSet]
-    canonicals: Tuple[CanonicalForm, CanonicalForm]
-    reason: str
+    specs: Tuple[GroupSpec, GroupSpec]
+    tol: float
+
+    @property
+    def canonicals(self):
+        """Canonical forms of the two groups, named by their complements."""
+        (s1, s2), (l1, l2) = self.specs, self.complements
+        return _canonical(s1, l1, self.tol), _canonical(s2, l2, self.tol)
+
+    @property
+    def reason(self):
+        """One line on what decided the verdict."""
+        (c1, c2), (l1, l2) = self.component_counts, self.complements
+        if c1 != c2:
+            return f"component counts differ: {c1} vs {c2}"
+        if not l1.equals(l2, self.tol):
+            return (f"dual-orbit complements differ: "
+                    f"{_fmt_angles(l1)} vs {_fmt_angles(l2)}")
+        if c1 == 2:
+            e1, e2 = (s.family.c for s in self.specs)
+            return (
+                f"same complement line; shearlet exponents "
+                f"{e1:.12g} vs {e2:.12g} "
+                + ("agree" if self.equivalent else f"differ by {abs(e1 - e2):.3g}")
+            )
+        return f"complements coincide and orbit has {c1} component(s)"
 
 
 def coorbit_equivalent(s1, s2, tol=DEFAULT_TOL):
@@ -239,34 +289,19 @@ def coorbit_equivalent(s1, s2, tol=DEFAULT_TOL):
 
     Equivalent iff the component counts agree, the dual-orbit complements
     coincide as line sets, and in the two-component case the shearlet
-    exponents agree (absolute tolerance).  One complement per spec decides;
-    the canonical forms in the certificate are derived from those same
-    complements and play no part in the verdict.
+    exponents agree (absolute tolerance).  One complement per spec decides.
+    A pair of complement lines within `tol` of each other has no canonical
+    form, so it raises DegenerateInputError here, whatever the verdict.
     """
+    _checked_tol(tol)
     c1, c2 = component_count(s1), component_count(s2)
     l1, l2 = orbit_complement(s1), orbit_complement(s2)
-    cf1, cf2 = _canonical(s1, l1, tol), _canonical(s2, l2, tol)
-
-    if c1 != c2:
-        eq = False
-        reason = f"component counts differ: {c1} vs {c2}"
-    elif not l1.equals(l2, tol):
-        eq = False
-        reason = (f"dual-orbit complements differ: "
-                  f"{_fmt_angles(l1)} vs {_fmt_angles(l2)}")
-    elif c1 == 2:
-        dc = abs(s1.family.c - s2.family.c)
-        eq = dc <= tol
-        reason = (
-            f"same complement line; shearlet exponents "
-            f"{s1.family.c:.12g} vs {s2.family.c:.12g} "
-            + ("agree" if eq else f"differ by {dc:.3g}")
-        )
-    else:
-        eq = True
-        reason = (f"complements coincide and orbit has {c1} component(s)")
-
-    return EquivalenceVerdict(eq, (c1, c2), (l1, l2), (cf1, cf2), reason)
+    for comp in (l1, l2):
+        if len(comp) == 2:
+            _acute_gap(comp, tol)
+    eq = (c1 == c2 and l1.equals(l2, tol)
+          and (c1 != 2 or abs(s1.family.c - s2.family.c) <= tol))
+    return EquivalenceVerdict(eq, (c1, c2), (l1, l2), (s1, s2), tol)
 
 
 def _fmt_angles(ls):
@@ -282,13 +317,12 @@ def in_orbit_symmetry(spec, a, tol=DEFAULT_TOL):
 
     A^T O = O exactly when A^-T O, the dual orbit of A H A^-1, is O.  The
     complements are compared in that form, as `same_group` and
-    `coorbit_equivalent` compare them, so the three symmetry tests round alike.
+    `coorbit_equivalent` compare them, so the three symmetry tests round
+    alike and refuse the same A: those `conjugate_spec` refuses.
     """
-    comp = orbit_complement(spec)
-    if not comp.angles:
-        checked_matrix(a, "A")
-        return True
-    return orbit_complement(conjugate_spec(spec, a)).equals(comp, tol)
+    _checked_tol(tol)
+    moved = conjugate_spec(spec, a)
+    return orbit_complement(moved).equals(orbit_complement(spec), tol)
 
 
 def same_group(spec_a, spec_b, tol=DEFAULT_TOL):
@@ -302,6 +336,7 @@ def same_group(spec_a, spec_b, tol=DEFAULT_TOL):
     at most `tol` times the larger, a ratio no factor of M moves.  Neither
     test depends on how a conjugator is written.
     """
+    _checked_tol(tol)
     kind = spec_a.family.kind
     if kind != spec_b.family.kind:
         return False
@@ -325,9 +360,11 @@ def same_group(spec_a, spec_b, tol=DEFAULT_TOL):
 
 def in_normalizer(spec, a, tol=DEFAULT_TOL):
     """Whether A normalizes the represented group: A H A^-1 = H."""
+    _checked_tol(tol)
     return same_group(spec, conjugate_spec(spec, a), tol)
 
 
 def in_coorbit_symmetry(spec, a, tol=DEFAULT_TOL):
     """Whether A H A^-1 is coorbit equivalent to H (the coorbit symmetry group)."""
+    _checked_tol(tol)
     return coorbit_equivalent(conjugate_spec(spec, a), spec, tol).equivalent

@@ -32,7 +32,7 @@ from .classify import (
 )
 from .errors import CoorbitError, FormatError, SingularMatrixError, WeightRangeError
 from .families import FAMILIES
-from .groups import SHEARLET, SIMILITUDE, GroupSpec, similitude
+from .groups import SHEARLET, SIMILITUDE, GroupSpec, similitude, valid_tolerance
 from .io_formats import (
     emit_report,
     group_spec_to_dict,
@@ -172,8 +172,7 @@ _WIDTH = _flag_type(float, lambda x: 0.0 < x and x * x < np.inf
 _COUNT = _flag_type(int, lambda n: n >= 1, "a positive integer")
 _SEED = _flag_type(int, lambda n: n >= 0, "a non-negative integer")
 _FINITE = _flag_type(float, np.isfinite, "a finite number")
-_TOLERANCE = _flag_type(float, lambda x: 0.0 <= x < np.inf,
-                        "a non-negative finite number")
+_TOLERANCE = _flag_type(float, valid_tolerance, "a non-negative finite number")
 _CENTER = _flag_type(lambda text: tuple(float(v) for v in text.split(",")),
                      lambda c: len(c) == 2 and bool(np.all(np.isfinite(c))),
                      "'xi1,xi2' with finite numbers")

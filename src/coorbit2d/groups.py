@@ -28,7 +28,7 @@ the left-invariance quadrature oracle in the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import frexp, hypot, isfinite, ldexp
+from math import frexp, hypot, inf, isfinite, ldexp
 from typing import Optional
 
 import numpy as np
@@ -41,6 +41,11 @@ from .families import (DIAGONAL, FAMILIES, SHEARLET, SIMILITUDE,  # noqa: F401
 DEFAULT_TOL = 1e-9
 
 _I2 = np.eye(2)
+
+
+def valid_tolerance(tol):
+    """The rule for a comparison tolerance: 0 <= tol < inf, so not nan."""
+    return 0.0 <= tol < inf
 
 
 def scaled_columns(m):

@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from coorbit2d import (
     DegenerateInputError,
     GroupSpec,
     LineSet,
+    SingularMatrixError,
     canonical_diagonal,
     canonical_shearlet,
     canonical_similitude,
@@ -27,7 +30,8 @@ from coorbit2d import (
     similitude,
 )
 from coorbit2d.classify import angle_distance, mod_pi
-from coorbit2d.groups import DEFAULT_TOL
+from coorbit2d.cli import _TOLERANCE
+from coorbit2d.groups import DEFAULT_TOL, valid_tolerance
 from conftest import diagonal_spec_from_lines, random_invertible
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -270,6 +274,50 @@ class TestCoorbitEquivalent:
         spec = GroupSpec(diagonal(), [[1.0, 1.0], [1.0, 1.0 + 1e-8]])
         assert coorbit_equivalent(spec, spec).equivalent
 
+    def test_certificate_read_on_demand_matches_eager_reference(self, rng):
+        pool = _spec_pool(rng, 200)
+        eager = [canonicalize(s) for s in pool]
+
+        def fields(cf):
+            return cf.kind, *(None if v is None else float.hex(v)
+                              for v in (cf.phi, cf.s, cf.c))
+
+        def fmt(ls):
+            return "{" + ", ".join(f"{a:.12g}" for a in ls.angles) + "}"
+
+        def reason(s1, s2, tol=DEFAULT_TOL):
+            c1, c2 = component_count(s1), component_count(s2)
+            l1, l2 = orbit_complement(s1), orbit_complement(s2)
+            if c1 != c2:
+                return f"component counts differ: {c1} vs {c2}"
+            if not l1.equals(l2, tol):
+                return f"dual-orbit complements differ: {fmt(l1)} vs {fmt(l2)}"
+            if c1 == 2:
+                dc = abs(s1.family.c - s2.family.c)
+                return (f"same complement line; shearlet exponents "
+                        f"{s1.family.c:.12g} vs {s2.family.c:.12g} "
+                        + ("agree" if dc <= tol else f"differ by {dc:.3g}"))
+            return f"complements coincide and orbit has {c1} component(s)"
+
+        for i, s1 in enumerate(pool):
+            for j, s2 in enumerate(pool):
+                v = coorbit_equivalent(s1, s2)
+                assert [fields(cf) for cf in v.canonicals] == [fields(eager[i]),
+                                                               fields(eager[j])]
+                assert v.reason == reason(s1, s2)
+
+    def test_lines_within_tol_raise_before_the_certificate_is_read(self):
+        # complement lines 0.05 apart: no canonical form at tol 0.1, so the
+        # verdict is refused, whichever side the spec is on
+        spec = GroupSpec(diagonal(), [[1.0, np.cos(0.05)], [0.0, np.sin(0.05)]])
+        other = GroupSpec(similitude())
+        for s1, s2 in ((spec, spec), (spec, other), (other, spec)):
+            with pytest.raises(DegenerateInputError):
+                coorbit_equivalent(s1, s2, 0.1)
+        with pytest.raises(DegenerateInputError):
+            in_coorbit_symmetry(spec, np.eye(2), 0.1)
+        assert coorbit_equivalent(spec, spec, 0.01).equivalent
+
     def test_equivalence_relation(self, rng):
         pool = _spec_pool(rng, 200)
         n = len(pool)
@@ -376,7 +424,52 @@ def _spec_pool(rng, n):
     return pool[:n]
 
 
+_BAD_TOLERANCES = [float("nan"), -1.0, -1e-300, float("inf"), -float("inf")]
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", _BAD_TOLERANCES)
+    def test_every_decision_refuses_a_bad_tolerance(self, tol):
+        for spec in (GroupSpec(similitude()), GroupSpec(diagonal()),
+                     GroupSpec(shearlet(0.7))):
+            for call in (lambda: canonicalize(spec, tol),
+                         lambda: coorbit_equivalent(spec, spec, tol),
+                         lambda: same_group(spec, spec, tol),
+                         lambda: in_normalizer(spec, np.eye(2), tol),
+                         lambda: in_coorbit_symmetry(spec, np.eye(2), tol),
+                         lambda: in_orbit_symmetry(spec, np.eye(2), tol)):
+                with pytest.raises(ValueError, match="tol"):
+                    call()
+
+    @pytest.mark.parametrize("tol", [*_BAD_TOLERANCES, 0.0, 5e-324, 1e-9, 1e308])
+    def test_the_cli_flag_keeps_the_same_rule(self, tol):
+        try:
+            _TOLERANCE(repr(tol))
+        except argparse.ArgumentTypeError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == valid_tolerance(tol)
+
+
+# A nearly singular A, and two whose inverse is not finite
+_REFUSED_MATRICES = [[[1.0, 1.0], [1.0, 1.0 + 1e-12]], [[1e-310, 0.0], [0.0, 1.0]],
+                     [[-5e-324, -5e-324], [-5e-324, 0.0]]]
+
+
 class TestSymmetryGroups:
+    @pytest.mark.parametrize("family", [similitude(), diagonal(), shearlet(0.7)],
+                             ids=lambda f: f.kind)
+    @pytest.mark.parametrize("a", _REFUSED_MATRICES, ids=["near-singular",
+                                                          "subnormal", "tiny"])
+    def test_predicates_refuse_the_matrices_conjugation_refuses(self, family, a):
+        spec = GroupSpec(family)
+        with pytest.raises(SingularMatrixError):
+            conjugate_spec(spec, a)
+        for predicate in (in_normalizer, in_coorbit_symmetry, in_orbit_symmetry):
+            with pytest.raises(SingularMatrixError):
+                predicate(spec, a)
+
     def test_similitude_orbit_symmetry_everything(self, rng):
         spec = GroupSpec(similitude())
         for _ in range(20):
