@@ -6,13 +6,17 @@ lines through the origin; conjugating the group by ``B`` moves the orbit by
 ``B^-T``.  Two groups are coorbit equivalent exactly when their orbits agree
 and, for the two-component (shearlet) case, the anisotropy exponents agree as
 well.  Every decision below therefore reduces to arithmetic on line sets,
-which is cheap and exact up to an angle tolerance: a decision computes one
-complement per spec and compares those.  The canonical forms and the reason
-that certify an equivalence verdict are computed from the same two
-complements when they are read, not when the verdict is made.  Complements
-come in closed form from the adjugate of ``B``: no decision inverts a matrix.
-`canonicalize` and the decisions refuse a ``tol`` outside
-`groups.valid_tolerance` with ValueError.
+which is cheap and exact up to an angle tolerance.  The complement is an
+invariant of the group: `GroupSpec` computes it once, when it is built, in
+closed form from the adjugate of ``B``, and a decision only reads and compares
+those of its specs, so no decision inverts a matrix or derives an angle.  A
+symmetry test builds the one conjugated spec it compares.  The canonical
+forms and the reason that certify an equivalence verdict are computed from
+the same two complements when they are read, not when the verdict is made.
+`canonicalize`, the decisions, `orbit_contains` and `lines_to_phi_s` refuse
+a ``tol`` outside `groups.valid_tolerance` with ValueError.  `LineSet`,
+`mod_pi` and `angle_distance` live in :mod:`coorbit2d.groups` and are
+importable from here.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .families import FAMILIES
+# the line sets and their angle arithmetic stay importable from this module
+from .groups import LineSet, angle_distance, mod_pi  # noqa: F401
 from .groups import (
     DEFAULT_TOL,
     DIAGONAL,
@@ -45,65 +51,23 @@ from .groups import (
 _PI = np.pi
 
 
-def mod_pi(x):
-    """Reduce an angle to [0, pi); guards against rounding to pi itself."""
-    a = float(x) % _PI
-    return 0.0 if a >= _PI else a
-
-
-def angle_distance(a, b):
-    """Distance between two line angles in the R/pi metric."""
-    d = abs(mod_pi(a) - mod_pi(b))
-    return min(d, _PI - d)
-
-
 def _checked_tol(tol):
     if not valid_tolerance(tol):
         raise ValueError(f"tol must satisfy 0 <= tol < inf, got {tol!r}")
 
 
-@dataclass(frozen=True)
-class LineSet:
-    """0, 1 or 2 distinct lines through the origin, each an angle in [0, pi)."""
-
-    angles: Tuple[float, ...]
-
-    def __post_init__(self):
-        angles = tuple(sorted(mod_pi(a) for a in self.angles))
-        if len(angles) > 2:
-            raise ValueError("at most two lines")
-        if len(angles) == 2 and angle_distance(angles[0], angles[1]) <= DEFAULT_TOL:
-            raise DegenerateInputError("lines coincide within tolerance")
-        object.__setattr__(self, "angles", angles)
-
-    def __len__(self):
-        return len(self.angles)
-
-    def equals(self, other, tol=DEFAULT_TOL):
-        """Whether the lines pair up within `tol`, in order or crossed."""
-        a, b, d = self.angles, other.angles, angle_distance
-        if len(a) != len(b):
-            return False
-        if len(a) < 2:
-            return not a or d(a[0], b[0]) <= tol
-        return ((d(a[0], b[0]) <= tol and d(a[1], b[1]) <= tol)
-                or (d(a[0], b[1]) <= tol and d(a[1], b[0]) <= tol))
-
-    def distance_from(self, w):
-        """Smallest distance of a point from the union of the lines (inf if empty)."""
-        w = as_vector(w, "w")
-        if not self.angles:
-            return np.inf
-        return min(
-            abs(-w[0] * np.sin(a) + w[1] * np.cos(a)) for a in self.angles
-        )
-
-
 def orbit_complement(spec):
-    """The lines missing from the open dual orbit of the represented group,
-    in closed form from the entries of its conjugator."""
-    (p, q), (r, s) = spec.conjugator.tolist()
-    return LineSet(FAMILIES[spec.family.kind].complement(p, q, r, s))
+    """The lines missing from the open dual orbit of the represented group.
+
+    `GroupSpec` computes them when it is built, in closed form from the
+    entries of its conjugator; this returns that `LineSet`.  For a diagonal
+    spec whose two lines lie within DEFAULT_TOL of each other it raises
+    DegenerateInputError, as does every decision that reads them.
+    """
+    comp = spec._complement
+    if comp is None:
+        raise DegenerateInputError("lines coincide within tolerance")
+    return comp
 
 
 def component_count(spec):
@@ -113,6 +77,7 @@ def component_count(spec):
 
 def orbit_contains(spec, zeta, tol=DEFAULT_TOL):
     """Whether a frequency lies in the open dual orbit, with a relative margin."""
+    _checked_tol(tol)
     zeta = as_vector(zeta, "zeta")
     w = spec.conjugator.T @ zeta
     n = np.hypot(w[0], w[1])
@@ -183,6 +148,7 @@ def lines_to_phi_s(lines, tol=DEFAULT_TOL):
     diagonal-family group, so phi is reported in [0, pi/2), with a value
     within `tol` of pi/2 mapped to 0.
     """
+    _checked_tol(tol)
     if len(lines) != 2:
         raise DegenerateInputError("need exactly two distinct lines")
     a1, a2 = lines.angles
@@ -289,7 +255,8 @@ def coorbit_equivalent(s1, s2, tol=DEFAULT_TOL):
 
     Equivalent iff the component counts agree, the dual-orbit complements
     coincide as line sets, and in the two-component case the shearlet
-    exponents agree (absolute tolerance).  One complement per spec decides.
+    exponents agree (absolute tolerance).  The complement each spec stored
+    when it was built decides.
     A pair of complement lines within `tol` of each other has no canonical
     form, so it raises DegenerateInputError here, whatever the verdict.
     """

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import frexp, hypot, inf, isfinite, ldexp
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ChartMismatchError, SingularMatrixError, WeightRangeError
+from .errors import (ChartMismatchError, DegenerateInputError, SingularMatrixError,
+                     WeightRangeError)
 # the family kinds and chart point types stay importable from this module
 from .families import (DIAGONAL, FAMILIES, SHEARLET, SIMILITUDE,  # noqa: F401
                        DiagonalChart, ShearletChart, SimilitudeChart)
@@ -41,6 +42,7 @@ from .families import (DIAGONAL, FAMILIES, SHEARLET, SIMILITUDE,  # noqa: F401
 DEFAULT_TOL = 1e-9
 
 _I2 = np.eye(2)
+_PI = np.pi
 
 
 def valid_tolerance(tol):
@@ -103,6 +105,58 @@ def shear(s):
     return np.array([[1.0, s], [0.0, 1.0]])
 
 
+def mod_pi(x):
+    """Reduce an angle to [0, pi); guards against rounding to pi itself."""
+    a = float(x) % _PI
+    return 0.0 if a >= _PI else a
+
+
+def angle_distance(a, b):
+    """Distance between two line angles in the R/pi metric."""
+    d = abs(mod_pi(a) - mod_pi(b))
+    return min(d, _PI - d)
+
+
+@dataclass(frozen=True)
+class LineSet:
+    """0, 1 or 2 distinct lines through the origin, each an angle in [0, pi)."""
+
+    angles: Tuple[float, ...]
+
+    def __post_init__(self):
+        angles = tuple(sorted(map(mod_pi, self.angles)))
+        if len(angles) > 2:
+            raise ValueError("at most two lines")
+        if len(angles) == 2:
+            # their angle_distance, since both lie in [0, pi) in order
+            gap = angles[1] - angles[0]
+            if min(gap, _PI - gap) <= DEFAULT_TOL:
+                raise DegenerateInputError("lines coincide within tolerance")
+        object.__setattr__(self, "angles", angles)
+
+    def __len__(self):
+        return len(self.angles)
+
+    def equals(self, other, tol=DEFAULT_TOL):
+        """Whether the lines pair up within `tol`, in order or crossed."""
+        a, b, d = self.angles, other.angles, angle_distance
+        if len(a) != len(b):
+            return False
+        if len(a) < 2:
+            return not a or d(a[0], b[0]) <= tol
+        return ((d(a[0], b[0]) <= tol and d(a[1], b[1]) <= tol)
+                or (d(a[0], b[1]) <= tol and d(a[1], b[0]) <= tol))
+
+    def distance_from(self, w):
+        """Smallest distance of a point from the union of the lines (inf if empty)."""
+        w = as_vector(w, "w")
+        if not self.angles:
+            return np.inf
+        return min(
+            abs(-w[0] * np.sin(a) + w[1] * np.cos(a)) for a in self.angles
+        )
+
+
 @dataclass(frozen=True)
 class Family:
     """Tagged family: similitude, diagonal, or shearlet with exponent c."""
@@ -134,10 +188,21 @@ def shearlet(c):
 
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
-    """A dilation group: standard family conjugated by an invertible matrix."""
+    """A dilation group: standard family conjugated by an invertible matrix.
+
+    Construction checks the conjugator B with `checked_matrix` and, from B's
+    four floats, computes once the lines missing from the group's open dual
+    orbit, which `classify.orbit_complement` returns: B^-T moves the axes to
+    the lines of (s, -q) and (-r, p) for B = [[p, q], [r, s]].  A diagonal B
+    can pass the sine rule below while its two line angles lie within
+    DEFAULT_TOL of each other; such a spec is built with no complement, and
+    `orbit_complement` and every decision that reads it raise
+    DegenerateInputError instead.
+    """
 
     family: Family
     conjugator: np.ndarray = field(default_factory=lambda: _I2.copy())
+    _complement: Optional[LineSet] = field(init=False, repr=False)
 
     def __post_init__(self):
         b, sine, inverse_finite = checked_matrix(self.conjugator, "conjugator")
@@ -151,6 +216,12 @@ class GroupSpec:
         if not inverse_finite:
             raise SingularMatrixError("conjugator has a non-finite inverse")
         object.__setattr__(self, "conjugator", b)
+        (p, q), (r, s) = b.tolist()
+        try:
+            comp = LineSet(FAMILIES[self.family.kind].complement(p, q, r, s))
+        except DegenerateInputError:
+            comp = None
+        object.__setattr__(self, "_complement", comp)
 
     @property
     def is_standard(self):

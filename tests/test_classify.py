@@ -441,6 +441,17 @@ class TestTolerance:
                 with pytest.raises(ValueError, match="tol"):
                     call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: orbit_contains(GroupSpec(diagonal()), (1.0, 0.0), -np.inf),
+        lambda: orbit_contains(GroupSpec(diagonal()), (1.0, 1.0), np.nan),
+        lambda: lines_to_phi_s(LineSet((0, 1)), np.nan),
+    ], ids=["on-the-complement", "interior", "lines"])
+    def test_orbit_contains_and_lines_to_phi_s_refuse_a_bad_tolerance(self, call):
+        # a margin of -inf or nan inverts the membership test, and a nan
+        # tolerance gave the pair of lines a form
+        with pytest.raises(ValueError, match="tol"):
+            call()
+
     @pytest.mark.parametrize("tol", [*_BAD_TOLERANCES, 0.0, 5e-324, 1e-9, 1e308])
     def test_the_cli_flag_keeps_the_same_rule(self, tol):
         try:

@@ -5,22 +5,32 @@ import pytest
 
 from coorbit2d import (
     ChartMismatchError,
+    DegenerateInputError,
     DiagonalChart,
     GroupSpec,
+    LineSet,
     ShearletChart,
     SimilitudeChart,
     SingularMatrixError,
+    canonical_diagonal,
+    canonical_shearlet,
+    canonical_similitude,
     canonicalize,
+    conjugate_spec,
     coorbit_equivalent,
     diagonal,
     element_from_chart,
     g_weight,
     haar_weight,
+    orbit_complement,
+    rep_group,
     rotation,
     same_group,
     shearlet,
     similitude,
 )
+from coorbit2d.families import FAMILIES as RECORDS
+from coorbit2d.groups import DEFAULT_TOL, checked_matrix
 from coorbit2d.sampling import default_sampling
 from conftest import random_invertible
 
@@ -138,6 +148,83 @@ class TestGroupSpecConditioning:
             for s2 in (spec, other, GroupSpec(family, scale * other.conjugator)):
                 assert (coorbit_equivalent(scaled, s2).equivalent
                         == coorbit_equivalent(spec, s2).equivalent)
+
+
+def _closed_form_complement(family, b):
+    """The complement in closed form from the four floats of B;
+    DegenerateInputError if its two lines lie within DEFAULT_TOL."""
+    (p, q), (r, s) = b.tolist()
+    return LineSet(RECORDS[family.kind].complement(p, q, r, s))
+
+
+class TestStoredComplement:
+    """The complement GroupSpec computes once, when it is built."""
+
+    @staticmethod
+    def _assert_bit_equal(spec):
+        want = _closed_form_complement(spec.family, spec.conjugator).angles
+        got = orbit_complement(spec).angles
+        assert [a.hex() for a in got] == [a.hex() for a in want], spec
+
+    def test_equals_the_closed_form_bit_for_bit(self, rng):
+        scalings = [np.diag(np.ldexp(1.0, k)) for k in
+                    ((500, 500), (-500, -500), (500, -500), (-500, 500), (500, 0), (0, -500))]
+        for kind, family in FAMILIES.items():
+            for b in [*REWRITES[kind], *random_invertible(rng, 200)]:
+                for m in (np.eye(2), *scalings):
+                    spec = GroupSpec(family, b @ m)
+                    self._assert_bit_equal(spec)
+                    for a in (rotation(0.7), B_UNIT_SHEAR, *random_invertible(rng, 2)):
+                        self._assert_bit_equal(conjugate_spec(spec, a))
+
+    def test_rep_group_specs_equal_the_closed_form_bit_for_bit(self, rng):
+        forms = [canonical_similitude(),
+                 *(canonical_diagonal(phi, s) for phi, s in
+                   zip(rng.uniform(0.0, np.pi, 200), rng.uniform(0.0, 10.0, 200))),
+                 *(canonical_shearlet(phi, c) for phi, c in
+                   zip(rng.uniform(0.0, np.pi, 200), rng.uniform(-3.0, 3.0, 200)))]
+        for cf in forms:
+            self._assert_bit_equal(rep_group(cf))
+
+    @pytest.mark.parametrize("which", ["unit-shear", "equal-rows"])
+    def test_lines_within_tolerance_raise_at_decisions_not_at_construction(self, which):
+        # near a column sine of DEFAULT_TOL the sine rule of the constructor
+        # and LineSet's angle rule round apart; a B that passes the first and
+        # fails the second is still built, and its complement, its verdicts
+        # and its canonical form raise DegenerateInputError
+        ref = GroupSpec(diagonal())
+        built, degenerate_built = 0, 0
+        for k in range(-2000, 2000):
+            t = 1e-9 + k * 2e-18
+            b = np.array([[1.0, 1.0], [0.0, t]] if which == "unit-shear"
+                         else [[0.3, 0.3 + t], [1.1, 1.1]])
+            _, sine, finite = checked_matrix(b, "B")
+            try:
+                spec = GroupSpec(diagonal(), b)
+            except SingularMatrixError:
+                assert not (sine > DEFAULT_TOL and finite), t
+                continue
+            assert sine > DEFAULT_TOL and finite, t
+            built += 1
+            try:
+                _closed_form_complement(spec.family, b)
+            except DegenerateInputError:
+                degenerate = True
+            else:
+                degenerate = False
+            for call in (lambda: orbit_complement(spec),
+                         lambda: coorbit_equivalent(spec, ref),
+                         lambda: coorbit_equivalent(ref, spec),
+                         lambda: canonicalize(spec)):
+                if degenerate:
+                    with pytest.raises(DegenerateInputError):
+                        call()
+                else:
+                    call()
+            degenerate_built += degenerate
+        # the unit shear reaches both sides of the two rules; every B with
+        # equal rows has a column sine of about 0.85 t and is refused
+        assert (degenerate_built > 0) if which == "unit-shear" else built == 0
 
 
 class TestElementFromChart:
