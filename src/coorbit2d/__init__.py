@@ -79,14 +79,10 @@ from .signals import (
 )
 from .transform import (
     CalderonResult,
-    CoeffSlab,
     RatioTable,
-    analyze,
     calderon_constant,
     calderon_multiplier,
-    coorbit_norm,
     default_orbit_samples,
-    invert,
     norm_ratio_profile,
     reconstruct,
     signal_coorbit_norm,

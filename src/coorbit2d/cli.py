@@ -58,10 +58,6 @@ from .transform import (
     reconstruct,
     signal_coorbit_norm,
 )
-# not called here; they stay importable from this module because
-# bench/spans.py traces CLI requests through these names
-from .transform import analyze, coorbit_norm, invert  # noqa: F401
-from .wavelets import default_wavelet  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -19,8 +19,7 @@ come in element order, in chunks of bounded size, and take the arithmetic
 of a dense evaluation: every value is the dense one bit for bit, and every
 pair left out is exactly 0 (on the default samplings at N = 128, 4-5% of
 the lattice is evaluated for the shearlet elements, 11-14% for the diagonal
-ones).  The kernel backs the multiplier, the analysis planes and the
-`invert` sum.
+ones).  The kernel backs the multiplier and the analysis planes.
 
 The wavelet factor |det h|^(1/2) psihat(h^T xi) is constant on the classes
 of H modulo the compact subgroup K_psi that leaves the profile invariant:
@@ -40,15 +39,11 @@ the first inverse-FFT pass (`signals.ifft2_rows`, `np.fft.ifft2` bit for
 bit), and the plane, row-product and magnitude buffers are reused from plane
 to plane.  Each spectrum takes the lattice phase and (N/L)^2 once; when
 (N/L)^2 is a power of two that is exact, and the planes equal
-`signal_from_spectrum(fhat * factor)` bit for bit.  `analyze` is the only
-code that fills an M x N x N slab from it.
-Norms with p != 2 (`signal_coorbit_norm`, `norm_ratio_profile`, which shares
-each psihat plane across its signals) and the CLI `analyze` report reduce
-each plane as it is computed and total them over the M rows with the same
-per-plane formula and index-order sum as `coorbit_norm` of a slab, so the
-results agree bit for bit.  `invert` takes the FFT of every slab plane whose
-row the support pieces bring onto the lattice, since a slab may have been
-edited.
+`signal_from_spectrum(fhat * factor)` bit for bit.  No M x N x N slab of
+coefficients is held anywhere: norms with p != 2 (`signal_coorbit_norm`,
+`norm_ratio_profile`, which shares each psihat plane across its signals)
+and the CLI `analyze` report reduce each plane as it is computed
+(`_plane_stats`) and total the M rows in index order (`_coorbit_total`).
 
 The coorbit quasi-norm integrates |W|^p over space (cell (L/N)^2) and over
 the chart with the g-weights of the sampling; no triangle inequality is
@@ -60,16 +55,15 @@ transform collapses onto the Calderon multiplier
     C(xi) = sum_h haar_w(h) |psihat(h^T xi)|^2      (calderon_multiplier)
 
 exactly on the grid:  ||W f||_{L^2(G)}^2 = sum_xi |fhat|^2 C / L^2  (grid
-Plancherel) and  invert(analyze(f)) = inverse FT of fhat C / C_psi.  The
-p = 2 norm of a signal (signal_coorbit_norm) and the reconstruction of a
-signal (reconstruct) are computed that way, with two FFTs at most and no
-M x N x N coefficient slab.  C is summed in row order at every frequency,
-so the sum does not depend on how the kernel blocks or chunks its work.
+Plancherel), and the inversion formula, which sums
+g_w(h) FT(W f(., h)) |det h|^(1/2) psihat(h^T xi) over the rows, gives the
+inverse FT of fhat C / C_psi.  The p = 2 norm of a signal
+(signal_coorbit_norm) and the reconstruction of a signal (reconstruct) are
+computed that way, with two FFTs at most and no analysis plane.  C is
+summed in row order at every frequency, so the sum does not depend on how
+the kernel blocks or chunks its work.
 `calderon_constant` takes the same sum at the 16 orbit samples of the family's
 record, from one dense psihat evaluation over all (row, sample) pairs.
-`analyze`, `coorbit_norm` and `invert` remain the coefficient-domain path on
-a slab, and the tests use them as the reference for the multiplier and for
-the streamed reductions.
 
 No coverage check runs here: an h that maps the wavelet off the lattice
 gives a zero plane.  Only the test signals of `signals` warn on coverage.
@@ -82,13 +76,9 @@ from typing import Optional
 
 import numpy as np
 
-# not called here; it stays importable from this module because
-# bench/spans.py traces CLI requests through this name
-from .classify import orbit_contains  # noqa: F401
 from .errors import OrbitSampleError, WeightRangeError
 from .families import FAMILIES
 from .groups import element_from_chart
-from .sampling import GroupSampling
 from .signals import (
     GridSignal,
     _phase_grid,
@@ -98,28 +88,6 @@ from .signals import (
     spectrum_from_signal,
 )
 from .wavelets import default_wavelet
-
-
-@dataclass(frozen=True, eq=False)
-class CoeffSlab:
-    """Wavelet coefficients W(x, h): one N x N plane per sampled chart point."""
-
-    planes: np.ndarray
-    sampling: GroupSampling
-    N: int
-    L: float
-
-    def __post_init__(self):
-        if self.planes.shape != (len(self.sampling), self.N, self.N):
-            raise ValueError("plane stack does not match sampling and grid")
-
-    def __len__(self):
-        return len(self.sampling)
-
-    def plane_energies(self):
-        """Per-plane spatial L^2 energies, cell-weighted."""
-        sums, _ = _plane_stats(self.planes, (len(self),), 2, (self.L / self.N) ** 2)
-        return sums
 
 
 # classes per block of column intervals, and candidate points per call of
@@ -414,10 +382,11 @@ def _check_exponent(p):
 def signal_coorbit_norm(f, spec, sampling, p):
     """Coorbit quasi-norm ||W f||_{L^p(G)} of a grid signal.
 
+    p < inf:  ( sum_h g_w(h) * sum_x |W f(x,h)|^p * (L/N)^2 )^(1/p);
+    p = inf:  max over all samples.
     p = 2 is computed from the Calderon multiplier as
-    sqrt(sum |fhat|^2 C / L^2), which equals coorbit_norm(analyze(f), 2) to
-    roundoff; every other p reduces the planes as they are computed and
-    equals coorbit_norm(analyze(f), p) bit for bit.
+    sqrt(sum |fhat|^2 C / L^2), which equals that sum to roundoff; every
+    other p reduces the planes as they are computed.
     """
     _check_exponent(p)
     (value,) = _signal_norms([f], spec, sampling, p)
@@ -425,37 +394,17 @@ def signal_coorbit_norm(f, spec, sampling, p):
 
 
 def reconstruct(f, spec, sampling, c_psi):
-    """invert(analyze(f), ...) computed as the inverse FT of fhat C / C_psi."""
+    """The inversion formula applied to W f: the inverse FT of fhat C / C_psi.
+
+    It equals, to roundoff, the inverse FT of the sum over the sampled rows
+    of g_w(h) FT(W f(., h)) |det h|^(1/2) psihat(h^T xi), scaled by 1/C_psi.
+    """
     if not (c_psi > 0):
         raise ValueError("C_psi must be positive")
     n, length = _grid([f])
     c = calderon_multiplier(spec, sampling, n, length)
     rec = signal_from_spectrum(spectrum_from_signal(f) * c / c_psi, n, length)
     return GridSignal(n, length, rec)
-
-
-def analyze(f, spec, sampling):
-    """Continuous wavelet transform of a grid signal over the sampled chart."""
-    n, length = _grid([f])
-    psi, mats = _elements(spec, sampling)
-    planes = np.zeros((len(sampling), n, n), dtype=complex)
-    for k, w in enumerate(_planes([f], mats, psi)):
-        if w is not None:
-            planes[k] = w[0]
-    return CoeffSlab(planes, sampling, n, length)
-
-
-def coorbit_norm(slab, p):
-    """Coorbit quasi-norm ||W||_{L^p(G)} of a coefficient slab.
-
-    p < inf:  ( sum_h g_w(h) * sum_x |W(x,h)|^p * (L/N)^2 )^(1/p);
-    p = inf:  max over all samples.
-    The slab is reduced one plane at a time.
-    """
-    _check_exponent(p)
-    sums, peaks = _plane_stats(slab.planes, (len(slab),), p,
-                               (slab.L / slab.N) ** 2)
-    return _coorbit_total(sums, peaks, slab.sampling.g_w, p)
 
 
 @dataclass(frozen=True)
@@ -500,32 +449,6 @@ def calderon_constant(spec, sampling):
         raise OrbitSampleError("admissibility integral vanished on all samples")
     dev = float(np.max(np.abs(values - mean)) / mean)
     return CalderonResult(mean, dev, tuple(values))
-
-
-def invert(slab, spec, c_psi):
-    """Reconstruction from a coefficient slab via the inversion formula.
-
-    Accumulates g_w(h) * FT(W(., h)) * |det h|^(1/2) * psihat(h^T xi) over
-    the sampling of the slab in the DFT domain, in index order, and applies a
-    single inverse transform, scaled by 1/C_psi.  Every plane takes its own
-    FFT, since a slab may have been edited, except the planes of a row whose
-    support pieces reach no lattice point, which add exactly 0.
-    """
-    if not (c_psi > 0):
-        raise ValueError("C_psi must be positive")
-    n, length, sampling = slab.N, slab.L, slab.sampling
-    acc = np.zeros((n, n), dtype=complex)
-    psi, mats = _elements(spec, sampling)
-    root_det = _root_det(mats)
-    # spectrum_from_signal's factor: a plane holds coefficients, not a signal
-    dx = length / n
-    fold = (dx * dx) * _phase_grid(n)
-    for k, vals in enumerate(_class_values(psi, mats, n, length)):
-        if vals is not None:
-            what = fold * np.fft.fft2(slab.planes[k])
-            acc += (sampling.g_w[k] * root_det[k]) * what * vals
-    data = signal_from_spectrum(acc / c_psi, n, length)
-    return GridSignal(n, length, data)
 
 
 # ---------------------------------------------------------------------------

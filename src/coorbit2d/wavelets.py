@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# not called here; bench/spans.py traces requests through this name
-from .classify import orbit_contains  # noqa: F401
-# bump and the mask bounds stay importable from this module
-from .families import _HI, _LO, _SLACK, FAMILIES, bump  # noqa: F401
+# bump stays importable from this module
+from .families import FAMILIES, bump  # noqa: F401
 from .groups import GroupSpec
 
 

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from coorbit2d import (
     GridSignal,
     GroupSpec,
-    analyze,
     build_sampling,
     diagonal,
     element_from_chart,
@@ -15,6 +15,91 @@ from coorbit2d import (
     signal_from_spectrum,
     spectrum_from_signal,
 )
+from coorbit2d import transform
+from coorbit2d.sampling import GroupSampling
+from coorbit2d.signals import _phase_grid
+
+
+# ---------------------------------------------------------------------------
+# the coefficient slab: the tests' reference for the streamed transform
+#
+# It holds all M x N x N coefficients and is built on the same private
+# kernels as the product (`transform._elements`, `_planes`, `_plane_stats`,
+# `_coorbit_total`, `_class_values`, `_root_det`), so a comparison between a
+# slab and a streamed result can be exact.
+
+
+@dataclass(frozen=True, eq=False)
+class CoeffSlab:
+    """Wavelet coefficients W(x, h): one N x N plane per sampled chart point."""
+
+    planes: np.ndarray
+    sampling: GroupSampling
+    N: int
+    L: float
+
+    def __post_init__(self):
+        if self.planes.shape != (len(self.sampling), self.N, self.N):
+            raise ValueError("plane stack does not match sampling and grid")
+
+    def __len__(self):
+        return len(self.sampling)
+
+    def plane_energies(self):
+        """Per-plane spatial L^2 energies, cell-weighted."""
+        sums, _ = transform._plane_stats(self.planes, (len(self),), 2,
+                                         (self.L / self.N) ** 2)
+        return sums
+
+
+def analyze(f, spec, sampling):
+    """Continuous wavelet transform of a grid signal over the sampled chart."""
+    n, length = transform._grid([f])
+    psi, mats = transform._elements(spec, sampling)
+    planes = np.zeros((len(sampling), n, n), dtype=complex)
+    for k, w in enumerate(transform._planes([f], mats, psi)):
+        if w is not None:
+            planes[k] = w[0]
+    return CoeffSlab(planes, sampling, n, length)
+
+
+def coorbit_norm(slab, p):
+    """Coorbit quasi-norm ||W||_{L^p(G)} of a coefficient slab.
+
+    p < inf:  ( sum_h g_w(h) * sum_x |W(x,h)|^p * (L/N)^2 )^(1/p);
+    p = inf:  max over all samples.
+    The slab is reduced one plane at a time.
+    """
+    transform._check_exponent(p)
+    sums, peaks = transform._plane_stats(slab.planes, (len(slab),), p,
+                                         (slab.L / slab.N) ** 2)
+    return transform._coorbit_total(sums, peaks, slab.sampling.g_w, p)
+
+
+def invert(slab, spec, c_psi):
+    """Reconstruction from a coefficient slab via the inversion formula.
+
+    Accumulates g_w(h) * FT(W(., h)) * |det h|^(1/2) * psihat(h^T xi) over
+    the sampling of the slab in the DFT domain, in index order, and applies a
+    single inverse transform, scaled by 1/C_psi.  Every plane takes its own
+    FFT, since a slab may have been edited, except the planes of a row whose
+    support pieces reach no lattice point, which add exactly 0.
+    """
+    if not (c_psi > 0):
+        raise ValueError("C_psi must be positive")
+    n, length, sampling = slab.N, slab.L, slab.sampling
+    acc = np.zeros((n, n), dtype=complex)
+    psi, mats = transform._elements(spec, sampling)
+    root_det = transform._root_det(mats)
+    # spectrum_from_signal's factor: a plane holds coefficients, not a signal
+    dx = length / n
+    fold = (dx * dx) * _phase_grid(n)
+    for k, vals in enumerate(transform._class_values(psi, mats, n, length)):
+        if vals is not None:
+            what = fold * np.fft.fft2(slab.planes[k])
+            acc += (sampling.g_w[k] * root_det[k]) * what * vals
+    data = signal_from_spectrum(acc / c_psi, n, length)
+    return GridSignal(n, length, data)
 
 
 @pytest.fixture

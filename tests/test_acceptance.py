@@ -17,14 +17,12 @@ from coorbit2d import (
     canonicalize,
     calderon_constant,
     coorbit_equivalent,
-    coorbit_norm,
     diagonal,
     diagonal_sampling,
     freq_bump,
     in_coorbit_symmetry,
     in_normalizer,
     in_orbit_symmetry,
-    invert,
     norm_ratio_profile,
     rep_group,
     rotation,
@@ -36,8 +34,7 @@ from coorbit2d import (
 )
 from coorbit2d.classify import angle_distance
 from coorbit2d.groups import DiagonalChart, ShearletChart, SimilitudeChart
-from coorbit2d.transform import analyze
-from conftest import covariance_residual
+from conftest import analyze, coorbit_norm, covariance_residual, invert
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 PI = np.pi

@@ -12,15 +12,12 @@ from coorbit2d import (
     CoverageWarning,
     GridSignal,
     GroupSpec,
-    analyze,
     calderon_constant,
     canonical_diagonal,
-    coorbit_norm,
     default_sampling,
     diagonal,
     diagonal_sampling,
     freq_bump,
-    invert,
     parse_report,
     read_signal,
     rep_group,
@@ -37,8 +34,11 @@ from coorbit2d import cli, signals
 from coorbit2d.classify import angle_distance
 from coorbit2d.cli import main
 from conftest import (
+    analyze,
     big_bump_data,
+    coorbit_norm,
     diagonal_spec_from_lines,
+    invert,
     random_invertible,
     write_raw_signal,
 )

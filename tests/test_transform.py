@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from coorbit2d import (
-    CoeffSlab,
     CoverageWarning,
     GridSignal,
     GroupSpec,
@@ -13,11 +12,9 @@ from coorbit2d import (
     ShearletChart,
     SimilitudeChart,
     WeightRangeError,
-    analyze,
     build_sampling,
     calderon_constant,
     calderon_multiplier,
-    coorbit_norm,
     default_orbit_samples,
     default_wavelet,
     diagonal,
@@ -25,7 +22,6 @@ from coorbit2d import (
     freq_bump,
     freq_grids,
     gen_test_signal,
-    invert,
     norm_ratio_profile,
     reconstruct,
     rotation,
@@ -46,7 +42,15 @@ from coorbit2d.sampling import (
 )
 from coorbit2d.signals import freq_axis, ifft2_rows
 from coorbit2d.wavelets import WaveletSpec
-from conftest import chart_quotient, covariance_residual, stabilizer_residual
+from conftest import (
+    CoeffSlab,
+    analyze,
+    chart_quotient,
+    coorbit_norm,
+    covariance_residual,
+    invert,
+    stabilizer_residual,
+)
 
 
 def _wavelet_atom(n, length, spec):
@@ -102,9 +106,16 @@ class TestAnalyze:
         assert np.max(np.abs(slab.planes[1])) <= 1e-12 * top
 
     def test_dimension_mismatch(self, sim_setup):
+        # a bare ndarray is refused at the product's entry points, as by the
+        # reference slab
         spec, sampling, f, slab = sim_setup
-        with pytest.raises(TypeError):
-            analyze(f.signal.data, spec, sampling)
+        data = f.signal.data
+        for call in (lambda: analyze(data, spec, sampling),
+                     lambda: signal_coorbit_norm(data, spec, sampling, 1),
+                     lambda: signal_coorbit_norm(data, spec, sampling, 2),
+                     lambda: reconstruct(data, spec, sampling, 1.0)):
+            with pytest.raises(TypeError, match="GridSignal"):
+                call()
 
 
 class TestCoorbitNorm:
@@ -174,7 +185,6 @@ class TestCoorbitNorm:
         def no_work(*args, **kwargs):
             raise AssertionError("transform work ran before the exponent check")
 
-        monkeypatch.setattr(transform, "analyze", no_work)
         # every transform path starts by stacking the sampled elements
         monkeypatch.setattr(transform, "element_from_chart", no_work)
         spec = GroupSpec(similitude())
