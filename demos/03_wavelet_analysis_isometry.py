@@ -13,11 +13,11 @@ import numpy as np
 from coorbit2d import (
     GroupSpec,
     calderon_constant,
+    default_sampling,
     default_wavelet,
     freq_bump,
     signal_coorbit_norm,
     similitude,
-    similitude_sampling,
 )
 
 spec = GroupSpec(similitude())
@@ -30,7 +30,7 @@ print()
 
 # Chart sampling: 32 log-scales in [-2, 2], one row per class of H/K_psi (the
 # radial profile is rotation invariant, so each row stands for all angles).
-sampling = similitude_sampling(spec, (-2.0, 2.0), 32)
+sampling = default_sampling(spec, (-2.0, 2.0), 32)
 print("chart points:", len(sampling))
 
 # Admissibility: C(xi) should not depend on xi; it is summed at the 16 orbit

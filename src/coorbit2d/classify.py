@@ -36,7 +36,6 @@ from .groups import (
     DIAGONAL,
     SHEARLET,
     SIMILITUDE,
-    Family,
     GroupSpec,
     as_vector,
     conjugate_spec,

@@ -32,7 +32,7 @@ from .classify import (
 )
 from .errors import CoorbitError, FormatError, SingularMatrixError, WeightRangeError
 from .families import FAMILIES
-from .groups import SHEARLET, SIMILITUDE, GroupSpec, similitude, valid_tolerance
+from .groups import GroupSpec, similitude, valid_tolerance
 from .io_formats import (
     emit_report,
     group_spec_to_dict,
@@ -41,15 +41,7 @@ from .io_formats import (
     read_signal,
     write_signal,
 )
-from .sampling import (
-    LAM_RANGE,
-    SHEAR_RANGE,
-    _midpoints,
-    default_sampling,
-    diagonal_sampling,
-    shearlet_sampling,
-    similitude_sampling,
-)
+from .sampling import LAM_RANGE, SHEAR_RANGE, default_sampling
 from .signals import check_lattice, gen_test_signal, l2_norm, valid_grid_size
 from .transform import (
     _signal_stats,
@@ -94,24 +86,12 @@ def _canonical_doc(cf):
     return doc
 
 
-def _given(**counts):
-    """The count flags the user gave; the others take the builder's defaults."""
-    return {name: n for name, n in counts.items() if n is not None}
-
-
 def _sampling_from_args(spec, args):
-    kind = spec.family.kind
-    lam, shear = (args.lam_min, args.lam_max), (args.shear_min, args.shear_max)
-    # the builders reject counts below 1 and empty or non-finite ranges; the
-    # shear flags are held to that rule for every family
+    # the builder rejects counts below 1 and empty or non-finite ranges; it
+    # holds the shear flags to that rule for every family
     try:
-        if kind == SHEARLET:
-            return shearlet_sampling(spec, lam, shear_range=shear,
-                                     **_given(n_lam=args.n_scale, n_shear=args.n_shear))
-        _midpoints(shear, 1 if args.n_shear is None else args.n_shear, "shear")
-        if kind == SIMILITUDE:
-            return similitude_sampling(spec, lam, **_given(n_lam=args.n_scale))
-        return diagonal_sampling(spec, lam, **_given(n_lam=args.n_scale))
+        return default_sampling(spec, (args.lam_min, args.lam_max), args.n_scale,
+                                (args.shear_min, args.shear_max), args.n_shear)
     except ValueError as exc:
         raise _UsageError(f"sampling flags: {exc}") from None
 
@@ -125,8 +105,9 @@ def _add_sampling_flags(p):
                    help="points per log-scale axis (family default)")
     p.add_argument("--shear-min", type=float, default=SHEAR_RANGE[0])
     p.add_argument("--shear-max", type=float, default=SHEAR_RANGE[1])
-    p.add_argument("--n-shear", type=int, default=None,
-                   help="shear points, shearlet only (family default)")
+    p.add_argument("--n-shear", type=int, default=48,
+                   help="shear points; checked for every family, used by the "
+                        "shearlet chart only (default %(default)d)")
 
 
 def _parse_matrix_flag(text):

@@ -79,12 +79,23 @@ class FamilyRecord:
     pieces: Tuple[np.ndarray, np.ndarray]  # g (pieces, k, 2) and b (pieces, k)
     orbit_samples: np.ndarray  # (16, 2): the Calderon samples
     parameter: Optional[str]  # of the canonical form, besides phi
+    n_lam: int  # the default number of points per log-scale axis
+    # (lams, dlam, shears, dshear) -> (chart rows, cell volume) of H/K_psi:
+    # one row per class, at theta = 0, signs (+1, +1) or eps = +1, and a cell
+    # volume that holds the measure of K_psi in chart units, 2 pi, 4 or 2
+    quotient: Callable
 
 
 def _read_only(rows):
     a = np.array(rows, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _rows(*axes):
+    """The cartesian product of 1-D axes as rows, the last axis varying fastest."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def _similitude_matrix(cols, c):
@@ -139,7 +150,9 @@ FAMILIES = MappingProxyType({
         orbit_samples=_read_only([(r * np.cos(a), r * np.sin(a))
                                   for r in (0.6, 1.0, 1.4, 2.0)
                                   for a in (0.3, 1.2, 2.5, 4.0)]),
-        parameter=None,
+        parameter=None, n_lam=32,
+        quotient=lambda lams, dlam, shears, dshear: (
+            _rows(lams, [0.0]), dlam * (2.0 * np.pi)),
     ),
     DIAGONAL: FamilyRecord(
         chart=DiagonalChart, signs=(2, 3), matrix=_diagonal_matrix,
@@ -152,7 +165,9 @@ FAMILIES = MappingProxyType({
                 _read_only([(-_LO, _HI, -_LO, _HI)] * 4)),
         orbit_samples=_read_only([(s1 * u, s2 * v) for s1, s2 in _SIGN_PAIRS
                                   for u in (0.7, 1.2) for v in (0.7, 1.2)]),
-        parameter="s",
+        parameter="s", n_lam=16,
+        quotient=lambda lams, dlam, shears, dshear: (
+            _rows(lams, lams, [1.0], [1.0]), dlam * dlam * 4.0),
     ),
     SHEARLET: FamilyRecord(
         chart=ShearletChart, signs=(0,), matrix=_shearlet_matrix,
@@ -166,6 +181,8 @@ FAMILIES = MappingProxyType({
         orbit_samples=_read_only([(s * m, s * m * r) for s in (1.0, -1.0)
                                   for m in (0.8, 1.25)
                                   for r in (-0.35, -0.1, 0.2, 0.45)]),
-        parameter="c",
+        parameter="c", n_lam=16,
+        quotient=lambda lams, dlam, shears, dshear: (
+            _rows([1.0], lams, shears), dlam * dshear * 2.0),
     ),
 })

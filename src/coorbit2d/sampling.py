@@ -7,12 +7,13 @@ per-point chart cell volume together with the two derived weight vectors used
 everywhere downstream:  ``haar_w = haar density x volume`` (integration over
 H) and ``g_w = haar_w / |det h|`` (h-marginal of the full group measure).
 
-The default samplings cover the quotient H/K_psi, where K_psi is the compact
-subgroup that leaves the group's wavelet profile invariant: the rotations for
-similitude, the four sign elements for diagonal and +-I for shearlet.  Since
-W f(., h k) = W f(., h) for k in K_psi, each class needs one row, taken at
-theta = 0, signs (+1, +1) or eps = +1, and its cell volume includes the
-measure of K_psi in chart units: 2 pi, 4 or 2.
+`default_sampling` is the one builder.  It covers the quotient H/K_psi, where
+K_psi is the compact subgroup that leaves the group's wavelet profile
+invariant: the rotations for similitude, the four sign elements for diagonal
+and +-I for shearlet.  Since W f(., h k) = W f(., h) for k in K_psi, each
+class needs one row.  The family record's `quotient` lays the rows out on the
+log-scale and shear grids and gives the cell volume, which includes the
+measure of K_psi; the builder only makes the grids and the weights.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WeightRangeError
-from .groups import DIAGONAL, SHEARLET, SIMILITUDE, g_weight, haar_weight
+from .families import FAMILIES
+from .groups import g_weight, haar_weight
 
-# the default chart ranges of the builders below; the CLI flags default to them
+# the default chart ranges of `default_sampling`; the CLI flags default to them
 LAM_RANGE = (-2.0, 2.0)
 SHEAR_RANGE = (-5.0, 5.0)
 
@@ -94,33 +96,16 @@ def _midpoints(bounds, n, axis):
     return lo + (np.arange(n) + 0.5) * step, step
 
 
-def _rows(*axes):
-    """The cartesian product of 1-D axes as rows, the last axis varying fastest."""
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+def default_sampling(spec, lam_range=LAM_RANGE, n_lam=None,
+                     shear_range=SHEAR_RANGE, n_shear=48):
+    """The midpoint grid over H/K_psi of the spec's family.
 
-
-def similitude_sampling(spec, lam_range=LAM_RANGE, n_lam=32):
-    lams, dlam = _midpoints(lam_range, n_lam, "lam")
-    pts = _rows(lams, [0.0])
-    return build_sampling(spec, pts, np.full(len(pts), dlam * (2.0 * np.pi)))
-
-
-def diagonal_sampling(spec, lam_range=LAM_RANGE, n_lam=16):
-    lams, dlam = _midpoints(lam_range, n_lam, "lam")
-    pts = _rows(lams, lams, [1.0], [1.0])
-    return build_sampling(spec, pts, np.full(len(pts), dlam * dlam * 4.0))
-
-
-def shearlet_sampling(spec, lam_range=LAM_RANGE, n_lam=16,
-                      shear_range=SHEAR_RANGE, n_shear=48):
-    lams, dlam = _midpoints(lam_range, n_lam, "lam")
+    n_lam points per log-scale axis on `lam_range` (the family's count when
+    None) and n_shear shears on `shear_range`.  Only the shearlet chart uses
+    the shear axis, but every family checks it.
+    """
+    record = FAMILIES[spec.family.kind]
+    lams, dlam = _midpoints(lam_range, record.n_lam if n_lam is None else n_lam, "lam")
     shears, dshear = _midpoints(shear_range, n_shear, "shear")
-    pts = _rows([1.0], lams, shears)
-    return build_sampling(spec, pts, np.full(len(pts), dlam * dshear * 2.0))
-
-
-def default_sampling(spec):
-    """The default chart grid of the spec's family: its builder's defaults."""
-    return {SIMILITUDE: similitude_sampling, DIAGONAL: diagonal_sampling,
-            SHEARLET: shearlet_sampling}[spec.family.kind](spec)
+    pts, volume = record.quotient(lams, dlam, shears, dshear)
+    return build_sampling(spec, pts, np.full(len(pts), volume))

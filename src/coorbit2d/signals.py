@@ -15,7 +15,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 

@@ -179,20 +179,23 @@ def _candidates(psi, mats, rows, cols):
             yield seg_cls[s], seg_base[s] + order[skip[s] + q]
 
 
-def _psihat(psi, mats, rows, cols):
-    """Yield (cls, idx, psihat(h_cls^T xi_idx)) over the pairs of `_candidates`.
+def _eta(h00, h10, h01, h11, xi1, xi2):
+    """eta = h^T xi from the entries of h, rounded as h00 xi1 + h10 xi2 and
+    h01 xi1 + h11 xi2: `_psihat` and `calderon_constant` both take it, so
+    each psihat value equals a dense evaluation at the same point bit for bit."""
+    eta1 = h00 * xi1
+    eta1 += h10 * xi2
+    eta2 = h01 * xi1
+    eta2 += h11 * xi2
+    return eta1, eta2
 
-    h^T xi takes the same two roundings per coordinate as a dense evaluation
-    over the grid, so every value equals its dense counterpart bit for bit.
-    """
-    h00, h10, h01, h11 = (mats[:, i, j].copy() for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
+
+def _psihat(psi, mats, rows, cols):
+    """Yield (cls, idx, psihat(h_cls^T xi_idx)) over the pairs of `_candidates`."""
+    h = [mats[:, i, j].copy() for i, j in ((0, 0), (1, 0), (0, 1), (1, 1))]
     for cls, idx in _candidates(psi, mats, rows, cols):
         a1, a2 = rows[idx // len(cols)], cols[idx % len(cols)]
-        eta1 = h00[cls] * a1
-        eta1 += h10[cls] * a2
-        eta2 = h01[cls] * a1
-        eta2 += h11[cls] * a2
-        yield cls, idx, psi.evaluate(eta1, eta2)
+        yield cls, idx, psi.evaluate(*_eta(*(e[cls] for e in h), a1, a2))
 
 
 def _class_values(psi, mats, n, length):
@@ -431,18 +434,15 @@ def default_orbit_samples(spec):
 def calderon_constant(spec, sampling):
     """Admissibility integral C(xi) = sum_h haar_w |psihat(h^T xi)|^2 per orbit sample.
 
-    psihat(h^T xi) is rounded as in `_psihat` and summed in row order, as in
-    `calderon_multiplier`.  Returns the mean over `default_orbit_samples` and
-    the largest relative deviation from it; for an admissible pair the
-    deviation vanishes as the sampling refines.
+    psihat(h^T xi) takes `_eta`'s rounding, as in `_psihat`, and is summed in
+    row order, as in `calderon_multiplier`.  Returns the mean over
+    `default_orbit_samples` and the largest relative deviation from it; for an
+    admissible pair the deviation vanishes as the sampling refines.
     """
     psi, mats = _elements(spec, sampling)
     xi1, xi2 = np.array(default_orbit_samples(spec)).T
-    eta1 = mats[:, 0, 0, None] * xi1
-    eta1 += mats[:, 1, 0, None] * xi2
-    eta2 = mats[:, 0, 1, None] * xi1
-    eta2 += mats[:, 1, 1, None] * xi2
-    vals = psi.evaluate(eta1, eta2)
+    vals = psi.evaluate(*_eta(mats[:, 0, 0, None], mats[:, 1, 0, None],
+                              mats[:, 0, 1, None], mats[:, 1, 1, None], xi1, xi2))
     values = np.cumsum(sampling.haar_w[:, None] * np.square(vals), axis=0)[-1]
     mean = float(values.mean())
     if not mean > 0.0:

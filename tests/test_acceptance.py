@@ -17,8 +17,8 @@ from coorbit2d import (
     canonicalize,
     calderon_constant,
     coorbit_equivalent,
+    default_sampling,
     diagonal,
-    diagonal_sampling,
     freq_bump,
     in_coorbit_symmetry,
     in_normalizer,
@@ -27,9 +27,7 @@ from coorbit2d import (
     rep_group,
     rotation,
     shearlet,
-    shearlet_sampling,
     similitude,
-    similitude_sampling,
     wave_packet,
 )
 from coorbit2d.classify import angle_distance
@@ -183,17 +181,17 @@ def isometry_results():
     configs = {
         "similitude": dict(
             spec=GroupSpec(similitude()),
-            sampling=lambda s: similitude_sampling(s, (-2.0, 2.0), 32),
+            sampling=lambda s: default_sampling(s, (-2.0, 2.0), 32),
             center=(1.0, 0.4), sigma=0.12,
         ),
         "diagonal": dict(
             spec=GroupSpec(diagonal()),
-            sampling=lambda s: diagonal_sampling(s, (-2.0, 2.0), 20),
+            sampling=lambda s: default_sampling(s, (-2.0, 2.0), 20),
             center=(0.9, 0.9), sigma=0.1,
         ),
         "shearlet(c=1)": dict(
             spec=GroupSpec(shearlet(1.0)),
-            sampling=lambda s: shearlet_sampling(s, (-2.0, 2.0), 20, (-5.0, 5.0), 80),
+            sampling=lambda s: default_sampling(s, (-2.0, 2.0), 20, (-5.0, 5.0), 80),
             center=(1.1, 0.1), sigma=0.1,
         ),
     }
@@ -248,11 +246,11 @@ def test_criterion_5_inversion(isometry_results):
 def test_criterion_6_calderon_constancy():
     fine = {
         "similitude": (GroupSpec(similitude()),
-                       lambda s: similitude_sampling(s, (-2.0, 2.0), 64)),
+                       lambda s: default_sampling(s, (-2.0, 2.0), 64)),
         "diagonal": (GroupSpec(diagonal()),
-                     lambda s: diagonal_sampling(s, (-2.0, 2.0), 32)),
+                     lambda s: default_sampling(s, (-2.0, 2.0), 32)),
         "shearlet(c=1)": (GroupSpec(shearlet(1.0)),
-                          lambda s: shearlet_sampling(s, (-2.0, 2.0), 32,
+                          lambda s: default_sampling(s, (-2.0, 2.0), 32,
                                                       (-5.0, 5.0), 128)),
     }
     details = []
@@ -263,7 +261,7 @@ def test_criterion_6_calderon_constancy():
         ok = ok and cal.max_rel_deviation <= 1e-2
     # negative control: truncated scale range varies with the sample radius
     spec = GroupSpec(similitude())
-    trunc = similitude_sampling(spec, (-0.3, 0.3), 8)
+    trunc = default_sampling(spec, (-0.3, 0.3), 8)
     cal = calderon_constant(spec, trunc)
     details.append(f"truncated control dev={cal.max_rel_deviation:.2f}")
     ok = ok and cal.max_rel_deviation > 0.5
@@ -333,8 +331,8 @@ def test_criterion_8_exploratory_profiles():
 
     s1 = rep_group(canonical_shearlet(0.0, 1.0))
     s2 = rep_group(canonical_shearlet(PI / 4, 1.0))
-    samp1 = shearlet_sampling(s1, (-2.0, 2.0), 12, (-5.0, 5.0), 36)
-    samp2 = shearlet_sampling(s2, (-2.0, 2.0), 12, (-5.0, 5.0), 36)
+    samp1 = default_sampling(s1, (-2.0, 2.0), 12, (-5.0, 5.0), 36)
+    samp2 = default_sampling(s2, (-2.0, 2.0), 12, (-5.0, 5.0), 36)
     shear_spreads = []
     for r in freqs:
         table = norm_ratio_profile(s1, s2, p, by_freq[r], samp1, samp2)
@@ -342,8 +340,8 @@ def test_criterion_8_exploratory_profiles():
 
     d1 = GroupSpec(diagonal(), rotation(0.4))
     d2 = GroupSpec(diagonal(), rotation(0.4) @ SWAP @ np.diag([2.0, -3.0]))
-    dsamp1 = diagonal_sampling(d1, (-2.0, 2.0), 12)
-    dsamp2 = diagonal_sampling(d2, (-2.0, 2.0), 12)
+    dsamp1 = default_sampling(d1, (-2.0, 2.0), 12)
+    dsamp2 = default_sampling(d2, (-2.0, 2.0), 12)
     diag_spreads = []
     for r in freqs:
         table = norm_ratio_profile(d1, d2, p, by_freq[r], dsamp1, dsamp2)

@@ -10,7 +10,6 @@ from coorbit2d import (
     SingularMatrixError,
     canonical_diagonal,
     canonical_shearlet,
-    canonical_similitude,
     canonicalize,
     component_count,
     conjugate_spec,

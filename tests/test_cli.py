@@ -10,23 +10,19 @@ import pytest
 
 from coorbit2d import (
     CoverageWarning,
-    GridSignal,
     GroupSpec,
     calderon_constant,
     canonical_diagonal,
     default_sampling,
     diagonal,
-    diagonal_sampling,
     freq_bump,
     parse_report,
     read_signal,
     rep_group,
     rotation,
     shearlet,
-    shearlet_sampling,
     signal_coorbit_norm,
     similitude,
-    similitude_sampling,
     write_group_spec,
     write_signal,
 )
@@ -553,7 +549,7 @@ class TestSignalRule:
                             "--shear-min", "-2", "--shear-max", "2")
         assert code == 0
         sig = read_signal(signal)
-        sampling = shearlet_sampling(spec, shear_range=(-2, 2))
+        sampling = default_sampling(spec, shear_range=(-2, 2))
         narrow = signal_coorbit_norm(sig, spec, sampling, 1)
         assert rep["values"]["coorbit_norm"] == narrow
         assert narrow != signal_coorbit_norm(sig, spec, default_sampling(spec), 1)
@@ -688,13 +684,13 @@ class TestPipeline:
 MULTIPLIER_CASES = {
     "similitude": (GroupSpec(similitude(), rotation(0.4)),
                    ["--n-scale", "8"],
-                   lambda s: similitude_sampling(s, (-2.0, 2.0), 8)),
+                   lambda s: default_sampling(s, (-2.0, 2.0), 8)),
     "diagonal": (GroupSpec(diagonal(), rotation(0.3)),
                  ["--n-scale", "6"],
-                 lambda s: diagonal_sampling(s, (-2.0, 2.0), 6)),
+                 lambda s: default_sampling(s, (-2.0, 2.0), 6)),
     "shearlet": (GroupSpec(shearlet(0.7), rotation(-0.5)),
                  ["--n-scale", "6", "--n-shear", "8"],
-                 lambda s: shearlet_sampling(s, (-2.0, 2.0), 6, (-5.0, 5.0), 8)),
+                 lambda s: default_sampling(s, (-2.0, 2.0), 6, (-5.0, 5.0), 8)),
 }
 
 

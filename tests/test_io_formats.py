@@ -7,7 +7,6 @@ from coorbit2d import (
     FormatError,
     GridSignal,
     GroupSpec,
-    diagonal,
     emit_report,
     group_spec_from_dict,
     group_spec_to_dict,

@@ -21,7 +21,6 @@ from coorbit2d import (
     element_from_chart,
     freq_bump,
     freq_grids,
-    gen_test_signal,
     norm_ratio_profile,
     reconstruct,
     rotation,
@@ -29,17 +28,11 @@ from coorbit2d import (
     signal_coorbit_norm,
     signal_from_spectrum,
     similitude,
-    similitude_sampling,
     spectrum_from_signal,
 )
 from coorbit2d import transform
 from coorbit2d.groups import DiagonalChart
-from coorbit2d.sampling import (
-    GroupSampling,
-    default_sampling,
-    diagonal_sampling,
-    shearlet_sampling,
-)
+from coorbit2d.sampling import GroupSampling, default_sampling
 from coorbit2d.signals import freq_axis, ifft2_rows
 from coorbit2d.wavelets import WaveletSpec
 from conftest import (
@@ -65,7 +58,7 @@ def _wavelet_atom(n, length, spec):
 @pytest.fixture(scope="module")
 def sim_setup():
     spec = GroupSpec(similitude())
-    sampling = similitude_sampling(spec)
+    sampling = default_sampling(spec)
     f = freq_bump(128, 16.0, center=(1.0, 0.4), sigma=0.12)
     slab = analyze(f.signal, spec, sampling)
     return spec, sampling, f, slab
@@ -76,7 +69,7 @@ class TestAnalyze:
         spec, sampling, f, _ = sim_setup
         with pytest.warns(CoverageWarning, match="frequency bump"):
             zero = freq_bump(32, 16.0, center=(1.0, 0.0), sigma=0.2, amplitude=0.0)
-        small = similitude_sampling(spec, n_lam=4)
+        small = default_sampling(spec, n_lam=4)
         slab = analyze(zero.signal, spec, small)
         assert np.all(slab.planes == 0.0)
 
@@ -188,7 +181,7 @@ class TestCoorbitNorm:
         # every transform path starts by stacking the sampled elements
         monkeypatch.setattr(transform, "element_from_chart", no_work)
         spec = GroupSpec(similitude())
-        sampling = similitude_sampling(spec, n_lam=4)
+        sampling = default_sampling(spec, n_lam=4)
         with pytest.warns(CoverageWarning, match="frequency bump"):
             f = freq_bump(32, 16.0, center=(1.0, 0.0), sigma=0.2)
         with pytest.raises(ValueError, match="exponent"):
@@ -204,7 +197,7 @@ class TestCalderon:
 
         spec = GroupSpec(similitude())
         psi = default_wavelet(spec)
-        sampling = similitude_sampling(spec, n_lam=128)
+        sampling = default_sampling(spec, n_lam=128)
         cal = calderon_constant(spec, sampling)
         oracle = 2 * np.pi * quad(
             lambda t: psi.evaluate(t, 0.0) ** 2 / t, 0.5, 2.0
@@ -214,13 +207,13 @@ class TestCalderon:
 
     def test_truncated_range_negative_control(self):
         spec = GroupSpec(similitude())
-        sampling = similitude_sampling(spec, lam_range=(-0.3, 0.3), n_lam=8)
+        sampling = default_sampling(spec, lam_range=(-0.3, 0.3), n_lam=8)
         cal = calderon_constant(spec, sampling)
         assert cal.max_rel_deviation > 0.5
 
     def test_nan_integral_rejected(self, monkeypatch):
         spec = GroupSpec(similitude())
-        sampling = similitude_sampling(spec, n_lam=4)
+        sampling = default_sampling(spec, n_lam=4)
         for value in (np.nan, 0.0):
             monkeypatch.setattr(WaveletSpec, "evaluate",
                                 lambda self, eta1, eta2: np.full(np.shape(eta1), value))
@@ -229,7 +222,7 @@ class TestCalderon:
 
     def test_unpacks_as_pair(self):
         spec = GroupSpec(similitude())
-        sampling = similitude_sampling(spec, n_lam=8)
+        sampling = default_sampling(spec, n_lam=8)
         mean, dev = calderon_constant(spec, sampling)
         assert mean > 0 and dev >= 0
 
@@ -257,7 +250,7 @@ class TestInvert:
 
     def test_uncovered_band_error_localizes(self):
         spec = GroupSpec(similitude())
-        sampling = similitude_sampling(spec, lam_range=(-1.0, 1.0), n_lam=16)
+        sampling = default_sampling(spec, lam_range=(-1.0, 1.0), n_lam=16)
         n, length = 128, 16.0
 
         def two_bump_spectrum(xi1, xi2):
@@ -297,7 +290,7 @@ class TestRefinement:
         f = freq_bump(64, 16.0, center=(1.0, 0.4), sigma=0.12)
         norms = {}
         for refine, n_lam in (("base", 16), ("fine", 32)):
-            sampling = similitude_sampling(spec, n_lam=n_lam)
+            sampling = default_sampling(spec, n_lam=n_lam)
             slab = analyze(f.signal, spec, sampling)
             norms[refine] = coorbit_norm(slab, 2)
         assert abs(norms["fine"] - norms["base"]) / norms["base"] <= 1e-2
@@ -384,7 +377,7 @@ class TestNormRatioProfile:
         with pytest.warns(CoverageWarning, match="frequency bump"):
             zero = freq_bump(32, 16.0, center=(1.0, 0.0), sigma=0.15,
                              amplitude=0.0)
-        sampling = similitude_sampling(spec, n_lam=8)
+        sampling = default_sampling(spec, n_lam=8)
         table = norm_ratio_profile(spec, spec, 2.0, [zero], sampling, sampling)
         assert table.rows[0].degenerate
         assert table.rows[0].ratio is None
@@ -435,28 +428,41 @@ class TestSamplingArrays:
         step = (hi - lo) / n
         return [lo + (i + 0.5) * step for i in range(n)]
 
-    def test_default_rows_in_nested_loop_order(self):
+    @pytest.mark.parametrize("grid", [
+        {},
+        {"lam_range": (-1.0, 3.0), "n_lam": 8},
+        {"shear_range": (-2.0, 4.0), "n_shear": 12},
+        {"lam_range": (-0.5, 0.25), "n_lam": 3, "shear_range": (1.0, 2.5), "n_shear": 5},
+    ], ids=["default", "lam", "shear", "lam-and-shear"])
+    def test_default_rows_in_nested_loop_order(self, grid):
         # one row per class of H/K_psi, at theta = 0, signs (+1, +1) or
-        # eps = +1; the cell volume holds the measure of K_psi: 2 pi, 4 or 2
-        lams = self._midpoints(-2.0, 2.0, 32)
-        sampling = default_sampling(GroupSpec(similitude()))
-        assert np.array_equal(sampling.points, [(lam, 0.0) for lam in lams])
-        assert np.all(sampling.volumes == 0.125 * (2.0 * np.pi))
+        # eps = +1; the cell volume holds the measure of K_psi: 2 pi, 4 or 2.
+        # Only the shearlet chart reads the shear axis
+        lo, hi = grid.get("lam_range", (-2.0, 2.0))
+        s_lo, s_hi = grid.get("shear_range", (-5.0, 5.0))
+        n_shear = grid.get("n_shear", 48)
+        shears, dshear = self._midpoints(s_lo, s_hi, n_shear), (s_hi - s_lo) / n_shear
 
-        lams = self._midpoints(-2.0, 2.0, 16)
-        sampling = default_sampling(GroupSpec(diagonal()))
+        n = grid.get("n_lam", 32)
+        lams, dlam = self._midpoints(lo, hi, n), (hi - lo) / n
+        sampling = default_sampling(GroupSpec(similitude()), **grid)
+        assert np.array_equal(sampling.points, [(lam, 0.0) for lam in lams])
+        assert np.array_equal(sampling.volumes, [dlam * (2.0 * np.pi)] * n)
+
+        n = grid.get("n_lam", 16)
+        lams, dlam = self._midpoints(lo, hi, n), (hi - lo) / n
+        sampling = default_sampling(GroupSpec(diagonal()), **grid)
         assert np.array_equal(sampling.points,
                               [(l1, l2, 1, 1) for l1 in lams for l2 in lams])
-        assert np.all(sampling.volumes == 0.25 * 0.25 * 4)
+        assert np.array_equal(sampling.volumes, [dlam * dlam * 4.0] * n * n)
 
-        shears = self._midpoints(-5.0, 5.0, 48)
-        sampling = default_sampling(GroupSpec(shearlet(0.5)))
+        sampling = default_sampling(GroupSpec(shearlet(0.5)), **grid)
         assert np.array_equal(sampling.points,
                               [(1, lam, b) for lam in lams for b in shears])
-        assert np.all(sampling.volumes == 0.25 * (10.0 / 48) * 2)
+        assert np.array_equal(sampling.volumes, [dlam * dshear * 2.0] * n * n_shear)
 
     def test_points_and_weights_are_read_only(self):
-        sampling = similitude_sampling(GroupSpec(similitude()), n_lam=4)
+        sampling = default_sampling(GroupSpec(similitude()), n_lam=4)
         assert sampling.points.shape == (4, 2)
         with pytest.raises(ValueError):
             sampling.points[0, 0] = 1.0
@@ -499,10 +505,11 @@ class TestSamplingArrays:
         {"n_lam": 0}, {"n_lam": -3}, {"n_lam": 2.5}, {"n_lam": 3.0},
         {"lam_range": (1.0, 1.0)}, {"lam_range": (2.0, -2.0)},
         {"lam_range": (np.nan, 2.0)}, {"lam_range": (-2.0, np.inf)},
+        {"n_shear": 0}, {"shear_range": (np.nan, 5.0)},
     ])
     def test_similitude_builder_rejects_bad_grid(self, kwargs):
         with pytest.raises(ValueError):
-            similitude_sampling(GroupSpec(similitude()), **kwargs)
+            default_sampling(GroupSpec(similitude()), **kwargs)
 
     @pytest.mark.parametrize("kwargs", [
         {"n_shear": 0}, {"shear_range": (-np.inf, 5.0)}, {"shear_range": (5.0, -5.0)},
@@ -510,14 +517,19 @@ class TestSamplingArrays:
     ])
     def test_shearlet_builder_rejects_bad_grid(self, kwargs):
         with pytest.raises(ValueError):
-            shearlet_sampling(GroupSpec(shearlet(0.5)), **kwargs)
+            default_sampling(GroupSpec(shearlet(0.5)), **kwargs)
 
     def test_diagonal_builder_rejects_bad_grid(self):
         spec = GroupSpec(diagonal())
         with pytest.raises(ValueError):
-            diagonal_sampling(spec, n_lam=0)
+            default_sampling(spec, n_lam=0)
         with pytest.raises(ValueError):
-            diagonal_sampling(spec, lam_range=(1.0, -1.0))
+            default_sampling(spec, lam_range=(1.0, -1.0))
+        # the shear axis is checked although the diagonal chart does not use it
+        with pytest.raises(ValueError, match="n_shear"):
+            default_sampling(spec, n_shear=0)
+        with pytest.raises(ValueError, match="shear_range"):
+            default_sampling(spec, shear_range=(np.nan, 5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +539,11 @@ ROUNDOFF = 1e-13
 
 SMALL_CASES = {
     "similitude": (GroupSpec(similitude(), rotation(0.4) @ np.diag([1.3, 0.8])),
-                   lambda s: similitude_sampling(s, n_lam=8)),
+                   lambda s: default_sampling(s, n_lam=8)),
     "diagonal": (GroupSpec(diagonal(), rotation(0.3) @ np.diag([1.0, 1.5])),
-                 lambda s: diagonal_sampling(s, n_lam=6)),
+                 lambda s: default_sampling(s, n_lam=6)),
     "shearlet": (GroupSpec(shearlet(0.7), rotation(-0.5)),
-                 lambda s: shearlet_sampling(s, n_lam=6, n_shear=8)),
+                 lambda s: default_sampling(s, n_lam=6, n_shear=8)),
 }
 
 
@@ -627,9 +639,9 @@ class TestCalderonMultiplier:
 # streamed coefficient-domain reductions: bit for bit against the slab path
 
 STREAM_SAMPLINGS = {
-    "similitude": lambda s, lam: similitude_sampling(s, lam, 8),
-    "diagonal": lambda s, lam: diagonal_sampling(s, lam, 6),
-    "shearlet": lambda s, lam: shearlet_sampling(s, lam, 6, (-5.0, 5.0), 8),
+    "similitude": lambda s, lam: default_sampling(s, lam, 8),
+    "diagonal": lambda s, lam: default_sampling(s, lam, 6),
+    "shearlet": lambda s, lam: default_sampling(s, lam, 6, (-5.0, 5.0), 8),
 }
 # on the N = 64, L = 16 lattice, scales in (-4, 2) put psihat(h^T xi) off the
 # lattice for some planes, and scales in (8, 9) for every plane
@@ -751,14 +763,14 @@ class TestBatchedProfile:
 
         monkeypatch.setattr(transform, "element_from_chart", counted)
         spec = GroupSpec(diagonal(), rotation(0.3))
-        sampling = diagonal_sampling(spec, n_lam=4)
+        sampling = default_sampling(spec, n_lam=4)
         norm_ratio_profile(spec, spec, p, _profile_signals(), sampling, sampling)
         assert len(stacks) == 2  # one per spec, not 2 x 5 signals
 
     @pytest.mark.parametrize("other", [(32, 8.0), (64, 8.0)])
     def test_mixed_lattices_rejected(self, other):
         spec = GroupSpec(diagonal(), rotation(0.3))
-        sampling = diagonal_sampling(spec, n_lam=4)
+        sampling = default_sampling(spec, n_lam=4)
         signals = [*_profile_signals(),
                    freq_bump(*other, center=(0.5, 0.2), sigma=0.15)]
         with pytest.raises(ValueError, match="one .N, L. lattice"):
