@@ -8,6 +8,9 @@ from the bump rho(t) = exp(1 - 1/(1 - t^2)) on (-1, 1).  Their support pieces
 are disjoint convex sets {eta : g[k] . eta < b[k] for all k}: the box
 |eta1|, |eta2| < 2 (similitude), the 4 sign squares 1/2 < +-eta1, +-eta2 < 2
 (diagonal) and the 2 trapezoids 1/2 < +-eta1 < 2, |eta2| < |eta1| (shearlet).
+The pieces are the one description of the support: a profile is a total
+closed form, exactly +0.0 off them, since rho underflows to 0 for |t| >=
+0.99933 (a log-scale magnitude outside (0.50023, 1.99907)).
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ def bump(t):
     return out
 
 
-# relative slack of the profile masks and of the support pieces: a magnitude
-# t is kept when _LO < t < _HI, and a shearlet ratio when |eta2| < _K |eta1|
+# relative slack that widens the support pieces: a piece keeps a magnitude t
+# when _LO < t < _HI, and a shearlet ratio when |eta2| < _K |eta1|
 _SLACK = 1e-6
 _LO, _HI = 0.5 * (1.0 - _SLACK), 2.0 * (1.0 + _SLACK)
 _K = 1.0 + _SLACK
@@ -73,8 +76,8 @@ class FamilyRecord:
     # B = [[p, q], [r, s]]: B^-T moves the axes to (s, -q) and (-r, p)
     complement: Callable
     components: int  # connected components of the dual orbit
-    # (eta1, eta2, scratch) -> (mask, profile on the mask); the mask keeps a
-    # superset of the support, and the profile is exactly 0 where it drops
+    # (eta1, eta2) -> the closed form at every eta, exactly +0.0 off the
+    # pieces (the bump underflows to 0 for |t| >= 0.99933)
     profile: Callable
     pieces: Tuple[np.ndarray, np.ndarray]  # g (pieces, k, 2) and b (pieces, k)
     orbit_samples: np.ndarray  # (16, 2): the Calderon samples
@@ -117,23 +120,16 @@ def _shearlet_matrix(cols, c):
     return eps * a, eps * cols[..., 2], eps * 0.0, eps * np.power(a, c)
 
 
-def _similitude_profile(e1, e2, tmp):
-    r2 = np.square(e1)
-    r2 += np.square(e2, out=tmp)
-    m = (r2 > _LO * _LO) & (r2 < _HI * _HI)
-    return m, bump(np.log2(np.hypot(e1[m], e2[m])))
+def _similitude_profile(e1, e2):
+    return bump(np.log2(np.hypot(e1, e2)))
 
 
-def _diagonal_profile(e1, e2, tmp):
-    a1, a2 = np.abs(e1), np.abs(e2, out=tmp)
-    m = (a1 > _LO) & (a1 < _HI) & (a2 > _LO) & (a2 < _HI)
-    return m, bump(np.log2(a1[m])) * bump(np.log2(a2[m]))
+def _diagonal_profile(e1, e2):
+    return bump(np.log2(np.abs(e1))) * bump(np.log2(np.abs(e2)))
 
 
-def _shearlet_profile(e1, e2, tmp):
-    a1 = np.abs(e1)
-    m = (a1 > _LO) & (a1 < _HI) & (np.abs(e2, out=tmp) < _K * a1)
-    return m, bump(np.log2(a1[m])) * bump(e2[m] / e1[m])
+def _shearlet_profile(e1, e2):
+    return bump(np.log2(np.abs(e1))) * bump(e2 / e1)
 
 
 _SIGN_PAIRS = [(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]

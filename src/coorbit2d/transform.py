@@ -97,8 +97,8 @@ _CHUNK_POINTS = 2 ** 12
 
 # a margin of _ROUNDING * (|g| |B^T| |h^T| |xi| + |b|) on each constraint
 # g . eta < b of a support piece covers the few roundings, each at most
-# eps * |B^T| |h^T| |xi|, by which the computed eta of `evaluate`, its mask
-# comparisons and the interval arithmetic below can differ from exact eta
+# eps * |B^T| |h^T| |xi|, by which the computed eta of `evaluate` and the
+# interval arithmetic below can differ from exact eta
 _ROUNDING = 16 * np.finfo(float).eps
 
 

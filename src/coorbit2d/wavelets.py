@@ -3,8 +3,8 @@
 Each group spec has one wavelet, ``default_wavelet(spec)``: the profile of
 its family's record in :mod:`coorbit2d.families` at ``eta = B^T xi``, where
 ``B`` is the conjugator, which places the support inside the conjugated dual
-orbit.  Values always come from the closed form; no resampling or
-interpolation enters any transform built on top.
+orbit.  Values come from the closed form at every frequency; no mask,
+resampling or interpolation enters any transform built on top.
 """
 
 from __future__ import annotations
@@ -25,20 +25,16 @@ class WaveletSpec:
     spec: GroupSpec
 
     def evaluate(self, xi1, xi2):
-        """psi-hat at arbitrary frequencies (broadcastable arrays or scalars)."""
+        """psi-hat at arbitrary frequencies (broadcastable arrays or scalars):
+        exactly +0.0 off the support, also where eta = B^T xi is 0, inf or nan."""
         xi1 = np.asarray(xi1, dtype=float)
         xi2 = np.asarray(xi2, dtype=float)
-        bt = self.spec.conjugator.T
-        shape = np.broadcast_shapes(xi1.shape, xi2.shape)
-        e1, e2, tmp = np.empty((3,) + (shape or (1,)))
-        np.multiply(bt[0, 0], xi1, out=e1)
-        e1 += np.multiply(bt[0, 1], xi2, out=tmp)
-        np.multiply(bt[1, 0], xi1, out=e2)
-        e2 += np.multiply(bt[1, 1], xi2, out=tmp)
-        out = np.zeros(e1.shape)
-        m, values = FAMILIES[self.spec.family.kind].profile(e1, e2, tmp)
-        out[m] = values
-        return out.reshape(shape)
+        b = self.spec.conjugator
+        e1 = b[0, 0] * xi1 + b[1, 0] * xi2
+        e2 = b[0, 1] * xi1 + b[1, 1] * xi2
+        # log2(0) and eta2 / eta1 give +-inf or nan, which the bump maps to 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return FAMILIES[self.spec.family.kind].profile(e1, e2)
 
 
 def default_wavelet(spec):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from coorbit2d import (
+    CanonicalForm,
     DegenerateInputError,
     GroupSpec,
     LineSet,
     SingularMatrixError,
     canonical_diagonal,
     canonical_shearlet,
+    canonical_similitude,
     canonicalize,
     component_count,
     conjugate_spec,
@@ -564,3 +566,27 @@ class TestSymmetryGroups:
                 s_o = in_orbit_symmetry(spec, a)
                 assert (not n_h) or s_h
                 assert (not s_h) or s_o
+
+
+class TestInputChecks:
+    def test_unknown_canonical_kind(self):
+        with pytest.raises(ValueError, match="unknown canonical kind 'conic'"):
+            CanonicalForm("conic")
+
+    @pytest.mark.parametrize("kind,fields,name", [
+        ("diagonal", {"phi": 0.1}, "s"), ("diagonal", {"s": 0.5}, "s"),
+        ("shearlet", {"phi": 0.1}, "c"),
+    ])
+    def test_canonical_form_needs_its_parameters(self, kind, fields, name):
+        with pytest.raises(ValueError, match=f"{kind} canonical form needs phi and {name}"):
+            CanonicalForm(kind, **fields)
+
+    def test_canonical_form_repr(self):
+        assert repr(canonical_similitude()) == "Canonical(similitude)"
+        assert repr(canonical_diagonal(0.5, 0.25)) == "Canonical(diagonal, phi=0.5, s=0.25)"
+        assert repr(canonical_shearlet(0.5, -1.5)) == "Canonical(shearlet, phi=0.5, c=-1.5)"
+
+    def test_shearlets_with_exponents_apart_are_not_the_same_group(self):
+        spec = GroupSpec(shearlet(0.5))
+        assert not same_group(spec, GroupSpec(shearlet(0.5 + 1e-6)))
+        assert same_group(spec, GroupSpec(shearlet(0.5 + 1e-10)))

@@ -168,6 +168,10 @@ class TestSymmetry:
         code, _ = run_cli(capsys, "symmetry", diag_path, "--matrix", "1,2,3")
         assert code == 1
 
+    def test_non_numeric_matrix_is_usage_error(self, capsys, diag_path):
+        assert main(["symmetry", diag_path, "--matrix", "1,x,0,1"]) == 1
+        assert capsys.readouterr().err == "usage error: --matrix entries must be numbers\n"
+
     @pytest.mark.parametrize("matrix", ["1,1,1,1.0000000001", "1,1,1,1", "nan,0,0,1"])
     def test_singular_or_non_finite_matrix_is_usage_error(self, capsys, diag_path,
                                                           matrix):
@@ -265,6 +269,13 @@ class TestExitCodes:
         assert err == ("numeric failure: out of memory: Unable to allocate 16.0 GiB "
                        "for an array with shape (32,) and data type float64\n")
         assert not out.exists()
+
+    def test_out_in_missing_directory_is_io_error(self, tmp_path, capsys, diag_path):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["classify", diag_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert not out.parent.exists()
 
     def test_missing_file(self, tmp_path):
         assert main(["classify", str(tmp_path / "none.json")]) == 2

@@ -1,17 +1,21 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from coorbit2d import (
+    Family,
     GroupSpec,
     component_count,
+    default_wavelet,
     diagonal,
     orbit_complement,
     shearlet,
     similitude,
 )
-from coorbit2d.families import DIAGONAL, FAMILIES, SHEARLET, SIMILITUDE
+from coorbit2d.families import (_HI, _K, _LO, DIAGONAL, FAMILIES, SHEARLET,
+                                SIMILITUDE, bump)
 from conftest import random_invertible
 
 KINDS = (SIMILITUDE, DIAGONAL, SHEARLET)
@@ -64,15 +68,69 @@ def test_every_point_of_the_profile_support_lies_in_one_piece(kind, rng):
     record = FAMILIES[kind]
     eta = np.concatenate([_random_points(kind, rng, 100_000), _edge_points(kind, rng)])
     e1, e2 = eta[:, 0].copy(), eta[:, 1].copy()
-    mask, values = record.profile(e1, e2, np.empty_like(e1))
-    profile = np.zeros(len(eta))
-    profile[mask] = values
+    profile = record.profile(e1, e2)
     g, b = record.pieces
     inside = np.all(np.einsum("pkj,nj->npk", g, eta) < b, axis=2)  # (n, pieces)
     pieces_hit = inside.sum(axis=1)
     assert np.count_nonzero(profile) > 10_000
     assert np.all(pieces_hit[profile != 0.0] == 1)
     assert np.all(pieces_hit <= 1)
+
+
+def _masked_profile(kind, e1, e2):
+    """The profile as a mask of the support and the closed form on it, the
+    way it was evaluated before the profile became total."""
+    if kind == SIMILITUDE:
+        r2 = np.square(e1) + np.square(e2)
+        m = (r2 > _LO * _LO) & (r2 < _HI * _HI)
+        values = bump(np.log2(np.hypot(e1[m], e2[m])))
+    elif kind == DIAGONAL:
+        a1, a2 = np.abs(e1), np.abs(e2)
+        m = (a1 > _LO) & (a1 < _HI) & (a2 > _LO) & (a2 < _HI)
+        values = bump(np.log2(a1[m])) * bump(np.log2(a2[m]))
+    else:
+        a1 = np.abs(e1)
+        m = (a1 > _LO) & (a1 < _HI) & (np.abs(e2) < _K * a1)
+        values = bump(np.log2(a1[m])) * bump(e2[m] / e1[m])
+    out = np.zeros(e1.shape)
+    out[m] = values
+    return out
+
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 0.5, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_profile_is_total_and_equals_the_masked_reference(kind, rng):
+    record = FAMILIES[kind]
+    n = 100_000
+    eta = rng.choice([-1.0, 1.0], (n, 2)) * 2.0 ** rng.uniform(-3.0, 3.0, (n, 2))
+    special = np.stack(np.meshgrid(_SPECIAL, _SPECIAL), -1).reshape(-1, 2)
+    eta = np.concatenate([eta, eta * [1.0, 0.0], eta * [0.0, 1.0], special])
+    e1, e2 = eta[:, 0].copy(), eta[:, 1].copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        got = record.profile(e1, e2)
+        ref = _masked_profile(kind, e1, e2)
+    assert np.count_nonzero(ref) > 1_000
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    # off the support, evaluate gives +0.0 and no floating-point warning
+    spec = GroupSpec(Family(kind, 0.7 if kind == SHEARLET else None))
+    psi = default_wavelet(spec)
+    lines = [(np.cos(a), np.sin(a)) for a in orbit_complement(spec).angles]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi in [(0.0, 0.0), *lines, (1e-320, 1e300)]:
+            value = psi.evaluate(*xi)
+            assert value == 0.0 and not np.signbit(value), xi
+
+    # a scalar call equals its element of an array call
+    xi = eta[:200]
+    values = psi.evaluate(xi[:, 0], xi[:, 1])
+    assert np.count_nonzero(values) > 0
+    for (x1, x2), v in zip(xi, values):
+        assert psi.evaluate(x1, x2) == v
 
 
 @pytest.mark.parametrize("family,angles", [

@@ -7,6 +7,7 @@ from coorbit2d import (
     ChartMismatchError,
     DegenerateInputError,
     DiagonalChart,
+    Family,
     GroupSpec,
     LineSet,
     ShearletChart,
@@ -553,3 +554,37 @@ class TestSameGroup:
                     for delta in (0.0, 0.99 * tol, 1.01 * tol, 0.5):
                         other = GroupSpec(spec.family, _moved_off(kind, b, n, delta))
                         assert same_group(spec, other, tol) == same_group(other, spec, tol)
+
+
+class TestInputChecks:
+    def test_matrix_must_be_2x2(self):
+        with pytest.raises(ValueError, match="B must be 2x2, got shape"):
+            checked_matrix(np.eye(3), "B")
+
+    def test_point_must_be_two_finite_components(self):
+        lines = LineSet((0.3,))
+        with pytest.raises(ValueError, match="w must have two components"):
+            lines.distance_from([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="w has non-finite components"):
+            lines.distance_from([np.nan, 1.0])
+
+    def test_at_most_two_lines(self):
+        with pytest.raises(ValueError, match="at most two lines"):
+            LineSet((0.1, 0.5, 1.0))
+
+    def test_line_sets_of_different_length_differ(self):
+        one, two = LineSet((0.1,)), LineSet((0.1, 1.0))
+        assert not one.equals(two)
+        assert not two.equals(one)
+        assert not LineSet(()).equals(one)
+
+    @pytest.mark.parametrize("kind,c,message", [
+        ("conic", None, "unknown family kind 'conic'"),
+        ("shearlet", None, "shearlet family requires a finite exponent c"),
+        ("shearlet", np.inf, "shearlet family requires a finite exponent c"),
+        ("similitude", 1.0, "similitude family takes no exponent"),
+        ("diagonal", 0.5, "diagonal family takes no exponent"),
+    ])
+    def test_family_kind_and_exponent(self, kind, c, message):
+        with pytest.raises(ValueError, match=message):
+            Family(kind, c)

@@ -251,3 +251,42 @@ class TestReports:
     def test_parse_rejects_garbage(self):
         with pytest.raises(FormatError):
             parse_report("not a report")
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("doc,message", [
+        ({"family": "shearlet", "c": float("inf")}, "key 'c' must be finite"),
+        ({"family": "diagonal", "conjugator": [[1.0, float("nan")], [0.0, 1.0]]},
+         "key 'conjugator' must be finite"),
+        (["diagonal"], "group spec document must be an object"),
+    ])
+    def test_group_spec_documents(self, doc, message):
+        with pytest.raises(FormatError, match=message):
+            group_spec_from_dict(doc)
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty CSV signal file"),
+        ("\n  \n", "empty CSV signal file"),
+        ("4\n", "CSV header must be 'N,L'"),
+        ("4,1.0,2\n", "CSV header must be 'N,L'"),
+        ("four,1.0\n", "bad CSV header"),
+        ("4,one\n", "bad CSV header"),
+        ("1,1.0\n0,0,0\n", "row 1: expected 2 cells, got 3"),
+        ("4,-1.0\n" + "0,0,0,0,0,0,0,0\n" * 4, "invalid signal contents"),
+    ])
+    def test_csv_signal_contents(self, tmp_path, text, message):
+        p = tmp_path / "s.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            read_signal(p)
+
+    @pytest.mark.parametrize("name", ["missing.csv", "dir.csv"])
+    def test_unreadable_csv_signal(self, tmp_path, name):
+        (tmp_path / "dir.csv").mkdir()
+        with pytest.raises(FormatError, match="cannot read signal"):
+            read_signal(tmp_path / name)
+
+    @pytest.mark.parametrize("report", [[1, 2], "report", None])
+    def test_report_must_be_a_mapping(self, report):
+        with pytest.raises(FormatError, match="report must be a mapping"):
+            emit_report(report)

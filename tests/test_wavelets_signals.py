@@ -257,3 +257,19 @@ class TestGenTestSignal:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             gen_test_signal("mystery", 16, 4.0)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"sigma": 0.0}, "sigma must be positive"),
+        ({"sigma": -0.1}, "sigma must be positive"),
+        ({"sigma": 0.1, "shape": "box"}, "unknown bump shape 'box'"),
+    ])
+    def test_freq_bump_arguments(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            freq_bump(16, 4.0, (1.0, 0.0), **kwargs)
+
+    @pytest.mark.parametrize("widths", [(0.0, 0.1), (0.1, 0.0), (-0.1, 0.1)])
+    def test_wave_packet_widths(self, widths):
+        with pytest.raises(ValueError, match="widths must be positive"):
+            wave_packet(16, 4.0, (1.0, 0.0), *widths, 0.0)
