@@ -21,6 +21,7 @@ from .classify import (
     orbit_contains,
     rep_group,
     same_group,
+    symmetry,
 )
 from .errors import (
     ChartMismatchError,

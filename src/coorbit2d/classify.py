@@ -10,9 +10,15 @@ which is cheap and exact up to an angle tolerance.  The complement is an
 invariant of the group: `GroupSpec` computes it once, when it is built, in
 closed form from the adjugate of ``B``, and a decision only reads and compares
 those of its specs, so no decision inverts a matrix or derives an angle.  A
-symmetry test builds the one conjugated spec it compares.  The canonical
-forms and the reason that certify an equivalence verdict are computed from
-the same two complements when they are read, not when the verdict is made.
+decision is arithmetic on Python floats: the specs' four conjugator entries,
+their stored complement angles and the acute gap between two lines.  It calls
+no numpy function; a diagonal canonical form takes its ``s`` from numpy's
+``tan``, whose last bit the C library's may not match.  A symmetry test
+builds the one conjugated spec it compares, and `symmetry` answers all three
+tests from that one spec.  The canonical forms and the reason that certify an
+equivalence verdict are computed from the same two complements when they are
+read, not when the verdict is made.  The verdict, the canonical form and the
+line set are immutable records (`groups.Record`).
 `canonicalize`, the decisions, `orbit_contains` and `lines_to_phi_s` refuse
 a ``tol`` outside `groups.valid_tolerance` with ValueError.  `LineSet`,
 `mod_pi` and `angle_distance` live in :mod:`coorbit2d.groups` and are
@@ -21,9 +27,7 @@ importable from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import frexp, hypot, isfinite, ldexp
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .groups import (
     SHEARLET,
     SIMILITUDE,
     GroupSpec,
+    Record,
     as_vector,
     conjugate_spec,
     diagonal,
@@ -48,6 +53,8 @@ from .groups import (
 )
 
 _PI = np.pi
+# a slot store past Record.__setattr__, for building a record
+_set = object.__setattr__
 
 
 def _checked_tol(tol):
@@ -90,29 +97,29 @@ def orbit_contains(spec, zeta, tol=DEFAULT_TOL):
 # canonical forms
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Record):
     """Coorbit-equivalence class representative.
 
     kind 'similitude' carries no parameters; 'diagonal' carries (phi, s) in
     [0, pi) x [0, inf); 'shearlet' carries (phi, c) in [0, pi) x R.
     """
 
-    kind: str
-    phi: Optional[float] = None
-    s: Optional[float] = None
-    c: Optional[float] = None
+    __slots__ = _fields = ("kind", "phi", "s", "c")
 
-    def __post_init__(self):
-        if self.kind not in FAMILIES:
-            raise ValueError(f"unknown canonical kind {self.kind!r}")
-        name = FAMILIES[self.kind].parameter
+    def __init__(self, kind, phi=None, s=None, c=None):
+        if kind not in FAMILIES:
+            raise ValueError(f"unknown canonical kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "phi", phi)
+        _set(self, "s", s)
+        _set(self, "c", c)
+        name = FAMILIES[kind].parameter
         if name is None:
             return
-        value = getattr(self, name)
-        if self.phi is None or value is None:
-            raise ValueError(f"{self.kind} canonical form needs phi and {name}")
-        if not (0.0 <= self.phi < _PI):
+        value = s if name == "s" else c
+        if phi is None or value is None:
+            raise ValueError(f"{kind} canonical form needs phi and {name}")
+        if not (0.0 <= phi < _PI):
             raise ValueError("phi must lie in [0, pi)")
         if not isfinite(value):
             raise ValueError(f"{name} must be finite")
@@ -163,11 +170,9 @@ def lines_to_phi_s(lines, tol=DEFAULT_TOL):
 
 
 def _acute_gap(lines, tol):
-    """The acute angle between two lines; DegenerateInputError if it is at
-    most `tol`, where they have no (phi, s)."""
-    a1, a2 = lines.angles
-    delta = a2 - a1
-    theta = min(delta, _PI - delta)
+    """The acute angle between two lines, as `LineSet` stored it;
+    DegenerateInputError if it is at most `tol`, where they have no (phi, s)."""
+    theta = lines.gap
     if theta <= tol:
         raise DegenerateInputError("lines coincide within tolerance")
     return theta
@@ -207,8 +212,7 @@ def rep_group(cf):
 # equivalence decision
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(Record):
     """A coorbit-equivalence verdict, the data that decided it, and its
     certificate.
 
@@ -218,11 +222,14 @@ class EquivalenceVerdict:
     is only made where both canonical forms exist.
     """
 
-    equivalent: bool
-    component_counts: Tuple[int, int]
-    complements: Tuple[LineSet, LineSet]
-    specs: Tuple[GroupSpec, GroupSpec]
-    tol: float
+    __slots__ = _fields = ("equivalent", "component_counts", "complements", "specs", "tol")
+
+    def __init__(self, equivalent, component_counts, complements, specs, tol):
+        _set(self, "equivalent", equivalent)
+        _set(self, "component_counts", component_counts)
+        _set(self, "complements", complements)
+        _set(self, "specs", specs)
+        _set(self, "tol", tol)
 
     @property
     def canonicals(self):
@@ -311,8 +318,8 @@ def same_group(spec_a, spec_b, tol=DEFAULT_TOL):
         # 2^e2) from `scaled_columns`, that is adj(B_a') B_b' with row i scaled
         # by 2^-e_i and column j by 2^f_j; shifting each entry by those less
         # the largest exponent keeps every entry in range
-        (p, q, r, s), (e1, e2) = scaled_columns(spec_a.conjugator)
-        (p2, q2, r2, s2), (f1, f2) = scaled_columns(spec_b.conjugator)
+        (p, q, r, s), (e1, e2) = scaled_columns(*spec_a.entries)
+        (p2, q2, r2, s2), (f1, f2) = scaled_columns(*spec_b.entries)
         m = ((s * p2 - q * r2, f1 - e1), (s * q2 - q * s2, f2 - e1),
              (p * r2 - r * p2, f1 - e2), (p * s2 - r * q2, f2 - e2))
         top = max(frexp(x)[1] + k for x, k in m if x)
@@ -334,3 +341,13 @@ def in_coorbit_symmetry(spec, a, tol=DEFAULT_TOL):
     """Whether A H A^-1 is coorbit equivalent to H (the coorbit symmetry group)."""
     _checked_tol(tol)
     return coorbit_equivalent(conjugate_spec(spec, a), spec, tol).equivalent
+
+
+def symmetry(spec, a, tol=DEFAULT_TOL):
+    """(in_normalizer, in_coorbit_symmetry, in_orbit_symmetry) of A, from the
+    one conjugated spec A H A^-1 that all three compare with H.  It raises
+    what the first of them to raise would."""
+    _checked_tol(tol)
+    moved = conjugate_spec(spec, a)
+    return (same_group(spec, moved, tol), coorbit_equivalent(moved, spec, tol).equivalent,
+            orbit_complement(moved).equals(orbit_complement(spec), tol))

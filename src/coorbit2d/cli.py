@@ -24,11 +24,9 @@ from .classify import (
     canonicalize,
     component_count,
     coorbit_equivalent,
-    in_coorbit_symmetry,
-    in_normalizer,
-    in_orbit_symmetry,
     orbit_complement,
     rep_group,
+    symmetry,
 )
 from .errors import CoorbitError, FormatError, SingularMatrixError, WeightRangeError
 from .families import FAMILIES
@@ -242,11 +240,8 @@ def _cmd_symmetry(args):
     spec = parse_group_spec(args.group)
     mat = _parse_matrix_flag(args.matrix)
     t0 = time.perf_counter()
-    triple = {
-        "normalizer": in_normalizer(spec, mat, args.tol),
-        "coorbit_symmetry": in_coorbit_symmetry(spec, mat, args.tol),
-        "orbit_symmetry": in_orbit_symmetry(spec, mat, args.tol),
-    }
+    triple = dict(zip(("normalizer", "coorbit_symmetry", "orbit_symmetry"),
+                      symmetry(spec, mat, args.tol)))
     _emit(args, t0, "symmetry",
           {"group": group_spec_to_dict(spec), "matrix": mat.tolist()},
           triple, tolerances={"tol": args.tol})

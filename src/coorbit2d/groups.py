@@ -3,7 +3,12 @@ families, arbitrary conjugates thereof, chart coordinates and Haar densities.
 
 A group is described by a :class:`GroupSpec`: one of the three standard
 families together with an invertible conjugator ``B``; the represented group
-is ``B @ H_std @ inv(B)``.  Chart coordinates use the natural logarithm for
+is ``B @ H_std @ inv(B)``.  A spec keeps the four checked floats of ``B``,
+which classification reads, and builds the read-only array of ``B``, which
+the transform reads, on first read.  `conjugate_spec` forms ``A B`` on those
+floats, each entry a sum of two rounded products.  The spec and `LineSet`
+are immutable ``__slots__`` records (:class:`Record`), built with no
+dataclass machinery.  Chart coordinates use the natural logarithm for
 scales and radians for angles.  A chart point is one row of its family's
 columns, of width 2, 4 and 3 in this column order:
 
@@ -27,9 +32,9 @@ the left-invariance quadrature oracle in the test suite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from math import frexp, hypot, inf, isfinite, ldexp
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from .families import (DIAGONAL, FAMILIES, SHEARLET, SIMILITUDE,  # noqa: F401
 
 DEFAULT_TOL = 1e-9
 
-_I2 = np.eye(2)
+_I2 = (1.0, 0.0, 0.0, 1.0)  # the entries of the identity
 _PI = np.pi
 
 
@@ -50,27 +55,25 @@ def valid_tolerance(tol):
     return 0.0 <= tol < inf
 
 
-def scaled_columns(m):
+def scaled_columns(a, b, c, d):
     """Entries (a', b', c', d') and exponents (e1, e2) with B = [[a', b'],
-    [c', d']] diag(2^e1, 2^e2), each column scaled exactly to a largest entry
-    in [1/2, 1).  A non-finite entry stays non-finite."""
-    (a, b), (c, d) = m.tolist()
+    [c', d']] diag(2^e1, 2^e2) for B = [[a, b], [c, d]], each column scaled
+    exactly to a largest entry in [1/2, 1).  A non-finite entry stays
+    non-finite."""
     e1, e2 = frexp(max(abs(a), abs(c)))[1], frexp(max(abs(b), abs(d)))[1]
     return (ldexp(a, -e1), ldexp(b, -e2), ldexp(c, -e1), ldexp(d, -e2)), (e1, e2)
 
 
-def checked_matrix(m, name):
-    """A read-only 2x2 float array, finite with independent columns; the sine
-    of the angle between its columns; and whether its inverse is finite.
+def _checked(a, b, c, d, name):
+    """The sine of the angle between the columns of B = [[a, b], [c, d]], and
+    whether inv(B) is finite; SingularMatrixError unless B is finite with
+    independent columns.
 
     With B = B' diag(2^e1, 2^e2) from `scaled_columns`, the sine
     |det B'| / (|b1'| |b2'|) does not depend on scale and cannot overflow,
     and inv(B) has rows 2^-e1 (d', -b') and 2^-e2 (-c', a') over det B'.
     """
-    a = np.array(m, dtype=float)
-    if a.shape != (2, 2):
-        raise ValueError(f"{name} must be 2x2, got shape {a.shape}")
-    (p, q, r, s), (e1, e2) = scaled_columns(a)
+    (p, q, r, s), (e1, e2) = scaled_columns(a, b, c, d)
     if not isfinite(p + q + r + s):
         raise SingularMatrixError(f"{name} has non-finite entries")
     det = abs(p * s - q * r)
@@ -81,8 +84,32 @@ def checked_matrix(m, name):
                   and isfinite(ldexp(max(abs(p), abs(r)) / det, -e2)))
     except OverflowError:
         finite = False
-    a.flags.writeable = False
-    return a, det / (hypot(p, r) * hypot(q, s)), finite
+    return det / (hypot(p, r) * hypot(q, s)), finite
+
+
+def _entries(m, name):
+    """The four floats (a, b, c, d) of a 2x2 matrix [[a, b], [c, d]]: read
+    from a float64 array as they are, through np.array for any other input."""
+    if type(m) is not np.ndarray or m.dtype != float or m.shape != (2, 2):
+        m = np.array(m, dtype=float)
+        if m.shape != (2, 2):
+            raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
+    (a, b), (c, d) = m.tolist()
+    return a, b, c, d
+
+
+def _read_only(a, b, c, d):
+    m = np.array(((a, b), (c, d)))
+    m.flags.writeable = False
+    return m
+
+
+def checked_matrix(m, name):
+    """A read-only 2x2 float array, finite with independent columns; the sine
+    of the angle between its columns; and whether its inverse is finite (see
+    `_checked`)."""
+    entries = _entries(m, name)
+    return (_read_only(*entries), *_checked(*entries, name))
 
 
 def as_vector(v, name="vector"):
@@ -117,35 +144,85 @@ def angle_distance(a, b):
     return min(d, _PI - d)
 
 
-@dataclass(frozen=True)
-class LineSet:
-    """0, 1 or 2 distinct lines through the origin, each an angle in [0, pi)."""
+def _near(a, b, tol):
+    """angle_distance(a, b) <= tol for two angles in [0, pi), where mod_pi is
+    the identity."""
+    d = abs(a - b)
+    return min(d, _PI - d) <= tol
 
-    angles: Tuple[float, ...]
 
-    def __post_init__(self):
-        angles = tuple(sorted(map(mod_pi, self.angles)))
+# a slot store past Record.__setattr__, for building a record
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable record over the slots named in `_fields`: the equality,
+    hash and repr of a frozen dataclass, without its generated __init__; a
+    subclass builds with `_set`."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class LineSet(Record):
+    """0, 1 or 2 distinct lines through the origin, each an angle in [0, pi).
+
+    `gap` is the acute angle between two lines (None for fewer), kept when
+    the set is built so that a decision reads it."""
+
+    __slots__ = ("angles", "gap")
+    _fields = ("angles",)
+
+    def __init__(self, angles):
+        angles = tuple(sorted(map(mod_pi, angles)))
         if len(angles) > 2:
             raise ValueError("at most two lines")
+        gap = None
         if len(angles) == 2:
             # their angle_distance, since both lie in [0, pi) in order
             gap = angles[1] - angles[0]
-            if min(gap, _PI - gap) <= DEFAULT_TOL:
+            gap = min(gap, _PI - gap)
+            if gap <= DEFAULT_TOL:
                 raise DegenerateInputError("lines coincide within tolerance")
-        object.__setattr__(self, "angles", angles)
+        _set(self, "angles", angles)
+        _set(self, "gap", gap)
 
     def __len__(self):
         return len(self.angles)
 
     def equals(self, other, tol=DEFAULT_TOL):
         """Whether the lines pair up within `tol`, in order or crossed."""
-        a, b, d = self.angles, other.angles, angle_distance
+        a, b = self.angles, other.angles
         if len(a) != len(b):
             return False
         if len(a) < 2:
-            return not a or d(a[0], b[0]) <= tol
-        return ((d(a[0], b[0]) <= tol and d(a[1], b[1]) <= tol)
-                or (d(a[0], b[1]) <= tol and d(a[1], b[0]) <= tol))
+            return not a or _near(a[0], b[0], tol)
+        return ((_near(a[0], b[0], tol) and _near(a[1], b[1], tol))
+                or (_near(a[0], b[1], tol) and _near(a[1], b[0], tol)))
 
     def distance_from(self, w):
         """Smallest distance of a point from the union of the lines (inf if empty)."""
@@ -186,46 +263,42 @@ def shearlet(c):
     return Family(SHEARLET, float(c))
 
 
-@dataclass(frozen=True, eq=False)
-class GroupSpec:
+class GroupSpec(Record):
     """A dilation group: standard family conjugated by an invertible matrix.
 
-    Construction checks the conjugator B with `checked_matrix` and, from B's
-    four floats, computes once the lines missing from the group's open dual
-    orbit, which `classify.orbit_complement` returns: B^-T moves the axes to
-    the lines of (s, -q) and (-r, p) for B = [[p, q], [r, s]].  A diagonal B
-    can pass the sine rule below while its two line angles lie within
-    DEFAULT_TOL of each other; such a spec is built with no complement, and
-    `orbit_complement` and every decision that reads it raise
-    DegenerateInputError instead.
+    Construction reads the four floats of the conjugator B = [[p, q], [r,
+    s]] into `entries` and checks them as `checked_matrix` does; no decision
+    reads B in any other form.  From them it computes once the lines missing
+    from the group's open dual orbit, which `classify.orbit_complement`
+    returns: B^-T moves the axes to the lines of (s, -q) and (-r, p).  A
+    diagonal B can pass the sine rule below while its two line angles lie
+    within DEFAULT_TOL of each other; such a spec is built with no
+    complement, and `orbit_complement` and every decision that reads it
+    raise DegenerateInputError instead.  `conjugator`, the read-only 2x2
+    array of B that the transform reads, is built on first read.  A spec is
+    immutable and equal only to itself.
     """
 
-    family: Family
-    conjugator: np.ndarray = field(default_factory=lambda: _I2.copy())
-    _complement: Optional[LineSet] = field(init=False, repr=False)
+    __slots__ = ("family", "entries", "_conjugator", "_complement")
+    _fields = ("family", "conjugator")  # the arguments a copy is built from
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        b, sine, inverse_finite = checked_matrix(self.conjugator, "conjugator")
-        # the sine of the angle between B's columns is that between the lines
-        # B^-T maps the axes to; at DEFAULT_TOL they coincide for LineSet
-        if sine <= DEFAULT_TOL:
-            raise SingularMatrixError(
-                "conjugator is numerically singular: B^-T maps the axes to lines "
-                "within tolerance of each other"
-            )
-        if not inverse_finite:
-            raise SingularMatrixError("conjugator has a non-finite inverse")
-        object.__setattr__(self, "conjugator", b)
-        (p, q), (r, s) = b.tolist()
-        try:
-            comp = LineSet(FAMILIES[self.family.kind].complement(p, q, r, s))
-        except DegenerateInputError:
-            comp = None
-        object.__setattr__(self, "_complement", comp)
+    def __init__(self, family, conjugator=None):
+        entries = _I2 if conjugator is None else _entries(conjugator, "conjugator")
+        _build_spec(self, family, entries)
+
+    @property
+    def conjugator(self):
+        """B as a read-only 2x2 float array, built on first read."""
+        b = self._conjugator
+        if b is None:
+            b = _read_only(*self.entries)
+            _set(self, "_conjugator", b)
+        return b
 
     @property
     def is_standard(self):
-        return bool(np.array_equal(self.conjugator, _I2))
+        return self.entries == _I2
 
     def __repr__(self):
         fam = self.family.kind
@@ -233,12 +306,42 @@ class GroupSpec:
             fam += f"(c={self.family.c})"
         if self.is_standard:
             return f"GroupSpec({fam})"
-        return f"GroupSpec({fam}, conjugator={self.conjugator.tolist()})"
+        a, b, c, d = self.entries
+        return f"GroupSpec({fam}, conjugator={[[a, b], [c, d]]})"
+
+
+def _build_spec(spec, family, entries):
+    """Fill `spec` (new) with `family` and the conjugator's four floats."""
+    sine, inverse_finite = _checked(*entries, "conjugator")
+    # the sine of the angle between B's columns is that between the lines
+    # B^-T maps the axes to; at DEFAULT_TOL they coincide for LineSet
+    if sine <= DEFAULT_TOL:
+        raise SingularMatrixError(
+            "conjugator is numerically singular: B^-T maps the axes to lines "
+            "within tolerance of each other"
+        )
+    if not inverse_finite:
+        raise SingularMatrixError("conjugator has a non-finite inverse")
+    try:
+        comp = LineSet(FAMILIES[family.kind].complement(*entries))
+    except DegenerateInputError:
+        comp = None
+    _set(spec, "family", family)
+    _set(spec, "entries", entries)
+    _set(spec, "_conjugator", None)
+    _set(spec, "_complement", comp)
+    return spec
 
 
 def conjugate_spec(spec, a):
-    """The spec of A H A^-1 where H is the group of `spec`."""
-    return GroupSpec(spec.family, checked_matrix(a, "A")[0] @ spec.conjugator)
+    """The spec of A H A^-1 where H is the group of `spec`: conjugator A B,
+    each entry a sum of two rounded products."""
+    a00, a01, a10, a11 = _entries(a, "A")
+    _checked(a00, a01, a10, a11, "A")  # refuses A as checked_matrix does
+    b00, b01, b10, b11 = spec.entries
+    return _build_spec(object.__new__(GroupSpec), spec.family,
+                       (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                        a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
 
 
 # ---------------------------------------------------------------------------

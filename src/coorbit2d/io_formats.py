@@ -82,7 +82,7 @@ def parse_group_spec(path):
     """Read and validate a group spec JSON document."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError
         raise FormatError(f"cannot read group spec: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -162,7 +162,7 @@ def _is_number(text):
 def _read_signal_csv(path):
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError
         raise FormatError(f"cannot read signal: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

@@ -29,6 +29,7 @@ from coorbit2d import (
     shear,
     shearlet,
     similitude,
+    symmetry,
 )
 from coorbit2d.classify import angle_distance, mod_pi
 from coorbit2d.cli import _TOLERANCE
@@ -469,6 +470,30 @@ _REFUSED_MATRICES = [[[1.0, 1.0], [1.0, 1.0 + 1e-12]], [[1e-310, 0.0], [0.0, 1.0
                      [[-5e-324, -5e-324], [-5e-324, 0.0]]]
 
 
+def _ci_grid():
+    """The spec and matrix sets of the CI classification steps, with the
+    matrices conjugation refuses."""
+    rng = np.random.default_rng(2201)
+    conjugators = [np.eye(2), *rng.normal(size=(12, 2, 2)), 1e200 * rotation(0.4),
+                   np.diag([1e-300, 1e300])]
+    specs = [GroupSpec(f, b) for f in (similitude(), diagonal(), shearlet(0.7))
+             for b in conjugators]
+    specs += [rep_group(canonical_diagonal(2.6455835135848735, s))
+              for s in (0.0, 7.4e-10, 0.5)]
+    matrices = [np.eye(2), np.diag([2.0, -0.5]), [[0.0, 1.0], [1.0, 0.0]],
+                [[1.0, 0.3], [0.0, 1.0]], 1e-3 * rotation(1.1),
+                *rng.normal(size=(4, 2, 2)), *_REFUSED_MATRICES]
+    return specs, matrices
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+
+
 class TestSymmetryGroups:
     @pytest.mark.parametrize("family", [similitude(), diagonal(), shearlet(0.7)],
                              ids=lambda f: f.kind)
@@ -481,6 +506,21 @@ class TestSymmetryGroups:
         for predicate in (in_normalizer, in_coorbit_symmetry, in_orbit_symmetry):
             with pytest.raises(SingularMatrixError):
                 predicate(spec, a)
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0, 0.3, np.nan])
+    def test_symmetry_is_the_three_predicates(self, tol):
+        # one conjugated spec answers all three, and a fault raises what the
+        # first predicate to meet it raises
+        specs, matrices = _ci_grid()
+        raised = 0
+        for spec in specs:
+            for a in matrices:
+                want = _outcome(lambda: tuple(
+                    predicate(spec, a, tol)
+                    for predicate in (in_normalizer, in_coorbit_symmetry, in_orbit_symmetry)))
+                assert _outcome(lambda: symmetry(spec, a, tol)) == want, (spec, a)
+                raised += isinstance(want[0], type)
+        assert 0 < raised < len(specs) * len(matrices) or np.isnan(tol)
 
     def test_similitude_orbit_symmetry_everything(self, rng):
         spec = GroupSpec(similitude())

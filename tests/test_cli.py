@@ -222,6 +222,21 @@ class TestExitCodes:
         p.write_text("{")
         assert main(["classify", str(p)]) == 2
 
+    @pytest.mark.parametrize("command", ["classify", "norm-spec", "norm-csv"])
+    def test_input_that_is_not_utf8_is_parse_error(self, tmp_path, capsys, diag_path,
+                                                   bump_signal, command):
+        # a 0xff byte inside the family string, and a CSV that starts 0xff 0xfe
+        bad_spec, bad_csv = tmp_path / "bad.json", tmp_path / "bad.csv"
+        bad_spec.write_bytes(b'{"family": "di\xffagonal"}')
+        bad_csv.write_bytes(b"\xff\xfe4,8.0\n")
+        argv = {"classify": ["classify", str(bad_spec)],
+                "norm-spec": ["norm", str(bad_spec), bump_signal],
+                "norm-csv": ["norm", diag_path, str(bad_csv)]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot read") and err.count("\n") == 1
+        assert "can't decode byte 0xff" in err
+
     def test_nearly_singular_conjugator_is_parse_error(self, tmp_path, capsys):
         # det of the second evaluates to nan; the rule does not depend on scale
         for b in ([[1.0, 1.0], [1.0, 1.0 + 1e-10]],

@@ -1,4 +1,7 @@
+import dataclasses
+import pickle
 from fractions import Fraction
+from math import frexp, hypot, isfinite, ldexp
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from coorbit2d import (
     similitude,
 )
 from coorbit2d.families import FAMILIES as RECORDS
-from coorbit2d.groups import DEFAULT_TOL, checked_matrix
+from coorbit2d.groups import DEFAULT_TOL, checked_matrix, mod_pi
 from coorbit2d.sampling import default_sampling
 from conftest import random_invertible
 
@@ -149,6 +152,138 @@ class TestGroupSpecConditioning:
             for s2 in (spec, other, GroupSpec(family, scale * other.conjugator)):
                 assert (coorbit_equivalent(scaled, s2).equivalent
                         == coorbit_equivalent(spec, s2).equivalent)
+
+
+def _numpy_checked_matrix(m, name):
+    """The numpy form of `checked_matrix` that the float check replaced,
+    kept as the reference it must equal bit for bit."""
+    a = np.array(m, dtype=float)
+    if a.shape != (2, 2):
+        raise ValueError(f"{name} must be 2x2, got shape {a.shape}")
+    (a0, b0), (c0, d0) = a.tolist()
+    e1, e2 = frexp(max(abs(a0), abs(c0)))[1], frexp(max(abs(b0), abs(d0)))[1]
+    p, q, r, s = ldexp(a0, -e1), ldexp(b0, -e2), ldexp(c0, -e1), ldexp(d0, -e2)
+    if not isfinite(p + q + r + s):
+        raise SingularMatrixError(f"{name} has non-finite entries")
+    det = abs(p * s - q * r)
+    if not det:
+        raise SingularMatrixError(f"{name} is singular")
+    try:
+        finite = (isfinite(ldexp(max(abs(q), abs(s)) / det, -e1))
+                  and isfinite(ldexp(max(abs(p), abs(r)) / det, -e2)))
+    except OverflowError:
+        finite = False
+    a.flags.writeable = False
+    return a, det / (hypot(p, r) * hypot(q, s)), finite
+
+
+def _check_outcome(check, m):
+    """Accepted with the array bytes, sine (hex) and inverse flag, or refused
+    with the error type and message."""
+    try:
+        a, sine, finite = check(m, "B")
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return a.tobytes(), a.dtype, a.flags.writeable, sine.hex(), finite
+
+
+def _float_path_matrices(rng):
+    """Over 10^4 seeded matrices at the edges of the float check."""
+    out = list(rng.normal(size=(2000, 2, 2)))
+    for b in rng.normal(size=(400, 2, 2)):  # column scalings 2^+-500
+        for k1 in (-500, 0, 500):
+            for k2 in (-500, 0, 500):
+                out.append(b * np.ldexp(1.0, [k1, k2]))
+    for b in rng.normal(size=(60, 2, 2)):  # subnormal columns, down to 5e-324
+        for k in range(-1080, -1015, 4):
+            out.append(b * np.ldexp(1.0, [k, 0]))
+            out.append(np.ldexp(b, k))
+    for k in range(-2000, 2001):  # the sine rule near DEFAULT_TOL
+        out.append(np.array([[1.0, 1.0], [0.0, 1e-9 + k * 2e-18]]))
+    special = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308)
+    for b in rng.normal(size=(100, 2, 2)):  # non-finite and extreme entries
+        m = b.copy()
+        m.flat[rng.integers(4)] = special[rng.integers(len(special))]
+        out.append(m)
+    for u, v in rng.normal(size=(200, 2, 2)):  # exact zero determinants
+        k = rng.integers(-3, 4)
+        out += [np.column_stack([u, np.ldexp(u, k)]), np.outer(u, [0.0, 1.0]),
+                np.array([u, np.zeros(2)])]
+    with np.errstate(all="ignore"):
+        out += [np.array([[1e308, 1e308], [1e308, -1e308]]) * 10.0, np.zeros((2, 2))]
+    # inputs the float path reads through np.array
+    out += [m.tolist() for m in out[:200]]
+    out += [[[1, 2], [3, 4]], np.array([[2, 0], [0, 3]]), np.eye(2, dtype=np.float32),
+            np.eye(2).astype(">f8"), np.eye(2)[:, ::-1], np.eye(3), [1.0, 2.0]]
+    return out
+
+
+class TestFloatPath:
+    """The classification path on B's four Python floats."""
+
+    def test_check_equals_the_numpy_form_bit_for_bit(self, rng):
+        matrices = _float_path_matrices(rng)
+        assert len(matrices) >= 10_000
+        seen = set()
+        for m in matrices:
+            want = _check_outcome(_numpy_checked_matrix, m)
+            assert _check_outcome(checked_matrix, m) == want, m
+            seen.add(want[1] if isinstance(want[0], type) else (want[-1], True))
+        # every branch is reached: accepted with a finite and with an
+        # infinite inverse, non-finite, singular and not 2x2
+        assert {(True, True), (False, True), "B has non-finite entries", "B is singular",
+                "B must be 2x2, got shape (3, 3)"} <= seen, seen
+
+    def test_spec_keeps_the_checked_floats(self, rng):
+        # GroupSpec accepts what the numpy form's rule accepts; its array is
+        # the input's, read-only, and built once
+        for m in _float_path_matrices(rng)[::7]:
+            want = _check_outcome(_numpy_checked_matrix, m)
+            ok = not isinstance(want[0], type) and want[-1] and float.fromhex(want[3]) > DEFAULT_TOL
+            try:
+                spec = GroupSpec(diagonal(), m)
+            except ValueError:
+                assert not ok, m
+                continue
+            assert ok, m
+            b = spec.conjugator
+            assert np.array_equal(b, np.array(m, dtype=float)) and b.dtype == float
+            assert not b.flags.writeable and spec.conjugator is b
+            assert spec.entries == tuple(np.array(m, dtype=float).ravel().tolist())
+
+    def test_conjugate_spec_rounds_each_product_once(self, rng):
+        for family in FAMILIES.values():
+            for b, a in zip(random_invertible(rng, 300), random_invertible(rng, 300)):
+                moved = conjugate_spec(GroupSpec(family, b), a)
+                (a00, a01), (a10, a11) = a.tolist()
+                (b00, b01), (b10, b11) = b.tolist()
+                want = (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                        a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+                assert [x.hex() for x in moved.entries] == [x.hex() for x in want]
+
+    def test_records_are_immutable_and_keep_their_value_semantics(self):
+        spec = GroupSpec(shearlet(0.7), rotation(0.3))
+        lines = LineSet((0.5, -0.25))
+        cf = canonical_diagonal(0.5, 0.25)
+        verdict = coorbit_equivalent(spec, spec)
+        for record, name in ((spec, "conjugator"), (spec, "family"), (lines, "angles"),
+                             (lines, "gap"), (cf, "s"), (verdict, "equivalent")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+        # a spec is equal only to itself; the others compare by value
+        assert spec != GroupSpec(shearlet(0.7), rotation(0.3)) and spec == spec
+        assert lines == LineSet((0.5, mod_pi(-0.25))) and hash(lines) == hash(LineSet(lines.angles))
+        assert lines != lines.angles and cf == canonical_diagonal(0.5, 0.25)
+        assert repr(lines) == f"LineSet(angles={lines.angles!r})"
+        assert repr(verdict).startswith("EquivalenceVerdict(equivalent=True, "
+                                        "component_counts=(2, 2), complements=(LineSet(")
+        assert repr(spec) == f"GroupSpec(shearlet(c=0.7), conjugator={rotation(0.3).tolist()})"
+        for record in (lines, cf, verdict.complements[0]):
+            assert pickle.loads(pickle.dumps(record)) == record
+        back = pickle.loads(pickle.dumps(spec))
+        assert back.entries == spec.entries and back.family == spec.family
 
 
 def _closed_form_complement(family, b):
