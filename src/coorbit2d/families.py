@@ -4,13 +4,15 @@ The groups classified are the similitude, diagonal and shearlet-c families,
 each up to conjugation by an invertible B.  `FAMILIES` maps a family kind to
 its :class:`FamilyRecord`; the other modules look a family up there instead
 of branching on its kind.  The wavelet profiles, in eta = B^T xi, are built
-from the bump rho(t) = exp(1 - 1/(1 - t^2)) on (-1, 1).  Their support pieces
-are disjoint convex sets {eta : g[k] . eta < b[k] for all k}: the box
-|eta1|, |eta2| < 2 (similitude), the 4 sign squares 1/2 < +-eta1, +-eta2 < 2
-(diagonal) and the 2 trapezoids 1/2 < +-eta1 < 2, |eta2| < |eta1| (shearlet).
-The pieces are the one description of the support: a profile is a total
-closed form, exactly +0.0 off them, since rho underflows to 0 for |t| >=
-0.99933 (a log-scale magnitude outside (0.50023, 1.99907)).
+from the bump rho(t) = exp(1 - 1/(1 - t^2)) on (-1, 1), exactly 0 for |t| >=
+0.99933, in chart form: at m^T eta, m the matrix of a chart row, a profile
+is rho(u + alpha) rho(beta v + gamma), from the record's `invariants` (u, v)
+of eta and `shifts` (alpha, beta, gamma) of the row (one factor for the
+similitude family).  The rotation and sign columns drop out: the profiles
+are invariant under them.  At the identity row the chart form is the
+`profile`, total and exactly +0.0 off 1/2 < |eta| < 2 (similitude), off
+1/2 < |eta1|, |eta2| < 2 (diagonal) and off 1/2 < |eta1| < 2, |eta2| <
+|eta1| (shearlet).
 """
 
 from __future__ import annotations
@@ -37,11 +39,17 @@ def bump(t):
     return out
 
 
-# relative slack that widens the support pieces: a piece keeps a magnitude t
-# when _LO < t < _HI, and a shearlet ratio when |eta2| < _K |eta1|
-_SLACK = 1e-6
-_LO, _HI = 0.5 * (1.0 - _SLACK), 2.0 * (1.0 + _SLACK)
-_K = 1.0 + _SLACK
+def _chart_form(invariants, shifts):
+    """psi-hat at chart rows from the invariants of eta: bump(u + alpha) for
+    invariants (u,), times bump(beta v + gamma) for (u, v), with shifts
+    (alpha, beta, gamma).  The arrays broadcast."""
+    value = bump(invariants[0] + shifts[0])
+    if len(invariants) > 1:
+        value = value * bump(shifts[1] * invariants[1] + shifts[2])
+    return value
+
+
+_LN2 = np.log(2.0)
 
 
 class SimilitudeChart(NamedTuple):
@@ -76,10 +84,11 @@ class FamilyRecord:
     # B = [[p, q], [r, s]]: B^-T moves the axes to (s, -q) and (-r, p)
     complement: Callable
     components: int  # connected components of the dual orbit
-    # (eta1, eta2) -> the closed form at every eta, exactly +0.0 off the
-    # pieces (the bump underflows to 0 for |t| >= 0.99933)
-    profile: Callable
-    pieces: Tuple[np.ndarray, np.ndarray]  # g (pieces, k, 2) and b (pieces, k)
+    # (eta1, eta2) -> the invariants (u,) or (u, v) of eta
+    invariants: Callable
+    # (cols, c) -> the shifts (alpha, beta, gamma) of the chart rows, beta > 0;
+    # alpha alone for a family with one invariant
+    shifts: Callable
     orbit_samples: np.ndarray  # (16, 2): the Calderon samples
     parameter: Optional[str]  # of the canonical form, besides phi
     n_lam: int  # the default number of points per log-scale axis
@@ -87,6 +96,10 @@ class FamilyRecord:
     # one row per class, at theta = 0, signs (+1, +1) or eps = +1, and a cell
     # volume that holds the measure of K_psi in chart units, 2 pi, 4 or 2
     quotient: Callable
+
+    def profile(self, e1, e2):
+        """The wavelet profile at eta: the chart form at the identity row."""
+        return _chart_form(self.invariants(e1, e2), (0.0, 1.0, 0.0))
 
 
 def _read_only(rows):
@@ -120,16 +133,11 @@ def _shearlet_matrix(cols, c):
     return eps * a, eps * cols[..., 2], eps * 0.0, eps * np.power(a, c)
 
 
-def _similitude_profile(e1, e2):
-    return bump(np.log2(np.hypot(e1, e2)))
-
-
-def _diagonal_profile(e1, e2):
-    return bump(np.log2(np.abs(e1))) * bump(np.log2(np.abs(e2)))
-
-
-def _shearlet_profile(e1, e2):
-    return bump(np.log2(np.abs(e1))) * bump(e2 / e1)
+def _shearlet_shifts(cols, c):
+    # m^T eta = eps (a eta1, s eta1 + a^c eta2): log2|a eta1| and, over a eta1,
+    # s / a + a^(c - 1) eta2 / eta1; np.power as in _shearlet_matrix
+    a = np.exp(cols[..., 1])
+    return cols[..., 1] / _LN2, np.power(a, c - 1.0), cols[..., 2] / a
 
 
 _SIGN_PAIRS = [(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]
@@ -140,9 +148,8 @@ FAMILIES = MappingProxyType({
         haar=lambda cols, c: np.ones(cols.shape[:-1]),
         g=lambda cols, c: np.exp(-2.0 * cols[..., 0]),
         complement=lambda p, q, r, s: (), components=1,
-        profile=_similitude_profile,
-        pieces=(_read_only([[(1, 0), (-1, 0), (0, 1), (0, -1)]]),
-                _read_only([(_HI, _HI, _HI, _HI)])),
+        invariants=lambda e1, e2: (np.log2(np.hypot(e1, e2)),),
+        shifts=lambda cols, c: (cols[..., 0] / _LN2,),
         orbit_samples=_read_only([(r * np.cos(a), r * np.sin(a))
                                   for r in (0.6, 1.0, 1.4, 2.0)
                                   for a in (0.3, 1.2, 2.5, 4.0)]),
@@ -155,10 +162,9 @@ FAMILIES = MappingProxyType({
         haar=lambda cols, c: np.ones(cols.shape[:-1]),
         g=lambda cols, c: np.exp(-(cols[..., 0] + cols[..., 1])),
         complement=lambda p, q, r, s: (atan2(-q, s), atan2(p, -r)), components=4,
-        profile=_diagonal_profile,
-        pieces=(_read_only([[(-s1, 0), (s1, 0), (0, -s2), (0, s2)]
-                            for s1, s2 in _SIGN_PAIRS]),
-                _read_only([(-_LO, _HI, -_LO, _HI)] * 4)),
+        invariants=lambda e1, e2: (np.log2(np.abs(e1)), np.log2(np.abs(e2))),
+        shifts=lambda cols, c: (cols[..., 0] / _LN2, np.ones(cols.shape[:-1]),
+                                cols[..., 1] / _LN2),
         orbit_samples=_read_only([(s1 * u, s2 * v) for s1, s2 in _SIGN_PAIRS
                                   for u in (0.7, 1.2) for v in (0.7, 1.2)]),
         parameter="s", n_lam=16,
@@ -170,10 +176,8 @@ FAMILIES = MappingProxyType({
         haar=lambda cols, c: np.exp(-cols[..., 1]),
         g=lambda cols, c: np.exp(-cols[..., 1]) * np.exp(-(1.0 + c) * cols[..., 1]),
         complement=lambda p, q, r, s: (atan2(p, -r),), components=2,
-        profile=_shearlet_profile,
-        pieces=(_read_only([[(-s, 0), (s, 0), (-s * _K, 1), (-s * _K, -1)]
-                            for s in (1, -1)]),
-                _read_only([(-_LO, _HI, 0.0, 0.0)] * 2)),
+        invariants=lambda e1, e2: (np.log2(np.abs(e1)), e2 / e1),
+        shifts=_shearlet_shifts,
         orbit_samples=_read_only([(s * m, s * m * r) for s in (1.0, -1.0)
                                   for m in (0.8, 1.25)
                                   for r in (-0.35, -0.1, 0.2, 0.45)]),

@@ -6,34 +6,40 @@ group element h the analysis plane is
 
     W(., h) = inverse FT of [ fhat(xi) * |det h|^(1/2) * conj(psihat(h^T xi)) ]
 
-with psi the wavelet of the group spec (`default_wavelet`), always evaluated
-in closed form at h^T xi: no function here takes a wavelet of its own.  Each
-public call stacks the 2 x 2 elements of its sampled rows once
-(`_elements`), and one sparse kernel evaluates psihat(h^T xi) over the
-stack where the convex support pieces of the profile in eta = B^T h^T xi
-(the family's record in `coorbit2d.families`) reach.  Along a lattice row
-eta is affine in xi2, so each piece reaches one interval of columns per
-element and row (`_row_intervals`), widened by a few roundings of
-|B^T| |h^T| |xi| and made disjoint.  The (element, frequency) pairs inside
-come in element order, in chunks of bounded size, and take the arithmetic
-of a dense evaluation: every value is the dense one bit for bit, and every
-pair left out is exactly 0 (on the default samplings at N = 128, 4-5% of
-the lattice is evaluated for the shearlet elements, 11-14% for the diagonal
-ones).  The kernel backs the multiplier and the analysis planes.
+with psi the wavelet of the group spec (`coorbit2d.wavelets`), the profile of
+its family at eta = B^T xi.  For h = B m B^-1, with m the chart matrix of a
+sampled row, B^T h^T xi = m^T B^T xi, so psihat(h^T xi) is the profile at
+m^T eta: no element h is formed, and |det h| = |det m| comes from the chart.
+The family record (`coorbit2d.families`) writes that profile in chart form:
+bump(u + alpha) * bump(beta v + gamma), with the invariants (u, v) of eta
+computed once per lattice (`_invariants`) and the shifts (alpha, beta,
+gamma) once per sampling (`_shifts`).
+
+One sparse kernel (`_chart_values`) evaluates it where it can be nonzero.
+It sorts u once per lattice; the first factor of a row then reaches one
+range of it, found by bisection.  Within that range it sorts v once per run
+of rows that share alpha, and the second factor of each row reaches one
+range of that.  A rounded affine map with a positive slope is monotone, and
+the bump is exactly 0 for |t| >= 0.99933, so every pair left outside the
+ranges is exactly 0, and every value is the dense chart form's bit for bit
+(on a default shearlet sampling at N = 128, 3.7% of the (row, frequency)
+pairs are evaluated).  The kernel backs the multiplier and the analysis
+planes.
 
 The wavelet factor |det h|^(1/2) psihat(h^T xi) is constant on the classes
 of H modulo the compact subgroup K_psi that leaves the profile invariant:
 the rotations for the radial similitude profile, the four sign elements for
-the diagonal one and +-I for the shearlet one.  The default samplings
-(`coorbit2d.sampling`) list one row per class of H/K_psi, with the measure of
-K_psi in its cell volume: 32 similitude, 256 diagonal and 768 shearlet rows.
-A sampling that lists K_psi-equivalent rows is still correct: each of its
+the diagonal one and +-I for the shearlet one; the chart form has no column
+for them.  The default samplings (`coorbit2d.sampling`) list one row per
+class of H/K_psi, with the measure of K_psi in its cell volume: 32
+similitude, 256 diagonal and 768 shearlet rows.  A sampling that lists
+K_psi-equivalent rows, or rows in any order, is still correct: each of its
 rows takes its own plane.
 
 The analysis planes come from one generator that takes the FFT of each
 signal once and yields, row by row, the planes of all its signals;
 where psihat(h^T xi) is exactly 0 on the lattice the plane is exactly 0 and
-its FFTs are skipped; an element whose pieces reach no lattice point skips
+its FFTs are skipped; a row whose ranges reach no lattice point skips
 psihat as well.  Elsewhere only the lattice rows that psihat reaches take
 the first inverse-FFT pass (`signals.ifft2_rows`, `np.fft.ifft2` bit for
 bit), and the plane, row-product and magnitude buffers are reused from plane
@@ -60,10 +66,10 @@ g_w(h) FT(W f(., h)) |det h|^(1/2) psihat(h^T xi) over the rows, gives the
 inverse FT of fhat C / C_psi.  The p = 2 norm of a signal
 (signal_coorbit_norm) and the reconstruction of a signal (reconstruct) are
 computed that way, with two FFTs at most and no analysis plane.  C is
-summed in row order at every frequency, so the sum does not depend on how
-the kernel blocks or chunks its work.
-`calderon_constant` takes the same sum at the 16 orbit samples of the family's
-record, from one dense psihat evaluation over all (row, sample) pairs.
+summed in row order at every frequency.
+`calderon_constant` takes the same sum at the 16 orbit samples of the
+family's record, which are eta directly, from one dense chart-form
+evaluation over all (row, sample) pairs.
 
 No coverage check runs here: an h that maps the wavelet off the lattice
 gives a zero plane.  Only the test signals of `signals` warn on coverage.
@@ -77,175 +83,137 @@ from typing import Optional
 import numpy as np
 
 from .errors import OrbitSampleError, WeightRangeError
-from .families import FAMILIES
-from .groups import element_from_chart
+from .families import FAMILIES, _chart_form, bump
 from .signals import (
     GridSignal,
     _phase_grid,
-    freq_axis,
+    freq_grids,
     ifft2_rows,
     signal_from_spectrum,
     spectrum_from_signal,
 )
-from .wavelets import default_wavelet
 
 
-# classes per block of column intervals, and candidate points per call of
-# `WaveletSpec.evaluate`; neither changes a value
-_BLOCK_CLASSES = 16
-_CHUNK_POINTS = 2 ** 12
-
-# a margin of _ROUNDING * (|g| |B^T| |h^T| |xi| + |b|) on each constraint
-# g . eta < b of a support piece covers the few roundings, each at most
-# eps * |B^T| |h^T| |xi|, by which the computed eta of `evaluate` and the
-# interval arithmetic below can differ from exact eta
-_ROUNDING = 16 * np.finfo(float).eps
-
-
-def _row_intervals(psi, mats, rows, cols):
-    """(start, count) of the columns each support piece reaches, per class and row.
-
-    On the product grid xi = (rows[r], cols[c]), with cols sorted, eta =
-    B^T h^T xi is affine in cols along row r, so each convex support piece of
-    the family keeps one interval of columns, widened by the rounding margin.
-    Both results have shape (len(mats), pieces, len(rows)), and the intervals
-    of one class and row do not overlap.
-    """
-    g, b = FAMILIES[psi.spec.family.kind].pieces
-    bt, ht = psi.spec.conjugator.T, np.swapaxes(mats, 1, 2)
-    ga = g @ (bt @ ht)[:, None]  # (K, pieces, constraints, 2): g . eta = ga . xi
-    # |B^T| |h^T| |xi| per row, with |xi2| bounded over the row
-    reach = np.abs(bt) @ np.abs(ht) @ np.stack(
-        [np.abs(rows), np.full(len(rows), np.max(np.abs(cols), initial=0.0))])  # (K, 2, R)
-    slope = ga[..., 1, None] + 0.0  # no -0: a zero slope bounds from above
-    bound = np.abs(g) @ reach[:, None]  # (K, pieces, constraints, R)
-    bound += np.abs(b[..., None])
-    bound *= _ROUNDING
-    bound += b[..., None]
-    bound -= ga[..., 0, None] * rows
+def _invariants(spec, n, length):
+    """The invariants of eta = B^T xi on the n x n signal lattice, flat in the
+    layout of `freq_grids(n, length)`."""
+    b00, b01, b10, b11 = spec.entries
+    xi1, xi2 = freq_grids(n, length)
+    # log2(0) and eta2 / eta1 give +-inf or nan, which the bump maps to 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = np.divide(bound, slope, out=bound)
-    # cols < t where slope > 0 (+-inf where it is 0), cols > t where slope
-    # < 0; fmin and fmax skip a nan (from inf - inf or 0 / 0), which leaves
-    # the interval open
-    hi = np.fmin.reduce(np.where(slope >= 0, t, np.inf), axis=2)
-    lo = np.fmax.reduce(np.where(slope < 0, t, -np.inf), axis=2)
-    start = np.searchsorted(cols, lo, side="left")
-    end = np.searchsorted(cols, hi, side="right")
-    # a wide margin can make the intervals of two pieces overlap: sort them
-    # by (start, end) (odd-even transposition over the few pieces) and start
-    # each after the ends of those before it
-    width = len(cols) + 1
-    keys = start * width + end
-    for k in range(len(g)):
-        for i in range(k % 2, len(g) - 1, 2):
-            left, right = keys[:, i], keys[:, i + 1]
-            keys[:, i], keys[:, i + 1] = np.minimum(left, right), np.maximum(left, right)
-    start, end = np.divmod(keys, width)
-    for i in range(1, len(g)):
-        np.maximum(start[:, i], end[:, i - 1], out=start[:, i])
-        np.maximum(end[:, i], end[:, i - 1], out=end[:, i])
-    return start, np.maximum(end - start, 0)
+        return FAMILIES[spec.family.kind].invariants((b00 * xi1 + b10 * xi2).ravel(),
+                                                     (b01 * xi1 + b11 * xi2).ravel())
 
 
-def _candidates(psi, mats, rows, cols):
-    """Yield (cls, idx): the (class, frequency) pairs where psihat(h^T xi) may be nonzero.
+def _shifts(spec, sampling):
+    """The shifts (alpha, beta, gamma) of the chart form at the sampled rows.
 
-    The frequencies are the product grid xi = (rows[r], cols[c]), and idx =
-    r * len(cols) + c.  Every pair left out has psihat(h^T xi) exactly 0,
-    and no pair comes twice.  The pairs come from `_row_intervals`, a block
-    of _BLOCK_CLASSES classes at a time, in class order, at most
-    _CHUNK_POINTS at a time.
+    Raises WeightRangeError when a slope beta = a^(c - 1) leaves the float
+    range or underflows to 0, as it can for a large shearlet exponent.
     """
-    order = np.argsort(cols, kind="stable")
-    sorted_cols = cols[order]
-    for lo in range(0, len(mats), _BLOCK_CLASSES):
-        start, count = _row_intervals(psi, mats[lo:lo + _BLOCK_CLASSES], rows, sorted_cols)
-        # segments (class, piece, row) of consecutive sorted columns
-        n_pieces, n_rows = count.shape[1:]
-        seg = np.flatnonzero(count)
-        seg_count = count.ravel()[seg]
-        seg_cls = lo + seg // (n_pieces * n_rows)
-        seg_base = seg % n_rows * len(cols)
-        ends = np.cumsum(seg_count)
-        skip = start.ravel()[seg] - (ends - seg_count)  # sorted column - point number
-        total = int(ends[-1]) if len(ends) else 0
-        for q0 in range(0, total, _CHUNK_POINTS):
-            q = np.arange(q0, min(q0 + _CHUNK_POINTS, total))
-            first, last = np.searchsorted(ends, q[[0, -1]], side="right")
-            segs = np.arange(first, last + 1)
-            s = np.repeat(segs, np.minimum(ends[segs], q[-1] + 1)
-                          - np.maximum(ends[segs] - seg_count[segs], q0))
-            yield seg_cls[s], seg_base[s] + order[skip[s] + q]
+    with np.errstate(over="ignore"):
+        shifts = FAMILIES[spec.family.kind].shifts(sampling.points, spec.family.c)
+    if len(shifts) > 1 and not np.all((shifts[1] > 0.0) & (shifts[1] < np.inf)):
+        raise WeightRangeError(f"the elements of {spec!r} leave the float range")
+    return shifts
 
 
-def _eta(h00, h10, h01, h11, xi1, xi2):
-    """eta = h^T xi from the entries of h, rounded as h00 xi1 + h10 xi2 and
-    h01 xi1 + h11 xi2: `_psihat` and `calderon_constant` both take it, so
-    each psihat value equals a dense evaluation at the same point bit for bit."""
-    eta1 = h00 * xi1
-    eta1 += h10 * xi2
-    eta2 = h01 * xi1
-    eta2 += h11 * xi2
-    return eta1, eta2
+def _root_det(spec, sampling):
+    """|det h|^(1/2) = |det m|^(1/2) at the sampled rows, from their chart matrices.
 
-
-def _psihat(psi, mats, rows, cols):
-    """Yield (cls, idx, psihat(h_cls^T xi_idx)) over the pairs of `_candidates`."""
-    h = [mats[:, i, j].copy() for i, j in ((0, 0), (1, 0), (0, 1), (1, 1))]
-    for cls, idx in _candidates(psi, mats, rows, cols):
-        a1, a2 = rows[idx // len(cols)], cols[idx % len(cols)]
-        yield cls, idx, psi.evaluate(*_eta(*(e[cls] for e in h), a1, a2))
-
-
-def _class_values(psi, mats, n, length):
-    """Yield psihat(h^T xi) on the n x n signal lattice for each element h of `mats`.
-
-    A class without candidates yields None, with no psihat evaluated; any
-    other yields its values in one n x n buffer that the next class
-    overwrites.
+    Raises WeightRangeError when |det m| leaves the float range.
     """
-    axis = freq_axis(n, length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c, d = FAMILIES[spec.family.kind].matrix(sampling.points, spec.family.c)
+        root_det = np.sqrt(np.abs(a * d - b * c))
+    if not np.all(np.isfinite(root_det)):
+        raise WeightRangeError(f"the elements of {spec!r} leave the float range")
+    return root_det
+
+
+def _bounds(keys, slope, shift):
+    """Per row of `shift`, the [start, stop) of the sorted keys where
+    |slope * key + shift| < 1, with slope > 0 and finite.
+
+    The rounded map is non-decreasing in the key, and a nan key sorts last
+    and stays outside, so the other keys have |t| >= 1 or t = nan, where the
+    bump is exactly 0.  Each end is a bisection over all rows.
+    """
+    def first(past, lo, hi):
+        # the first index in [lo, hi) at which `past` holds, or hi
+        while np.any(lo < hi):
+            mid = (lo + hi) // 2
+            go = past(slope * keys[np.minimum(mid, len(keys) - 1)] + shift)
+            lo, hi = np.minimum(np.where(go, lo, mid + 1), hi), np.where(go, mid, hi)
+        return lo
+
+    end = np.full(len(shift), len(keys))
+    start = first(lambda t: ~(t <= -1.0), np.zeros(len(shift), dtype=int), end)
+    return start, first(lambda t: ~(t < 1.0), start, end)
+
+
+def _chart_values(spec, sampling, n, length):
+    """Yield (k, idx, psihat(h_k^T xi_idx)) for the sampled rows k in order.
+
+    idx are flat indices of the n x n lattice (`freq_grids`), none twice;
+    psihat(h_k^T xi) is exactly 0 at every other index, and a row whose
+    ranges reach no lattice point is not yielded.  Each value is the chart
+    form's at that point bit for bit.
+    """
+    u, *v = _invariants(spec, n, length)
+    alpha, *second = _shifts(spec, sampling)
+    order = np.argsort(u, kind="stable")
+    keys = u[order]
+    start, stop = _bounds(keys, 1.0, alpha)
+    # the rows of a run share alpha, and with it the first factor and its range
+    cuts = [0, *(np.flatnonzero(alpha[1:] != alpha[:-1]) + 1), len(alpha)]
+    with np.errstate(over="ignore"):  # beta v + gamma, beyond the bump's reach
+        for r0, r1 in zip(cuts[:-1], cuts[1:]):
+            idx = order[start[r0]:stop[r0]]
+            if not len(idx):
+                continue
+            first = bump(keys[start[r0]:stop[r0]] + alpha[r0])
+            if not v:
+                for k in range(r0, r1):
+                    yield k, idx, first
+                continue
+            by_v = np.argsort(v[0][idx], kind="stable")
+            idx, first, vs = idx[by_v], first[by_v], v[0][idx[by_v]]
+            beta, gamma = second[0][r0:r1], second[1][r0:r1]
+            lo, hi = _bounds(vs, beta, gamma)
+            for j, (a, b) in enumerate(zip(lo, hi)):
+                if a < b:
+                    yield r0 + j, idx[a:b], first[a:b] * bump(beta[j] * vs[a:b] + gamma[j])
+
+
+def _class_values(spec, sampling, n, length):
+    """Yield psihat(h^T xi) on the n x n signal lattice for each sampled row.
+
+    A row without candidates yields None, with no psihat evaluated; any
+    other yields its values in one n x n buffer that the next row overwrites.
+    """
     buf = np.zeros((n, n))
     flat = buf.reshape(-1)
-    current = -1
-    for cls, idx, vals in _psihat(psi, mats, axis, axis):
-        cuts = np.flatnonzero(cls[1:] != cls[:-1]) + 1
-        for lo, hi in zip([0, *cuts], [*cuts, len(cls)]):
-            if cls[lo] != current:
-                if current >= 0:
-                    yield buf
-                    flat.fill(0.0)
-                yield from [None] * (cls[lo] - current - 1)
-                current = cls[lo]
-            flat[idx[lo:hi]] = vals[lo:hi]
-    if current >= 0:
+    ahead = 0
+    for k, idx, vals in _chart_values(spec, sampling, n, length):
+        yield from [None] * (k - ahead)
+        flat[idx] = vals
         yield buf
-    yield from [None] * (len(mats) - current - 1)
-
-
-def _root_det(mats):
-    """|det h|^(1/2) over a stack of elements."""
-    return np.sqrt(np.abs(mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]))
-
-
-def _elements(spec, sampling):
-    """(psi, mats): the spec's wavelet and the elements of the sampled rows."""
-    return default_wavelet(spec), element_from_chart(spec, sampling.points)
+        flat[idx] = 0.0
+        ahead = k + 1
+    yield from [None] * (len(sampling) - ahead)
 
 
 def calderon_multiplier(spec, sampling, n, length):
     """C(xi) = sum_h haar_w(h) |psihat(h^T xi)|^2 on the n x n signal lattice.
 
     The sum runs over the sampled rows in order at every frequency, and skips
-    the frequencies where the support of psihat(h^T .) cannot reach; the
-    result is laid out as `freq_grids(n, length)`.
+    the frequencies where psihat(h^T .) is exactly 0; the result is laid out
+    as `freq_grids(n, length)`.
     """
-    psi, mats = _elements(spec, sampling)
-    axis = freq_axis(n, length)
     total = np.zeros(n * n)
-    for cls, idx, vals in _psihat(psi, mats, axis, axis):
-        np.add.at(total, idx, sampling.haar_w[cls] * np.square(vals))
+    for k, idx, vals in _chart_values(spec, sampling, n, length):
+        total[idx] += sampling.haar_w[k] * np.square(vals)
     return total.reshape(n, n)
 
 
@@ -258,13 +226,13 @@ def _grid(signals):
     return signals[0].N, signals[0].L
 
 
-def _planes(signals, mats, psi):
-    """Analysis planes of grid signals that share one lattice, one element at a time.
+def _planes(signals, spec, sampling):
+    """Analysis planes of grid signals that share one lattice, one row at a time.
 
-    Yields, for each element h of the stack `mats` in order, the (S, N, N)
-    stack of planes W_s(., h), or None when psihat(h^T xi) is exactly 0 on
-    the lattice, where the plane is exactly 0 and its FFTs are skipped; a
-    class without candidates is skipped before psihat is evaluated.  The
+    Yields, for each sampled row h in order, the (S, N, N) stack of planes
+    W_s(., h), or None when psihat(h^T xi) is exactly 0 on the lattice,
+    where the plane is exactly 0 and its FFTs are skipped; a row without
+    candidates is skipped before psihat is evaluated.  The
     stack is one buffer that the next plane overwrites: copy what must
     outlive the step.  Only the lattice rows where psihat(h^T xi) is nonzero
     take fhat * factor and the first inverse-FFT pass.
@@ -275,8 +243,8 @@ def _planes(signals, mats, psi):
     spectra = [fold * spectrum_from_signal(f) for f in signals]
     out = np.empty((len(spectra), n, n), dtype=complex)
     buf, picked = np.empty((2, n, n), dtype=complex)
-    root_det = _root_det(mats)
-    for k, vals in enumerate(_class_values(psi, mats, n, length)):
+    root_det = _root_det(spec, sampling)
+    for k, vals in enumerate(_class_values(spec, sampling, n, length)):
         rows = () if vals is None else np.flatnonzero(vals.any(axis=1))
         if not len(rows):
             yield None
@@ -340,9 +308,8 @@ def _signal_stats(signals, spec, sampling, p):
     row at a time, so no M x N x N slab is held.
     """
     n, length = _grid(signals)
-    psi, mats = _elements(spec, sampling)
-    return _plane_stats(_planes(signals, mats, psi),
-                        (len(mats), len(signals)), p, (length / n) ** 2)
+    return _plane_stats(_planes(signals, spec, sampling),
+                        (len(sampling), len(signals)), p, (length / n) ** 2)
 
 
 def _multiplier_norm(fhat, c, length):
@@ -434,15 +401,17 @@ def default_orbit_samples(spec):
 def calderon_constant(spec, sampling):
     """Admissibility integral C(xi) = sum_h haar_w |psihat(h^T xi)|^2 per orbit sample.
 
-    psihat(h^T xi) takes `_eta`'s rounding, as in `_psihat`, and is summed in
-    row order, as in `calderon_multiplier`.  Returns the mean over
-    `default_orbit_samples` and the largest relative deviation from it; for an
+    The orbit samples of the family's record are eta = B^T xi at
+    `default_orbit_samples`, so the chart form takes them directly, and the
+    rows are summed in order, as in `calderon_multiplier`.  Returns the mean
+    over the samples and the largest relative deviation from it; for an
     admissible pair the deviation vanishes as the sampling refines.
     """
-    psi, mats = _elements(spec, sampling)
-    xi1, xi2 = np.array(default_orbit_samples(spec)).T
-    vals = psi.evaluate(*_eta(mats[:, 0, 0, None], mats[:, 1, 0, None],
-                              mats[:, 0, 1, None], mats[:, 1, 1, None], xi1, xi2))
+    record = FAMILIES[spec.family.kind]
+    shifts = _shifts(spec, sampling)
+    with np.errstate(over="ignore"):
+        vals = _chart_form(record.invariants(*record.orbit_samples.T),
+                           [s[:, None] for s in shifts])
     values = np.cumsum(sampling.haar_w[:, None] * np.square(vals), axis=0)[-1]
     mean = float(values.mean())
     if not mean > 0.0:

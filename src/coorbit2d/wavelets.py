@@ -40,7 +40,7 @@ class WaveletSpec:
 def default_wavelet(spec):
     """The admissible wavelet of a group spec; its conjugator was checked there.
 
-    It needs no support check: in eta = B^T xi its support pieces keep
-    away from the lines of the family's complement, inside the dual orbit.
+    It needs no support check: in eta = B^T xi its support keeps away from
+    the lines of the family's complement, inside the dual orbit.
     """
     return WaveletSpec(spec)

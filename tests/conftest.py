@@ -24,7 +24,7 @@ from coorbit2d.signals import _phase_grid
 # the coefficient slab: the tests' reference for the streamed transform
 #
 # It holds all M x N x N coefficients and is built on the same private
-# kernels as the product (`transform._elements`, `_planes`, `_plane_stats`,
+# kernels as the product (`transform._planes`, `_plane_stats`,
 # `_coorbit_total`, `_class_values`, `_root_det`), so a comparison between a
 # slab and a streamed result can be exact.
 
@@ -55,9 +55,8 @@ class CoeffSlab:
 def analyze(f, spec, sampling):
     """Continuous wavelet transform of a grid signal over the sampled chart."""
     n, length = transform._grid([f])
-    psi, mats = transform._elements(spec, sampling)
     planes = np.zeros((len(sampling), n, n), dtype=complex)
-    for k, w in enumerate(transform._planes([f], mats, psi)):
+    for k, w in enumerate(transform._planes([f], spec, sampling)):
         if w is not None:
             planes[k] = w[0]
     return CoeffSlab(planes, sampling, n, length)
@@ -83,18 +82,17 @@ def invert(slab, spec, c_psi):
     the sampling of the slab in the DFT domain, in index order, and applies a
     single inverse transform, scaled by 1/C_psi.  Every plane takes its own
     FFT, since a slab may have been edited, except the planes of a row whose
-    support pieces reach no lattice point, which add exactly 0.
+    psihat is exactly 0 on the lattice, which add exactly 0.
     """
     if not (c_psi > 0):
         raise ValueError("C_psi must be positive")
     n, length, sampling = slab.N, slab.L, slab.sampling
     acc = np.zeros((n, n), dtype=complex)
-    psi, mats = transform._elements(spec, sampling)
-    root_det = transform._root_det(mats)
+    root_det = transform._root_det(spec, sampling)
     # spectrum_from_signal's factor: a plane holds coefficients, not a signal
     dx = length / n
     fold = (dx * dx) * _phase_grid(n)
-    for k, vals in enumerate(transform._class_values(psi, mats, n, length)):
+    for k, vals in enumerate(transform._class_values(spec, sampling, n, length)):
         if vals is not None:
             what = fold * np.fft.fft2(slab.planes[k])
             acc += (sampling.g_w[k] * root_det[k]) * what * vals

@@ -391,19 +391,42 @@ class TestExitCodes:
         "norm {group} {signal} --p 2", "norm {group} {signal} --p 1",
         "invert {group} {signal}", "calderon {group}",
     ])
-    def test_element_overflow_is_numeric_failure(self, capsys, tmp_path, bump_signal,
-                                                 conjugator, command):
-        # B m B^-1 leaves the float range for e^(c lam) ~ 1e306 and these B
+    def test_element_overflow_is_never_formed(self, capsys, tmp_path, bump_signal,
+                                              conjugator, command):
+        # B m B^-1 leaves the float range for e^(c lam) ~ 1e306 and these B,
+        # but the transform takes psi-hat at m^T B^T xi and forms no element
         group = str(tmp_path / "c376.json")
         write_group_spec(group, GroupSpec(shearlet(376.0), conjugator))
         argv = command.format(group=group, signal=bump_signal).split()
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            assert main(argv) == 4
+            assert main(argv) == 0
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("numeric failure: the elements of ")
-        assert err.count("\n") == 1
-        assert record == []
+        report = parse_report(out)  # one report, nothing else
+        assert err == "" and record == []
+        if command.startswith("calderon"):
+            # the orbit samples are eta = B^T xi: B does not enter the constant
+            standard = str(tmp_path / "c376-standard.json")
+            write_group_spec(standard, GroupSpec(shearlet(376.0)))
+            assert main(["calderon", standard]) == 0
+            values = parse_report(capsys.readouterr().out)["values"]["values"]
+            assert ([v.hex() for v in report["values"]["values"]]
+                    == [v.hex() for v in values])
+
+    def test_subnormal_column_runs_the_transform(self, capsys, tmp_path, bump_signal):
+        # LAPACK's inverse of this B overflows although the exact one is
+        # finite; no inverse of B lies on the transform path
+        group = tmp_path / "subnormal-column.json"
+        group.write_text(json.dumps({"family": "diagonal", "conjugator": [
+            [5.384484352221483e-309, -0.05369281733950327],
+            [5.19317140289342e-309, 0.20227489929360437]]}))
+        for argv in (["classify", str(group)], ["norm", str(group), bump_signal]):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                assert main(argv) == 0
+            out, err = capsys.readouterr()
+            parse_report(out)
+            assert err == "" and record == []
 
     def test_large_signal_norms_at_p2_and_weighted_energy_overflow(self, capsys,
                                                                    tmp_path):

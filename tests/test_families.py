@@ -14,8 +14,7 @@ from coorbit2d import (
     shearlet,
     similitude,
 )
-from coorbit2d.families import (_HI, _K, _LO, DIAGONAL, FAMILIES, SHEARLET,
-                                SIMILITUDE, bump)
+from coorbit2d.families import DIAGONAL, FAMILIES, SHEARLET, SIMILITUDE, bump
 from conftest import random_invertible
 
 KINDS = (SIMILITUDE, DIAGONAL, SHEARLET)
@@ -49,32 +48,11 @@ def _edge_points(kind, rng):
     return np.concatenate([pts * s for s in ([1, 1], [1, -1], [-1, 1], [-1, -1])])
 
 
-def _random_points(kind, rng, n):
-    """n frequencies eta with log-scales spread a little past the support."""
-    t = rng.uniform(-1.05, 1.05, (n, 2))
-    mags = 2.0 ** t
-    signs = rng.choice([-1.0, 1.0], (n, 2))
-    if kind == SIMILITUDE:
-        ang = rng.uniform(0.0, 2.0 * np.pi, n)
-        return np.stack([mags[:, 0] * np.cos(ang), mags[:, 0] * np.sin(ang)], 1)
-    if kind == DIAGONAL:
-        return signs * mags
-    eta1 = signs[:, 0] * mags[:, 0]
-    return np.stack([eta1, eta1 * rng.uniform(-1.05, 1.05, n)], 1)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_every_point_of_the_profile_support_lies_in_one_piece(kind, rng):
-    record = FAMILIES[kind]
-    eta = np.concatenate([_random_points(kind, rng, 100_000), _edge_points(kind, rng)])
-    e1, e2 = eta[:, 0].copy(), eta[:, 1].copy()
-    profile = record.profile(e1, e2)
-    g, b = record.pieces
-    inside = np.all(np.einsum("pkj,nj->npk", g, eta) < b, axis=2)  # (n, pieces)
-    pieces_hit = inside.sum(axis=1)
-    assert np.count_nonzero(profile) > 10_000
-    assert np.all(pieces_hit[profile != 0.0] == 1)
-    assert np.all(pieces_hit <= 1)
+# relative slack that widens the support in the masked reference: a magnitude
+# t is kept when _LO < t < _HI, and a shearlet ratio when |eta2| < _K |eta1|
+_SLACK = 1e-6
+_LO, _HI = 0.5 * (1.0 - _SLACK), 2.0 * (1.0 + _SLACK)
+_K = 1.0 + _SLACK
 
 
 def _masked_profile(kind, e1, e2):
@@ -106,7 +84,8 @@ def test_profile_is_total_and_equals_the_masked_reference(kind, rng):
     n = 100_000
     eta = rng.choice([-1.0, 1.0], (n, 2)) * 2.0 ** rng.uniform(-3.0, 3.0, (n, 2))
     special = np.stack(np.meshgrid(_SPECIAL, _SPECIAL), -1).reshape(-1, 2)
-    eta = np.concatenate([eta, eta * [1.0, 0.0], eta * [0.0, 1.0], special])
+    eta = np.concatenate([eta, eta * [1.0, 0.0], eta * [0.0, 1.0], special,
+                          _edge_points(kind, rng)])
     e1, e2 = eta[:, 0].copy(), eta[:, 1].copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         got = record.profile(e1, e2)
@@ -151,10 +130,9 @@ def test_component_count_is_two_to_the_lines(family, rng):
 @pytest.mark.parametrize("kind", KINDS)
 def test_records_are_read_only(kind):
     record = FAMILIES[kind]
-    for a in (*record.pieces, record.orbit_samples):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0.0
+    assert not record.orbit_samples.flags.writeable
+    with pytest.raises(ValueError):
+        record.orbit_samples[0] = 0.0
     assert record.orbit_samples.shape == (16, 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.components = 3

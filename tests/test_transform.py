@@ -31,10 +31,10 @@ from coorbit2d import (
     spectrum_from_signal,
 )
 from coorbit2d import transform
+from coorbit2d.families import FAMILIES, _chart_form, bump
 from coorbit2d.groups import DiagonalChart
 from coorbit2d.sampling import GroupSampling, default_sampling
-from coorbit2d.signals import freq_axis, ifft2_rows
-from coorbit2d.wavelets import WaveletSpec
+from coorbit2d.signals import ifft2_rows
 from conftest import (
     CoeffSlab,
     analyze,
@@ -178,8 +178,8 @@ class TestCoorbitNorm:
         def no_work(*args, **kwargs):
             raise AssertionError("transform work ran before the exponent check")
 
-        # every transform path starts by stacking the sampled elements
-        monkeypatch.setattr(transform, "element_from_chart", no_work)
+        # every transform path starts from the invariants of the lattice
+        monkeypatch.setattr(transform, "_invariants", no_work)
         spec = GroupSpec(similitude())
         sampling = default_sampling(spec, n_lam=4)
         with pytest.warns(CoverageWarning, match="frequency bump"):
@@ -215,8 +215,8 @@ class TestCalderon:
         spec = GroupSpec(similitude())
         sampling = default_sampling(spec, n_lam=4)
         for value in (np.nan, 0.0):
-            monkeypatch.setattr(WaveletSpec, "evaluate",
-                                lambda self, eta1, eta2: np.full(np.shape(eta1), value))
+            monkeypatch.setattr(transform, "_chart_form", lambda invariants, shifts:
+                                np.full(np.broadcast(*invariants, *shifts).shape, value))
             with pytest.raises(OrbitSampleError, match="vanished"):
                 calderon_constant(spec, sampling)
 
@@ -755,13 +755,13 @@ class TestBatchedProfile:
     @pytest.mark.parametrize("p", [1, 2])
     def test_one_element_stack_per_spec_and_grid(self, p, monkeypatch):
         stacks = []
+        invariants = transform._invariants
 
-        def counted(spec, p):
-            if np.ndim(p) == 2:
-                stacks.append(spec)
-            return element_from_chart(spec, p)
+        def counted(spec, n, length):
+            stacks.append(spec)
+            return invariants(spec, n, length)
 
-        monkeypatch.setattr(transform, "element_from_chart", counted)
+        monkeypatch.setattr(transform, "_invariants", counted)
         spec = GroupSpec(diagonal(), rotation(0.3))
         sampling = default_sampling(spec, n_lam=4)
         norm_ratio_profile(spec, spec, p, _profile_signals(), sampling, sampling)
@@ -883,33 +883,41 @@ class TestStabilizerQuotient:
 
 
 # ---------------------------------------------------------------------------
-# the sparse psihat kernel: psihat(h^T xi) only where a support piece reaches,
-# each value bit for bit a dense evaluation's
+# the sparse psihat kernel: the chart form only where its sorted ranges reach,
+# each value bit for bit the dense chart form's
 
 
-def _dense_psihat(psi, h, xi1, xi2):
-    """Reference: psihat(h^T xi) at every frequency for one element."""
-    return psi.evaluate(h[0, 0] * xi1 + h[1, 0] * xi2,
-                        h[0, 1] * xi1 + h[1, 1] * xi2).ravel()
+def _dense_rows(spec, sampling, n, length):
+    """Reference: the chart form of each sampled row over the whole lattice."""
+    invariants = transform._invariants(spec, n, length)
+    shifts = transform._shifts(spec, sampling)
+    with np.errstate(over="ignore"):
+        for k in range(len(sampling)):
+            yield _chart_form(invariants, [s[k] for s in shifts])
 
 
-def _assert_kernel_is_dense(psi, mats, rows, cols):
-    """The kernel's values on the grid (rows[r], cols[c]) equal a dense
-    evaluation; its pairs come in class order and none twice.  Returns (pairs
-    evaluated, whether any value is nonzero).
+def _assert_kernel_is_dense(spec, sampling, n, length):
+    """The kernel's values on the n x n lattice equal the dense chart form,
+    and every pair it leaves out is exactly 0; its rows come in order, none
+    twice, and no index twice in a row.  It raises no floating-point
+    warning.  Returns (pairs evaluated, whether any value is nonzero).
     """
-    parts = list(transform._psihat(psi, mats, rows, cols))
-    cls, idx, vals = (np.concatenate(p) for p in zip(*parts))
-    xi1, xi2 = rows[:, None], cols[None, :]
-    size = len(rows) * len(cols)
-    assert np.all(np.diff(cls) >= 0)
-    assert len(np.unique(cls * size + idx)) == len(cls)
-    bounds = np.searchsorted(cls, np.arange(len(mats) + 1))
-    for k, h in enumerate(mats):
-        got = np.zeros(size)
-        got[idx[bounds[k]:bounds[k + 1]]] = vals[bounds[k]:bounds[k + 1]]
-        assert np.array_equal(got, _dense_psihat(psi, h, xi1, xi2))
-    return len(cls), bool(np.any(vals))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parts = list(transform._chart_values(spec, sampling, n, length))
+    rows = [k for k, _, _ in parts]
+    assert rows == sorted(set(rows))
+    by_row = {k: (idx, vals) for k, idx, vals in parts}
+    nonzero = False
+    for k, dense in enumerate(_dense_rows(spec, sampling, n, length)):
+        got = np.zeros(n * n)
+        if k in by_row:
+            idx, vals = by_row[k]
+            assert len(np.unique(idx)) == len(idx)
+            got[idx] = vals
+        assert np.array_equal(got, dense)
+        nonzero |= bool(np.any(dense))
+    return sum(len(idx) for _, idx, _ in parts), nonzero
 
 
 KERNEL_FAMILIES = {"similitude": similitude(), "diagonal": diagonal(),
@@ -925,112 +933,164 @@ KERNEL_CASES = {
                          (128, 16.0), (128, 32.0))},
     "scaled-1e200": (1e200 * _B, 64, 16e200),
     "scaled-1e-200": (1e-200 * _B, 64, 16e-200),
+    "scaled-2^500": (2.0 ** 500 * _B, 64, 16.0 * 2.0 ** 500),
+    "scaled-2^-500": (2.0 ** -500 * _B, 64, 16.0 * 2.0 ** -500),
     "near-limit-N64": (_NEAR_LIMIT, 64, 16.0),
     "near-limit-N32-L1": (_NEAR_LIMIT, 32, 1.0),
 }
 
 
+def _off_quotient_sampling(spec, seed):
+    """Rows off the quotient H/K_psi, in shuffled order: a small default grid,
+    the same rows moved by K_psi (a rotation, sign flips, eps = -1), and for
+    the shearlet rows with shears of +-1e15 and +-1e300."""
+    rng = np.random.default_rng(seed)
+    base = default_sampling(spec, n_lam=6, n_shear=8)
+    moved = base.points.copy()
+    blocks = [base.points, moved]
+    if spec.family.kind == "similitude":
+        moved[:, 1] = rng.uniform(-10.0, 10.0, len(moved))
+    elif spec.family.kind == "diagonal":
+        moved[:, 2:] = rng.choice([-1.0, 1.0], (len(moved), 2))
+    else:
+        moved[:, 0] = -1.0
+        extreme = base.points.copy()
+        extreme[:, 0] = rng.choice([-1.0, 1.0], len(extreme))
+        extreme[:, 2] = rng.choice([-1e300, -1e15, 1e15, 1e300], len(extreme))
+        blocks.append(extreme)
+    points = rng.permutation(np.vstack(blocks))
+    return build_sampling(spec, points, np.full(len(points), base.volumes[0]))
+
+
 class TestSparseKernel:
-    # at c = 376, B m B^-1 overflows for the scaled and near-limit conjugators
-    @pytest.mark.parametrize("family, case", [
-        (family, case) for family in sorted(KERNEL_FAMILIES) for case in sorted(KERNEL_CASES)
-        if family != "shearlet-376" or case.startswith("N")])
+    @pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_values_equal_dense_evaluation(self, family, case):
         conjugator, n, length = KERNEL_CASES[case]
         spec = GroupSpec(KERNEL_FAMILIES[family], conjugator)
-        psi, mats = transform._elements(spec, default_sampling(spec))
-        axis = freq_axis(n, length)
-        count, nonzero = _assert_kernel_is_dense(psi, mats, axis, axis)
+        count, nonzero = _assert_kernel_is_dense(spec, default_sampling(spec), n, length)
         assert nonzero
-        assert count < len(mats) * n * n  # the pieces leave most of the lattice out
+        assert count < len(default_sampling(spec)) * n * n  # the ranges leave most out
+
+    @pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+    @pytest.mark.parametrize("case", ["N32-L8", "N128-L16", "scaled-1e200", "near-limit-N64"])
+    def test_rows_off_the_quotient_in_any_order(self, family, case):
+        conjugator, n, length = KERNEL_CASES[case]
+        spec = GroupSpec(KERNEL_FAMILIES[family], conjugator)
+        sampling = _off_quotient_sampling(spec, 3)
+        count, nonzero = _assert_kernel_is_dense(spec, sampling, n, length)
+        assert nonzero and count < len(sampling) * n * n
 
     @pytest.mark.parametrize("case", [
-        *sorted(SMALL_CASES),
-        *(f"{family}-{case}" for family in ("diagonal", "shearlet", "similitude")
-          for case in ("scaled-1e200", "scaled-1e-200"))])
+        *sorted(SMALL_CASES), "off-quotient",
+        *(f"{family}:{case}" for family in sorted(KERNEL_FAMILIES)
+          for case in sorted(KERNEL_CASES))])
     def test_calderon_constant_sums_classes_in_order(self, case):
         if case in SMALL_CASES:
             spec, make_sampling = SMALL_CASES[case]
             sampling = make_sampling(spec)
+        elif case == "off-quotient":
+            spec = GroupSpec(shearlet(0.7), _B)
+            sampling = _off_quotient_sampling(spec, 5)
         else:
-            family, scaled = case.split("-", 1)
+            family, scaled = case.split(":")
             spec = GroupSpec(KERNEL_FAMILIES[family], KERNEL_CASES[scaled][0])
             sampling = default_sampling(spec)
-        # per row: haar_w times a dense psihat(h^T xi)^2, added in row order
-        psi, mats = transform._elements(spec, sampling)
-        xi1, xi2 = np.array(default_orbit_samples(spec)).T
-        ref = np.zeros(len(xi1))
-        for w, h in zip(sampling.haar_w, mats):
-            ref += w * np.square(_dense_psihat(psi, h, xi1, xi2))
+        # per row: haar_w times the dense chart form at the orbit samples,
+        # which are eta itself, squared and added in row order
+        record = FAMILIES[spec.family.kind]
+        invariants = record.invariants(*record.orbit_samples.T)
+        shifts = transform._shifts(spec, sampling)
+        ref = np.zeros(len(record.orbit_samples))
+        for k, w in enumerate(sampling.haar_w):
+            ref += w * np.square(_chart_form(invariants, [s[k] for s in shifts]))
         cal = calderon_constant(spec, sampling)
         assert np.all(ref > 0.0)
         assert np.array_equal(cal.values, ref)
         assert cal.mean == ref.mean()
+        # B does not enter: the constant of the standard group is the same
+        standard = calderon_constant(GroupSpec(spec.family), sampling)
+        assert np.array_equal(cal.values, standard.values)
 
-    @pytest.mark.parametrize("family", sorted(SMALL_CASES))
-    def test_any_product_grid_takes_row_intervals(self, family):
-        # unsorted, unevenly spaced rows and columns, and an empty grid
-        spec, make_sampling = SMALL_CASES[family]
-        psi, mats = transform._elements(spec, make_sampling(spec))
-        rng = np.random.default_rng(3)
-        rows, cols = rng.normal(scale=1.5, size=40), rng.normal(scale=1.5, size=50)
-        count, nonzero = _assert_kernel_is_dense(psi, mats, rows, cols)
-        assert nonzero and count < len(mats) * 40 * 50
-        assert list(transform._psihat(psi, mats, rows, np.zeros(0))) == []
-
-    def test_overlapping_margins_count_each_point_once(self, small_case, monkeypatch):
-        # margins this wide make every piece reach the whole of every row
-        spec, sampling, f, slab, c = small_case
-        psi, mats = transform._elements(spec, sampling)
-        axis = freq_axis(f.N, f.L)
-        monkeypatch.setattr(transform, "_ROUNDING", 1.0)
-        count, _ = _assert_kernel_is_dense(psi, mats, axis, axis)
-        assert count == len(mats) * f.N * f.N
-        assert np.array_equal(calderon_multiplier(spec, sampling, f.N, f.L), c)
-
-    @pytest.mark.parametrize("sizes", [(1, 1), (10 ** 9, 10 ** 9)])
-    def test_block_and_chunk_sizes_change_no_value(self, small_case, sizes, monkeypatch):
-        spec, sampling, f, slab, c = small_case
-        sums, peaks = transform._signal_stats([f], spec, sampling, 1)
-        monkeypatch.setattr(transform, "_BLOCK_CLASSES", sizes[0])
-        monkeypatch.setattr(transform, "_CHUNK_POINTS", sizes[1])
-        assert np.array_equal(calderon_multiplier(spec, sampling, f.N, f.L), c)
-        got_sums, got_peaks = transform._signal_stats([f], spec, sampling, 1)
-        assert np.array_equal(got_sums, sums) and np.array_equal(got_peaks, peaks)
-        assert np.array_equal(analyze(f, spec, sampling).planes, slab.planes)
+    @pytest.mark.parametrize("family", [similitude(), diagonal(), shearlet(0.7),
+                                        shearlet(-1.3)], ids=lambda f: f"{f.kind}{f.c or ''}")
+    @pytest.mark.parametrize("conjugator", [_B, rotation(-0.5)], ids=["B", "R"])
+    def test_chart_form_is_evaluate_at_the_element(self, family, conjugator):
+        # the chart form rounds log2|a eta1| as lam / ln 2 + log2|eta1|, and
+        # a^(c - 1) eta2 / eta1 + s / a apart from (s eta1 + a^c eta2) / (a eta1):
+        # against evaluate at h^T xi the largest |delta| measured on these
+        # cases at N = 32, 64 and 128 is 3.5e-14 (shearlet(-1.3)), with values
+        # at most 1, and no value is 0 on one side only
+        spec = GroupSpec(family, conjugator)
+        sampling = default_sampling(spec)
+        n, length = 64, 16.0
+        xi1, xi2 = freq_grids(n, length)
+        psi = default_wavelet(spec)
+        mats = element_from_chart(spec, sampling.points)
+        nonzero = 0
+        for h, got in zip(mats, transform._class_values(spec, sampling, n, length)):
+            ref = psi.evaluate(h[0, 0] * xi1 + h[1, 0] * xi2, h[0, 1] * xi1 + h[1, 1] * xi2)
+            got = np.zeros((n, n)) if got is None else got
+            assert np.array_equal(got != 0.0, ref != 0.0)
+            assert np.max(np.abs(got - ref)) <= 1e-13
+            nonzero += np.count_nonzero(ref)
+        assert nonzero > 0
 
     def test_classes_without_candidates_skip_psihat(self, monkeypatch):
         # CI's shearlet spec at N = 128: 195 of its 768 class planes are 0
         spec = GroupSpec(shearlet(0.7), rotation(-0.5))
         sampling = default_sampling(spec)
-        psi, mats = transform._elements(spec, sampling)
-        xi1, xi2 = freq_grids(128, 16.0)
-        zero = [k for k, h in enumerate(mats) if not np.any(_dense_psihat(psi, h, xi1, xi2))]
-        assert (len(zero), len(mats)) == (195, 768)
-        classes, points, evaluated = [], [], []
-        candidates, evaluate = transform._candidates, WaveletSpec.evaluate
+        zero = [k for k, dense in enumerate(_dense_rows(spec, sampling, 128, 16.0))
+                if not np.any(dense)]
+        assert (len(zero), len(sampling)) == (195, 768)
+        rows, points, evaluated = [], [], []
+        chart_values = transform._chart_values
 
-        def recorded_candidates(*args):
-            for cls, idx in candidates(*args):
-                classes.append(np.unique(cls))
-                points.append(len(cls))
-                yield cls, idx
+        def recorded_values(*args):
+            for k, idx, vals in chart_values(*args):
+                rows.append(k)
+                points.append(len(idx))
+                yield k, idx, vals
 
-        def recorded_evaluate(self, eta1, eta2):
-            evaluated.append(np.size(eta1))
-            return evaluate(self, eta1, eta2)
+        def recorded_bump(t):
+            evaluated.append(np.size(t))
+            return bump(t)
 
-        monkeypatch.setattr(transform, "_candidates", recorded_candidates)
-        monkeypatch.setattr(WaveletSpec, "evaluate", recorded_evaluate)
+        monkeypatch.setattr(transform, "_chart_values", recorded_values)
+        monkeypatch.setattr(transform, "bump", recorded_bump)
         calls = _count_inverse_ffts(monkeypatch)
         center = np.linalg.inv(spec.conjugator).T @ np.array([1.0, 0.2])
         f = freq_bump(128, 16.0, center=center, sigma=0.12).signal
         assert signal_coorbit_norm(f, spec, sampling, 1) > 0.0
-        skipped = np.setdiff1d(np.arange(len(mats)), np.concatenate(classes))
+        skipped = np.setdiff1d(np.arange(len(sampling)), rows)
         assert skipped.tolist() == zero
-        # psihat sees the candidates and nothing else
-        assert sum(evaluated) == sum(points) < 0.05 * len(mats) * 128 * 128
-        assert len(calls) == len(mats) - len(zero)
+        # the bump sees the candidate pairs and, once per log-scale, the range
+        # of its first factor, and nothing else
+        u = transform._invariants(spec, 128, 16.0)[0]
+        firsts = sum(np.count_nonzero(np.abs(u + a) < 1.0)
+                     for a in np.unique(transform._shifts(spec, sampling)[0]))
+        assert sum(evaluated) == sum(points) + firsts < 0.05 * len(sampling) * 128 * 128
+        assert len(calls) == len(sampling) - len(zero)
+
+
+def test_chart_out_of_range_is_typed():
+    # the weights stay in range, but beta = a^(c - 1) overflows at lam = -1.875
+    # for c = -378, and |det m| = a^(1 + c) at lam = 1.87 for c = 379
+    f = freq_bump(32, 8.0, center=(0.8, 0.2), sigma=0.15).signal
+    steep = GroupSpec(shearlet(-378.0))
+    steep_sampling = default_sampling(steep)
+    wide = GroupSpec(shearlet(379.0))
+    wide_sampling = build_sampling(wide, [ShearletChart(1, 1.87, 0.0)], [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: calderon_multiplier(steep, steep_sampling, 32, 8.0),
+                     lambda: calderon_constant(steep, steep_sampling),
+                     lambda: signal_coorbit_norm(f, steep, steep_sampling, 1),
+                     lambda: signal_coorbit_norm(f, wide, wide_sampling, 1)):
+            with pytest.raises(WeightRangeError, match="elements of"):
+                call()
+        # the multiplier takes no determinant
+        assert np.all(np.isfinite(calderon_multiplier(wide, wide_sampling, 32, 8.0)))
 
 
 def test_streamed_norm_holds_no_slab():
