@@ -34,7 +34,7 @@ sampling = default_sampling(spec, (-2.0, 2.0), 32)
 print("chart points:", len(sampling))
 
 # Admissibility: C(xi) should not depend on xi; it is summed at the 16 orbit
-# frequencies of the family (default_orbit_samples).
+# samples of the family's record, given as eta = B^T xi.
 cal = calderon_constant(spec, sampling)
 print(f"Calderon constant: {cal.mean:.6f} "
       f"(max relative deviation {cal.max_rel_deviation:.2e})")

@@ -18,7 +18,6 @@ from .classify import (
     in_orbit_symmetry,
     lines_to_phi_s,
     orbit_complement,
-    orbit_contains,
     rep_group,
     same_group,
     symmetry,
@@ -33,6 +32,7 @@ from .errors import (
     SingularMatrixError,
     WeightRangeError,
 )
+from .families import bump
 from .groups import (
     DiagonalChart,
     Family,
@@ -74,11 +74,11 @@ from .signals import (
 from .transform import (
     CalderonResult,
     RatioTable,
+    WaveletSpec,
     calderon_constant,
     calderon_multiplier,
-    default_orbit_samples,
+    default_wavelet,
     norm_ratio_profile,
     reconstruct,
     signal_coorbit_norm,
 )
-from .wavelets import WaveletSpec, bump, default_wavelet

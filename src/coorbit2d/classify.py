@@ -19,10 +19,10 @@ tests from that one spec.  The canonical forms and the reason that certify an
 equivalence verdict are computed from the same two complements when they are
 read, not when the verdict is made.  The verdict, the canonical form and the
 line set are immutable records (`groups.Record`).
-`canonicalize`, the decisions, `orbit_contains` and `lines_to_phi_s` refuse
-a ``tol`` outside `groups.valid_tolerance` with ValueError.  `LineSet`,
-`mod_pi` and `angle_distance` live in :mod:`coorbit2d.groups` and are
-importable from here.
+`canonicalize`, the decisions and `lines_to_phi_s` refuse a ``tol`` outside
+`groups.valid_tolerance` with ValueError.  `LineSet`, `mod_pi` and
+`angle_distance` live in :mod:`coorbit2d.groups` and are importable from
+here.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .groups import (
     SIMILITUDE,
     GroupSpec,
     Record,
-    as_vector,
     conjugate_spec,
     diagonal,
     rotation,
@@ -79,18 +78,6 @@ def orbit_complement(spec):
 def component_count(spec):
     """Number of connected components of the dual orbit: 1, 2 or 4."""
     return FAMILIES[spec.family.kind].components
-
-
-def orbit_contains(spec, zeta, tol=DEFAULT_TOL):
-    """Whether a frequency lies in the open dual orbit, with a relative margin."""
-    _checked_tol(tol)
-    zeta = as_vector(zeta, "zeta")
-    w = spec.conjugator.T @ zeta
-    n = np.hypot(w[0], w[1])
-    if n <= 0.0:
-        return False
-    std = LineSet(FAMILIES[spec.family.kind].complement(1.0, 0.0, 0.0, 1.0))
-    return std.distance_from(w) > tol * n
 
 
 # ---------------------------------------------------------------------------

@@ -117,10 +117,11 @@ def _parse_matrix_flag(text):
     except ValueError:
         raise _UsageError("--matrix entries must be numbers") from None
     try:  # GroupSpec's rule for a conjugator
-        return GroupSpec(similitude(), [[a, b], [c, d]]).conjugator
+        GroupSpec(similitude(), [[a, b], [c, d]])
     except SingularMatrixError:
         raise _UsageError("--matrix must be finite and not numerically singular, "
                           "with a finite inverse") from None
+    return [[a, b], [c, d]]
 
 
 def _flag_type(convert, check, expected):
@@ -207,12 +208,12 @@ def _cmd_classify(args):
     spec = parse_group_spec(args.group)
     t0 = time.perf_counter()
     cf = canonicalize(spec, args.tol)
-    rep = rep_group(cf)
+    a, b, c, d = rep_group(cf).entries
     _emit(args, t0, "classify", {"group": group_spec_to_dict(spec)}, {
         "canonical_form": _canonical_doc(cf),
         "component_count": component_count(spec),
         "complement": _lineset_doc(orbit_complement(spec)),
-        "representative_conjugator": rep.conjugator.tolist(),
+        "representative_conjugator": [[a, b], [c, d]],
     }, tolerances={"tol": args.tol})
     return EXIT_OK
 
@@ -243,7 +244,7 @@ def _cmd_symmetry(args):
     triple = dict(zip(("normalizer", "coorbit_symmetry", "orbit_symmetry"),
                       symmetry(spec, mat, args.tol)))
     _emit(args, t0, "symmetry",
-          {"group": group_spec_to_dict(spec), "matrix": mat.tolist()},
+          {"group": group_spec_to_dict(spec), "matrix": mat},
           triple, tolerances={"tol": args.tol})
     return EXIT_OK
 

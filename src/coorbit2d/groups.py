@@ -4,13 +4,13 @@ families, arbitrary conjugates thereof, chart coordinates and Haar densities.
 A group is described by a :class:`GroupSpec`: one of the three standard
 families together with an invertible conjugator ``B``; the represented group
 is ``B @ H_std @ inv(B)``.  A spec keeps the four checked floats of ``B``,
-which classification reads, and builds the read-only array of ``B``, which
-the transform reads, on first read.  `conjugate_spec` forms ``A B`` on those
-floats, each entry a sum of two rounded products.  The spec and `LineSet`
-are immutable ``__slots__`` records (:class:`Record`), built with no
-dataclass machinery.  Chart coordinates use the natural logarithm for
-scales and radians for angles.  A chart point is one row of its family's
-columns, of width 2, 4 and 3 in this column order:
+which all its readers but `element_from_chart` read, and builds for that
+one the read-only array of ``B`` on first read.  `conjugate_spec` forms
+``A B`` on those floats, each entry a sum of two rounded products.  The spec
+and `LineSet` are immutable ``__slots__`` records (:class:`Record`), built
+with no dataclass machinery.  Chart coordinates use the natural logarithm
+for scales and radians for angles.  A chart point is one row of its
+family's columns, of width 2, 4 and 3 in this column order:
 
 * similitude  ``(lam, theta)``      -> ``exp(lam) * [[cos t, sin t], [-sin t, cos t]]``
 * diagonal    ``(lam1, lam2, e1, e2)`` -> ``diag(e1 exp(lam1), e2 exp(lam2))``
@@ -110,15 +110,6 @@ def checked_matrix(m, name):
     `_checked`)."""
     entries = _entries(m, name)
     return (_read_only(*entries), *_checked(*entries, name))
-
-
-def as_vector(v, name="vector"):
-    a = np.array(v, dtype=float).reshape(-1)
-    if a.shape != (2,):
-        raise ValueError(f"{name} must have two components")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} has non-finite components")
-    return a
 
 
 def rotation(phi):
@@ -224,15 +215,6 @@ class LineSet(Record):
         return ((_near(a[0], b[0], tol) and _near(a[1], b[1], tol))
                 or (_near(a[0], b[1], tol) and _near(a[1], b[0], tol)))
 
-    def distance_from(self, w):
-        """Smallest distance of a point from the union of the lines (inf if empty)."""
-        w = as_vector(w, "w")
-        if not self.angles:
-            return np.inf
-        return min(
-            abs(-w[0] * np.sin(a) + w[1] * np.cos(a)) for a in self.angles
-        )
-
 
 @dataclass(frozen=True)
 class Family:
@@ -275,8 +257,8 @@ class GroupSpec(Record):
     within DEFAULT_TOL of each other; such a spec is built with no
     complement, and `orbit_complement` and every decision that reads it
     raise DegenerateInputError instead.  `conjugator`, the read-only 2x2
-    array of B that the transform reads, is built on first read.  A spec is
-    immutable and equal only to itself.
+    array of B that `element_from_chart` reads, is built on first read.  A
+    spec is immutable and equal only to itself.
     """
 
     __slots__ = ("family", "entries", "_conjugator", "_complement")

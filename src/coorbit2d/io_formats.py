@@ -31,7 +31,10 @@ _GROUP_KEYS = {"family", "c", "conjugator"}
 def _require_number(value, key):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"key {key!r} must be a number")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer literal past the float range
+        v = np.inf
     if not np.isfinite(v):
         raise FormatError(f"key {key!r} must be finite")
     return v
@@ -74,7 +77,7 @@ def group_spec_to_dict(spec):
     if spec.family.c is not None:
         doc["c"] = spec.family.c
     if not spec.is_standard:
-        doc["conjugator"] = [[float(v) for v in row] for row in spec.conjugator]
+        doc["conjugator"] = [list(spec.entries[:2]), list(spec.entries[2:])]
     return doc
 
 
@@ -86,7 +89,7 @@ def parse_group_spec(path):
         raise FormatError(f"cannot read group spec: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also past a digit or nesting limit
         raise FormatError(f"malformed group spec document: {exc}") from exc
     return group_spec_from_dict(doc)
 

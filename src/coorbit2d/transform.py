@@ -6,7 +6,7 @@ group element h the analysis plane is
 
     W(., h) = inverse FT of [ fhat(xi) * |det h|^(1/2) * conj(psihat(h^T xi)) ]
 
-with psi the wavelet of the group spec (`coorbit2d.wavelets`), the profile of
+with psi the wavelet of the group spec (`default_wavelet`), the profile of
 its family at eta = B^T xi.  For h = B m B^-1, with m the chart matrix of a
 sampled row, B^T h^T xi = m^T B^T xi, so psihat(h^T xi) is the profile at
 m^T eta: no element h is formed, and |det h| = |det m| comes from the chart.
@@ -84,6 +84,7 @@ import numpy as np
 
 from .errors import OrbitSampleError, WeightRangeError
 from .families import FAMILIES, _chart_form, bump
+from .groups import GroupSpec
 from .signals import (
     GridSignal,
     _phase_grid,
@@ -94,15 +95,37 @@ from .signals import (
 )
 
 
-def _invariants(spec, n, length):
-    """The invariants of eta = B^T xi on the n x n signal lattice, flat in the
-    layout of `freq_grids(n, length)`."""
+def _invariants(spec, xi1, xi2):
+    """The invariants of eta = B^T xi (`FamilyRecord.invariants`) at
+    broadcastable frequencies xi, from the four floats of B."""
     b00, b01, b10, b11 = spec.entries
-    xi1, xi2 = freq_grids(n, length)
-    # log2(0) and eta2 / eta1 give +-inf or nan, which the bump maps to 0
+    xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
+    # eta may overflow; log2(0) and eta2 / eta1 give +-inf or nan; the bump maps all to 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return FAMILIES[spec.family.kind].invariants((b00 * xi1 + b10 * xi2).ravel(),
-                                                     (b01 * xi1 + b11 * xi2).ravel())
+        return FAMILIES[spec.family.kind].invariants(b00 * xi1 + b10 * xi2,
+                                                     b01 * xi1 + b11 * xi2)
+
+
+@dataclass(frozen=True, eq=False)
+class WaveletSpec:
+    """Closed-form frequency profile of a group spec's family and conjugator."""
+
+    spec: GroupSpec
+
+    def evaluate(self, xi1, xi2):
+        """psi-hat at arbitrary frequencies (broadcastable arrays or scalars):
+        the chart form at the identity row, exactly +0.0 off the support, also
+        where eta = B^T xi is 0, inf or nan."""
+        return _chart_form(_invariants(self.spec, xi1, xi2), (0.0, 1.0, 0.0))
+
+
+def default_wavelet(spec):
+    """The admissible wavelet of a group spec; its conjugator was checked there.
+
+    It needs no support check: in eta = B^T xi its support keeps away from
+    the lines of the family's complement, inside the dual orbit.
+    """
+    return WaveletSpec(spec)
 
 
 def _shifts(spec, sampling):
@@ -160,7 +183,7 @@ def _chart_values(spec, sampling, n, length):
     ranges reach no lattice point is not yielded.  Each value is the chart
     form's at that point bit for bit.
     """
-    u, *v = _invariants(spec, n, length)
+    u, *v = (x.ravel() for x in _invariants(spec, *freq_grids(n, length)))
     alpha, *second = _shifts(spec, sampling)
     order = np.argsort(u, kind="stable")
     keys = u[order]
@@ -387,25 +410,14 @@ class CalderonResult:
         return iter((self.mean, self.max_rel_deviation))
 
 
-def default_orbit_samples(spec):
-    """The 16 frequencies at which `calderon_constant` samples C.
-
-    The orbit samples of the family's record, chosen in standard (eta)
-    coordinates, mapped back through B^-T, so the set respects the
-    conjugation.
-    """
-    binv_t = np.linalg.inv(spec.conjugator).T
-    return [binv_t @ p for p in FAMILIES[spec.family.kind].orbit_samples]
-
-
 def calderon_constant(spec, sampling):
     """Admissibility integral C(xi) = sum_h haar_w |psihat(h^T xi)|^2 per orbit sample.
 
-    The orbit samples of the family's record are eta = B^T xi at
-    `default_orbit_samples`, so the chart form takes them directly, and the
-    rows are summed in order, as in `calderon_multiplier`.  Returns the mean
-    over the samples and the largest relative deviation from it; for an
-    admissible pair the deviation vanishes as the sampling refines.
+    The orbit samples of the family's record are eta = B^T xi, so the chart
+    form takes them directly, with no B, and the rows are summed in order, as
+    in `calderon_multiplier`.  Returns the mean over the samples and the
+    largest relative deviation from it; for an admissible pair the deviation
+    vanishes as the sampling refines.
     """
     record = FAMILIES[spec.family.kind]
     shifts = _shifts(spec, sampling)

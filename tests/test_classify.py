@@ -22,7 +22,6 @@ from coorbit2d import (
     in_orbit_symmetry,
     lines_to_phi_s,
     orbit_complement,
-    orbit_contains,
     rep_group,
     rotation,
     same_group,
@@ -116,29 +115,6 @@ class TestComponentCount:
         assert component_count(GroupSpec(similitude())) == 1
         assert component_count(GroupSpec(diagonal(), random_invertible(rng))) == 4
         assert component_count(GroupSpec(shearlet(-1.0), rotation(0.3))) == 2
-
-
-class TestOrbitContains:
-    def test_origin_excluded(self):
-        assert not orbit_contains(GroupSpec(similitude()), (0.0, 0.0))
-
-    def test_axis_point_excluded_for_diagonal(self):
-        assert not orbit_contains(GroupSpec(diagonal()), (1.0, 0.0))
-
-    def test_shearlet_open_halfplane(self):
-        assert orbit_contains(GroupSpec(shearlet(2.0)), (1.0, 5.0))
-
-    def test_boundary_sampling_matches_complement(self, rng):
-        spec = GroupSpec(diagonal(), random_invertible(rng))
-        comp = orbit_complement(spec)
-        for a in comp.angles:
-            v = np.array([np.cos(a), np.sin(a)])
-            assert not orbit_contains(spec, 1.7 * v)
-            assert not orbit_contains(spec, -0.4 * v)
-        for _ in range(50):
-            z = rng.normal(size=2)
-            on_lines = comp.distance_from(z) <= 1e-9 * np.linalg.norm(z)
-            assert orbit_contains(spec, z) == (not on_lines)
 
 
 class TestLinesToPhiS:
@@ -443,16 +419,13 @@ class TestTolerance:
                 with pytest.raises(ValueError, match="tol"):
                     call()
 
-    @pytest.mark.parametrize("call", [
-        lambda: orbit_contains(GroupSpec(diagonal()), (1.0, 0.0), -np.inf),
-        lambda: orbit_contains(GroupSpec(diagonal()), (1.0, 1.0), np.nan),
-        lambda: lines_to_phi_s(LineSet((0, 1)), np.nan),
-    ], ids=["on-the-complement", "interior", "lines"])
-    def test_orbit_contains_and_lines_to_phi_s_refuse_a_bad_tolerance(self, call):
-        # a margin of -inf or nan inverts the membership test, and a nan
-        # tolerance gave the pair of lines a form
-        with pytest.raises(ValueError, match="tol"):
-            call()
+    @pytest.mark.parametrize("tol", _BAD_TOLERANCES)
+    def test_lines_to_phi_s_refuses_a_bad_tolerance(self, tol):
+        # a nan tolerance gave the pair of lines a form; the tolerance is
+        # refused before the count of lines is
+        for lines in (LineSet((0, 1)), LineSet((0.3,)), LineSet(())):
+            with pytest.raises(ValueError, match="tol must satisfy"):
+                lines_to_phi_s(lines, tol)
 
     @pytest.mark.parametrize("tol", [*_BAD_TOLERANCES, 0.0, 5e-324, 1e-9, 1e308])
     def test_the_cli_flag_keeps_the_same_rule(self, tol):

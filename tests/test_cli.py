@@ -237,6 +237,22 @@ class TestExitCodes:
         assert err.startswith("input error: cannot read") and err.count("\n") == 1
         assert "can't decode byte 0xff" in err
 
+    @pytest.mark.parametrize("document", [
+        '{"family": "shearlet", "c": 1' + "0" * 400 + "}",
+        '{"family": "diagonal", "conjugator": [[1' + "0" * 400 + ", 0], [0, 1]]}",
+        '{"family": "shearlet", "c": 1' + "0" * 5000 + "}",
+        "[" * 100_000,
+    ], ids=["c-past-float-range", "conjugator-past-float-range", "past-digit-limit",
+            "nested-past-recursion-limit"])
+    def test_spec_past_a_decoder_limit_is_parse_error(self, tmp_path, capsys, document):
+        # float() of a 401-digit integer overflows, json refuses an integer of
+        # 5001 digits, and 10^5 nested arrays pass the recursion limit
+        p = tmp_path / "spec.json"
+        p.write_text(document)
+        assert main(["classify", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
     def test_nearly_singular_conjugator_is_parse_error(self, tmp_path, capsys):
         # det of the second evaluates to nan; the rule does not depend on scale
         for b in ([[1.0, 1.0], [1.0, 1.0 + 1e-10]],

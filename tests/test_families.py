@@ -94,17 +94,21 @@ def test_profile_is_total_and_equals_the_masked_reference(kind, rng):
     assert np.array_equal(got, ref)
     assert np.array_equal(np.signbit(got), np.signbit(ref))
 
-    # off the support, evaluate gives +0.0 and no floating-point warning
-    spec = GroupSpec(Family(kind, 0.7 if kind == SHEARLET else None))
-    psi = default_wavelet(spec)
-    lines = [(np.cos(a), np.sin(a)) for a in orbit_complement(spec).angles]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for xi in [(0.0, 0.0), *lines, (1e-320, 1e300)]:
-            value = psi.evaluate(*xi)
-            assert value == 0.0 and not np.signbit(value), xi
+    # off the support, evaluate gives +0.0 and no floating-point warning, also
+    # where eta = B^T xi overflows or is nan
+    family = Family(kind, 0.7 if kind == SHEARLET else None)
+    for scale in (2.0 ** 600, 2.0 ** -600, 1.0):
+        spec = GroupSpec(family, scale * np.eye(2))
+        psi = default_wavelet(spec)
+        lines = [(np.cos(a), np.sin(a)) for a in orbit_complement(spec).angles]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xi in [(0.0, 0.0), *lines, (1e-320, 1e300), (1e300, 0.0), (np.inf, 1.0),
+                       (np.nan, 0.0)]:
+                value = psi.evaluate(*xi)
+                assert value == 0.0 and not np.signbit(value), (scale, xi)
 
-    # a scalar call equals its element of an array call
+    # a scalar call equals its element of an array call (B = I)
     xi = eta[:200]
     values = psi.evaluate(xi[:, 0], xi[:, 1])
     assert np.count_nonzero(values) > 0

@@ -696,13 +696,6 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="B must be 2x2, got shape"):
             checked_matrix(np.eye(3), "B")
 
-    def test_point_must_be_two_finite_components(self):
-        lines = LineSet((0.3,))
-        with pytest.raises(ValueError, match="w must have two components"):
-            lines.distance_from([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="w has non-finite components"):
-            lines.distance_from([np.nan, 1.0])
-
     def test_at_most_two_lines(self):
         with pytest.raises(ValueError, match="at most two lines"):
             LineSet((0.1, 0.5, 1.0))

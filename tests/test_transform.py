@@ -15,7 +15,6 @@ from coorbit2d import (
     build_sampling,
     calderon_constant,
     calderon_multiplier,
-    default_orbit_samples,
     default_wavelet,
     diagonal,
     element_from_chart,
@@ -604,7 +603,9 @@ class TestCalderonMultiplier:
 
     def test_calderon_values_match_per_point_sums(self, small_case):
         spec, sampling, *_ = small_case
-        samples = default_orbit_samples(spec)
+        # the record's samples are eta = B^T xi; B^-T takes them back to xi
+        binv_t = np.linalg.inv(spec.conjugator).T
+        samples = [binv_t @ p for p in FAMILIES[spec.family.kind].orbit_samples]
         cal = calderon_constant(spec, sampling)
         ref = np.array([_per_point_multiplier(spec, sampling, x[0], x[1])
                         for x in samples])
@@ -757,9 +758,9 @@ class TestBatchedProfile:
         stacks = []
         invariants = transform._invariants
 
-        def counted(spec, n, length):
+        def counted(spec, xi1, xi2):
             stacks.append(spec)
-            return invariants(spec, n, length)
+            return invariants(spec, xi1, xi2)
 
         monkeypatch.setattr(transform, "_invariants", counted)
         spec = GroupSpec(diagonal(), rotation(0.3))
@@ -889,7 +890,7 @@ class TestStabilizerQuotient:
 
 def _dense_rows(spec, sampling, n, length):
     """Reference: the chart form of each sampled row over the whole lattice."""
-    invariants = transform._invariants(spec, n, length)
+    invariants = [x.ravel() for x in transform._invariants(spec, *freq_grids(n, length))]
     shifts = transform._shifts(spec, sampling)
     with np.errstate(over="ignore"):
         for k in range(len(sampling)):
@@ -1066,7 +1067,7 @@ class TestSparseKernel:
         assert skipped.tolist() == zero
         # the bump sees the candidate pairs and, once per log-scale, the range
         # of its first factor, and nothing else
-        u = transform._invariants(spec, 128, 16.0)[0]
+        u = transform._invariants(spec, *freq_grids(128, 16.0))[0]
         firsts = sum(np.count_nonzero(np.abs(u + a) < 1.0)
                      for a in np.unique(transform._shifts(spec, sampling)[0]))
         assert sum(evaluated) == sum(points) + firsts < 0.05 * len(sampling) * 128 * 128

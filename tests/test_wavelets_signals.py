@@ -18,7 +18,7 @@ from coorbit2d import (
     wave_packet,
 )
 from coorbit2d.signals import STEP_RANGE, _phase_grid, ifft2_rows
-from coorbit2d.wavelets import bump
+from coorbit2d.families import bump
 from conftest import big_bump_data
 
 
