@@ -11,9 +11,11 @@ invariant of the group: `GroupSpec` computes it once, when it is built, in
 closed form from the adjugate of ``B``, and a decision only reads and compares
 those of its specs, so no decision inverts a matrix or derives an angle.  A
 decision is arithmetic on Python floats: the specs' four conjugator entries,
-their stored complement angles and the acute gap between two lines.  It calls
-no numpy function; a diagonal canonical form takes its ``s`` from numpy's
-``tan``, whose last bit the C library's may not match.  A symmetry test
+their stored complement angles and the acute gap between two lines.  The
+module does not import numpy: a canonical form takes ``s`` from ``math.tan``
+and a representative takes ``R_phi`` from ``math.cos`` and ``math.sin``, each
+entry of its conjugator a sum of two rounded products, so neither depends on
+the SIMD or BLAS kernels numpy picks at run time.  A symmetry test
 builds the one conjugated spec it compares, and `symmetry` answers all three
 tests from that one spec.  The canonical forms and the reason that certify an
 equivalence verdict are computed from the same two complements when they are
@@ -27,9 +29,7 @@ here.
 
 from __future__ import annotations
 
-from math import frexp, hypot, isfinite, ldexp
-
-import numpy as np
+from math import cos, isfinite, pi, sin, tan
 
 from .errors import DegenerateInputError
 from .families import FAMILIES
@@ -42,16 +42,17 @@ from .groups import (
     SIMILITUDE,
     GroupSpec,
     Record,
+    _build_spec,
+    _product,
+    _similar,
     conjugate_spec,
     diagonal,
-    rotation,
-    scaled_columns,
     shearlet,
     similitude,
     valid_tolerance,
 )
 
-_PI = np.pi
+_PI = pi
 # a slot store past Record.__setattr__, for building a record
 _set = object.__setattr__
 
@@ -145,24 +146,17 @@ def lines_to_phi_s(lines, tol=DEFAULT_TOL):
     if len(lines) != 2:
         raise DegenerateInputError("need exactly two distinct lines")
     a1, a2 = lines.angles
-    theta = _acute_gap(lines, tol)
+    theta = lines.gap  # the acute angle between them; no (phi, s) at most tol
+    if theta <= tol:
+        raise DegenerateInputError("lines coincide within tolerance")
     # cot(theta) via the complementary angle: exact 0 for perpendicular pairs
-    s = float(np.tan(_PI / 2 - theta))
+    s = tan(_PI / 2 - theta)
     if s <= tol:
         phi = mod_pi(-a1) % (_PI / 2)
         return (0.0 if _PI / 2 - phi <= tol else phi), 0.0
     # R_phi S_s maps the axes to {-phi, theta - phi}: rotate the line that
     # starts the acute gap to 0
     return mod_pi(-(a1 if a2 - a1 < _PI / 2 else a2)), s
-
-
-def _acute_gap(lines, tol):
-    """The acute angle between two lines, as `LineSet` stored it;
-    DegenerateInputError if it is at most `tol`, where they have no (phi, s)."""
-    theta = lines.gap
-    if theta <= tol:
-        raise DegenerateInputError("lines coincide within tolerance")
-    return theta
 
 
 def canonicalize(spec, tol=DEFAULT_TOL):
@@ -184,15 +178,17 @@ def _canonical(spec, comp, tol):
 def rep_group(cf):
     """Representative GroupSpec of a canonical form.
 
-    Diagonal(phi, s) uses the conjugator A = (R_phi S_s)^-T, the shearlet form
+    Diagonal(phi, s) uses the conjugator A = (R_phi S_s)^-T = R_phi [[1, 0],
+    [-s, 1]], each entry a sum of two rounded products; the shearlet form
     uses the rotation R_phi.
     """
     if cf.kind == SIMILITUDE:
         return GroupSpec(similitude())
+    cos_phi, sin_phi = cos(cf.phi), sin(cf.phi)
+    rot = (cos_phi, sin_phi, -sin_phi, cos_phi)
     if cf.kind == DIAGONAL:
-        conj = rotation(cf.phi) @ np.array([[1.0, 0.0], [-cf.s, 1.0]])
-        return GroupSpec(diagonal(), conj)
-    return GroupSpec(shearlet(cf.c), rotation(cf.phi))
+        return _build_spec(diagonal(), _product(*rot, 1.0, 0.0, -cf.s, 1.0))
+    return _build_spec(shearlet(cf.c), rot)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +250,15 @@ def coorbit_equivalent(s1, s2, tol=DEFAULT_TOL):
     form, so it raises DegenerateInputError here, whatever the verdict.
     """
     _checked_tol(tol)
-    c1, c2 = component_count(s1), component_count(s2)
-    l1, l2 = orbit_complement(s1), orbit_complement(s2)
-    for comp in (l1, l2):
-        if len(comp) == 2:
-            _acute_gap(comp, tol)
-    eq = (c1 == c2 and l1.equals(l2, tol)
-          and (c1 != 2 or abs(s1.family.c - s2.family.c) <= tol))
+    l1, l2 = s1._complement, s2._complement
+    if l1 is None or l2 is None:
+        raise DegenerateInputError("lines coincide within tolerance")
+    g1, g2 = l1.gap, l2.gap
+    if (g1 is not None and g1 <= tol) or (g2 is not None and g2 <= tol):
+        raise DegenerateInputError("lines coincide within tolerance")
+    f1, f2 = s1.family, s2.family
+    c1, c2 = FAMILIES[f1.kind].components, FAMILIES[f2.kind].components
+    eq = c1 == c2 and l1.equals(l2, tol) and (c1 != 2 or abs(f1.c - f2.c) <= tol)
     return EquivalenceVerdict(eq, (c1, c2), (l1, l2), (s1, s2), tol)
 
 
@@ -301,18 +299,7 @@ def same_group(spec_a, spec_b, tol=DEFAULT_TOL):
     if kind != spec_b.family.kind:
         return False
     if kind == SIMILITUDE:
-        # M = B_a^-1 B_b up to the factor 1/det B_a'.  With B = B' diag(2^e1,
-        # 2^e2) from `scaled_columns`, that is adj(B_a') B_b' with row i scaled
-        # by 2^-e_i and column j by 2^f_j; shifting each entry by those less
-        # the largest exponent keeps every entry in range
-        (p, q, r, s), (e1, e2) = scaled_columns(*spec_a.entries)
-        (p2, q2, r2, s2), (f1, f2) = scaled_columns(*spec_b.entries)
-        m = ((s * p2 - q * r2, f1 - e1), (s * q2 - q * s2, f2 - e1),
-             (p * r2 - r * p2, f1 - e2), (p * s2 - r * q2, f2 - e2))
-        top = max(frexp(x)[1] + k for x, k in m if x)
-        m11, m12, m21, m22 = (ldexp(x, k - top) for x, k in m)
-        rot, ref = hypot(m11 + m22, m12 - m21), hypot(m11 - m22, m12 + m21)
-        return min(rot, ref) <= tol * max(rot, ref)
+        return _similar(spec_a.entries, spec_b.entries, tol)
     if kind == SHEARLET and abs(spec_a.family.c - spec_b.family.c) > tol:
         return False
     return orbit_complement(spec_a).equals(orbit_complement(spec_b), tol)

@@ -5,12 +5,18 @@ A group is described by a :class:`GroupSpec`: one of the three standard
 families together with an invertible conjugator ``B``; the represented group
 is ``B @ H_std @ inv(B)``.  A spec keeps the four checked floats of ``B``,
 which all its readers but `element_from_chart` read, and builds for that
-one the read-only array of ``B`` on first read.  `conjugate_spec` forms
-``A B`` on those floats, each entry a sum of two rounded products.  The spec
-and `LineSet` are immutable ``__slots__`` records (:class:`Record`), built
-with no dataclass machinery.  Chart coordinates use the natural logarithm
-for scales and radians for angles.  A chart point is one row of its
-family's columns, of width 2, 4 and 3 in this column order:
+one the read-only array of ``B`` on first read.  The check is ``math`` on
+Python floats; it scales the columns of ``B`` by powers of two only where an
+entry lies outside the range in which that scaling cannot change a bit of
+its result.  `conjugate_spec` forms ``A B`` on those floats, each entry a sum
+of two rounded products.  The spec, its `Family` and `LineSet` are immutable
+``__slots__`` records (:class:`Record`), built with no dataclass machinery.
+numpy is called only to read a matrix that is not a float64 array, to build
+the array of ``B``, by `rotation` and `shear`, and by the chart code.
+
+Chart coordinates use the natural logarithm for scales and radians for
+angles.  A chart point is one row of its family's columns, of width 2, 4
+and 3 in this column order:
 
 * similitude  ``(lam, theta)``      -> ``exp(lam) * [[cos t, sin t], [-sin t, cos t]]``
 * diagonal    ``(lam1, lam2, e1, e2)`` -> ``diag(e1 exp(lam1), e2 exp(lam2))``
@@ -32,9 +38,8 @@ the left-invariance quadrature oracle in the test suite).
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
-from math import frexp, hypot, inf, isfinite, ldexp
-from typing import Optional
+from dataclasses import FrozenInstanceError
+from math import frexp, hypot, inf, isfinite, ldexp, pi
 
 import numpy as np
 
@@ -47,7 +52,7 @@ from .families import (DIAGONAL, FAMILIES, SHEARLET, SIMILITUDE,  # noqa: F401
 DEFAULT_TOL = 1e-9
 
 _I2 = (1.0, 0.0, 0.0, 1.0)  # the entries of the identity
-_PI = np.pi
+_PI = pi
 
 
 def valid_tolerance(tol):
@@ -64,6 +69,21 @@ def scaled_columns(a, b, c, d):
     return (ldexp(a, -e1), ldexp(b, -e2), ldexp(c, -e1), ldexp(d, -e2)), (e1, e2)
 
 
+# Column scaling by powers of two is exact both ways while every nonzero
+# entry of B has magnitude in [2^-200, 2^200): the scaled entries are at
+# least 2^-400 and their products 2^-800, the entries' products lie in
+# [2^-400, 2^400), so every product, difference, hypot and quotient below
+# rounds alike at either scale.  A nonzero determinant is then at least
+# 2^-452, and each entry of inv(B) at most 2^652, so it is finite.
+_LO, _HI = ldexp(1.0, -200), ldexp(1.0, 200)
+
+
+def _scale_free(a, b, c, d):
+    """Whether each of a, b, c, d is 0 or of magnitude in [_LO, _HI)."""
+    return ((not a or _LO <= abs(a) < _HI) and (not b or _LO <= abs(b) < _HI)
+            and (not c or _LO <= abs(c) < _HI) and (not d or _LO <= abs(d) < _HI))
+
+
 def _checked(a, b, c, d, name):
     """The sine of the angle between the columns of B = [[a, b], [c, d]], and
     whether inv(B) is finite; SingularMatrixError unless B is finite with
@@ -72,19 +92,61 @@ def _checked(a, b, c, d, name):
     With B = B' diag(2^e1, 2^e2) from `scaled_columns`, the sine
     |det B'| / (|b1'| |b2'|) does not depend on scale and cannot overflow,
     and inv(B) has rows 2^-e1 (d', -b') and 2^-e2 (-c', a') over det B'.
+    Where `_scale_free` holds, B itself gives the same bits.
     """
-    (p, q, r, s), (e1, e2) = scaled_columns(a, b, c, d)
-    if not isfinite(p + q + r + s):
-        raise SingularMatrixError(f"{name} has non-finite entries")
-    det = abs(p * s - q * r)
-    if not det:
-        raise SingularMatrixError(f"{name} is singular")
+    if _scale_free(a, b, c, d):
+        det = abs(a * d - b * c)
+        if not det:
+            raise SingularMatrixError(f"{name} is singular")
+        return det / (hypot(a, c) * hypot(b, d)), True
+    (p, q, r, s), (e1, e2), det = _column_scaled(a, b, c, d, name)
     try:  # x / det is inf for a subnormal det; ldexp raises past the float range
         finite = (isfinite(ldexp(max(abs(q), abs(s)) / det, -e1))
                   and isfinite(ldexp(max(abs(p), abs(r)) / det, -e2)))
     except OverflowError:
         finite = False
     return det / (hypot(p, r) * hypot(q, s)), finite
+
+
+def _column_scaled(a, b, c, d, name):
+    """B' and (e1, e2) of `scaled_columns`, and |det B'|; SingularMatrixError
+    unless B' is finite with det B' exactly nonzero."""
+    (p, q, r, s), e = scaled_columns(a, b, c, d)
+    if not isfinite(p + q + r + s):
+        raise SingularMatrixError(f"{name} has non-finite entries")
+    det = abs(p * s - q * r)
+    if not det:
+        raise SingularMatrixError(f"{name} is singular")
+    return (p, q, r, s), e, det
+
+
+def _similar(ea, eb, tol):
+    """Whether M = B_a^-1 B_b is a rotation- or reflection-scaling, for B_a
+    and B_b of entries `ea` and `eb` (see `classify.same_group`).
+
+    M is adj(B_a) B_b up to the factor 1/det B_a.  With B = B' diag(2^e1,
+    2^e2) from `scaled_columns`, that is adj(B_a') B_b' with row i scaled by
+    2^-e_i and column j by 2^f_j; shifting each entry by those less the
+    largest exponent keeps every entry in range.  Where `_scale_free` holds
+    for both, M itself gives the same answer: as in `_checked`, each entry
+    of M is 0 or in [2^-452, 2^401], so its sums and their norms round alike
+    at either scale, each norm 0 or at least 2^-504.  tol times the larger
+    norm rounds alike too, unless it leaves the normal range, where the
+    smaller norm lies on the same side of it at either scale.
+    """
+    if _scale_free(*ea) and _scale_free(*eb):
+        (p, q, r, s), (p2, q2, r2, s2) = ea, eb
+        m11, m12 = s * p2 - q * r2, s * q2 - q * s2
+        m21, m22 = p * r2 - r * p2, p * s2 - r * q2
+    else:
+        (p, q, r, s), (e1, e2) = scaled_columns(*ea)
+        (p2, q2, r2, s2), (f1, f2) = scaled_columns(*eb)
+        m = ((s * p2 - q * r2, f1 - e1), (s * q2 - q * s2, f2 - e1),
+             (p * r2 - r * p2, f1 - e2), (p * s2 - r * q2, f2 - e2))
+        top = max(frexp(x)[1] + k for x, k in m if x)
+        m11, m12, m21, m22 = (ldexp(x, k - top) for x, k in m)
+    rot, ref = hypot(m11 + m22, m12 - m21), hypot(m11 - m22, m12 + m21)
+    return min(rot, ref) <= tol * max(rot, ref)
 
 
 def _entries(m, name):
@@ -189,16 +251,22 @@ class LineSet(Record):
     _fields = ("angles",)
 
     def __init__(self, angles):
-        angles = tuple(sorted(map(mod_pi, angles)))
-        if len(angles) > 2:
-            raise ValueError("at most two lines")
+        angles = tuple(angles)
         gap = None
         if len(angles) == 2:
+            a, b = mod_pi(angles[0]), mod_pi(angles[1])
+            if b < a:
+                a, b = b, a
             # their angle_distance, since both lie in [0, pi) in order
-            gap = angles[1] - angles[0]
+            gap = b - a
             gap = min(gap, _PI - gap)
             if gap <= DEFAULT_TOL:
                 raise DegenerateInputError("lines coincide within tolerance")
+            angles = (a, b)
+        elif len(angles) == 1:
+            angles = (mod_pi(angles[0]),)
+        elif angles:
+            raise ValueError("at most two lines")
         _set(self, "angles", angles)
         _set(self, "gap", gap)
 
@@ -216,21 +284,21 @@ class LineSet(Record):
                 or (_near(a[0], b[1], tol) and _near(a[1], b[0], tol)))
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """Tagged family: similitude, diagonal, or shearlet with exponent c."""
 
-    kind: str
-    c: Optional[float] = None
+    __slots__ = _fields = ("kind", "c")
 
-    def __post_init__(self):
-        if self.kind not in (SIMILITUDE, DIAGONAL, SHEARLET):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == SHEARLET:
-            if self.c is None or not np.isfinite(self.c):
+    def __init__(self, kind, c=None):
+        if kind not in (SIMILITUDE, DIAGONAL, SHEARLET):
+            raise ValueError(f"unknown family kind {kind!r}")
+        if kind == SHEARLET:
+            if c is None or not isfinite(c):
                 raise ValueError("shearlet family requires a finite exponent c")
-        elif self.c is not None:
-            raise ValueError(f"{self.kind} family takes no exponent")
+        elif c is not None:
+            raise ValueError(f"{kind} family takes no exponent")
+        _set(self, "kind", kind)
+        _set(self, "c", c)
 
 
 def similitude():
@@ -267,7 +335,7 @@ class GroupSpec(Record):
 
     def __init__(self, family, conjugator=None):
         entries = _I2 if conjugator is None else _entries(conjugator, "conjugator")
-        _build_spec(self, family, entries)
+        _build_spec(family, entries, self)
 
     @property
     def conjugator(self):
@@ -292,8 +360,11 @@ class GroupSpec(Record):
         return f"GroupSpec({fam}, conjugator={[[a, b], [c, d]]})"
 
 
-def _build_spec(spec, family, entries):
-    """Fill `spec` (new) with `family` and the conjugator's four floats."""
+def _build_spec(family, entries, spec=None):
+    """A spec of `family` and the conjugator's four floats, filled into
+    `spec` (new) or into a new GroupSpec."""
+    if spec is None:
+        spec = object.__new__(GroupSpec)
     sine, inverse_finite = _checked(*entries, "conjugator")
     # the sine of the angle between B's columns is that between the lines
     # B^-T maps the axes to; at DEFAULT_TOL they coincide for LineSet
@@ -317,13 +388,20 @@ def _build_spec(spec, family, entries):
 
 def conjugate_spec(spec, a):
     """The spec of A H A^-1 where H is the group of `spec`: conjugator A B,
-    each entry a sum of two rounded products."""
+    each entry a sum of two rounded products.  A is refused as
+    `checked_matrix` refuses it, with no sine and no inverse."""
     a00, a01, a10, a11 = _entries(a, "A")
-    _checked(a00, a01, a10, a11, "A")  # refuses A as checked_matrix does
-    b00, b01, b10, b11 = spec.entries
-    return _build_spec(object.__new__(GroupSpec), spec.family,
-                       (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-                        a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
+    if not _scale_free(a00, a01, a10, a11):
+        _column_scaled(a00, a01, a10, a11, "A")
+    elif a00 * a11 == a01 * a10:
+        raise SingularMatrixError("A is singular")
+    return _build_spec(spec.family, _product(a00, a01, a10, a11, *spec.entries))
+
+
+def _product(a00, a01, a10, a11, b00, b01, b10, b11):
+    """The entries of A B, each a sum of two rounded products."""
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
 # ---------------------------------------------------------------------------

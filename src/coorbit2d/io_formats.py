@@ -1,12 +1,13 @@
 """On-disk formats: group spec documents, signal files, and reports.
 
-Group specs are strict JSON documents; unknown keys are rejected and error
-messages name the offending key.  Signals use a fixed little-endian binary
-layout (magic "C2D1", u16 version, u32 N, f64 L, N^2 complex128 values,
-row-major, the same bytes as interleaved re/im f64 pairs; exactly
-18 + 16 N^2 bytes) or, for hand-authored fixtures, a CSV variant selected by
-the .csv extension.  Reports serialize deterministically (sorted keys, floats
-at 17 significant digits) so byte comparison of two reports is meaningful.
+Group specs are strict JSON documents; unknown and repeated keys are
+rejected and error messages name the offending key.  Signals use a fixed
+little-endian binary layout (magic "C2D1", u16 version, u32 N, f64 L, N^2
+complex128 values, row-major, the same bytes as interleaved re/im f64 pairs;
+exactly 18 + 16 N^2 bytes) or, for hand-authored fixtures, a CSV variant
+selected by the .csv extension.  Reports serialize deterministically (sorted
+keys, floats at 17 significant digits) so byte comparison of two reports is
+meaningful.
 """
 
 from __future__ import annotations
@@ -88,10 +89,20 @@ def parse_group_spec(path):
     except (OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError
         raise FormatError(f"cannot read group spec: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # also past a digit or nesting limit
         raise FormatError(f"malformed group spec document: {exc}") from exc
     return group_spec_from_dict(doc)
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict; FormatError, a ValueError, if a key repeats."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise FormatError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def write_group_spec(path, spec):

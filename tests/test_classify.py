@@ -1,4 +1,5 @@
 import argparse
+import math
 
 import numpy as np
 import pytest
@@ -201,6 +202,32 @@ class TestCanonicalize:
         sh = rep_group(canonical_shearlet(0.7, 2.0))
         assert np.allclose(sh.conjugator, rotation(0.7))
         assert sh.family.c == 2.0
+
+    def test_rep_group_is_math_on_floats(self, rng):
+        # R_phi [[1, 0], [-s, 1]] from math.cos and math.sin, each entry a
+        # sum of two rounded products; the numpy-built representative it
+        # replaced (rotation and @) writes the same group
+        n = 5000
+        forms = [*map(canonical_diagonal, rng.uniform(0.0, PI, n), rng.uniform(1e-5, 10.0, n)),
+                 *map(canonical_shearlet, rng.uniform(0.0, PI, n), rng.uniform(-3.0, 3.0, n))]
+        for cf in forms:
+            spec = rep_group(cf)
+            c, s = math.cos(cf.phi), math.sin(cf.phi)
+            if cf.kind == "diagonal":
+                old = GroupSpec(diagonal(), rotation(cf.phi) @ [[1.0, 0.0], [-cf.s, 1.0]])
+                (a00, a01, a10, a11), (b00, b01, b10, b11) = (c, s, -s, c), (1.0, 0.0, -cf.s, 1.0)
+                want = (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                        a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+            else:
+                old, want = GroupSpec(shearlet(cf.c), rotation(cf.phi)), (c, s, -s, c)
+            assert [x.hex() for x in spec.entries] == [x.hex() for x in want], cf
+            assert spec.family == old.family and same_group(spec, old, DEFAULT_TOL), cf
+            back = canonicalize(spec)
+            assert back.kind == cf.kind and angle_distance(back.phi, cf.phi) <= DEFAULT_TOL, cf
+            if cf.kind == "diagonal":
+                assert abs(back.s - cf.s) <= DEFAULT_TOL, cf
+            else:
+                assert back.c == cf.c, cf
 
     def test_rep_group_range_validation(self):
         for make, phi, second in ((canonical_diagonal, -0.1, 1.0),

@@ -253,6 +253,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("document,key", [
+        ('{"family": "diagonal", "family": "similitude"}', "family"),
+        ('{"family": "shearlet", "c": 1.0, "conjugator": [[1, 0], [0, 1]], "c": 2.0}', "c"),
+    ], ids=["family", "c"])
+    def test_repeated_key_in_a_spec_is_parse_error(self, tmp_path, capsys, document, key):
+        # json keeps the last of a repeated key; a spec file refuses it
+        p = tmp_path / "spec.json"
+        p.write_text(document)
+        assert main(["classify", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: malformed group spec document: "
+                                f"repeated key {key!r}\n")
+
     def test_nearly_singular_conjugator_is_parse_error(self, tmp_path, capsys):
         # det of the second evaluates to nan; the rule does not depend on scale
         for b in ([[1.0, 1.0], [1.0, 1.0 + 1e-10]],

@@ -1,7 +1,7 @@
 import dataclasses
 import pickle
 from fractions import Fraction
-from math import frexp, hypot, isfinite, ldexp
+from math import frexp, hypot, isfinite, ldexp, nextafter
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from coorbit2d import (
     shearlet,
     similitude,
 )
+from coorbit2d import groups
 from coorbit2d.families import FAMILIES as RECORDS
 from coorbit2d.groups import DEFAULT_TOL, checked_matrix, mod_pi
 from coorbit2d.sampling import default_sampling
@@ -266,8 +267,9 @@ class TestFloatPath:
         lines = LineSet((0.5, -0.25))
         cf = canonical_diagonal(0.5, 0.25)
         verdict = coorbit_equivalent(spec, spec)
-        for record, name in ((spec, "conjugator"), (spec, "family"), (lines, "angles"),
-                             (lines, "gap"), (cf, "s"), (verdict, "equivalent")):
+        for record, name in ((spec, "conjugator"), (spec, "family"), (spec.family, "c"),
+                             (lines, "angles"), (lines, "gap"), (cf, "s"),
+                             (verdict, "equivalent")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, name, None)
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -276,14 +278,143 @@ class TestFloatPath:
         assert spec != GroupSpec(shearlet(0.7), rotation(0.3)) and spec == spec
         assert lines == LineSet((0.5, mod_pi(-0.25))) and hash(lines) == hash(LineSet(lines.angles))
         assert lines != lines.angles and cf == canonical_diagonal(0.5, 0.25)
+        assert spec.family == shearlet(0.7) and hash(spec.family) == hash(shearlet(0.7))
+        assert spec.family != shearlet(0.8) and diagonal() != similitude()
+        assert repr(spec.family) == "Family(kind='shearlet', c=0.7)"
         assert repr(lines) == f"LineSet(angles={lines.angles!r})"
         assert repr(verdict).startswith("EquivalenceVerdict(equivalent=True, "
                                         "component_counts=(2, 2), complements=(LineSet(")
         assert repr(spec) == f"GroupSpec(shearlet(c=0.7), conjugator={rotation(0.3).tolist()})"
-        for record in (lines, cf, verdict.complements[0]):
+        for record in (lines, cf, verdict.complements[0], spec.family):
             assert pickle.loads(pickle.dumps(record)) == record
         back = pickle.loads(pickle.dumps(spec))
         assert back.entries == spec.entries and back.family == spec.family
+
+
+def _outcome(check, *args):
+    """A check's result with its floats in hex, or its error type and text."""
+    try:
+        out = check(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, tuple):
+        return tuple([x.hex() if isinstance(x, float) else x for x in out])
+    return out
+
+
+def _both_paths(check, cases):
+    """The outcomes of `check` on each case (a tuple of arguments), as it
+    runs and with `_scale_free` false everywhere, so on the scaled path."""
+    got = [_outcome(check, *args) for args in cases]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_scale_free", lambda *entries: False)
+        return got, [_outcome(check, *args) for args in cases]
+
+
+# the edges of the scale-free range, each with its neighbour on the other side
+_EDGES_IN = (groups._LO, nextafter(groups._HI, 0.0))
+_EDGES_OUT = (nextafter(groups._LO, 0.0), groups._HI)
+
+
+def _sweep_matrices():
+    """60 random B (seed 7)."""
+    return np.random.default_rng(7).normal(size=(60, 2, 2))
+
+
+def _column_scalings(b):
+    """B scaled by 2^k, k in [-1074, 1023], in both columns, the first or the
+    second, as four floats."""
+    t = np.ldexp(1.0, np.arange(-1074, 1024))[:, None, None]
+    with np.errstate(over="ignore"):  # inf entries at the top of the range
+        return [m for cols in ((1, 1), (1, 0), (0, 1))
+                for m in (b * np.where(cols, t, 1.0)).reshape(-1, 4).tolist()]
+
+
+def _special_entries(b):
+    """B with one entry replaced by +-0, a subnormal, +-inf, nan or a value at
+    either side of a range edge, as four floats."""
+    out = []
+    for i in range(4):
+        for x in (0.0, 5e-324, 2.5e-310, np.inf, np.nan, *_EDGES_IN, *_EDGES_OUT):
+            for sign in (1.0, -1.0):
+                m = b.ravel().tolist()
+                m[i] = sign * x
+                out.append(m)
+    return out
+
+
+def _conjugator(entries):
+    """Whether a GroupSpec accepts the four floats as its conjugator."""
+    try:
+        sine, finite = groups._checked(*entries, "B")
+    except SingularMatrixError:
+        return False
+    return finite and sine > DEFAULT_TOL
+
+
+class TestScaleFreePath:
+    """`_checked` and `_similar` read B as it is where `_scale_free` holds,
+    and must equal their column-scaled path bit for bit there."""
+
+    def test_edges(self):
+        for x in _EDGES_IN + (0.0, -0.0, 1.0, -3.5):
+            assert groups._scale_free(x, 1.0, -x, 2.0) and groups._scale_free(1.0, 1.0, 1.0, -x)
+        for x in _EDGES_OUT + (5e-324, np.inf, -np.inf, np.nan):
+            for i in range(4):
+                m = [1.0, 2.0, 3.0, 4.0]
+                m[i] = -x if i % 2 else x
+                assert not groups._scale_free(*m), m
+
+    def test_check_equals_the_scaled_check(self):
+        # the column-scaling sweep of 60 random B, and B with special entries
+        spec = GroupSpec(diagonal())
+        fast = {False: 0, True: 0}
+        seen = set()
+        for b in _sweep_matrices():
+            scalings, special = _column_scalings(b), _special_entries(b)
+            cases = [(*m, "B") for m in scalings + special]
+            got, want = _both_paths(groups._checked, cases)
+            assert got == want, b
+            seen.update(w[1] for w in want)  # the inverse flag, or the refusal
+            for m in scalings:
+                fast[groups._scale_free(*m)] += 1
+            # conjugate_spec refuses A exactly where checked_matrix does, on a
+            # fifth of the scalings and every special entry
+            for m in scalings[::5] + special:
+                a = np.array(m).reshape(2, 2)
+                refused = _outcome(checked_matrix, a, "A")
+                moved = _outcome(conjugate_spec, spec, a)
+                if isinstance(refused[0], type):
+                    assert moved == refused, m
+                elif isinstance(moved, tuple):  # refused as a conjugator, not as A
+                    assert not moved[1].startswith("A "), m
+        # both paths, and on the scaled one every outcome, are reached
+        assert fast[True] > 70_000 and fast[False] > 300_000, fast
+        assert {True, False, "B has non-finite entries", "B is singular"} <= seen, seen
+
+    def test_similitude_test_equals_the_scaled_test(self, rng):
+        # pairs B, B N' with N' at 0, tol / 3, 3 tol and 0.3 from a similarity
+        # N, both scaled by 2^k in one or both columns (k across the float
+        # range and near the range edges), at tolerances from 0 to 1e300
+        tols = (0.0, 5e-324, 1e-300, 1e-200, 1e-9, 0.5, 2.0, 1e200, 1e300)
+        ks = sorted({*range(-1074, 1024, 29), *range(-205, -194), *range(195, 206)})
+        cases = []
+        for b in random_invertible(rng, 4):
+            for n in NORMALIZERS["similitude"]:
+                for delta in (0.0, 1e-9 / 3, 3e-9, 0.3):
+                    other = _moved_off("similitude", b, n, delta)
+                    for k in ks:
+                        for d in ((k, k), (k, 0), (0, k)):
+                            s = np.ldexp(1.0, d)
+                            with np.errstate(over="ignore"):
+                                ea, eb = (b * s).ravel().tolist(), (other * s).ravel().tolist()
+                            if _conjugator(ea) and _conjugator(eb):
+                                cases += [(ea, eb, tol) for tol in tols]
+        got, want = _both_paths(groups._similar, cases)
+        assert got == want
+        fast = sum(groups._scale_free(*ea) and groups._scale_free(*eb) for ea, eb, _ in cases)
+        assert 5_000 < fast < len(cases) - 5_000, (fast, len(cases))
+        assert 0 < sum(want) < len(want)
 
 
 def _closed_form_complement(family, b):
