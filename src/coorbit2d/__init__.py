@@ -60,7 +60,7 @@ from .io_formats import (
     write_group_spec,
     write_signal,
 )
-from .sampling import GroupSampling, build_sampling, default_sampling
+from .sampling import GroupSampling, default_sampling
 from .signals import (
     GridSignal,
     TestSignal,

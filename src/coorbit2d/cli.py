@@ -39,7 +39,7 @@ from .io_formats import (
     read_signal,
     write_signal,
 )
-from .sampling import LAM_RANGE, SHEAR_RANGE, default_sampling
+from .sampling import LAM_RANGE, N_SHEAR, SHEAR_RANGE, default_sampling
 from .signals import check_lattice, gen_test_signal, l2_norm, valid_grid_size
 from .transform import (
     _signal_stats,
@@ -84,16 +84,6 @@ def _canonical_doc(cf):
     return doc
 
 
-def _sampling_from_args(spec, args):
-    # the builder rejects counts below 1 and empty or non-finite ranges; it
-    # holds the shear flags to that rule for every family
-    try:
-        return default_sampling(spec, (args.lam_min, args.lam_max), args.n_scale,
-                                (args.shear_min, args.shear_max), args.n_shear)
-    except ValueError as exc:
-        raise _UsageError(f"sampling flags: {exc}") from None
-
-
 def _add_sampling_flags(p):
     p.add_argument("--lam-min", type=float, default=LAM_RANGE[0],
                    help="lower log-scale bound (default %(default)g)")
@@ -103,7 +93,7 @@ def _add_sampling_flags(p):
                    help="points per log-scale axis (family default)")
     p.add_argument("--shear-min", type=float, default=SHEAR_RANGE[0])
     p.add_argument("--shear-max", type=float, default=SHEAR_RANGE[1])
-    p.add_argument("--n-shear", type=int, default=48,
+    p.add_argument("--n-shear", type=int, default=N_SHEAR,
                    help="shear points; checked for every family, used by the "
                         "shearlet chart only (default %(default)d)")
 
@@ -179,12 +169,18 @@ def _lattice(args):
 
 
 def _transform_request(args, signal=True):
-    """The spec, the signal (None unless `signal`) and the sampling, made in
-    that order: a bad spec is reported before a bad signal, and both before
-    bad sampling flags."""
+    """The signal (None unless `signal`) and the sampling of the group spec,
+    made after the spec: a bad spec is reported before a bad signal, and both
+    before bad sampling flags."""
     spec = parse_group_spec(args.group)
     sig = read_signal(args.signal) if signal else None
-    return spec, sig, _sampling_from_args(spec, args)
+    # the builder rejects counts below 1 and empty or non-finite ranges; it
+    # holds the shear flags to that rule for every family
+    try:
+        return sig, default_sampling(spec, (args.lam_min, args.lam_max), args.n_scale,
+                                     (args.shear_min, args.shear_max), args.n_shear)
+    except ValueError as exc:
+        raise _UsageError(f"sampling flags: {exc}") from None
 
 
 def _emit(args, t0, command, inputs, values, **extra):
@@ -250,10 +246,10 @@ def _cmd_symmetry(args):
 
 
 def _cmd_analyze(args):
-    spec, sig, sampling = _transform_request(args)
+    sig, sampling = _transform_request(args)
     t0 = time.perf_counter()
     # the p = 2 plane sums are the plane energies; no slab is held
-    sums, peaks = _signal_stats([sig], spec, sampling, 2)
+    sums, peaks = _signal_stats([sig], sampling, 2)
     energies = sums[:, 0]
     with np.errstate(over="ignore"):
         total = float(np.sum(sampling.g_w * energies))
@@ -268,34 +264,34 @@ def _cmd_analyze(args):
     }
     if args.energies:
         values["plane_energies"] = [float(e) for e in energies]
-    _emit(args, t0, "analyze",
-          {"group": group_spec_to_dict(spec), "signal": str(args.signal)}, values)
+    _emit(args, t0, "analyze", {"group": group_spec_to_dict(sampling.spec),
+                                "signal": str(args.signal)}, values)
     return EXIT_OK
 
 
 def _cmd_norm(args):
-    spec, sig, sampling = _transform_request(args)
+    sig, sampling = _transform_request(args)
     p = _parse_exponent(args.p)
     t0 = time.perf_counter()
-    value = signal_coorbit_norm(sig, spec, sampling, p)
+    value = signal_coorbit_norm(sig, sampling, p)
     _emit(args, t0, "norm",
-          {"group": group_spec_to_dict(spec), "signal": str(args.signal),
+          {"group": group_spec_to_dict(sampling.spec), "signal": str(args.signal),
            "p": args.p},
           {"coorbit_norm": value, "signal_l2": sig.norm_l2()})
     return EXIT_OK
 
 
 def _cmd_invert(args):
-    spec, sig, sampling = _transform_request(args)
+    sig, sampling = _transform_request(args)
     t0 = time.perf_counter()
-    cal = calderon_constant(spec, sampling)
-    rec = reconstruct(sig, spec, sampling, cal.mean)
+    cal = calderon_constant(sampling)
+    rec = reconstruct(sig, sampling, cal.mean)
     denom = sig.norm_l2()
     rel_err = 0.0 if denom == 0.0 else l2_norm(sig.data - rec.data, sig.dx) / denom
     if args.out_signal:
         write_signal(args.out_signal, rec)
     _emit(args, t0, "invert",
-          {"group": group_spec_to_dict(spec), "signal": str(args.signal)},
+          {"group": group_spec_to_dict(sampling.spec), "signal": str(args.signal)},
           {"relative_l2_error": rel_err, "calderon_constant": cal.mean,
            "calderon_deviation": cal.max_rel_deviation})
     _gate("reconstruction error", rel_err, "max-error", args.max_error)
@@ -303,11 +299,11 @@ def _cmd_invert(args):
 
 
 def _cmd_calderon(args):
-    spec, _, sampling = _transform_request(args, signal=False)
+    _, sampling = _transform_request(args, signal=False)
     t0 = time.perf_counter()
-    cal = calderon_constant(spec, sampling)
+    cal = calderon_constant(sampling)
     _emit(args, t0, "calderon",
-          {"group": group_spec_to_dict(spec), "n_samples": len(cal.values)},
+          {"group": group_spec_to_dict(sampling.spec), "n_samples": len(cal.values)},
           {"mean": cal.mean, "max_rel_deviation": cal.max_rel_deviation,
            "values": list(cal.values)})
     _gate("Calderon deviation", cal.max_rel_deviation, "max-deviation",
@@ -338,7 +334,7 @@ def _cmd_compare(args):
                 sigma_along=0.12 * r, sigma_across=0.06 * r, direction=ang,
             )
         )
-    table = norm_ratio_profile(s1, s2, p, signals, sampling1, sampling2)
+    table = norm_ratio_profile(p, signals, sampling1, sampling2)
     _emit(args, t0, "compare",
           {"group1": group_spec_to_dict(s1), "group2": group_spec_to_dict(s2),
            "p": args.p, "seed": args.seed},

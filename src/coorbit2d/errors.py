@@ -22,8 +22,8 @@ class OrbitSampleError(CoorbitError, ValueError):
 
 
 class WeightRangeError(CoorbitError, ArithmeticError):
-    """The chart weights or elements of a group spec, or the p-th powers summed
-    by a coorbit norm, leave the floating-point range."""
+    """The chart weights or elements of a group spec, the p-th powers summed by
+    a coorbit norm, or a reconstruction fhat C / C_psi leave the float range."""
 
 
 class FormatError(CoorbitError, ValueError):

@@ -1,6 +1,10 @@
 """Continuous wavelet analysis over sampled group charts, coorbit quasi-norms,
 the admissibility (Calderon) constant and inversion.
 
+Every function takes a `GroupSampling` and reads its group spec from it
+(`sampling.spec`): the wavelet, the chart rows and the weights are one
+group's, so no call can pair a spec with another group's sampling.
+
 All frequency-domain objects live on the grid lattice of the signal.  For a
 group element h the analysis plane is
 
@@ -128,12 +132,13 @@ def default_wavelet(spec):
     return WaveletSpec(spec)
 
 
-def _shifts(spec, sampling):
+def _shifts(sampling):
     """The shifts (alpha, beta, gamma) of the chart form at the sampled rows.
 
     Raises WeightRangeError when a slope beta = a^(c - 1) leaves the float
     range or underflows to 0, as it can for a large shearlet exponent.
     """
+    spec = sampling.spec
     with np.errstate(over="ignore"):
         shifts = FAMILIES[spec.family.kind].shifts(sampling.points, spec.family.c)
     if len(shifts) > 1 and not np.all((shifts[1] > 0.0) & (shifts[1] < np.inf)):
@@ -141,11 +146,12 @@ def _shifts(spec, sampling):
     return shifts
 
 
-def _root_det(spec, sampling):
+def _root_det(sampling):
     """|det h|^(1/2) = |det m|^(1/2) at the sampled rows, from their chart matrices.
 
     Raises WeightRangeError when |det m| leaves the float range.
     """
+    spec = sampling.spec
     with np.errstate(over="ignore", invalid="ignore"):
         a, b, c, d = FAMILIES[spec.family.kind].matrix(sampling.points, spec.family.c)
         root_det = np.sqrt(np.abs(a * d - b * c))
@@ -175,7 +181,7 @@ def _bounds(keys, slope, shift):
     return start, first(lambda t: ~(t < 1.0), start, end)
 
 
-def _chart_values(spec, sampling, n, length):
+def _chart_values(sampling, n, length):
     """Yield (k, idx, psihat(h_k^T xi_idx)) for the sampled rows k in order.
 
     idx are flat indices of the n x n lattice (`freq_grids`), none twice;
@@ -183,8 +189,8 @@ def _chart_values(spec, sampling, n, length):
     ranges reach no lattice point is not yielded.  Each value is the chart
     form's at that point bit for bit.
     """
-    u, *v = (x.ravel() for x in _invariants(spec, *freq_grids(n, length)))
-    alpha, *second = _shifts(spec, sampling)
+    u, *v = (x.ravel() for x in _invariants(sampling.spec, *freq_grids(n, length)))
+    alpha, *second = _shifts(sampling)
     order = np.argsort(u, kind="stable")
     keys = u[order]
     start, stop = _bounds(keys, 1.0, alpha)
@@ -209,7 +215,7 @@ def _chart_values(spec, sampling, n, length):
                     yield r0 + j, idx[a:b], first[a:b] * bump(beta[j] * vs[a:b] + gamma[j])
 
 
-def _class_values(spec, sampling, n, length):
+def _class_values(sampling, n, length):
     """Yield psihat(h^T xi) on the n x n signal lattice for each sampled row.
 
     A row without candidates yields None, with no psihat evaluated; any
@@ -218,7 +224,7 @@ def _class_values(spec, sampling, n, length):
     buf = np.zeros((n, n))
     flat = buf.reshape(-1)
     ahead = 0
-    for k, idx, vals in _chart_values(spec, sampling, n, length):
+    for k, idx, vals in _chart_values(sampling, n, length):
         yield from [None] * (k - ahead)
         flat[idx] = vals
         yield buf
@@ -227,7 +233,7 @@ def _class_values(spec, sampling, n, length):
     yield from [None] * (len(sampling) - ahead)
 
 
-def calderon_multiplier(spec, sampling, n, length):
+def calderon_multiplier(sampling, n, length):
     """C(xi) = sum_h haar_w(h) |psihat(h^T xi)|^2 on the n x n signal lattice.
 
     The sum runs over the sampled rows in order at every frequency, and skips
@@ -235,7 +241,7 @@ def calderon_multiplier(spec, sampling, n, length):
     as `freq_grids(n, length)`.
     """
     total = np.zeros(n * n)
-    for k, idx, vals in _chart_values(spec, sampling, n, length):
+    for k, idx, vals in _chart_values(sampling, n, length):
         total[idx] += sampling.haar_w[k] * np.square(vals)
     return total.reshape(n, n)
 
@@ -249,7 +255,7 @@ def _grid(signals):
     return signals[0].N, signals[0].L
 
 
-def _planes(signals, spec, sampling):
+def _planes(signals, sampling):
     """Analysis planes of grid signals that share one lattice, one row at a time.
 
     Yields, for each sampled row h in order, the (S, N, N) stack of planes
@@ -266,8 +272,8 @@ def _planes(signals, spec, sampling):
     spectra = [fold * spectrum_from_signal(f) for f in signals]
     out = np.empty((len(spectra), n, n), dtype=complex)
     buf, picked = np.empty((2, n, n), dtype=complex)
-    root_det = _root_det(spec, sampling)
-    for k, vals in enumerate(_class_values(spec, sampling, n, length)):
+    root_det = _root_det(sampling)
+    for k, vals in enumerate(_class_values(sampling, n, length)):
         rows = () if vals is None else np.flatnonzero(vals.any(axis=1))
         if not len(rows):
             yield None
@@ -324,14 +330,14 @@ def _coorbit_total(sums, peaks, g_w, p):
     return total
 
 
-def _signal_stats(signals, spec, sampling, p):
+def _signal_stats(signals, sampling, p):
     """(M, S) per-plane sums of |W_s|^p (L/N)^2 and maxima of |W_s|.
 
     The planes of the same-grid signals are reduced as they are computed, one
     row at a time, so no M x N x N slab is held.
     """
     n, length = _grid(signals)
-    return _plane_stats(_planes(signals, spec, sampling),
+    return _plane_stats(_planes(signals, sampling),
                         (len(sampling), len(signals)), p, (length / n) ** 2)
 
 
@@ -352,7 +358,7 @@ def _multiplier_norm(fhat, c, length):
     return value
 
 
-def _signal_norms(signals, spec, sampling, p):
+def _signal_norms(signals, sampling, p):
     """Coorbit quasi-norms of grid signals that share one lattice.
 
     p = 2 builds the Calderon multiplier once; any other p streams the
@@ -360,9 +366,9 @@ def _signal_norms(signals, spec, sampling, p):
     """
     n, length = _grid(signals)
     if p == 2:
-        c = calderon_multiplier(spec, sampling, n, length)
+        c = calderon_multiplier(sampling, n, length)
         return [_multiplier_norm(spectrum_from_signal(f), c, length) for f in signals]
-    sums, peaks = _signal_stats(signals, spec, sampling, p)
+    sums, peaks = _signal_stats(signals, sampling, p)
     return [_coorbit_total(sums[:, k], peaks[:, k], sampling.g_w, p)
             for k in range(len(signals))]
 
@@ -372,7 +378,7 @@ def _check_exponent(p):
         raise ValueError("p must be a positive exponent or inf")
 
 
-def signal_coorbit_norm(f, spec, sampling, p):
+def signal_coorbit_norm(f, sampling, p):
     """Coorbit quasi-norm ||W f||_{L^p(G)} of a grid signal.
 
     p < inf:  ( sum_h g_w(h) * sum_x |W f(x,h)|^p * (L/N)^2 )^(1/p);
@@ -382,22 +388,28 @@ def signal_coorbit_norm(f, spec, sampling, p):
     other p reduces the planes as they are computed.
     """
     _check_exponent(p)
-    (value,) = _signal_norms([f], spec, sampling, p)
+    (value,) = _signal_norms([f], sampling, p)
     return value
 
 
-def reconstruct(f, spec, sampling, c_psi):
+def reconstruct(f, sampling, c_psi):
     """The inversion formula applied to W f: the inverse FT of fhat C / C_psi.
 
     It equals, to roundoff, the inverse FT of the sum over the sampled rows
     of g_w(h) FT(W f(., h)) |det h|^(1/2) psihat(h^T xi), scaled by 1/C_psi.
+    C_psi must be finite and positive; out of the float range is WeightRangeError.
     """
-    if not (c_psi > 0):
-        raise ValueError("C_psi must be positive")
+    if not (0.0 < c_psi < np.inf):
+        raise ValueError("C_psi must be finite and positive")
     n, length = _grid([f])
-    c = calderon_multiplier(spec, sampling, n, length)
-    rec = signal_from_spectrum(spectrum_from_signal(f) * c / c_psi, n, length)
-    return GridSignal(n, length, rec)
+    c = calderon_multiplier(sampling, n, length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = signal_from_spectrum(spectrum_from_signal(f) * c / c_psi, n, length)
+    try:  # the lattice is f's: only the energy of rec can fail the rule
+        return GridSignal(n, length, rec)
+    except ValueError:
+        raise WeightRangeError("the reconstruction fhat C / C_psi leaves the "
+                               "floating-point range") from None
 
 
 @dataclass(frozen=True)
@@ -410,7 +422,7 @@ class CalderonResult:
         return iter((self.mean, self.max_rel_deviation))
 
 
-def calderon_constant(spec, sampling):
+def calderon_constant(sampling):
     """Admissibility integral C(xi) = sum_h haar_w |psihat(h^T xi)|^2 per orbit sample.
 
     The orbit samples of the family's record are eta = B^T xi, so the chart
@@ -419,8 +431,8 @@ def calderon_constant(spec, sampling):
     largest relative deviation from it; for an admissible pair the deviation
     vanishes as the sampling refines.
     """
-    record = FAMILIES[spec.family.kind]
-    shifts = _shifts(spec, sampling)
+    record = FAMILIES[sampling.spec.family.kind]
+    shifts = _shifts(sampling)
     with np.errstate(over="ignore"):
         vals = _chart_form(record.invariants(*record.orbit_samples.T),
                            [s[:, None] for s in shifts])
@@ -457,17 +469,17 @@ class RatioTable:
         return {"min": lo, "max": hi, "spread": hi / lo if lo > 0 else None}
 
 
-def norm_ratio_profile(s1, s2, p, signals, sampling1, sampling2):
-    """Coorbit-norm ratios ||f||_{s1} / ||f||_{s2} over a family of signals.
+def norm_ratio_profile(p, signals, sampling1, sampling2):
+    """Coorbit-norm ratios ||f||_sampling1 / ||f||_sampling2 over a family of signals.
 
     The signals share one (N, L) lattice (ValueError otherwise) and take one
-    pass per spec, so its element stack and psihat (or, at p = 2, its
-    Calderon multiplier) are built once and shared by all signals.
+    pass per sampling, so its psihat (or, at p = 2, its Calderon multiplier)
+    is built once and shared by all signals.
     """
     _check_exponent(p)
     grid = [f.signal for f in signals]
-    norms = zip(_signal_norms(grid, s1, sampling1, p),
-                _signal_norms(grid, s2, sampling2, p))
+    norms = zip(_signal_norms(grid, sampling1, p),
+                _signal_norms(grid, sampling2, p))
     rows = []
     for f, (n1, n2) in zip(signals, norms):
         scale = max(f.signal.norm_l2(), 1.0)

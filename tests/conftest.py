@@ -6,8 +6,8 @@ import pytest
 
 from coorbit2d import (
     GridSignal,
+    GroupSampling,
     GroupSpec,
-    build_sampling,
     diagonal,
     element_from_chart,
     freq_bump,
@@ -16,7 +16,6 @@ from coorbit2d import (
     spectrum_from_signal,
 )
 from coorbit2d import transform
-from coorbit2d.sampling import GroupSampling
 from coorbit2d.signals import _phase_grid
 
 
@@ -52,11 +51,11 @@ class CoeffSlab:
         return sums
 
 
-def analyze(f, spec, sampling):
+def analyze(f, sampling):
     """Continuous wavelet transform of a grid signal over the sampled chart."""
     n, length = transform._grid([f])
     planes = np.zeros((len(sampling), n, n), dtype=complex)
-    for k, w in enumerate(transform._planes([f], spec, sampling)):
+    for k, w in enumerate(transform._planes([f], sampling)):
         if w is not None:
             planes[k] = w[0]
     return CoeffSlab(planes, sampling, n, length)
@@ -75,7 +74,7 @@ def coorbit_norm(slab, p):
     return transform._coorbit_total(sums, peaks, slab.sampling.g_w, p)
 
 
-def invert(slab, spec, c_psi):
+def invert(slab, c_psi):
     """Reconstruction from a coefficient slab via the inversion formula.
 
     Accumulates g_w(h) * FT(W(., h)) * |det h|^(1/2) * psihat(h^T xi) over
@@ -88,11 +87,11 @@ def invert(slab, spec, c_psi):
         raise ValueError("C_psi must be positive")
     n, length, sampling = slab.N, slab.L, slab.sampling
     acc = np.zeros((n, n), dtype=complex)
-    root_det = transform._root_det(spec, sampling)
+    root_det = transform._root_det(sampling)
     # spectrum_from_signal's factor: a plane holds coefficients, not a signal
     dx = length / n
     fold = (dx * dx) * _phase_grid(n)
-    for k, vals in enumerate(transform._class_values(spec, sampling, n, length)):
+    for k, vals in enumerate(transform._class_values(sampling, n, length)):
         if vals is not None:
             what = fold * np.fft.fft2(slab.planes[k])
             acc += (sampling.g_w[k] * root_det[k]) * what * vals
@@ -152,7 +151,7 @@ def chart_quotient(spec, g_chart, h_chart):
 
 def _plane(sig, spec, chart):
     """The analysis plane W sig(., h) at one chart point h."""
-    return analyze(sig, spec, build_sampling(spec, [chart], [1.0])).planes[0]
+    return analyze(sig, GroupSampling(spec, [chart], [1.0])).planes[0]
 
 
 def covariance_residual(f, y, g_chart, h_chart, spec):
@@ -202,7 +201,7 @@ def stabilizer_residual(f, spec, h_chart, hk_chart):
     larger plane's maximum, and exactly 0.0 when the planes are
     np.array_equal; a zero plane at h, where the identity says nothing, fails.
     """
-    planes = analyze(f, spec, build_sampling(spec, [h_chart, hk_chart], [1.0, 1.0])).planes
+    planes = analyze(f, GroupSampling(spec, [h_chart, hk_chart], [1.0, 1.0])).planes
     assert np.any(planes[0]), "W f(., h) is 0: choose f and h that overlap"
     if np.array_equal(planes[0], planes[1]):
         return 0.0

@@ -201,11 +201,11 @@ def isometry_results():
         spec = cfg["spec"]
         sampling = cfg["sampling"](spec)
         f = freq_bump(128, 16.0, center=cfg["center"], sigma=cfg["sigma"])
-        cal = calderon_constant(spec, sampling)
-        slab = analyze(f.signal, spec, sampling)
+        cal = calderon_constant(sampling)
+        slab = analyze(f.signal, sampling)
         w2 = coorbit_norm(slab, 2.0)
         iso_err = abs(w2 ** 2 / (cal.mean * f.signal.norm_l2() ** 2) - 1.0)
-        rec = invert(slab, spec, cal.mean)
+        rec = invert(slab, cal.mean)
         inv_err = float(
             np.sqrt(np.sum(np.abs(rec.data - f.signal.data) ** 2)
                     / np.sum(np.abs(f.signal.data) ** 2))
@@ -256,13 +256,13 @@ def test_criterion_6_calderon_constancy():
     details = []
     ok = True
     for name, (spec, make) in fine.items():
-        cal = calderon_constant(spec, make(spec))
+        cal = calderon_constant(make(spec))
         details.append(f"{name}: dev={cal.max_rel_deviation:.2e}")
         ok = ok and cal.max_rel_deviation <= 1e-2
     # negative control: truncated scale range varies with the sample radius
     spec = GroupSpec(similitude())
     trunc = default_sampling(spec, (-0.3, 0.3), 8)
-    cal = calderon_constant(spec, trunc)
+    cal = calderon_constant(trunc)
     details.append(f"truncated control dev={cal.max_rel_deviation:.2f}")
     ok = ok and cal.max_rel_deviation > 0.5
     _report(6, ok, "; ".join(details))
@@ -335,7 +335,7 @@ def test_criterion_8_exploratory_profiles():
     samp2 = default_sampling(s2, (-2.0, 2.0), 12, (-5.0, 5.0), 36)
     shear_spreads = []
     for r in freqs:
-        table = norm_ratio_profile(s1, s2, p, by_freq[r], samp1, samp2)
+        table = norm_ratio_profile(p, by_freq[r], samp1, samp2)
         shear_spreads.append(table.summary()["spread"])
 
     d1 = GroupSpec(diagonal(), rotation(0.4))
@@ -344,7 +344,7 @@ def test_criterion_8_exploratory_profiles():
     dsamp2 = default_sampling(d2, (-2.0, 2.0), 12)
     diag_spreads = []
     for r in freqs:
-        table = norm_ratio_profile(d1, d2, p, by_freq[r], dsamp1, dsamp2)
+        table = norm_ratio_profile(p, by_freq[r], dsamp1, dsamp2)
         diag_spreads.append(table.summary()["spread"])
 
     lines = [

@@ -629,9 +629,9 @@ class TestSignalRule:
         assert code == 0
         sig = read_signal(signal)
         sampling = default_sampling(spec, shear_range=(-2, 2))
-        narrow = signal_coorbit_norm(sig, spec, sampling, 1)
+        narrow = signal_coorbit_norm(sig, sampling, 1)
         assert rep["values"]["coorbit_norm"] == narrow
-        assert narrow != signal_coorbit_norm(sig, spec, default_sampling(spec), 1)
+        assert narrow != signal_coorbit_norm(sig, default_sampling(spec), 1)
 
 
 class TestRequestOrder:
@@ -791,12 +791,12 @@ class TestMultiplierCommands:
         code, rep = run_cli(capsys, "norm", gpath, spath, "--p", "2", *flags)
         assert code == 0
         sig = read_signal(spath)
-        ref = coorbit_norm(analyze(sig, spec, sampling), 2)
+        ref = coorbit_norm(analyze(sig, sampling), 2)
         assert abs(rep["values"]["coorbit_norm"] - ref) <= 1e-12 * ref
 
     def test_streamed_commands_match_slab_path(self, tmp_path, capsys, family):
         spec, gpath, spath, flags, sampling = self._setup(tmp_path, family)
-        slab = analyze(read_signal(spath), spec, sampling)
+        slab = analyze(read_signal(spath), sampling)
         energies = slab.plane_energies()
         code, rep = run_cli(capsys, "analyze", gpath, spath, "--energies", *flags)
         assert code == 0
@@ -829,7 +829,7 @@ class TestMultiplierCommands:
         sampling = default_sampling(spec)
         assert reports[("analyze",)]["planes"] == len(sampling)
         assert reports[("norm", "--p", "1")]["coorbit_norm"] == signal_coorbit_norm(
-            read_signal(spath), spec, sampling, 1)
+            read_signal(spath), sampling, 1)
 
     def test_default_compare_writes_nothing_to_stderr(self, tmp_path, capsys,
                                                       family):
@@ -851,8 +851,8 @@ class TestMultiplierCommands:
                             *flags)
         assert code == 0
         sig = read_signal(spath)
-        c_psi = calderon_constant(spec, sampling).mean
+        c_psi = calderon_constant(sampling).mean
         assert rep["values"]["calderon_constant"] == c_psi
-        ref = invert(analyze(sig, spec, sampling), spec, c_psi).data
+        ref = invert(analyze(sig, sampling), c_psi).data
         gap = np.linalg.norm(read_signal(out).data - ref) / np.linalg.norm(ref)
         assert gap <= 1e-12

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from coorbit2d import (
+    ChartMismatchError,
     CoverageWarning,
     GridSignal,
     GroupSpec,
@@ -12,7 +13,6 @@ from coorbit2d import (
     ShearletChart,
     SimilitudeChart,
     WeightRangeError,
-    build_sampling,
     calderon_constant,
     calderon_multiplier,
     default_wavelet,
@@ -20,6 +20,8 @@ from coorbit2d import (
     element_from_chart,
     freq_bump,
     freq_grids,
+    g_weight,
+    haar_weight,
     norm_ratio_profile,
     reconstruct,
     rotation,
@@ -59,7 +61,7 @@ def sim_setup():
     spec = GroupSpec(similitude())
     sampling = default_sampling(spec)
     f = freq_bump(128, 16.0, center=(1.0, 0.4), sigma=0.12)
-    slab = analyze(f.signal, spec, sampling)
+    slab = analyze(f.signal, sampling)
     return spec, sampling, f, slab
 
 
@@ -69,15 +71,15 @@ class TestAnalyze:
         with pytest.warns(CoverageWarning, match="frequency bump"):
             zero = freq_bump(32, 16.0, center=(1.0, 0.0), sigma=0.2, amplitude=0.0)
         small = default_sampling(spec, n_lam=4)
-        slab = analyze(zero.signal, spec, small)
+        slab = analyze(zero.signal, small)
         assert np.all(slab.planes == 0.0)
 
     def test_self_reproducing_peak(self):
         spec = GroupSpec(similitude())
         psi = default_wavelet(spec)
         atom = _wavelet_atom(128, 16.0, spec)
-        sampling = build_sampling(spec, [SimilitudeChart(0.0, 0.0)], [1.0])
-        slab = analyze(atom.signal, spec, sampling)
+        sampling = GroupSampling(spec, [SimilitudeChart(0.0, 0.0)], [1.0])
+        slab = analyze(atom.signal, sampling)
         center = slab.planes[0, 64, 64]  # x = 0 sits at index N/2
         xi1, xi2 = freq_grids(128, 16.0)
         norm2 = np.sum(np.abs(psi.evaluate(xi1, xi2)) ** 2) / 16.0 ** 2
@@ -90,22 +92,22 @@ class TestAnalyze:
         spec = GroupSpec(similitude())
         # signal lives at radius ~1; at lam = -2 the wavelet sees radii > 3.6
         f = freq_bump(128, 16.0, center=(1.0, 0.0), sigma=0.05)
-        sampling = build_sampling(
+        sampling = GroupSampling(
             spec, [SimilitudeChart(0.0, 0.0), SimilitudeChart(-2.0, 0.0)], [1.0, 1.0]
         )
-        slab = analyze(f.signal, spec, sampling)
+        slab = analyze(f.signal, sampling)
         top = np.max(np.abs(slab.planes))
         assert np.max(np.abs(slab.planes[1])) <= 1e-12 * top
 
     def test_dimension_mismatch(self, sim_setup):
         # a bare ndarray is refused at the product's entry points, as by the
         # reference slab
-        spec, sampling, f, slab = sim_setup
+        _, sampling, f, slab = sim_setup
         data = f.signal.data
-        for call in (lambda: analyze(data, spec, sampling),
-                     lambda: signal_coorbit_norm(data, spec, sampling, 1),
-                     lambda: signal_coorbit_norm(data, spec, sampling, 2),
-                     lambda: reconstruct(data, spec, sampling, 1.0)):
+        for call in (lambda: analyze(data, sampling),
+                     lambda: signal_coorbit_norm(data, sampling, 1),
+                     lambda: signal_coorbit_norm(data, sampling, 2),
+                     lambda: reconstruct(data, sampling, 1.0)):
             with pytest.raises(TypeError, match="GridSignal"):
                 call()
 
@@ -113,7 +115,7 @@ class TestAnalyze:
 class TestCoorbitNorm:
     def test_zero_slab(self, sim_setup):
         spec, *_ = sim_setup
-        sampling = build_sampling(spec, [SimilitudeChart(0.0, 0.0)], [1.0])
+        sampling = GroupSampling(spec, [SimilitudeChart(0.0, 0.0)], [1.0])
         slab = CoeffSlab(np.zeros((1, 16, 16), dtype=complex), sampling, 16, 4.0)
         for p in (0.5, 1, 2, np.inf):
             assert coorbit_norm(slab, p) == 0.0
@@ -121,7 +123,7 @@ class TestCoorbitNorm:
     def test_constant_plane_formula(self):
         spec = GroupSpec(similitude())
         pts = [SimilitudeChart(0.0, 0.0), SimilitudeChart(0.1, 1.0)]
-        sampling = build_sampling(spec, pts, [0.3, 0.4])
+        sampling = GroupSampling(spec, pts, [0.3, 0.4])
         m, n, length = 0.7, 16, 4.0
         planes = np.full((2, n, n), m, dtype=complex)
         slab = CoeffSlab(planes, sampling, n, length)
@@ -129,7 +131,7 @@ class TestCoorbitNorm:
         assert coorbit_norm(slab, 2) == pytest.approx(m * np.sqrt(w * length ** 2))
 
     def test_scaling_homogeneity(self, sim_setup):
-        spec, sampling, f, slab = sim_setup
+        _, sampling, f, slab = sim_setup
         scaled = CoeffSlab(3.5 * slab.planes, sampling, slab.N, slab.L)
         for p in (0.7, 1, 2, 4, np.inf):
             assert coorbit_norm(scaled, p) == pytest.approx(
@@ -156,9 +158,9 @@ class TestCoorbitNorm:
         sampling = default_sampling(spec)
         f = freq_bump(64, 16.0, center=(1.0, 0.2), sigma=0.12).signal
         big = GridSignal(f.N, f.L, 2.0 ** 510 * f.data)
-        norm = signal_coorbit_norm(f, spec, sampling, 2)
+        norm = signal_coorbit_norm(f, sampling, 2)
         assert norm > 0.0
-        assert signal_coorbit_norm(big, spec, sampling, 2) == 2.0 ** 510 * norm
+        assert signal_coorbit_norm(big, sampling, 2) == 2.0 ** 510 * norm
 
     def test_p2_norm_out_of_range_is_typed(self, monkeypatch):
         spec = GroupSpec(similitude())
@@ -166,11 +168,11 @@ class TestCoorbitNorm:
         big = GridSignal(f.N, f.L, 2.0 ** 510 * f.data)
         # a multiplier of 1e308 puts the norm itself past the float range
         monkeypatch.setattr(transform, "calderon_multiplier",
-                            lambda spec, sampling, n, length: np.full((n, n), 1e308))
+                            lambda sampling, n, length: np.full((n, n), 1e308))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(WeightRangeError, match="p = 2"):
-                signal_coorbit_norm(big, spec, default_sampling(spec), 2)
+                signal_coorbit_norm(big, default_sampling(spec), 2)
 
     @pytest.mark.parametrize("p", [-1, 0, np.nan])
     def test_exponent_checked_before_any_transform_work(self, p, monkeypatch):
@@ -184,9 +186,9 @@ class TestCoorbitNorm:
         with pytest.warns(CoverageWarning, match="frequency bump"):
             f = freq_bump(32, 16.0, center=(1.0, 0.0), sigma=0.2)
         with pytest.raises(ValueError, match="exponent"):
-            signal_coorbit_norm(f.signal, spec, sampling, p)
+            signal_coorbit_norm(f.signal, sampling, p)
         with pytest.raises(ValueError, match="exponent"):
-            norm_ratio_profile(spec, spec, p, [f], sampling, sampling)
+            norm_ratio_profile(p, [f], sampling, sampling)
 
 
 class TestCalderon:
@@ -197,7 +199,7 @@ class TestCalderon:
         spec = GroupSpec(similitude())
         psi = default_wavelet(spec)
         sampling = default_sampling(spec, n_lam=128)
-        cal = calderon_constant(spec, sampling)
+        cal = calderon_constant(sampling)
         oracle = 2 * np.pi * quad(
             lambda t: psi.evaluate(t, 0.0) ** 2 / t, 0.5, 2.0
         )[0]
@@ -207,7 +209,7 @@ class TestCalderon:
     def test_truncated_range_negative_control(self):
         spec = GroupSpec(similitude())
         sampling = default_sampling(spec, lam_range=(-0.3, 0.3), n_lam=8)
-        cal = calderon_constant(spec, sampling)
+        cal = calderon_constant(sampling)
         assert cal.max_rel_deviation > 0.5
 
     def test_nan_integral_rejected(self, monkeypatch):
@@ -217,35 +219,35 @@ class TestCalderon:
             monkeypatch.setattr(transform, "_chart_form", lambda invariants, shifts:
                                 np.full(np.broadcast(*invariants, *shifts).shape, value))
             with pytest.raises(OrbitSampleError, match="vanished"):
-                calderon_constant(spec, sampling)
+                calderon_constant(sampling)
 
     def test_unpacks_as_pair(self):
         spec = GroupSpec(similitude())
         sampling = default_sampling(spec, n_lam=8)
-        mean, dev = calderon_constant(spec, sampling)
+        mean, dev = calderon_constant(sampling)
         assert mean > 0 and dev >= 0
 
 
 class TestInvert:
     def test_zero_slab_zero_signal(self, sim_setup):
         spec, *_ = sim_setup
-        sampling = build_sampling(spec, [SimilitudeChart(0.0, 0.0)], [1.0])
+        sampling = GroupSampling(spec, [SimilitudeChart(0.0, 0.0)], [1.0])
         slab = CoeffSlab(np.zeros((1, 32, 32), dtype=complex), sampling, 32, 16.0)
-        rec = invert(slab, spec, 1.0)
+        rec = invert(slab, 1.0)
         assert np.all(rec.data == 0.0)
 
     def test_reconstruction_of_covered_signal(self, sim_setup):
-        spec, sampling, f, slab = sim_setup
-        cal = calderon_constant(spec, sampling)
-        rec = invert(slab, spec, cal.mean)
+        _, sampling, f, slab = sim_setup
+        cal = calderon_constant(sampling)
+        rec = invert(slab, cal.mean)
         err = np.sqrt(np.sum(np.abs(rec.data - f.signal.data) ** 2)
                       / np.sum(np.abs(f.signal.data) ** 2))
         assert err <= 5e-2
 
     def test_invalid_constant(self, sim_setup):
-        spec, sampling, _, slab = sim_setup
+        _, sampling, _, slab = sim_setup
         with pytest.raises(ValueError):
-            invert(slab, spec, 0.0)
+            invert(slab, 0.0)
 
     def test_uncovered_band_error_localizes(self):
         spec = GroupSpec(similitude())
@@ -265,10 +267,10 @@ class TestInvert:
         sig = GridSignal(n, length, signal_from_spectrum(spec_arr, n, length))
         # with lam in [-1, 1] the annulus around r = 1 is fully covered,
         # the bump at r = 3.2 is not
-        c_psi = np.mean([_per_point_multiplier(spec, sampling, np.cos(a), np.sin(a))
+        c_psi = np.mean([_per_point_multiplier(sampling, np.cos(a), np.sin(a))
                          for a in (0.2, 1.0, 2.2, 4.5)])
-        slab = analyze(sig, spec, sampling)
-        rec = invert(slab, spec, c_psi)
+        slab = analyze(sig, sampling)
+        rec = invert(slab, c_psi)
         from coorbit2d import spectrum_from_signal
 
         diff = spectrum_from_signal(rec) - spec_arr
@@ -290,7 +292,7 @@ class TestRefinement:
         norms = {}
         for refine, n_lam in (("base", 16), ("fine", 32)):
             sampling = default_sampling(spec, n_lam=n_lam)
-            slab = analyze(f.signal, spec, sampling)
+            slab = analyze(f.signal, sampling)
             norms[refine] = coorbit_norm(slab, 2)
         assert abs(norms["fine"] - norms["base"]) / norms["base"] <= 1e-2
 
@@ -355,7 +357,7 @@ class TestNormRatioProfile:
         signals = [freq_bump(64, 16.0, center=(1.0, 0.2), sigma=0.12),
                    freq_bump(64, 16.0, center=(-0.9, 0.1), sigma=0.12)]
         sampling = default_sampling(spec)
-        table = norm_ratio_profile(spec, spec, 1.0, signals, sampling, sampling)
+        table = norm_ratio_profile(1.0, signals, sampling, sampling)
         for row in table.rows:
             assert not row.degenerate
             assert row.ratio == 1.0
@@ -365,7 +367,7 @@ class TestNormRatioProfile:
         twin = GroupSpec(diagonal(), np.array([[0.0, 1.0], [1.0, 0.0]]) @ np.diag([2.0, -3.0]))
         signals = [freq_bump(64, 16.0, center=c, sigma=0.1)
                    for c in ((0.8, 0.8), (1.1, 0.7), (-0.9, 1.0))]
-        table = norm_ratio_profile(base, twin, 2.0, signals,
+        table = norm_ratio_profile(2.0, signals,
                                    default_sampling(base), default_sampling(twin))
         summary = table.summary()
         assert summary["spread"] is not None
@@ -377,48 +379,58 @@ class TestNormRatioProfile:
             zero = freq_bump(32, 16.0, center=(1.0, 0.0), sigma=0.15,
                              amplitude=0.0)
         sampling = default_sampling(spec, n_lam=8)
-        table = norm_ratio_profile(spec, spec, 2.0, [zero], sampling, sampling)
+        table = norm_ratio_profile(2.0, [zero], sampling, sampling)
         assert table.rows[0].degenerate
         assert table.rows[0].ratio is None
         assert table.summary()["spread"] is None
 
 
 class TestSamplingWeights:
-    def _parts(self):
-        spec = GroupSpec(similitude())
-        sampling = build_sampling(
-            spec, [SimilitudeChart(0.0, 0.0), SimilitudeChart(0.1, 1.0)], [0.3, 0.4])
-        return sampling.points, sampling.volumes, sampling.haar_w, sampling.g_w
+    ROWS = [SimilitudeChart(0.0, 0.0), SimilitudeChart(0.1, 1.0)]
 
     def test_infinite_volume_rejected(self):
-        spec = GroupSpec(similitude())
-        pts = [SimilitudeChart(0.0, 0.0), SimilitudeChart(0.1, 1.0)]
         with pytest.raises(ValueError, match="finite"):
-            build_sampling(spec, pts, [1.0, np.inf])
+            GroupSampling(GroupSpec(similitude()), self.ROWS, [1.0, np.inf])
 
-    @pytest.mark.parametrize("field", [1, 2, 3])
     @pytest.mark.parametrize("bad", ["nan", "inf", "zero", "negative"])
-    def test_non_finite_or_non_positive_weight_rejected(self, field, bad):
-        parts = list(self._parts())
-        w = parts[field].copy()
-        w[1] = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -1.0}[bad]
-        parts[field] = w
+    def test_non_finite_or_non_positive_volume_rejected(self, bad):
+        volume = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -1.0}[bad]
         with pytest.raises(ValueError, match="finite and positive"):
-            GroupSampling(*parts)
+            GroupSampling(GroupSpec(similitude()), self.ROWS, [0.3, volume])
 
-    @pytest.mark.parametrize("field", [1, 2, 3])
-    def test_wrong_length_rejected(self, field):
-        parts = list(self._parts())
-        parts[field] = np.append(parts[field], 1.0)
+    @pytest.mark.parametrize("volumes", [[0.3, 0.4, 1.0], [[0.3, 0.4]]],
+                             ids=["wrong-length", "two-dimensional"])
+    def test_volume_shape_rejected(self, volumes):
         with pytest.raises(ValueError, match="one value per chart point"):
-            GroupSampling(*parts)
+            GroupSampling(GroupSpec(similitude()), self.ROWS, volumes)
 
-    @pytest.mark.parametrize("field", [1, 2, 3])
-    def test_two_dimensional_rejected(self, field):
-        parts = list(self._parts())
-        parts[field] = parts[field].reshape(1, -1)
-        with pytest.raises(ValueError, match="one value per chart point"):
-            GroupSampling(*parts)
+    @pytest.mark.parametrize("case", ["similitude", "diagonal", "shearlet", "caller-built"])
+    def test_weights_are_the_specs_bit_for_bit(self, case):
+        if case == "caller-built":
+            spec = GroupSpec(shearlet(-1.3), rotation(0.4))
+            sampling = GroupSampling(spec, [ShearletChart(1, 0.2, -0.5),
+                                            ShearletChart(-1, -1.7, 3.0)], [0.25, 0.5])
+        else:
+            spec = SMALL_CASES[case][0]
+            sampling = default_sampling(spec)
+        assert sampling.spec is spec
+        rows, volumes = sampling.points, sampling.volumes
+        assert sampling.haar_w.tobytes() == (haar_weight(spec, rows) * volumes).tobytes()
+        assert sampling.g_w.tobytes() == (g_weight(spec, rows) * volumes).tobytes()
+
+    @pytest.mark.parametrize("rows_of, spec_of", [
+        (a, b) for a in (similitude(), diagonal(), shearlet(2.0))
+        for b in (similitude(), diagonal(), shearlet(0.5)) if a.kind != b.kind],
+        ids=lambda f: f.kind)
+    def test_rows_of_another_family_refused(self, rows_of, spec_of):
+        # the rows of a default sampling of one family under another's spec
+        rows = default_sampling(GroupSpec(rows_of)).points
+        with pytest.raises(ChartMismatchError, match="do not match family"):
+            GroupSampling(GroupSpec(spec_of), rows, np.ones(len(rows)))
+
+    def test_spec_must_be_a_group_spec(self):
+        with pytest.raises(TypeError, match="GroupSpec"):
+            GroupSampling(similitude(), self.ROWS, [0.3, 0.4])
 
 
 class TestSamplingArrays:
@@ -477,9 +489,8 @@ class TestSamplingArrays:
         ([[0.0, 0.0], [np.inf, 0.0]], "finite"),
     ], ids=["1-d", "no-rows", "no-columns", "nan", "inf"])
     def test_bad_points_rejected(self, points, message):
-        w = np.ones(2)
         with pytest.raises(ValueError, match=message):
-            GroupSampling(points, w, w, w)
+            GroupSampling(GroupSpec(similitude()), points, np.ones(2))
 
     @pytest.mark.parametrize("family, points", [
         (similitude(), [(0.0, np.nan)]),
@@ -487,9 +498,9 @@ class TestSamplingArrays:
         (shearlet(0.5), [(0, 0.0, 0.0)]),
         (shearlet(0.5), [(0.0, 0.0)]),
     ], ids=["non-finite", "sign-2", "sign-0", "wrong-width"])
-    def test_build_sampling_checks_points(self, family, points):
+    def test_rows_checked_against_the_family(self, family, points):
         with pytest.raises(ValueError):
-            build_sampling(GroupSpec(family), points, [1.0])
+            GroupSampling(GroupSpec(family), points, [1.0])
 
     @pytest.mark.parametrize("c", [400.0, -400.0])
     def test_weights_out_of_float_range_are_typed(self, c):
@@ -554,13 +565,14 @@ def small_case(request):
     n, length = 32, 8.0
     # an arbitrary signal: the identities hold for every f, not just covered ones
     f = GridSignal(n, length, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    slab = analyze(f, spec, sampling)
-    c = calderon_multiplier(spec, sampling, n, length)
+    slab = analyze(f, sampling)
+    c = calderon_multiplier(sampling, n, length)
     return spec, sampling, f, slab, c
 
 
-def _per_point_multiplier(spec, sampling, xi1, xi2):
+def _per_point_multiplier(sampling, xi1, xi2):
     """Reference: sum_h haar_w psihat(h^T xi)^2, one chart point at a time."""
+    spec = sampling.spec
     psi = default_wavelet(spec)
     total = 0.0
     for p, w in zip(sampling.points, sampling.haar_w):
@@ -576,38 +588,38 @@ def _rel(a, b):
 
 class TestCalderonMultiplier:
     def test_kernel_matches_per_point_loop(self, small_case):
-        spec, sampling, f, _, c = small_case
+        _, sampling, f, _, c = small_case
         xi1, xi2 = freq_grids(f.N, f.L)
-        ref = _per_point_multiplier(spec, sampling, xi1, xi2)
+        ref = _per_point_multiplier(sampling, xi1, xi2)
         assert c.shape == (f.N, f.N)
         assert _rel(c, ref) <= ROUNDOFF
 
     def test_norm2_is_multiplier_energy(self, small_case):
-        spec, sampling, f, slab, c = small_case
+        _, sampling, f, slab, c = small_case
         energy = np.sum(np.abs(spectrum_from_signal(f)) ** 2 * c) / f.L ** 2
         assert abs(coorbit_norm(slab, 2) ** 2 - energy) <= ROUNDOFF * energy
-        norm = signal_coorbit_norm(f, spec, sampling, 2)
+        norm = signal_coorbit_norm(f, sampling, 2)
         assert abs(norm ** 2 - energy) <= ROUNDOFF * energy
 
     def test_other_exponents_take_the_slab_path(self, small_case):
-        spec, sampling, f, slab, _ = small_case
+        _, sampling, f, slab, _ = small_case
         for p in (0.5, 1, np.inf):
-            assert signal_coorbit_norm(f, spec, sampling, p) == coorbit_norm(slab, p)
+            assert signal_coorbit_norm(f, sampling, p) == coorbit_norm(slab, p)
 
     def test_invert_is_multiplier_image(self, small_case):
-        spec, sampling, f, slab, c = small_case
+        _, sampling, f, slab, c = small_case
         c_psi = 1.7
         ref = signal_from_spectrum(spectrum_from_signal(f) * c / c_psi, f.N, f.L)
-        assert _rel(invert(slab, spec, c_psi).data, ref) <= ROUNDOFF
-        assert _rel(reconstruct(f, spec, sampling, c_psi).data, ref) <= ROUNDOFF
+        assert _rel(invert(slab, c_psi).data, ref) <= ROUNDOFF
+        assert _rel(reconstruct(f, sampling, c_psi).data, ref) <= ROUNDOFF
 
     def test_calderon_values_match_per_point_sums(self, small_case):
         spec, sampling, *_ = small_case
         # the record's samples are eta = B^T xi; B^-T takes them back to xi
         binv_t = np.linalg.inv(spec.conjugator).T
         samples = [binv_t @ p for p in FAMILIES[spec.family.kind].orbit_samples]
-        cal = calderon_constant(spec, sampling)
-        ref = np.array([_per_point_multiplier(spec, sampling, x[0], x[1])
+        cal = calderon_constant(sampling)
+        ref = np.array([_per_point_multiplier(sampling, x[0], x[1])
                         for x in samples])
         assert np.max(np.abs(np.array(cal.values) - ref) / ref) <= ROUNDOFF
         assert cal.mean == pytest.approx(float(ref.mean()), rel=ROUNDOFF)
@@ -628,12 +640,22 @@ class TestCalderonMultiplier:
             acc = acc + sampling.g_w[i] * spectrum_from_signal(
                 GridSignal(f.N, f.L, slab.planes[i])) * factor
         ref = signal_from_spectrum(acc / 1.7, f.N, f.L)
-        assert _rel(invert(slab, spec, 1.7).data, ref) <= ROUNDOFF
+        assert _rel(invert(slab, 1.7).data, ref) <= ROUNDOFF
 
-    def test_reconstruct_rejects_bad_constant(self, small_case):
-        spec, sampling, f, *_ = small_case
-        with pytest.raises(ValueError):
-            reconstruct(f, spec, sampling, 0.0)
+    @pytest.mark.parametrize("c_psi, error, message", [
+        (0.0, ValueError, "finite and positive"),
+        (-1.0, ValueError, "finite and positive"),
+        (np.inf, ValueError, "finite and positive"),
+        (np.nan, ValueError, "finite and positive"),
+        # fhat C / C_psi overflows: a typed error, with no floating-point warning
+        (1e-320, WeightRangeError, "floating-point range"),
+    ], ids=["zero", "negative", "inf", "nan", "overflow"])
+    def test_reconstruct_rejects_bad_constant(self, small_case, c_psi, error, message):
+        _, sampling, f, *_ = small_case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                reconstruct(f, sampling, c_psi)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +679,7 @@ def stream_case(request):
     rng = np.random.default_rng(11)
     n, length = 64, 16.0
     f = GridSignal(n, length, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    slab = analyze(f, spec, sampling)
+    slab = analyze(f, sampling)
     return request.param, spec, sampling, f, slab
 
 
@@ -678,11 +700,11 @@ def _count_inverse_ffts(monkeypatch):
 
 class TestStreamedReduction:
     def test_norms_equal_slab_norms(self, stream_case):
-        _, spec, sampling, f, slab = stream_case
+        _, _, sampling, f, slab = stream_case
         assert 0 < _nonzero_planes(slab) < len(sampling)
         mags = np.abs(slab.planes)
         for p in EXPONENTS:
-            value = signal_coorbit_norm(f, spec, sampling, p)
+            value = signal_coorbit_norm(f, sampling, p)
             assert value == coorbit_norm(slab, p)
             # reference: the whole-slab reduction, summed in index order
             if np.isinf(p):
@@ -696,10 +718,10 @@ class TestStreamedReduction:
             assert value == ref
 
     def test_plane_sums_equal_whole_slab_reduction(self, stream_case):
-        _, spec, sampling, f, slab = stream_case
+        _, _, sampling, f, slab = stream_case
         mags = np.abs(slab.planes)
         for p in (*EXPONENTS, 2):
-            sums, peaks = transform._signal_stats([f], spec, sampling, p)
+            sums, peaks = transform._signal_stats([f], sampling, p)
             assert np.array_equal(peaks[:, 0], mags.max(axis=(1, 2)))
             if np.isfinite(p):
                 ref = np.sum(mags ** p, axis=(1, 2)) * (f.L / f.N) ** 2
@@ -707,27 +729,27 @@ class TestStreamedReduction:
         assert np.array_equal(sums[:, 0], slab.plane_energies())
 
     def test_zero_planes_skip_their_ffts(self, stream_case, monkeypatch):
-        _, spec, sampling, f, slab = stream_case
+        _, _, sampling, f, slab = stream_case
         calls = _count_inverse_ffts(monkeypatch)
-        signal_coorbit_norm(f, spec, sampling, 1)
+        signal_coorbit_norm(f, sampling, 1)
         # one FFT per nonzero plane, and none for a zero plane
         nonzero = _nonzero_planes(slab)
         assert len(calls) == nonzero
         calls.clear()
-        assert np.array_equal(analyze(f, spec, sampling).planes, slab.planes)
+        assert np.array_equal(analyze(f, sampling).planes, slab.planes)
         assert len(calls) == nonzero
         calls.clear()
-        transform._signal_stats([f, f], spec, sampling, 1)
+        transform._signal_stats([f, f], sampling, 1)
         assert len(calls) == 2 * nonzero
 
     def test_sampling_off_the_lattice_gives_zero(self, stream_case, monkeypatch):
         family, spec, _, f, _ = stream_case
         sampling = STREAM_SAMPLINGS[family](spec, ALL_ZERO)
         calls = _count_inverse_ffts(monkeypatch)
-        slab = analyze(f, spec, sampling)
+        slab = analyze(f, sampling)
         assert np.all(slab.planes == 0.0)
         for p in EXPONENTS:
-            assert signal_coorbit_norm(f, spec, sampling, p) == 0.0
+            assert signal_coorbit_norm(f, sampling, p) == 0.0
             assert coorbit_norm(slab, p) == 0.0
         assert calls == []
 
@@ -746,11 +768,11 @@ class TestBatchedProfile:
         sm1 = STREAM_SAMPLINGS["shearlet"](s1, SOME_ZERO)
         sm2 = STREAM_SAMPLINGS["shearlet"](s2, SOME_ZERO)
         signals = _profile_signals()
-        table = norm_ratio_profile(s1, s2, p, signals, sm1, sm2)
+        table = norm_ratio_profile(p, signals, sm1, sm2)
         for f, row in zip(signals, table.rows):
             assert row.label == f.label
-            assert row.norm1 == signal_coorbit_norm(f.signal, s1, sm1, p)
-            assert row.norm2 == signal_coorbit_norm(f.signal, s2, sm2, p)
+            assert row.norm1 == signal_coorbit_norm(f.signal, sm1, p)
+            assert row.norm2 == signal_coorbit_norm(f.signal, sm2, p)
             assert row.ratio == row.norm1 / row.norm2
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -765,7 +787,7 @@ class TestBatchedProfile:
         monkeypatch.setattr(transform, "_invariants", counted)
         spec = GroupSpec(diagonal(), rotation(0.3))
         sampling = default_sampling(spec, n_lam=4)
-        norm_ratio_profile(spec, spec, p, _profile_signals(), sampling, sampling)
+        norm_ratio_profile(p, _profile_signals(), sampling, sampling)
         assert len(stacks) == 2  # one per spec, not 2 x 5 signals
 
     @pytest.mark.parametrize("other", [(32, 8.0), (64, 8.0)])
@@ -775,7 +797,7 @@ class TestBatchedProfile:
         signals = [*_profile_signals(),
                    freq_bump(*other, center=(0.5, 0.2), sigma=0.15)]
         with pytest.raises(ValueError, match="one .N, L. lattice"):
-            norm_ratio_profile(spec, spec, 1, signals, sampling, sampling)
+            norm_ratio_profile(1, signals, sampling, sampling)
 
 
 # ---------------------------------------------------------------------------
@@ -831,14 +853,14 @@ class TestStabilizerQuotient:
         # the multiplier equal those of one row per class
         spec, make_sampling = SMALL_CASES[family]
         base = make_sampling(spec)
-        sampling = build_sampling(
+        sampling = GroupSampling(
             spec, np.vstack([base.points, _moved_by_stabilizer(family, base.points)]),
             np.tile(base.volumes / 2, 2))
         f = GridSignal(32, 8.0, np.random.default_rng(6).normal(size=(32, 32)))
         psi = default_wavelet(spec)
         # the per-element path: psihat over the whole lattice at every row's
         # element, in index order
-        slab = analyze(f, spec, sampling)
+        slab = analyze(f, sampling)
         fhat = spectrum_from_signal(f)
         xi1, xi2 = freq_grids(f.N, f.L)
         rows = element_from_chart(spec, sampling.points)
@@ -857,30 +879,31 @@ class TestStabilizerQuotient:
         assert scale > 0.0
         assert np.max(np.abs(slab.planes - planes)) <= ROUNDOFF * scale
         ref = signal_from_spectrum(acc / 1.7, f.N, f.L)
-        gap = np.max(np.abs(invert(slab, spec, 1.7).data - ref))
+        gap = np.max(np.abs(invert(slab, 1.7).data - ref))
         assert gap <= ROUNDOFF * np.max(np.abs(ref))
-        sums, _ = transform._signal_stats([f], spec, sampling, 2)
+        sums, _ = transform._signal_stats([f], sampling, 2)
         assert np.array_equal(sums[:, 0], slab.plane_energies())
         for p in (0.5, 1, 3, np.inf):
-            value = signal_coorbit_norm(f, spec, sampling, p)
+            value = signal_coorbit_norm(f, sampling, p)
             assert value == coorbit_norm(slab, p)
-            assert value == pytest.approx(signal_coorbit_norm(f, spec, base, p),
+            assert value == pytest.approx(signal_coorbit_norm(f, base, p),
                                           rel=ROUNDOFF)
-        assert _rel(calderon_multiplier(spec, sampling, f.N, f.L),
-                    calderon_multiplier(spec, base, f.N, f.L)) <= ROUNDOFF
+        assert _rel(calderon_multiplier(sampling, f.N, f.L),
+                    calderon_multiplier(base, f.N, f.L)) <= ROUNDOFF
 
     @pytest.mark.parametrize("p", EXPONENTS)
     def test_norms_and_profile_rows_equal_slab_norms(self, stream_case, p):
         _, spec, sampling, f, slab = stream_case
         signals = [_wavelet_atom(f.N, f.L, spec),
                    freq_bump(f.N, f.L, center=(0.9, 0.3), sigma=0.2)]
-        other = GroupSpec(spec.family, rotation(0.7) @ spec.conjugator)
-        table = norm_ratio_profile(spec, other, p, signals, sampling,
-                                   sampling)
-        assert signal_coorbit_norm(f, spec, sampling, p) == coorbit_norm(slab, p)
+        # another writing of the group, on the same rows and volumes
+        other = GroupSampling(GroupSpec(spec.family, rotation(0.7) @ spec.conjugator),
+                              sampling.points, sampling.volumes)
+        table = norm_ratio_profile(p, signals, sampling, other)
+        assert signal_coorbit_norm(f, sampling, p) == coorbit_norm(slab, p)
         for g, row in zip(signals, table.rows):
-            assert row.norm1 == coorbit_norm(analyze(g.signal, spec, sampling), p)
-            assert row.norm2 == coorbit_norm(analyze(g.signal, other, sampling), p)
+            assert row.norm1 == coorbit_norm(analyze(g.signal, sampling), p)
+            assert row.norm2 == coorbit_norm(analyze(g.signal, other), p)
 
 
 # ---------------------------------------------------------------------------
@@ -888,16 +911,17 @@ class TestStabilizerQuotient:
 # each value bit for bit the dense chart form's
 
 
-def _dense_rows(spec, sampling, n, length):
+def _dense_rows(sampling, n, length):
     """Reference: the chart form of each sampled row over the whole lattice."""
-    invariants = [x.ravel() for x in transform._invariants(spec, *freq_grids(n, length))]
-    shifts = transform._shifts(spec, sampling)
+    invariants = [x.ravel()
+                  for x in transform._invariants(sampling.spec, *freq_grids(n, length))]
+    shifts = transform._shifts(sampling)
     with np.errstate(over="ignore"):
         for k in range(len(sampling)):
             yield _chart_form(invariants, [s[k] for s in shifts])
 
 
-def _assert_kernel_is_dense(spec, sampling, n, length):
+def _assert_kernel_is_dense(sampling, n, length):
     """The kernel's values on the n x n lattice equal the dense chart form,
     and every pair it leaves out is exactly 0; its rows come in order, none
     twice, and no index twice in a row.  It raises no floating-point
@@ -905,12 +929,12 @@ def _assert_kernel_is_dense(spec, sampling, n, length):
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        parts = list(transform._chart_values(spec, sampling, n, length))
+        parts = list(transform._chart_values(sampling, n, length))
     rows = [k for k, _, _ in parts]
     assert rows == sorted(set(rows))
     by_row = {k: (idx, vals) for k, idx, vals in parts}
     nonzero = False
-    for k, dense in enumerate(_dense_rows(spec, sampling, n, length)):
+    for k, dense in enumerate(_dense_rows(sampling, n, length)):
         got = np.zeros(n * n)
         if k in by_row:
             idx, vals = by_row[k]
@@ -960,7 +984,7 @@ def _off_quotient_sampling(spec, seed):
         extreme[:, 2] = rng.choice([-1e300, -1e15, 1e15, 1e300], len(extreme))
         blocks.append(extreme)
     points = rng.permutation(np.vstack(blocks))
-    return build_sampling(spec, points, np.full(len(points), base.volumes[0]))
+    return GroupSampling(spec, points, np.full(len(points), base.volumes[0]))
 
 
 class TestSparseKernel:
@@ -969,7 +993,7 @@ class TestSparseKernel:
     def test_values_equal_dense_evaluation(self, family, case):
         conjugator, n, length = KERNEL_CASES[case]
         spec = GroupSpec(KERNEL_FAMILIES[family], conjugator)
-        count, nonzero = _assert_kernel_is_dense(spec, default_sampling(spec), n, length)
+        count, nonzero = _assert_kernel_is_dense(default_sampling(spec), n, length)
         assert nonzero
         assert count < len(default_sampling(spec)) * n * n  # the ranges leave most out
 
@@ -979,7 +1003,7 @@ class TestSparseKernel:
         conjugator, n, length = KERNEL_CASES[case]
         spec = GroupSpec(KERNEL_FAMILIES[family], conjugator)
         sampling = _off_quotient_sampling(spec, 3)
-        count, nonzero = _assert_kernel_is_dense(spec, sampling, n, length)
+        count, nonzero = _assert_kernel_is_dense(sampling, n, length)
         assert nonzero and count < len(sampling) * n * n
 
     @pytest.mark.parametrize("case", [
@@ -1001,16 +1025,17 @@ class TestSparseKernel:
         # which are eta itself, squared and added in row order
         record = FAMILIES[spec.family.kind]
         invariants = record.invariants(*record.orbit_samples.T)
-        shifts = transform._shifts(spec, sampling)
+        shifts = transform._shifts(sampling)
         ref = np.zeros(len(record.orbit_samples))
         for k, w in enumerate(sampling.haar_w):
             ref += w * np.square(_chart_form(invariants, [s[k] for s in shifts]))
-        cal = calderon_constant(spec, sampling)
+        cal = calderon_constant(sampling)
         assert np.all(ref > 0.0)
         assert np.array_equal(cal.values, ref)
         assert cal.mean == ref.mean()
         # B does not enter: the constant of the standard group is the same
-        standard = calderon_constant(GroupSpec(spec.family), sampling)
+        standard = calderon_constant(GroupSampling(GroupSpec(spec.family), sampling.points,
+                                                   sampling.volumes))
         assert np.array_equal(cal.values, standard.values)
 
     @pytest.mark.parametrize("family", [similitude(), diagonal(), shearlet(0.7),
@@ -1029,7 +1054,7 @@ class TestSparseKernel:
         psi = default_wavelet(spec)
         mats = element_from_chart(spec, sampling.points)
         nonzero = 0
-        for h, got in zip(mats, transform._class_values(spec, sampling, n, length)):
+        for h, got in zip(mats, transform._class_values(sampling, n, length)):
             ref = psi.evaluate(h[0, 0] * xi1 + h[1, 0] * xi2, h[0, 1] * xi1 + h[1, 1] * xi2)
             got = np.zeros((n, n)) if got is None else got
             assert np.array_equal(got != 0.0, ref != 0.0)
@@ -1041,7 +1066,7 @@ class TestSparseKernel:
         # CI's shearlet spec at N = 128: 195 of its 768 class planes are 0
         spec = GroupSpec(shearlet(0.7), rotation(-0.5))
         sampling = default_sampling(spec)
-        zero = [k for k, dense in enumerate(_dense_rows(spec, sampling, 128, 16.0))
+        zero = [k for k, dense in enumerate(_dense_rows(sampling, 128, 16.0))
                 if not np.any(dense)]
         assert (len(zero), len(sampling)) == (195, 768)
         rows, points, evaluated = [], [], []
@@ -1062,14 +1087,14 @@ class TestSparseKernel:
         calls = _count_inverse_ffts(monkeypatch)
         center = np.linalg.inv(spec.conjugator).T @ np.array([1.0, 0.2])
         f = freq_bump(128, 16.0, center=center, sigma=0.12).signal
-        assert signal_coorbit_norm(f, spec, sampling, 1) > 0.0
+        assert signal_coorbit_norm(f, sampling, 1) > 0.0
         skipped = np.setdiff1d(np.arange(len(sampling)), rows)
         assert skipped.tolist() == zero
         # the bump sees the candidate pairs and, once per log-scale, the range
         # of its first factor, and nothing else
         u = transform._invariants(spec, *freq_grids(128, 16.0))[0]
         firsts = sum(np.count_nonzero(np.abs(u + a) < 1.0)
-                     for a in np.unique(transform._shifts(spec, sampling)[0]))
+                     for a in np.unique(transform._shifts(sampling)[0]))
         assert sum(evaluated) == sum(points) + firsts < 0.05 * len(sampling) * 128 * 128
         assert len(calls) == len(sampling) - len(zero)
 
@@ -1081,17 +1106,17 @@ def test_chart_out_of_range_is_typed():
     steep = GroupSpec(shearlet(-378.0))
     steep_sampling = default_sampling(steep)
     wide = GroupSpec(shearlet(379.0))
-    wide_sampling = build_sampling(wide, [ShearletChart(1, 1.87, 0.0)], [1.0])
+    wide_sampling = GroupSampling(wide, [ShearletChart(1, 1.87, 0.0)], [1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (lambda: calderon_multiplier(steep, steep_sampling, 32, 8.0),
-                     lambda: calderon_constant(steep, steep_sampling),
-                     lambda: signal_coorbit_norm(f, steep, steep_sampling, 1),
-                     lambda: signal_coorbit_norm(f, wide, wide_sampling, 1)):
+        for call in (lambda: calderon_multiplier(steep_sampling, 32, 8.0),
+                     lambda: calderon_constant(steep_sampling),
+                     lambda: signal_coorbit_norm(f, steep_sampling, 1),
+                     lambda: signal_coorbit_norm(f, wide_sampling, 1)):
             with pytest.raises(WeightRangeError, match="elements of"):
                 call()
         # the multiplier takes no determinant
-        assert np.all(np.isfinite(calderon_multiplier(wide, wide_sampling, 32, 8.0)))
+        assert np.all(np.isfinite(calderon_multiplier(wide_sampling, 32, 8.0)))
 
 
 def test_streamed_norm_holds_no_slab():
@@ -1102,7 +1127,7 @@ def test_streamed_norm_holds_no_slab():
     f = freq_bump(128, 16.0, center=center, sigma=0.12).signal
     tracemalloc.start()
     try:
-        value = signal_coorbit_norm(f, spec, sampling, 1)
+        value = signal_coorbit_norm(f, sampling, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1125,7 +1150,7 @@ def test_analyze_holds_one_plane_per_class(family):
     f = freq_bump(64, 16.0, center=center, sigma=0.12).signal
     tracemalloc.start()
     try:
-        slab = analyze(f, spec, sampling)
+        slab = analyze(f, sampling)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
